@@ -7,31 +7,96 @@
 
 namespace qhorn {
 
-TupleSet::TupleSet(std::vector<Tuple> tuples) : tuples_(std::move(tuples)) {
+TupleSet::TupleSet(std::span<const Tuple> tuples) {
+  AssignRaw(tuples.data(), tuples.size());
   Canonicalize();
 }
 
-TupleSet::TupleSet(std::initializer_list<Tuple> tuples) : tuples_(tuples) {
-  Canonicalize();
+TupleSet::TupleSet(const TupleSet& other)
+    : hash_valid_(other.hash_valid_), hash_(other.hash_) {
+  AssignRaw(other.data(), other.size_);
+}
+
+TupleSet::TupleSet(TupleSet&& other) noexcept { StealFrom(other); }
+
+TupleSet& TupleSet::operator=(const TupleSet& other) {
+  if (this != &other) {
+    AssignRaw(other.data(), other.size_);
+    hash_valid_ = other.hash_valid_;
+    hash_ = other.hash_;
+  }
+  return *this;
+}
+
+TupleSet& TupleSet::operator=(TupleSet&& other) noexcept {
+  if (this != &other) {
+    Release();
+    StealFrom(other);
+  }
+  return *this;
+}
+
+void TupleSet::StealFrom(TupleSet& other) noexcept {
+  size_ = other.size_;
+  on_heap_ = other.on_heap_;
+  hash_valid_ = other.hash_valid_;
+  hash_ = other.hash_;
+  if (on_heap_) {
+    heap_ = other.heap_;
+    other.on_heap_ = false;
+  } else {
+    std::copy_n(other.inline_, size_, inline_);
+  }
+  other.size_ = 0;
+  other.hash_valid_ = true;
+  other.hash_ = kEmptyHash;
+}
+
+void TupleSet::Reserve(size_t count) {
+  if (count <= capacity()) return;
+  QHORN_CHECK(count <= UINT32_MAX);
+  const size_t grown = std::max(count, 2 * capacity());
+  Tuple* block = new Tuple[grown];
+  std::copy_n(data(), size_, block);
+  Release();
+  heap_.data = block;
+  heap_.capacity = grown;
+  on_heap_ = true;
+}
+
+void TupleSet::AssignRaw(const Tuple* src, size_t count) {
+  if (count > capacity()) {
+    // No need to keep the old contents: free first, then allocate exactly.
+    size_ = 0;
+    Release();
+    Reserve(count);
+  }
+  std::copy_n(src, count, data());
+  size_ = static_cast<uint32_t>(count);
+}
+
+bool operator==(const TupleSet& a, const TupleSet& b) {
+  return std::equal(a.begin(), a.end(), b.begin(), b.end());
 }
 
 TupleSet TupleSet::Parse(const std::vector<std::string>& literals) {
   std::vector<Tuple> tuples;
   tuples.reserve(literals.size());
   for (const std::string& lit : literals) tuples.push_back(ParseTuple(lit));
-  return TupleSet(std::move(tuples));
+  return TupleSet(tuples);
 }
 
 void TupleSet::Canonicalize() {
-  std::sort(tuples_.begin(), tuples_.end());
-  tuples_.erase(std::unique(tuples_.begin(), tuples_.end()), tuples_.end());
+  Tuple* first = data();
+  std::sort(first, first + size_);
+  size_ = static_cast<uint32_t>(std::unique(first, first + size_) - first);
   hash_valid_ = false;
 }
 
 void TupleSet::Rehash() const {
   // FNV-1a over the canonical tuple list.
   uint64_t h = kEmptyHash;
-  for (Tuple t : tuples_) {
+  for (Tuple t : *this) {
     for (int byte = 0; byte < 8; ++byte) {
       h ^= (t >> (8 * byte)) & 0xff;
       h *= 1099511628211ULL;
@@ -42,50 +107,57 @@ void TupleSet::Rehash() const {
 }
 
 void TupleSet::AssignPair(Tuple a, Tuple b) {
-  tuples_.clear();
+  // Inline capacity is at least two, so this never allocates.
+  Tuple* out = data();
   if (a == b) {
-    tuples_.push_back(a);
+    out[0] = a;
+    size_ = 1;
   } else {
-    tuples_.push_back(std::min(a, b));
-    tuples_.push_back(std::max(a, b));
+    out[0] = std::min(a, b);
+    out[1] = std::max(a, b);
+    size_ = 2;
   }
   hash_valid_ = false;
 }
 
 void TupleSet::Add(Tuple t) {
-  auto it = std::lower_bound(tuples_.begin(), tuples_.end(), t);
-  if (it == tuples_.end() || *it != t) {
-    tuples_.insert(it, t);
-    hash_valid_ = false;
-  }
+  const Tuple* it = std::lower_bound(begin(), end(), t);
+  if (it != end() && *it == t) return;
+  const size_t pos = static_cast<size_t>(it - begin());
+  Reserve(size_ + 1);
+  Tuple* first = data();
+  std::copy_backward(first + pos, first + size_, first + size_ + 1);
+  first[pos] = t;
+  ++size_;
+  hash_valid_ = false;
 }
 
 void TupleSet::Remove(Tuple t) {
-  auto it = std::lower_bound(tuples_.begin(), tuples_.end(), t);
-  if (it != tuples_.end() && *it == t) {
-    tuples_.erase(it);
-    hash_valid_ = false;
-  }
+  const Tuple* it = std::lower_bound(begin(), end(), t);
+  if (it == end() || *it != t) return;
+  Tuple* first = data();
+  const size_t pos = static_cast<size_t>(it - begin());
+  std::copy(first + pos + 1, first + size_, first + pos);
+  --size_;
+  hash_valid_ = false;
 }
 
 bool TupleSet::Contains(Tuple t) const {
-  return std::binary_search(tuples_.begin(), tuples_.end(), t);
+  return std::binary_search(begin(), end(), t);
 }
 
 TupleSet TupleSet::Union(const TupleSet& other) const {
-  std::vector<Tuple> merged;
-  merged.reserve(tuples_.size() + other.tuples_.size());
-  std::merge(tuples_.begin(), tuples_.end(), other.tuples_.begin(),
-             other.tuples_.end(), std::back_inserter(merged));
-  merged.erase(std::unique(merged.begin(), merged.end()), merged.end());
   TupleSet result;
-  result.tuples_ = std::move(merged);
+  result.Reserve(size_ + other.size_);
+  Tuple* out = result.data();
+  result.size_ = static_cast<uint32_t>(
+      std::set_union(begin(), end(), other.begin(), other.end(), out) - out);
   result.hash_valid_ = false;
   return result;
 }
 
 bool TupleSet::SatisfiesConjunction(VarSet vars) const {
-  for (Tuple t : tuples_) {
+  for (Tuple t : *this) {
     if (IsSubset(vars, t)) return true;
   }
   return false;
@@ -110,7 +182,7 @@ bool TupleSet::SatisfiesConjunctionAll(
   }
   if (count % 64 != 0) unsat[words - 1] = (uint64_t{1} << (count % 64)) - 1;
   size_t remaining = count;
-  for (Tuple t : tuples_) {
+  for (Tuple t : *this) {
     for (size_t w = 0; w < words; ++w) {
       uint64_t bits = unsat[w];
       while (bits != 0) {
@@ -130,9 +202,9 @@ bool TupleSet::SatisfiesConjunctionAll(
 
 std::string TupleSet::ToString(int n) const {
   std::string out = "{";
-  for (size_t i = 0; i < tuples_.size(); ++i) {
+  for (size_t i = 0; i < size_; ++i) {
     if (i > 0) out += ", ";
-    out += FormatTuple(tuples_[i], n);
+    out += FormatTuple(data()[i], n);
   }
   out += "}";
   return out;

@@ -9,11 +9,20 @@
 // question and must not pay a full rehash each time — while the learners'
 // probe loops, which build thousands of questions that are never hashed,
 // pay nothing.
+//
+// Storage is inline for up to kInlineTuples tuples and on the heap beyond
+// that, in 40 bytes (no larger than a std::vector plus the hash): a 24-byte
+// union of Tuple[3] and {pointer, capacity}, the size, the on-heap and
+// hash-valid flags, and the cached hash. Most questions crossing the user
+// boundary at small n hold at most three tuples, so copying one — into a
+// pending round, an announcement, the answered transcript or a cache key —
+// allocates nothing; a larger object pays one allocation per copy.
 
 #ifndef QHORN_BOOL_TUPLE_SET_H_
 #define QHORN_BOOL_TUPLE_SET_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <initializer_list>
 #include <span>
 #include <string>
@@ -26,11 +35,23 @@ namespace qhorn {
 /// A set of Boolean tuples (an object of the nested relation).
 class TupleSet {
  public:
+  /// Tuples an object holds without a heap allocation.
+  static constexpr size_t kInlineTuples = 3;
+
   TupleSet() = default;
 
-  /// From raw masks; duplicates are removed.
-  explicit TupleSet(std::vector<Tuple> tuples);
-  TupleSet(std::initializer_list<Tuple> tuples);
+  /// From raw masks, in any order; duplicates are removed.
+  explicit TupleSet(std::span<const Tuple> tuples);
+  TupleSet(std::initializer_list<Tuple> tuples)
+      : TupleSet(std::span<const Tuple>(tuples.begin(), tuples.size())) {}
+
+  TupleSet(const TupleSet& other);
+  TupleSet(TupleSet&& other) noexcept;
+  /// Reuses this object's storage when it is large enough, so a question
+  /// slot assigned in a loop allocates once.
+  TupleSet& operator=(const TupleSet& other);
+  TupleSet& operator=(TupleSet&& other) noexcept;
+  ~TupleSet() { Release(); }
 
   /// From paper-style strings: TupleSet::Parse({"111", "011"}).
   static TupleSet Parse(const std::vector<std::string>& literals);
@@ -39,9 +60,9 @@ class TupleSet {
   void Add(Tuple t);
 
   /// Replaces the contents with the two-tuple object {a, b} in place,
-  /// reusing the existing allocation. The learners' probe questions are
+  /// reusing the existing storage. The learners' probe questions are
   /// almost all two-tuple objects built in tight loops; this keeps their
-  /// construction allocation-free after warm-up.
+  /// construction allocation-free.
   void AssignPair(Tuple a, Tuple b);
 
   /// Removes a tuple if present.
@@ -49,12 +70,18 @@ class TupleSet {
 
   bool Contains(Tuple t) const;
 
-  bool empty() const { return tuples_.empty(); }
-  size_t size() const { return tuples_.size(); }
+  bool empty() const { return size_ == 0; }
+  size_t size() const { return size_; }
 
-  const std::vector<Tuple>& tuples() const { return tuples_; }
-  std::vector<Tuple>::const_iterator begin() const { return tuples_.begin(); }
-  std::vector<Tuple>::const_iterator end() const { return tuples_.end(); }
+  /// The canonical tuple list: sorted ascending, no duplicates.
+  std::span<const Tuple> tuples() const { return {data(), size_}; }
+  const Tuple* begin() const { return data(); }
+  const Tuple* end() const { return data() + size_; }
+
+  /// Bytes this object owns on the heap (0 while stored inline).
+  size_t heap_bytes() const {
+    return on_heap_ ? heap_.capacity * sizeof(Tuple) : 0;
+  }
 
   /// Set union.
   TupleSet Union(const TupleSet& other) const;
@@ -68,9 +95,7 @@ class TupleSet {
   /// of one full scan per mask.
   bool SatisfiesConjunctionAll(std::span<const VarSet> conjunctions) const;
 
-  friend bool operator==(const TupleSet& a, const TupleSet& b) {
-    return a.tuples_ == b.tuples_;
-  }
+  friend bool operator==(const TupleSet& a, const TupleSet& b);
 
   /// Stable hash of the canonical tuple list (computed lazily, then
   /// cached until the next mutation). NOTE: the lazy fill mutates shared
@@ -86,17 +111,44 @@ class TupleSet {
   std::string ToString(int n) const;
 
  private:
+  Tuple* data() { return on_heap_ ? heap_.data : inline_; }
+  const Tuple* data() const { return on_heap_ ? heap_.data : inline_; }
+  size_t capacity() const { return on_heap_ ? heap_.capacity : kInlineTuples; }
+  /// Makes room for `count` tuples, keeping the first size_ of them.
+  void Reserve(size_t count);
+  /// Frees the heap block, if any; leaves the storage fields dangling.
+  void Release() {
+    if (on_heap_) {
+      delete[] heap_.data;
+      on_heap_ = false;
+    }
+  }
+  /// Takes `other`'s contents and storage; leaves it empty and inline.
+  void StealFrom(TupleSet& other) noexcept;
+  /// Replaces the contents with `count` tuples copied from `src`.
+  void AssignRaw(const Tuple* src, size_t count);
   void Canonicalize();
   void Rehash() const;
 
-  std::vector<Tuple> tuples_;  // sorted ascending, unique
-  mutable size_t hash_ = kEmptyHash;
+  union {
+    Tuple inline_[kInlineTuples] = {};
+    struct {
+      Tuple* data;
+      size_t capacity;
+    } heap_;
+  };
+  uint32_t size_ = 0;
+  bool on_heap_ = false;
   mutable bool hash_valid_ = true;  // empty list hashes to kEmptyHash
+  mutable size_t hash_ = kEmptyHash;
 
   // FNV-1a offset basis: the hash of the empty tuple list.
   static constexpr size_t kEmptyHash =
       static_cast<size_t>(1469598103934665603ULL);
 };
+
+static_assert(sizeof(TupleSet) <= 40,
+              "every parked question and cache key holds a TupleSet");
 
 /// Hash functor for unordered containers keyed by objects.
 struct TupleSetHash {

@@ -61,43 +61,74 @@ SessionLog* DurableRouter::ShardFor(SessionId external_id) {
       .get();
 }
 
+int DurableRouter::RouterShardFor(SessionId external) const {
+  return static_cast<int>((external - 1) % options_.shards);
+}
+
+void DurableRouter::MapIds(SessionId external, SessionId internal) {
+  const auto grow = [](std::vector<SessionId>& map, SessionId index) {
+    if (static_cast<size_t>(index) >= map.size()) {
+      map.resize(static_cast<size_t>(index) + 1, 0);
+    }
+  };
+  grow(to_internal_, external);
+  grow(to_external_, internal);
+  to_internal_[static_cast<size_t>(external)] = internal;
+  to_external_[static_cast<size_t>(internal)] = external;
+}
+
+DurableRouter::SessionId DurableRouter::InternalOf(SessionId external) const {
+  if (external <= 0 || static_cast<size_t>(external) >= to_internal_.size()) {
+    return 0;
+  }
+  return to_internal_[static_cast<size_t>(external)];
+}
+
 DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
+  // Refuse before logging: a logged open the router cannot host would
+  // abort every recovery that replays it.
+  if (spec.n < 1 || spec.n > kMaxVars) return 0;
   SessionId external;
   {
     MutexLock lock(&mutex_);
-    external = next_external_;
+    external = next_external_++;  // reserved: no concurrent open shares it
   }
   // Log before ack. A crash after this append but before OpenPending
   // returns re-creates a session whose id the caller never learned — an
   // orphan that waits forever, which is the durable-service analogue of
   // an abandoned session, not a correctness hole: nothing was
   // acknowledged, so nothing is owed.
-  if (!ShardFor(external)->AppendSessionOpened(external, spec)) return 0;
-  // Pin the session to the router shard matching its WAL shard: this
-  // session's commit hooks will append to WAL `external % shards` while
-  // holding router shard `external % shards`'s mutex — a 1:1 mapping, so
-  // two sessions contend on a router lock iff they share a WAL anyway.
-  SessionId internal = router_->OpenPendingOnShard(
-      static_cast<int>(external % options_.shards), spec.n);
+  if (!ShardFor(external)->AppendSessionOpened(external, spec)) {
+    MutexLock lock(&mutex_);
+    // Hand the id back unless a concurrent open already reserved past it.
+    if (next_external_ == external + 1) next_external_ = external;
+    return 0;
+  }
+  // Pin the session to the router shard paired with its WAL shard: this
+  // session's commit hooks append to WAL `external % shards` while holding
+  // router shard `(external - 1) % shards`'s mutex — a 1:1 pairing, so two
+  // sessions contend on a router lock iff they share a WAL anyway.
+  const SessionId internal =
+      router_->OpenPendingOnShard(RouterShardFor(external), spec.n);
+  {
+    // Mapped before any job can suspend, so every round a concurrent poll
+    // sees belongs to a mapped session.
+    MutexLock lock(&mutex_);
+    MapIds(external, internal);
+  }
   SubmitSpecJobs(*router_, internal, spec);
-  MutexLock lock(&mutex_);
-  to_internal_.emplace(external, internal);
-  to_external_.emplace(internal, external);
-  ++next_external_;
   return external;
 }
 
 ProvideOutcome DurableRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
   SessionId internal;
-  SessionLog* shard;
   {
     MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return ProvideOutcome::kUnknownSession;
-    internal = it->second;
-    shard = ShardFor(id);
+    internal = InternalOf(id);
   }
+  if (internal == 0) return ProvideOutcome::kUnknownSession;
+  SessionLog* shard = ShardFor(id);
   // The append runs inside the router's commit hook: after validation,
   // before mutation, atomic with the fold. Anything the log did not
   // accept was never acknowledged and never happened in memory.
@@ -112,10 +143,9 @@ bool DurableRouter::Close(SessionId id) {
   SessionId internal;
   {
     MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return false;
-    internal = it->second;
+    internal = InternalOf(id);
   }
+  if (internal == 0) return false;
   // Log before ack; a duplicate close record (append ok but the router
   // reports already-closed, or a caller retry after a sync failure) is
   // skipped idempotently by Recover.
@@ -125,20 +155,30 @@ bool DurableRouter::Close(SessionId id) {
 
 std::vector<PendingRound> DurableRouter::PendingRounds() {
   std::vector<PendingRound> rounds = router_->PendingRounds();
+  bool ordered = true;
   {
     MutexLock lock(&mutex_);
+    SessionId last = 0;
     for (PendingRound& round : rounds) {
-      auto it = to_external_.find(round.session_id);
-      QHORN_CHECK_MSG(it != to_external_.end(),
+      const auto internal = static_cast<size_t>(round.session_id);
+      QHORN_CHECK_MSG(internal < to_external_.size() &&
+                          to_external_[internal] != 0,
                       "pending round for unmapped session "
                           << round.session_id);
-      round.session_id = it->second;
+      round.session_id = to_external_[internal];
+      ordered = ordered && round.session_id > last;
+      last = round.session_id;
     }
   }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const PendingRound& a, const PendingRound& b) {
-              return a.session_id < b.session_id;
-            });
+  // The facade's merge is already external-id order whenever the ids were
+  // opened one after another (see RouterShardFor); only opens that raced
+  // each other or gave up an id leave a session out of place.
+  if (!ordered) {
+    std::sort(rounds.begin(), rounds.end(),
+              [](const PendingRound& a, const PendingRound& b) {
+                return a.session_id < b.session_id;
+              });
+  }
   return rounds;
 }
 
@@ -148,10 +188,9 @@ std::optional<SessionStatus> DurableRouter::status(SessionId id) {
   SessionId internal;
   {
     MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    if (it == to_internal_.end()) return std::nullopt;
-    internal = it->second;
+    internal = InternalOf(id);
   }
+  if (internal == 0) return std::nullopt;
   return router_->status(internal);
 }
 
@@ -159,10 +198,9 @@ QuerySession& DurableRouter::session(SessionId id) {
   SessionId internal;
   {
     MutexLock lock(&mutex_);
-    auto it = to_internal_.find(id);
-    QHORN_CHECK_MSG(it != to_internal_.end(), "no durable session " << id);
-    internal = it->second;
+    internal = InternalOf(id);
   }
+  QHORN_CHECK_MSG(internal != 0, "no durable session " << id);
   return router_->session(internal);
 }
 
@@ -219,12 +257,24 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     // already-seen ids and gaps are recognizable as impossible futures.
     for (LogRecord& rec : read.records) {
       ++report->records_read;
+      if (rec.session_id <= 0) {
+        *error = "shard " + std::to_string(i) + ": record for session id " +
+                 std::to_string(rec.session_id) + ", which is never issued";
+        return nullptr;
+      }
       SessionImage& image = images[rec.session_id];
       switch (rec.type) {
         case LogRecordType::kSessionOpened:
           if (image.opened) {
             ++report->duplicate_records_skipped;
             break;
+          }
+          if (rec.spec.n < 1 || rec.spec.n > kMaxVars) {
+            *error = "shard " + std::to_string(i) + ": session " +
+                     std::to_string(rec.session_id) + " opened with n = " +
+                     std::to_string(rec.spec.n) + ", outside [1, " +
+                     std::to_string(kMaxVars) + "]";
+            return nullptr;
           }
           image.opened = true;
           image.spec = std::move(rec.spec);
@@ -283,14 +333,16 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   if (!durable->OpenLogs(error)) return nullptr;
   for (const auto& [external, image] : images) {
     SessionId internal = durable->router_->OpenPendingOnShard(
-        static_cast<int>(external % options.shards), image.spec.n);
+        durable->RouterShardFor(external), image.spec.n);
+    {
+      // Recovery is single-threaded, but the id maps are guarded members:
+      // take the (uncontended) lock so the annotations stay honest.
+      MutexLock lock(&durable->mutex_);
+      durable->MapIds(external, internal);
+      durable->next_external_ =
+          std::max(durable->next_external_, external + 1);
+    }
     SubmitSpecJobs(*durable->router_, internal, image.spec);
-    // Recovery is single-threaded, but the id maps are guarded members:
-    // take the (uncontended) lock so the annotations stay honest.
-    MutexLock lock(&durable->mutex_);
-    durable->to_internal_.emplace(external, internal);
-    durable->to_external_.emplace(internal, external);
-    durable->next_external_ = std::max(durable->next_external_, external + 1);
     ++report->sessions_recovered;
   }
 
@@ -310,7 +362,7 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       SessionId internal;
       {
         MutexLock lock(&durable->mutex_);
-        internal = durable->to_internal_.at(external);
+        internal = durable->InternalOf(external);
       }
       std::optional<PendingRound> round =
           durable->router_->pending_round(internal);
@@ -367,7 +419,7 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     SessionId internal;
     {
       MutexLock lock(&durable->mutex_);
-      internal = durable->to_internal_.at(external);
+      internal = durable->InternalOf(external);
     }
     durable->router_->Close(internal);
     ++report->sessions_closed;

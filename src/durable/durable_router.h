@@ -27,12 +27,24 @@
 // Session ids: the wrapper assigns its own ("external") ids and keeps
 // honoring them across recovery, remapping internally to whatever ids the
 // fresh post-crash router hands out. Users outlive server crashes; their
-// session handles must too.
+// session handles must too. Both directions of the map are dense vectors
+// (external ids count up from 1, router ids interleave the shards' own
+// counters), so a lookup is an index, not a hash probe.
 //
 // The log is sharded (shard = id mod shards) so concurrent sessions do
 // not serialize on one append mutex; a session's records stay in one
 // shard, totally ordered by round id, so recovery never needs an order
 // across shards.
+//
+// The poll: PendingRounds() takes the facade's merged, router-id-ordered
+// list and rewrites each id through the dense map in one pass under the
+// wrapper's mutex. Session e lives on router shard (e − 1) mod shards,
+// which makes the k-th session of that shard external id
+// (k − 1)·shards + shard + 1 and router id k·shards + shard — the same
+// order. So when sessions were opened one after another, the facade's
+// order already is the external order and nothing is sorted; the pass
+// checks it as it goes and sorts only when racing opens (or an id a
+// refused open could not hand back) left a session out of place.
 
 #ifndef QHORN_DURABLE_DURABLE_ROUTER_H_
 #define QHORN_DURABLE_DURABLE_ROUTER_H_
@@ -42,7 +54,6 @@
 #include <memory>
 #include <optional>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "src/durable/fs.h"
@@ -88,7 +99,8 @@ class DurableRouter {
 
   /// Rebuilds the service from `log_dir` after a crash: scans every
   /// shard, truncates torn tails (loudly, via `report`), rejects corrupt
-  /// or undecodable records with a typed error, re-opens every logged
+  /// or undecodable records — and a session opened with `n` outside
+  /// [1, kMaxVars] — with a typed error, re-opens every logged
   /// session and replays its answered rounds through the ordinary pending
   /// protocol. nullptr + `*error` on any typed failure — a log Recover
   /// cannot vouch for is never half-replayed.
@@ -102,8 +114,11 @@ class DurableRouter {
   DurableRouter& operator=(const DurableRouter&) = delete;
 
   /// Logs SessionOpened, then opens the session and submits the spec's
-  /// job plan. 0 (never a valid id) if the log refused the record — the
-  /// call is retryable and id assignment is unaffected.
+  /// job plan. 0 (never a valid id) if `spec.n` is outside [1, kMaxVars]
+  /// (refused before anything is logged) or if the log refused the record
+  /// — the call is retryable, and the id goes back to the next open
+  /// unless a concurrent open has already reserved a later one. Safe to
+  /// call from several threads; each gets its own id.
   SessionId OpenPending(const SessionSpec& spec);
 
   /// SessionRouter::ProvideAnswers semantics plus kLogWriteFailed when
@@ -119,7 +134,8 @@ class DurableRouter {
   /// committed (retryable; recovery skips a duplicate close).
   bool Close(SessionId id);
 
-  /// Pending rounds carrying external ids, ordered by them.
+  /// Every awaiting round, by value, carrying external ids and ordered by
+  /// them (see the file comment for how the order comes for free).
   std::vector<PendingRound> PendingRounds();
 
   void Drain();
@@ -139,6 +155,11 @@ class DurableRouter {
 
   bool OpenLogs(std::string* error);
   SessionLog* ShardFor(SessionId external_id);
+  /// The router shard paired with `external`'s WAL shard (file comment).
+  int RouterShardFor(SessionId external) const;
+  void MapIds(SessionId external, SessionId internal) QHORN_REQUIRES(mutex_);
+  /// The router id of `external`, or 0 for an id never handed out.
+  SessionId InternalOf(SessionId external) const QHORN_REQUIRES(mutex_);
 
   Fs* fs_;
   std::string log_dir_;
@@ -150,10 +171,9 @@ class DurableRouter {
   // into router_ — but its rank (kDurableRouter) sits below kRouterShard,
   // so even holding it across such a call would respect the lock order.
   mutable Mutex mutex_{"durable-router", LockRank::kDurableRouter};
-  std::unordered_map<SessionId, SessionId> to_internal_
-      QHORN_GUARDED_BY(mutex_);
-  std::unordered_map<SessionId, SessionId> to_external_
-      QHORN_GUARDED_BY(mutex_);
+  // Dense id maps; 0 marks an unmapped slot (no session has id 0).
+  std::vector<SessionId> to_internal_ QHORN_GUARDED_BY(mutex_);  // [external]
+  std::vector<SessionId> to_external_ QHORN_GUARDED_BY(mutex_);  // [router id]
   SessionId next_external_ QHORN_GUARDED_BY(mutex_) = 1;
 };
 

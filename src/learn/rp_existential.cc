@@ -148,7 +148,8 @@ class LatticeSearch {
         std::vector<TupleSet> questions;
         questions.reserve(count);
         for (size_t i = head; i < pending.size(); ++i) {
-          std::vector<Tuple> object = discovered;
+          std::vector<Tuple>& object = join_scratch_;
+          object.assign(discovered.begin(), discovered.end());
           for (size_t j = head; j < pending.size(); ++j) {
             if (j != i) object.push_back(pending[j]);
           }
@@ -156,7 +157,7 @@ class LatticeSearch {
           const std::vector<Tuple>& children =
               ViolationFreeChildren(pending[i]);
           object.insert(object.end(), children.begin(), children.end());
-          questions.emplace_back(std::move(object));
+          questions.emplace_back(object);
         }
         ++result.trace.rounds;
         result.trace.questions += static_cast<int64_t>(count);
@@ -215,11 +216,13 @@ class LatticeSearch {
     return oracle_->IsAnswer(question);
   }
 
-  static TupleSet Join(const std::vector<Tuple>& base,
-                       const std::vector<Tuple>& extra) {
-    std::vector<Tuple> all = base;
-    all.insert(all.end(), extra.begin(), extra.end());
-    return TupleSet(std::move(all));
+  /// The object base ∪ extra, gathered in a buffer reused across the
+  /// search so building a question allocates only the TupleSet itself.
+  TupleSet Join(const std::vector<Tuple>& base,
+                const std::vector<Tuple>& extra) {
+    join_scratch_.assign(base.begin(), base.end());
+    join_scratch_.insert(join_scratch_.end(), extra.begin(), extra.end());
+    return TupleSet(join_scratch_);
   }
 
   /// Children of `t` that violate no learned Horn expression. The walk is
@@ -240,6 +243,7 @@ class LatticeSearch {
   RpExistentialOptions opts_;
   std::set<Tuple> guarantee_closures_;
   std::vector<Tuple> children_scratch_;
+  std::vector<Tuple> join_scratch_;
   BitVec batch_answers_;
 };
 

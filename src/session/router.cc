@@ -214,6 +214,7 @@ SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
 }
 
 SessionRouter::SessionId SessionRouter::OpenPending(int n) {
+  if (n < 1 || n > kMaxVars) return 0;
   auto backend = std::make_unique<PendingOracle>();
   PendingOracle* pending = backend.get();
   SessionId id = OpenInternal(n, pending, std::move(backend), pending);
@@ -469,13 +470,9 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         } else {
           state->pending_round = state->pending_backend->TakePending();
           state->awaiting = true;
-          // Publish for the lock-free poll: the atomic id and the pushed
-          // node go out in the same critical section as runnable_jobs_'s
+          // Published in the same critical section as runnable_jobs_'s
           // decrement, so Drain-then-poll observes every parked round.
-          state->awaiting_round.store(state->pending_round->round_id,
-                                      std::memory_order_release);
-          announced_rounds_.Push(new AnnouncementNode(
-              RoundAnnouncement{*state->pending_round, state}));
+          AnnounceRound(state);
           if (snapshot_mode) {
             state->snapshot = std::move(snap);
             state->snapshot_bytes = state->snapshot.MemoryBytes();
@@ -632,11 +629,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
         state->pending_round = state->pending_backend->TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
-        // Publish for the lock-free poll (see the unwind runner).
-        state->awaiting_round.store(state->pending_round->round_id,
-                                    std::memory_order_release);
-        announced_rounds_.Push(new AnnouncementNode(
-            RoundAnnouncement{*state->pending_round, state}));
+        AnnounceRound(state);  // see the unwind runner
       }
       state->pipeline_live = false;
       state->running = false;
@@ -673,40 +666,66 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
       JobKind::kRevise);
 }
 
+void SessionRouter::AnnounceRound(SessionState* state) {
+  state->announcement = new AnnouncementNode(*state->pending_round);
+  announced_rounds_.Push(state->announcement);
+}
+
+void SessionRouter::RetireAnnouncement(SessionState* state) {
+  // The release store is this side's last touch of the node: once the poll
+  // observes the flag it may free the node at any moment.
+  state->announcement->value.retired.store(true, std::memory_order_release);
+  state->announcement = nullptr;
+}
+
 std::vector<PendingRound> SessionRouter::PendingRounds() {
-  std::vector<PendingRound> rounds;
   MutexLock poll_lock(&poll_mutex_);
-  // Fold the freshly announced batch into the retained set. Never takes
-  // mutex_: the batch pop is one atomic exchange and the filter below
-  // reads only per-session atomics.
+  // The freshly announced batch (one atomic exchange), in session order.
   for (AnnouncementNode* node = announced_rounds_.PopAll(); node != nullptr;) {
     AnnouncementNode* next = node->next;
-    live_announcements_.emplace_back(node);
+    fresh_announcements_.emplace_back(node);
     node = next;
   }
-  // A node is reported while its id is the awaited one, freed once its id
-  // retires (answered / corrected away / abandoned by Close), and kept
-  // silently in the transient window a racy poll can see between a
-  // resume's two atomic stores. Round ids are monotonic per session, so
-  // the lower-bound test can never free a live round.
-  size_t kept = 0;
-  for (auto& node : live_announcements_) {
-    const SessionState* state = node->value.state;
-    const int64_t id = node->value.round.round_id;
-    if (id <= state->retired_round.load(std::memory_order_acquire)) {
-      continue;  // dead — drop the node
-    }
-    if (state->awaiting_round.load(std::memory_order_acquire) == id) {
-      rounds.push_back(node->value.round);
-    }
-    live_announcements_[kept++] = std::move(node);
-  }
-  live_announcements_.resize(kept);
-  std::sort(rounds.begin(), rounds.end(),
-            [](const PendingRound& a, const PendingRound& b) {
-              return a.session_id < b.session_id;
+  const auto session_of = [](const std::unique_ptr<AnnouncementNode>& node) {
+    return node->value.round.session_id;
+  };
+  std::sort(fresh_announcements_.begin(), fresh_announcements_.end(),
+            [&](const auto& a, const auto& b) {
+              return session_of(a) < session_of(b);
             });
+  // Merge it into the retained list, which is already in session order.
+  // A node whose round was answered, corrected away or closed is freed;
+  // every other node is reported. A session has at most one unretired
+  // node: its previous round was retired before it could run again.
+  std::vector<PendingRound> rounds;
+  rounds.reserve(live_announcements_.size() + fresh_announcements_.size());
+  merged_announcements_.reserve(live_announcements_.size() +
+                                fresh_announcements_.size());
+  auto live = live_announcements_.begin();
+  auto fresh = fresh_announcements_.begin();
+  while (live != live_announcements_.end() ||
+         fresh != fresh_announcements_.end()) {
+    const bool take_live =
+        fresh == fresh_announcements_.end() ||
+        (live != live_announcements_.end() &&
+         session_of(*live) <= session_of(*fresh));
+    std::unique_ptr<AnnouncementNode>& node = take_live ? *live++ : *fresh++;
+    if (node->value.retired.load(std::memory_order_acquire)) {
+      node.reset();
+      continue;
+    }
+    rounds.push_back(node->value.round);
+    merged_announcements_.push_back(std::move(node));
+  }
+  live_announcements_.swap(merged_announcements_);
+  merged_announcements_.clear();
+  fresh_announcements_.clear();
   return rounds;
+}
+
+size_t SessionRouter::retained_announcements() {
+  MutexLock poll_lock(&poll_mutex_);
+  return live_announcements_.size();
 }
 
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
@@ -768,12 +787,8 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
           std::move(round.questions[i]), answers.Get(i), round.round_id});
     }
     ++state->answered_rounds;
-    // Retire the round for the lock-free poll: its announcement node is
-    // dead (freed on the next PendingRounds), and no round is awaited
-    // until the next suspension. Order matters for racy readers — retire
-    // first, then clear, so a node is never both unreported and unfreed.
-    state->retired_round.store(round_id, std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
+    // The answered round's node is dead; the next poll frees it.
+    RetireAnnouncement(state);
     state->pending_round.reset();
     state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
@@ -822,11 +837,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // destructors, so it happens on a lane, never under this lock).
     state->fiber_cancel = state->fiber != nullptr;
     state->staged_answers.clear();
-    // Retire the abandoned round for the lock-free poll (ids stay
-    // monotonic, so the restarted session's next round compares higher).
-    state->retired_round.store(state->pending_round->round_id,
-                               std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
+    RetireAnnouncement(state);  // the abandoned round's node is dead
     state->pending_round.reset();
     state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size());
@@ -856,9 +867,7 @@ bool SessionRouter::Close(SessionId id) {
   if (state->awaiting) {
     // The user will never answer; abandon the round. The session's
     // uncompleted jobs were uncounted at suspension, so nothing waits.
-    state->retired_round.store(state->pending_round->round_id,
-                               std::memory_order_release);
-    state->awaiting_round.store(-1, std::memory_order_release);
+    RetireAnnouncement(state);
     state->pending_round.reset();
     state->awaiting = false;
   }

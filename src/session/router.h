@@ -293,6 +293,8 @@ class SessionRouter {
   /// Opens a session over a *pending* (real, asynchronous) user: every
   /// round suspends the job and surfaces through PendingRounds() until
   /// ProvideAnswers feeds the labels back. The router owns the backend.
+  /// Returns 0 (never a valid id) and opens nothing when `n` is outside
+  /// [1, kMaxVars] — the typed refusal for a hostile open.
   SessionId OpenPending(int n);
 
   /// Enqueues a job for the session. Jobs of one session run in
@@ -306,19 +308,31 @@ class SessionRouter {
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// All rounds currently awaiting user answers, ordered by session id.
-  /// The embedding server's poll: render each round's questions to its
-  /// user, then call ProvideAnswers with the labels.
+  /// All rounds currently awaiting user answers, by value, ordered by
+  /// session id. The embedding server's poll: render each round's
+  /// questions to its user, then call ProvideAnswers with the labels.
   ///
-  /// Drained through a lock-free MPSC announcement queue: suspending
-  /// runners publish their round with one atomic push, and the poll pops
-  /// the batch and filters it against per-session atomics — it never takes
-  /// the router mutex, so polling cannot stall (or be stalled by) opens,
-  /// submits or resumes. After Drain() the result is exact; a poll racing
-  /// live runners may transiently omit a round that is suspending or
-  /// include one being answered right now (a stale reply then bounces off
-  /// kStaleRound/kNotAwaiting, exactly like any hostile duplicate).
+  /// Drained through a lock-free MPSC announcement queue: a suspending
+  /// runner copies its round into a heap node and publishes it with one
+  /// atomic push. Each node carries a `retired` flag, which ProvideAnswers,
+  /// CorrectAnswer and Close set — under the router mutex, through the
+  /// session's pointer to its current node — when the round stops being
+  /// answerable. The poll keeps the nodes it has seen in one list sorted
+  /// by session id: it sorts the newly popped batch, merges it in, frees
+  /// every node whose flag is set and copies out the rest. It reads only
+  /// its own nodes — never a session's state and never the router mutex —
+  /// so polling cannot stall (or be stalled by) opens, submits or resumes,
+  /// and the result needs no sort of its own. After Drain() the result is
+  /// exact; a poll racing live runners may transiently omit a round that
+  /// is suspending or include one being answered right now (a stale reply
+  /// then bounces off kStaleRound/kNotAwaiting, exactly like any hostile
+  /// duplicate).
   std::vector<PendingRound> PendingRounds();
+
+  /// Announcement nodes the poll still holds after its last pass: one per
+  /// round that was awaiting then, none for a retired round. A health
+  /// gauge (and the test that retired nodes are freed).
+  size_t retained_announcements();
 
   /// Feeds a user's labels back into a suspended session. `round_id` must
   /// be the id carried by the session's current PendingRound and
@@ -426,8 +440,20 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the map shape, queue, job log, counters and the
-  // awaiting/running/closed flags are guarded by the router's mutex_.
+  /// A parked round as the poll path sees it: the round payload copied at
+  /// suspension, pushed onto announced_rounds_ by the suspending runner.
+  /// The poll reports a node while `retired` is clear and frees it once
+  /// set; the payload never changes after the push.
+  struct RoundAnnouncement {
+    explicit RoundAnnouncement(PendingRound r) : round(std::move(r)) {}
+    PendingRound round;
+    std::atomic<bool> retired{false};
+  };
+  using AnnouncementNode = MpscStack<RoundAnnouncement>::Node;
+
+  // Locking protocol: the map shape, queue, job log, counters, the
+  // awaiting/running/closed flags and the announcement pointer are guarded
+  // by the router's mutex_.
   // The resume-state fields (answered_entries, snapshot, staged_answers,
   // fiber*) follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
@@ -478,16 +504,11 @@ class SessionRouter {
     bool awaiting = false;  // suspended; ProvideAnswers will resume
     bool running = false;   // a runner task currently owns this session
     bool closed = false;
-    // Lock-free pending-round publication (see PendingRounds). Both are
-    // written under mutex_ alongside the fields they mirror and read
-    // without it by the poll path: `awaiting_round` is the round id the
-    // session currently awaits (-1 while not awaiting); `retired_round`
-    // is the highest round id that is dead — answered, corrected away,
-    // or abandoned by Close. Round ids are monotonic per session (never
-    // reused), which is what makes the exact-match / lower-bound filter
-    // in PendingRounds sound.
-    std::atomic<int64_t> awaiting_round{-1};
-    std::atomic<int64_t> retired_round{-1};
+    // The announcement node of the round this session awaits (null while
+    // not awaiting). Set when the round is published; RetireAnnouncement
+    // flags the node and drops the pointer, after which only the poll
+    // touches the node (and frees it).
+    AnnouncementNode* announcement = nullptr;
   };
 
   SessionId OpenInternal(int n, MembershipOracle* user,
@@ -519,19 +540,12 @@ class SessionRouter {
   void UnwindFiber(SessionState* state);
   /// Bumps jobs_done_ and the per-kind counter.
   void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
+  /// Publishes the session's freshly set pending_round to the poll.
+  void AnnounceRound(SessionState* state) QHORN_REQUIRES(mutex_);
+  /// Marks the session's current announcement dead (the poll frees it)
+  /// and forgets it.
+  void RetireAnnouncement(SessionState* state) QHORN_REQUIRES(mutex_);
   SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
-
-  /// A parked round as the poll path sees it: the round payload copied at
-  /// suspension plus the owning session, pushed onto announced_rounds_ by
-  /// the suspending runner. Nodes are interpreted against the session's
-  /// awaiting_round/retired_round atomics — a node is *reported* while its
-  /// id is the one awaited, *freed* once its id is retired, and retained
-  /// silently in the (transient, racy-poll-only) window between.
-  struct RoundAnnouncement {
-    PendingRound round;
-    SessionState* state = nullptr;
-  };
-  using AnnouncementNode = MpscStack<RoundAnnouncement>::Node;
 
   Options options_;
   ResumeMode resume_mode_ = ResumeMode::kSnapshot;  // resolved, never kDefault
@@ -550,15 +564,22 @@ class SessionRouter {
   CondVar idle_cv_;
   // The pending-round drain: suspending runners publish here (one push per
   // suspension, lock-free as seen by the consumer), PendingRounds pops the
-  // batch and folds it into live_announcements_ under poll_mutex_ — so the
+  // batch and merges it into live_announcements_ under poll_mutex_ — so the
   // poll path never takes mutex_ and suspension/resume on this router never
   // contends with another shard's opens through the facade.
   MpscStack<RoundAnnouncement> announced_rounds_;
   // Serializes PendingRounds consumers. A leaf (LockRank::kRouterPoll):
-  // only the announcement stack and per-session atomics are touched under
-  // it, never mutex_.
+  // only the announcement stack and the nodes' flags are touched under it,
+  // never mutex_.
   Mutex poll_mutex_{"router-poll", LockRank::kRouterPoll};
+  // Every node the poll has popped and not yet freed, sorted by session
+  // id. `fresh_announcements_` and `merged_announcements_` are the poll's
+  // scratch lists, kept to reuse their capacity.
   std::vector<std::unique_ptr<AnnouncementNode>> live_announcements_
+      QHORN_GUARDED_BY(poll_mutex_);
+  std::vector<std::unique_ptr<AnnouncementNode>> fresh_announcements_
+      QHORN_GUARDED_BY(poll_mutex_);
+  std::vector<std::unique_ptr<AnnouncementNode>> merged_announcements_
       QHORN_GUARDED_BY(poll_mutex_);
   std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
       QHORN_GUARDED_BY(mutex_);

@@ -7,7 +7,7 @@ namespace qhorn {
 namespace {
 
 size_t TupleSetBytes(const TupleSet& question) {
-  return sizeof(TupleSet) + question.size() * sizeof(Tuple);
+  return sizeof(TupleSet) + question.heap_bytes();
 }
 
 size_t QueryBytes(const std::optional<Query>& query) {

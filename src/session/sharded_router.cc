@@ -1,6 +1,5 @@
 #include "src/session/sharded_router.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/util/check.h"
@@ -58,7 +57,9 @@ ShardedRouter::SessionId ShardedRouter::OpenPending(int n) {
 ShardedRouter::SessionId ShardedRouter::OpenPendingOnShard(int shard, int n) {
   QHORN_CHECK_MSG(shard >= 0 && shard < shards(),
                   "shard " << shard << " out of range");
-  return Encode(shards_[static_cast<size_t>(shard)]->OpenPending(n), shard);
+  const SessionId internal =
+      shards_[static_cast<size_t>(shard)]->OpenPending(n);
+  return internal == 0 ? 0 : Encode(internal, shard);  // 0: refused open
 }
 
 SessionRouter* ShardedRouter::Route(SessionId external) {
@@ -91,20 +92,35 @@ bool ShardedRouter::SubmitRevise(SessionId id, Query candidate) {
 }
 
 std::vector<PendingRound> ShardedRouter::PendingRounds() {
-  std::vector<PendingRound> rounds;
+  // Each shard's list is in internal-id order, and Encode is monotone in
+  // the internal id for a fixed shard, so the re-encoded lists stay sorted
+  // and one k-way merge orders the whole poll. Shard counts are small, so
+  // the merge scans the list heads instead of keeping a heap.
+  std::vector<std::vector<PendingRound>> lists(shards_.size());
+  size_t total = 0;
   for (size_t i = 0; i < shards_.size(); ++i) {
-    std::vector<PendingRound> batch = shards_[i]->PendingRounds();
-    for (PendingRound& round : batch) {
+    lists[i] = shards_[i]->PendingRounds();
+    for (PendingRound& round : lists[i]) {
       // Shards stamp rounds with their own (internal) ids; the facade
       // speaks external ids everywhere.
       round.session_id = Encode(round.session_id, static_cast<int>(i));
-      rounds.push_back(std::move(round));
     }
+    total += lists[i].size();
   }
-  std::sort(rounds.begin(), rounds.end(),
-            [](const PendingRound& a, const PendingRound& b) {
-              return a.session_id < b.session_id;
-            });
+  std::vector<size_t> next(lists.size(), 0);
+  std::vector<PendingRound> rounds;
+  rounds.reserve(total);
+  for (size_t taken = 0; taken < total; ++taken) {
+    size_t best = lists.size();
+    for (size_t i = 0; i < lists.size(); ++i) {
+      if (next[i] == lists[i].size()) continue;
+      if (best == lists.size() || lists[i][next[i]].session_id <
+                                      lists[best][next[best]].session_id) {
+        best = i;
+      }
+    }
+    rounds.push_back(std::move(lists[best][next[best]++]));
+  }
   return rounds;
 }
 

@@ -29,8 +29,14 @@
 // only on its own job and answer sequence, never on which shard hosts it
 // or how many shards exist. The facade adds no cross-shard coordination —
 // Drain() drains shard by shard (jobs never create work on another
-// shard), PendingRounds() concatenates per-shard lock-free drains, and
-// stats() sums.
+// shard), PendingRounds() merges per-shard lock-free drains, and stats()
+// sums.
+//
+// The poll: each shard returns its awaiting rounds already in internal-id
+// order (its retained announcement list is kept sorted), and Encode is
+// monotone in the internal id within one shard, so the facade re-encodes
+// each list in place and k-way merges them — no sort at this layer, and
+// every round is moved, never copied, on its way through.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -101,11 +107,14 @@ class ShardedRouter {
   SessionId Open(int n, MembershipOracle* user);
   SessionId OpenSimulated(const Query& intended,
                           EvalOptions opts = EvalOptions());
+  /// 0 (a typed refusal; nothing opens) when `n` is outside
+  /// [1, kMaxVars], like SessionRouter::OpenPending.
   SessionId OpenPending(int n);
 
   /// Pinned-placement open: the durable layer maps WAL shard i onto
   /// router shard i so one WAL's commit hooks contend with exactly one
-  /// router mutex. `shard` must be in [0, shards()).
+  /// router mutex. `shard` must be in [0, shards()); an out-of-range `n`
+  /// returns 0 as above.
   SessionId OpenPendingOnShard(int shard, int n);
 
   bool Submit(SessionId id, Job job);
@@ -113,8 +122,8 @@ class ShardedRouter {
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// Concatenation of every shard's lock-free drain, session ids
-  /// re-encoded to external form, ordered by session id.
+  /// Every shard's lock-free drain, session ids re-encoded to external
+  /// form, k-way merged into session-id order.
   std::vector<PendingRound> PendingRounds();
 
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,

@@ -13,7 +13,7 @@
 // batches), no size, no ABA hazard (nodes are never re-pushed — a popped
 // node is either retained by the consumer or freed). Order within a batch
 // is reverse push order, which the router does not rely on (PendingRounds
-// sorts by session id).
+// sorts each batch by session id).
 
 #ifndef QHORN_UTIL_MPSC_H_
 #define QHORN_UTIL_MPSC_H_
@@ -29,7 +29,8 @@ template <typename T>
 class MpscStack {
  public:
   struct Node {
-    explicit Node(T v) : value(std::move(v)) {}
+    template <typename... Args>
+    explicit Node(Args&&... args) : value(std::forward<Args>(args)...) {}
     T value;
     Node* next = nullptr;
   };

@@ -16,6 +16,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <map>
 #include <memory>
@@ -568,6 +569,84 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
     EXPECT_TRUE(router.Close(id));
     EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
   }
+}
+
+TEST(ContinuationEdgeTest, PollFreesNodesRetiredBetweenPolls) {
+  // Each awaited round is one announcement node; an answer, a close or a
+  // correction sets its retired flag and the next poll frees it. Under the
+  // asan preset a node the poll forgot is a leak and one freed while still
+  // reachable is a use after free; retained_announcements() pins the count
+  // in every build.
+  Query target = SmallTarget(5, 97);
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  constexpr size_t kSessions = 12;
+  std::vector<SessionRouter::SessionId> ids;
+  for (size_t i = 0; i < kSessions; ++i) {
+    SessionRouter::SessionId id = router.OpenPending(5);
+    ASSERT_TRUE(router.SubmitLearn(id));
+    ids.push_back(id);
+  }
+  BitVec bits;
+  auto answer = [&](const PendingRound& round) {
+    BitSpan span = bits.Prepare(round.questions.size());
+    truth.IsAnswerBatch(round.questions, span);
+    ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+              ProvideOutcome::kResumed);
+  };
+  auto awaiting = [&] {
+    size_t count = 0;
+    for (SessionRouter::SessionId id : ids) {
+      count += router.status(id) == SessionStatus::kAwaitingUser ? 1 : 0;
+    }
+    return count;
+  };
+
+  router.Drain();
+  std::vector<PendingRound> first = router.PendingRounds();
+  ASSERT_EQ(first.size(), kSessions);
+  EXPECT_EQ(router.retained_announcements(), kSessions);
+  // One answered round each, so every session has an entry to correct.
+  for (const PendingRound& round : first) answer(round);
+  router.Drain();
+  std::vector<PendingRound> second = router.PendingRounds();
+  ASSERT_EQ(second.size(), kSessions) << "one round cannot finish a learn";
+  EXPECT_EQ(router.retained_announcements(), kSessions)
+      << "the answered rounds' nodes must be gone";
+
+  // Between two polls: answer four, close four, correct four.
+  for (size_t i = 0; i < 4; ++i) answer(second[i]);
+  for (size_t i = 4; i < 8; ++i) {
+    ASSERT_TRUE(router.Close(second[i].session_id));
+  }
+  for (size_t i = 8; i < 12; ++i) {
+    ASSERT_EQ(router.CorrectAnswer(second[i].session_id, 0),
+              ProvideOutcome::kResumed);
+  }
+  router.Drain();
+  std::vector<PendingRound> third = router.PendingRounds();
+  EXPECT_EQ(third.size(), awaiting());
+  EXPECT_EQ(router.retained_announcements(), third.size());
+  for (const PendingRound& round : third) {
+    const auto before = std::find_if(
+        second.begin(), second.end(), [&](const PendingRound& r) {
+          return r.session_id == round.session_id;
+        });
+    ASSERT_NE(before, second.end());
+    const size_t index = static_cast<size_t>(before - second.begin());
+    EXPECT_FALSE(index >= 4 && index < 8) << "closed session still reported";
+    if (index < 4 || index >= 8) {
+      EXPECT_GT(round.round_id, before->round_id)
+          << "a retired round came back";
+    }
+  }
+
+  // Retire every remaining round, then poll once: nothing is left behind.
+  for (SessionRouter::SessionId id : ids) router.Close(id);
+  EXPECT_TRUE(router.PendingRounds().empty());
+  EXPECT_EQ(router.retained_announcements(), 0u);
 }
 
 TEST(ContinuationTest, SnapshotAndReplayResumesAreBitIdentical) {

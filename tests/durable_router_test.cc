@@ -11,9 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/durable/durable_router.h"
@@ -404,6 +407,223 @@ TEST(DurableRouterTest, PoisonedLogKeepsRefusingUntilRecovery) {
   EXPECT_EQ(dr->ProvideAnswers(id, rounds[0].round_id, span),
             ProvideOutcome::kLogWriteFailed);
   EXPECT_EQ(dr->status(id), SessionStatus::kAwaitingUser);
+}
+
+/// Writes a SessionOpened record for each of `ids` straight into the log
+/// shards (id mod shards), bypassing the router: a log some earlier run
+/// left behind.
+void WriteOpenRecords(MemFs* mem, int shards,
+                      const std::vector<DurableRouter::SessionId>& ids,
+                      const std::vector<SessionSpec>& specs) {
+  std::string error;
+  std::vector<std::unique_ptr<SessionLog>> logs;
+  for (int s = 0; s < shards; ++s) {
+    logs.push_back(SessionLog::Open(mem, DurableRouter::ShardPath(kLogDir, s),
+                                    SessionLogOptions(), &error));
+    ASSERT_NE(logs.back(), nullptr) << error;
+  }
+  for (size_t i = 0; i < ids.size(); ++i) {
+    ASSERT_TRUE(logs[static_cast<size_t>(ids[i] % shards)]->AppendSessionOpened(
+        ids[i], specs[i]));
+  }
+}
+
+TEST(DurableRouterTest, OutOfRangeSchemaSizeIsRefusedBeforeLogging) {
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  SessionSpec spec = CleanSpecs(1)[0];
+  for (int n : {0, -1, kMaxVars + 1}) {
+    SessionSpec bad = spec;
+    bad.n = n;
+    EXPECT_EQ(dr->OpenPending(bad), 0) << n;
+  }
+  EXPECT_EQ(dr->records_logged(), 0) << "a refused open must not be logged";
+  EXPECT_EQ(dr->stats().sessions, 0);
+  EXPECT_EQ(dr->OpenPending(spec), 1) << "refusals consume no id";
+  dr.reset();
+
+  // The log holds only the good open, so recovery is unaffected.
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, 1);
+}
+
+TEST(DurableRouterTest, RecoverRejectsAnOpenWithoutVariables) {
+  // A record that could never have been acknowledged (n = 0) must not
+  // abort every restart: Recover refuses the log with a typed error.
+  MemFs mem;
+  std::string error;
+  { ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(), &error), nullptr); }
+  SessionSpec bad = CleanSpecs(1)[0];
+  bad.n = 0;
+  WriteOpenRecords(&mem, /*shards=*/2, {1}, {bad});
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  EXPECT_EQ(rec, nullptr);
+  EXPECT_NE(error.find("n = 0"), std::string::npos) << error;
+
+  // Likewise a record for a session id the service never issues.
+  MemFs other;
+  {
+    ASSERT_NE(DurableRouter::Create(&other, kLogDir, Opts(), &error),
+              nullptr);
+  }
+  WriteOpenRecords(&other, /*shards=*/2, {-4}, CleanSpecs(1));
+  EXPECT_EQ(DurableRouter::Recover(&other, kLogDir, Opts(), &report, &error),
+            nullptr);
+  EXPECT_NE(error.find("never issued"), std::string::npos) << error;
+}
+
+TEST(DurableRouterTest, RecoveredPollIsInExternalIdOrder) {
+  constexpr int kShards = 4;
+  std::vector<SessionSpec> specs = CleanSpecs(9);
+
+  // Sessions opened one after another, some a round further along.
+  {
+    MemFs mem;
+    std::string error;
+    auto dr = DurableRouter::Create(&mem, kLogDir, Opts(kShards), &error);
+    ASSERT_NE(dr, nullptr) << error;
+    for (const SessionSpec& spec : specs) ASSERT_GT(dr->OpenPending(spec), 0);
+    dr->Drain();
+    BitVec bits;
+    for (const PendingRound& r : dr->PendingRounds()) {
+      if (r.session_id % 2 == 0) continue;
+      QueryOracle truth(specs[static_cast<size_t>(r.session_id - 1)].target);
+      BitSpan span = bits.Prepare(r.questions.size());
+      truth.IsAnswerBatch(r.questions, span);
+      ASSERT_EQ(dr->ProvideAnswers(r.session_id, r.round_id, span),
+                ProvideOutcome::kResumed);
+    }
+    dr->Drain();
+    std::vector<PendingRound> before = dr->PendingRounds();
+    dr.reset();
+
+    RecoveryReport report;
+    auto rec =
+        DurableRouter::Recover(&mem, kLogDir, Opts(kShards), &report, &error);
+    ASSERT_NE(rec, nullptr) << error;
+    rec->Drain();
+    std::vector<PendingRound> after = rec->PendingRounds();
+    ASSERT_EQ(after.size(), before.size());
+    for (size_t i = 0; i < after.size(); ++i) {
+      if (i > 0) {
+        EXPECT_LT(after[i - 1].session_id, after[i].session_id);
+      }
+      EXPECT_EQ(after[i].session_id, before[i].session_id);
+      EXPECT_EQ(after[i].round_id, before[i].round_id);
+      EXPECT_EQ(after[i].questions, before[i].questions);
+      EXPECT_EQ(rec->status(after[i].session_id), SessionStatus::kAwaitingUser);
+    }
+  }
+
+  // A log with holes in its ids (opens that gave up their id under
+  // contention): router ids no longer follow external ids, and the poll
+  // must still come out in external-id order with the right ids.
+  {
+    MemFs mem;
+    std::string error;
+    {
+      ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(kShards), &error),
+                nullptr);
+    }
+    const std::vector<DurableRouter::SessionId> ids = {1, 2, 3, 6, 7, 9,
+                                                       12, 13, 19};
+    WriteOpenRecords(&mem, kShards, ids, specs);
+    RecoveryReport report;
+    auto rec =
+        DurableRouter::Recover(&mem, kLogDir, Opts(kShards), &report, &error);
+    ASSERT_NE(rec, nullptr) << error;
+    EXPECT_EQ(report.sessions_recovered, static_cast<int64_t>(ids.size()));
+    rec->Drain();
+    std::vector<PendingRound> rounds = rec->PendingRounds();
+    ASSERT_EQ(rounds.size(), ids.size());
+    for (size_t i = 0; i < ids.size(); ++i) {
+      EXPECT_EQ(rounds[i].session_id, ids[i]);
+      EXPECT_EQ(rounds[i].round_id, 0);
+    }
+    // A fresh open continues past the highest recovered id.
+    EXPECT_EQ(rec->OpenPending(specs[0]), 20);
+  }
+}
+
+TEST(DurableRouterTest, ConcurrentOpensGetDistinctIdsWhileAPollRuns) {
+  // Two openers race each other and a poller. Every open must get its own
+  // id (and log it once), and no poll may see a round of a session whose
+  // ids are not mapped yet. Repeated on fresh services because one race
+  // does not always interleave. Runs under TSan in the durable label.
+  constexpr int kPerOpener = 48;
+  std::vector<SessionSpec> specs = CleanSpecs(2 * kPerOpener);
+  for (int attempt = 0; attempt < 4; ++attempt) {
+    SCOPED_TRACE(testing::Message() << "attempt " << attempt);
+    MemFs mem;
+    std::string error;
+    DurableRouterOptions opts = Opts(/*shards=*/4);
+    opts.router.threads = 3;
+    auto dr = DurableRouter::Create(&mem, kLogDir, opts, &error);
+    ASSERT_NE(dr, nullptr) << error;
+
+    std::atomic<bool> go{false};  // start all three threads together
+    std::atomic<int> openers_left{2};
+    std::vector<DurableRouter::SessionId> opened[2];
+    std::vector<std::thread> openers;
+    for (int t = 0; t < 2; ++t) {
+      openers.emplace_back([&, t] {
+        while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+        for (int i = 0; i < kPerOpener; ++i) {
+          opened[t].push_back(dr->OpenPending(specs[t * kPerOpener + i]));
+        }
+        openers_left.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    std::thread poller([&] {
+      while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
+      while (openers_left.load(std::memory_order_acquire) > 0) {
+        std::vector<PendingRound> rounds = dr->PendingRounds();
+        for (size_t i = 0; i < rounds.size(); ++i) {
+          const bool in_range = rounds[i].session_id >= 1 &&
+                                rounds[i].session_id <= 2 * kPerOpener;
+          const bool ascending =
+              i == 0 || rounds[i - 1].session_id < rounds[i].session_id;
+          if (!in_range || !ascending) {
+            ADD_FAILURE() << "poll returned id " << rounds[i].session_id
+                          << " at position " << i;
+            return;
+          }
+        }
+      }
+    });
+    go.store(true, std::memory_order_release);
+    for (std::thread& t : openers) t.join();
+    poller.join();
+
+    std::vector<DurableRouter::SessionId> all = opened[0];
+    all.insert(all.end(), opened[1].begin(), opened[1].end());
+    std::sort(all.begin(), all.end());
+    std::vector<DurableRouter::SessionId> want(2 * kPerOpener);
+    for (size_t i = 0; i < want.size(); ++i) {
+      want[i] = static_cast<DurableRouter::SessionId>(i + 1);
+    }
+    EXPECT_EQ(all, want) << "every open gets its own id";
+    EXPECT_EQ(dr->records_logged(), 2 * kPerOpener);
+
+    dr->Drain();
+    std::vector<PendingRound> rounds = dr->PendingRounds();
+    ASSERT_EQ(rounds.size(), want.size());
+    for (size_t i = 0; i < rounds.size(); ++i) {
+      EXPECT_EQ(rounds[i].session_id, want[i]);
+    }
+    // Each id hosts the spec its own opener passed.
+    for (int t = 0; t < 2; ++t) {
+      for (int i = 0; i < kPerOpener; ++i) {
+        const DurableRouter::SessionId id = opened[t][static_cast<size_t>(i)];
+        EXPECT_EQ(dr->session(id).n(), specs[t * kPerOpener + i].n);
+      }
+    }
+  }
 }
 
 }  // namespace

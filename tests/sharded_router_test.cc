@@ -14,6 +14,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <memory>
@@ -187,6 +188,73 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
     EXPECT_EQ(single->round_id, rounds[i].round_id);
   }
   for (int64_t id : ids) router.Close(id);
+}
+
+TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
+  // The facade merges per-shard lists instead of sorting; the result must
+  // equal every awaiting round gathered session by session in id order —
+  // across shard counts, and across polls that merge retained nodes with
+  // freshly announced ones.
+  const Query target = TestTarget();
+  QueryOracle truth(target);
+  for (int shards : {1, 2, 4, 8}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    ShardedRouter::Options sopts;
+    sopts.shards = shards;
+    sopts.threads = 2;
+    ShardedRouter router(sopts);
+    std::vector<int64_t> ids;
+    for (int i = 0; i < 21; ++i) {
+      int64_t id = router.OpenPending(target.n());
+      ASSERT_TRUE(router.SubmitVerify(id, target));
+      ids.push_back(id);
+    }
+    std::sort(ids.begin(), ids.end());
+    BitVec bits;
+    for (int poll = 0; poll < 4; ++poll) {
+      router.Drain();
+      std::vector<PendingRound> merged = router.PendingRounds();
+      std::vector<PendingRound> expected;
+      for (int64_t id : ids) {
+        std::optional<PendingRound> round = router.pending_round(id);
+        if (round.has_value()) expected.push_back(std::move(*round));
+      }
+      ASSERT_EQ(merged.size(), expected.size()) << "poll " << poll;
+      for (size_t i = 0; i < merged.size(); ++i) {
+        EXPECT_EQ(merged[i].session_id, expected[i].session_id);
+        EXPECT_EQ(merged[i].round_id, expected[i].round_id);
+        EXPECT_EQ(merged[i].questions, expected[i].questions);
+      }
+      // Answer every other round: the next poll sees both kinds of node.
+      for (size_t i = 0; i < merged.size(); i += 2) {
+        BitSpan span = bits.Prepare(merged[i].questions.size());
+        truth.IsAnswerBatch(merged[i].questions, span);
+        ASSERT_EQ(router.ProvideAnswers(merged[i].session_id,
+                                        merged[i].round_id, span),
+                  ProvideOutcome::kResumed);
+      }
+    }
+    for (int64_t id : ids) router.Close(id);
+  }
+}
+
+TEST(ShardedRouterTest, OutOfRangeSchemaSizesAreRefusedAtEveryLayer) {
+  SessionRouter::Options bopts;
+  bopts.threads = 1;
+  SessionRouter bare(bopts);
+  ShardedRouter::Options sopts;
+  sopts.shards = 4;
+  sopts.threads = 1;
+  ShardedRouter facade(sopts);
+  for (int n : {0, -3, kMaxVars + 1}) {
+    EXPECT_EQ(bare.OpenPending(n), 0) << n;
+    EXPECT_EQ(facade.OpenPending(n), 0) << n;
+    EXPECT_EQ(facade.OpenPendingOnShard(2, n), 0) << n;
+  }
+  EXPECT_EQ(bare.stats().sessions, 0) << "a refused open opens nothing";
+  EXPECT_EQ(facade.stats().sessions, 0);
+  EXPECT_EQ(bare.OpenPending(1), 1) << "refusals consume no id";
+  EXPECT_GT(facade.OpenPendingOnShard(2, kMaxVars), 0);
 }
 
 TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
