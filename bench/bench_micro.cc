@@ -468,7 +468,7 @@ BENCHMARK(BM_ServiceSequential)
 // the same 4 lanes. The ratio prices the remaining continuation machinery
 // — stack switches, round staging, protocol bookkeeping — against the
 // zero threads it parks; the gate guards the recorded ratio against
-// regressing (BM_SessionResume* below prices the three resume protocols
+// regressing (BM_SessionResume* below prices the two resume protocols
 // head to head).
 void BM_ServiceOpenSessions(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
@@ -631,18 +631,14 @@ BENCHMARK(BM_RouterContention)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Session-resume protocol trio: one pending session, R verify jobs against
+// Session-resume protocol pair: one pending session, R verify jobs against
 // R distinct candidates, every round suspending and resuming on a single
 // lane. Fiber resume (the default) parks the call stack and each resume is
-// one switch back — O(1) compute, zero questions re-served. Snapshot
-// resume restores the suspended decorator state and replays only the newly
-// answered round — O(R) questions re-served in total, but each resume
-// still re-walks the suspended job's prefix against the restored cache.
-// Full-prefix replay (the retired protocol, kept as the differential
-// oracle behind QHORN_RESUME_MODE=replay) rebuilds every resume from job 0
-// and re-serves the whole answered prefix — O(R²) questions. These are the
-// in-tree before/after records for the continuation-resume rework; the
-// gaps widen with R, which is why both depths are headline-gated.
+// one switch back — O(1) compute, zero questions re-served. Full-prefix
+// replay (ResumeMode::kReplay, kept as the differential oracle) rebuilds
+// every resume from job 0 and re-serves the whole answered prefix — O(R²)
+// questions. The gap widens with R, which is why both depths are
+// headline-gated.
 void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
   int rounds = static_cast<int>(state.range(0));
   const int n = 6;
@@ -681,16 +677,6 @@ void BM_SessionResumeFiber(benchmark::State& state) {
   state.SetLabel("parked-stack switch per resume, nothing re-served");
 }
 BENCHMARK(BM_SessionResumeFiber)
-    ->Arg(8)
-    ->Arg(64)
-    ->Unit(benchmark::kMillisecond)
-    ->UseRealTime();
-
-void BM_SessionResumeSnapshot(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kSnapshot);
-  state.SetLabel("snapshot restore + single-round replay per resume");
-}
-BENCHMARK(BM_SessionResumeSnapshot)
     ->Arg(8)
     ->Arg(64)
     ->Unit(benchmark::kMillisecond)

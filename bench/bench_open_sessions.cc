@@ -8,8 +8,8 @@
 // every session is parked on its first user round, and reports
 //
 //   * the process RSS delta per session (the ground truth: everything —
-//     session object, transcript, parked fiber stack or snapshot,
-//     router bookkeeping),
+//     session object, transcript, parked fiber stack, router
+//     bookkeeping),
 //   * the router's own parked-resume accounting (ServiceStats::
 //     snapshot_bytes) per session — in fiber mode this reflects the
 //     cold-stack trim (madvise(MADV_DONTNEED) of the parked stack below
@@ -62,19 +62,6 @@ int OpenSessionCount() {
   return SmokeScaled(16384, 512);
 }
 
-const char* ModeName(ResumeMode mode) {
-  switch (mode) {
-    case ResumeMode::kFiber:
-      return "fiber";
-    case ResumeMode::kSnapshot:
-      return "snapshot";
-    case ResumeMode::kReplay:
-      return "replay";
-    default:
-      return "?";
-  }
-}
-
 struct ModeResult {
   size_t rss_delta = 0;
   int64_t accounted = 0;  ///< ServiceStats::snapshot_bytes across the fleet
@@ -102,7 +89,7 @@ ModeResult ParkFleet(ResumeMode mode, int sessions,
   if (result.awaiting != sessions) {
     std::printf("BENCH FAILED: only %lld/%d sessions parked in %s mode\n",
                 static_cast<long long>(result.awaiting), sessions,
-                ModeName(mode));
+                ToString(mode));
     std::exit(1);
   }
   // The router (and its parked fleet) dies here; the next mode starts
@@ -136,13 +123,12 @@ int main() {
 
   TextTable table({"mode", "sessions", "rss delta MiB", "rss B/session",
                    "accounted B/session", "GiB @ 1M sessions"});
-  for (ResumeMode mode :
-       {ResumeMode::kFiber, ResumeMode::kSnapshot, ResumeMode::kReplay}) {
+  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
     ModeResult r = ParkFleet(mode, sessions, targets);
     double per_session =
         static_cast<double>(r.rss_delta) / static_cast<double>(sessions);
     table.Row()
-        .Cell(std::string(ModeName(mode)))
+        .Cell(std::string(ToString(mode)))
         .Cell(sessions)
         .Cell(static_cast<double>(r.rss_delta) / (1024.0 * 1024.0), 1)
         .Cell(per_session, 0)

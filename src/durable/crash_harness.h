@@ -24,6 +24,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <string>
 
 #include "src/durable/durable_router.h"
@@ -124,11 +125,11 @@ struct CrashOutcome {
 /// crashes the *completed* service one last time and checks that a
 /// recovery from the final log reproduces the same fingerprints.
 /// `mode` selects the router's resume protocol for the durable service
-/// (every recovered incarnation included); kDefault derives it from the
-/// spec (`replay_resume` → kReplay, else kSnapshot), so the crash
+/// (every recovered incarnation included); nullopt derives it from the
+/// spec (`replay_resume` → kReplay, else kFiber), so the crash
 /// differential covers both protocols across the fuzz seeds.
-CrashOutcome RunCrashDifferential(const WorkloadSpec& spec,
-                                  ResumeMode mode = ResumeMode::kDefault);
+CrashOutcome RunCrashDifferential(
+    const WorkloadSpec& spec, std::optional<ResumeMode> mode = std::nullopt);
 
 }  // namespace qhorn
 

@@ -14,8 +14,9 @@ void CountingOracle::Record(const TupleSet& question) {
 bool CountingOracle::IsAnswer(const TupleSet& question) {
   // Count only after the inner oracle answers: a pending backend suspends
   // the round by throwing, and the unwound question must leave no trace in
-  // the statistics (snapshot resume captures them at exactly this
-  // boundary). Nothing below can observe stats_, so the reordering is
+  // the statistics (a session awaiting its user reports the counts of its
+  // answered rounds only, as a parked fiber — still inside this call —
+  // does). Nothing below can observe stats_, so the reordering is
   // invisible on the non-throwing path.
   bool answer = inner_->IsAnswer(question);
   ++stats_.rounds;
@@ -53,8 +54,7 @@ bool CachingOracle::IsAnswer(const TupleSet& question) {
     answer = inner_->IsAnswer(question);
   } catch (...) {
     // A pending backend suspends by throwing; the unasked question must
-    // leave the cache state untouched (snapshot resume copies it at this
-    // boundary).
+    // leave the cache state untouched.
     --misses_;
     throw;
   }
@@ -113,10 +113,10 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
       }
     } catch (...) {
       // Suspended round (pending backend): erase the false placeholders
-      // inserted above and roll the counters back, so the cache holds
-      // exactly the pre-round state that snapshot resume captures.
-      // miss_indices_ records first occurrences only, so each erase removes
-      // one distinct placeholder key.
+      // inserted above — a later probe must never be answered by one — and
+      // roll the counters back, so the cache holds exactly its pre-round
+      // state. miss_indices_ records first occurrences only, so each erase
+      // removes one distinct placeholder key.
       for (size_t idx : miss_indices_) cache_.erase(questions[idx]);
       misses_ -= static_cast<int64_t>(miss_indices_.size());
       hits_ -=

@@ -133,12 +133,6 @@ class CountingOracle : public MembershipOracle {
   const OracleStats& stats() const { return stats_; }
   void ResetStats() { stats_.Reset(); }
 
-  /// Overwrites the statistics wholesale. Snapshot resume (session.h)
-  /// rebuilds a suspended session's pipeline and puts the counters back to
-  /// their pre-round values, so the re-walked question prefix is not
-  /// double-counted.
-  void RestoreStats(const OracleStats& stats) { stats_ = stats; }
-
  private:
   void Record(const TupleSet& question);
 
@@ -161,8 +155,6 @@ class CountingOracle : public MembershipOracle {
 /// back to gathering the misses into a scratch vector.
 class CachingOracle : public MembershipOracle {
  public:
-  using CacheMap = std::unordered_map<TupleSet, bool, TupleSetHash>;
-
   explicit CachingOracle(MembershipOracle* inner) : inner_(inner) {}
 
   bool IsAnswer(const TupleSet& question) override;
@@ -172,24 +164,9 @@ class CachingOracle : public MembershipOracle {
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
 
-  /// The memoized question → answer map, exposed so snapshot resume can
-  /// copy it at a suspension boundary.
-  const CacheMap& entries() const { return cache_; }
-
-  /// Overwrites the cache contents and counters wholesale (snapshot
-  /// restore). The hit counter handed in is usually the captured value
-  /// minus the re-walk depth: the restored attempt re-asks the suspended
-  /// job's question prefix and every one of those probes lands here as a
-  /// hit, ending exactly at the captured count.
-  void Restore(CacheMap cache, int64_t hits, int64_t misses) {
-    cache_ = std::move(cache);
-    hits_ = hits;
-    misses_ = misses;
-  }
-
  private:
   MembershipOracle* inner_;
-  CacheMap cache_;
+  std::unordered_map<TupleSet, bool, TupleSetHash> cache_;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   // Round-local scratch, members so a steady-state round allocates

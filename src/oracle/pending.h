@@ -10,11 +10,11 @@
 //
 //   * Unwind (no yield hook installed): throw JobSuspended
 //     (src/util/suspend.h) — the job unwinds off its executor lane at the
-//     round boundary. Re-entry is by replay: once the answers arrive
-//     (SessionRouter::ProvideAnswers) the job is re-run, the answered
-//     rounds are served below the user boundary (snapshot-restored cache
-//     or ReplayOracle), and the first genuinely new round reaches this
-//     backend again. Learners are deterministic functions of the
+//     round boundary. Re-entry is by replay (ResumeMode::kReplay): once
+//     the answers arrive (SessionRouter::ProvideAnswers) the job log is
+//     re-run from the start, the answered rounds are served by a
+//     ReplayOracle just above this backend, and the first genuinely new
+//     round reaches this backend again. Learners are deterministic functions of the
 //     transcript, so the re-run asks the identical question sequence and
 //     the completing run's observables are bit-identical to a synchronous
 //     session over the same answers.

@@ -7,8 +7,8 @@ namespace qhorn {
 bool TranscriptOracle::IsAnswer(const TupleSet& question) {
   // The round id is consumed only after the inner oracle answers: a pending
   // backend suspends the round by throwing, and the unanswered round must
-  // not burn an id or leave an entry (snapshot resume re-records the same
-  // rounds with the same ids on the restored attempt's re-walk).
+  // not burn an id or leave an entry (a session awaiting its user shows
+  // only its answered rounds, in either resume mode).
   bool response = inner_->IsAnswer(question);
   int64_t round = rounds_++;
   entries_.push_back(TranscriptEntry{question, response, round});

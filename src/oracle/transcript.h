@@ -51,15 +51,6 @@ class TranscriptOracle : public MembershipOracle {
   /// discarded: they were computed from the bad answer and must be re-asked.
   void Correct(size_t index);
 
-  /// Overwrites the history wholesale (snapshot restore, session.h). The
-  /// restored attempt re-runs the suspended job from its start, re-recording
-  /// the job's question prefix with the same round ids — so the history is
-  /// put back to the *job boundary*, not the suspension point.
-  void Restore(std::vector<TranscriptEntry> entries, int64_t rounds) {
-    entries_ = std::move(entries);
-    rounds_ = rounds;
-  }
-
   /// Renders the history, e.g. for the examples' console output.
   std::string ToString(int n) const;
 

@@ -1,8 +1,6 @@
 #include "src/session/router.h"
 
 #include <algorithm>
-#include <cstdlib>
-#include <cstring>
 #include <utility>
 
 #include "src/util/check.h"
@@ -80,12 +78,8 @@ const char* ToString(ProvideOutcome o) {
 
 const char* ToString(ResumeMode m) {
   switch (m) {
-    case ResumeMode::kDefault:
-      return "default";
     case ResumeMode::kFiber:
       return "fiber";
-    case ResumeMode::kSnapshot:
-      return "snapshot";
     case ResumeMode::kReplay:
       return "replay";
   }
@@ -95,26 +89,6 @@ const char* ToString(ResumeMode m) {
 SessionRouter::SessionRouter() : SessionRouter(Options()) {}
 
 SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
-  resume_mode_ = options_.resume_mode;
-  if (resume_mode_ == ResumeMode::kDefault) {
-    const char* env = std::getenv("QHORN_RESUME_MODE");
-    if (env != nullptr && std::strcmp(env, "replay") == 0) {
-      resume_mode_ = ResumeMode::kReplay;
-    } else if (env != nullptr && std::strcmp(env, "snapshot") == 0) {
-      resume_mode_ = ResumeMode::kSnapshot;
-    } else {
-      resume_mode_ = ResumeMode::kFiber;
-    }
-  }
-  // Snapshot resume re-walks the suspended job's question prefix against
-  // the restored cache; without the cache those questions would fall
-  // through to the user boundary again. Fiber resume never re-walks (the
-  // parked frame consumes the answers directly) and replay rebuilds from
-  // the user-boundary transcript, so only kSnapshot has the dependency.
-  if (!options_.session.cache_questions &&
-      resume_mode_ == ResumeMode::kSnapshot) {
-    resume_mode_ = ResumeMode::kReplay;
-  }
   // Options.threads counts *session lanes*. Session jobs are Post()ed and
   // the submitting thread sleeps in Drain(), so only the executor's
   // workers (concurrency - 1 of them) ever run jobs — ask for one more
@@ -329,41 +303,19 @@ void SessionRouter::RunSession(SessionState* state) {
 }
 
 void SessionRouter::RunPendingSession(SessionState* state) {
-  if (resume_mode_ == ResumeMode::kFiber) {
+  if (options_.resume_mode == ResumeMode::kFiber) {
     RunPendingSessionFiber(state);
     return;
   }
-  // One iteration = one *attempt*. How an attempt re-enters the session is
-  // the resolved ResumeMode:
-  //
-  //   * kReplay: rebuild the pipeline with every answered round replayed
-  //     at the user boundary and re-run the job log from the start. Fresh
-  //     decorators re-record everything, so the attempt that finally
-  //     completes a job leaves observables bit-identical to a synchronous
-  //     run. O(prefix) per attempt — the retired quadratic path, kept as
-  //     the differential oracle.
-  //   * kSnapshot: three re-entry cases. (a) The live pipeline is current
-  //     (the previous attempt *completed* the job log and new jobs arrived
-  //     later): run the new jobs directly, no rebuild at all. (b) A
-  //     suspension snapshot exists: restore it and arm the user boundary
-  //     with only the answered rounds the snapshot hasn't absorbed; the
-  //     suspended job re-runs from its start, its question prefix served
-  //     by the restored cache — no question crosses the user boundary
-  //     twice, and completed jobs are skipped via the job cursor. (c)
-  //     Neither (first run, or a correction invalidated the snapshot):
-  //     fall back to the full-prefix replay attempt.
-  //
-  // Either way the attempt ends by completing the log or suspending on the
-  // first unanswered round; a suspension under kSnapshot captures the next
-  // snapshot on the way out. The resumed compute is µs-scale against the
-  // human latency that forced the suspension.
-  const bool snapshot_mode = resume_mode_ == ResumeMode::kSnapshot;
+  // The kReplay attempt loop. One iteration = one *attempt*: rebuild the
+  // pipeline with every answered round replayed at the user boundary and
+  // re-run the job log from job 0. Fresh decorators re-record everything,
+  // so the attempt that finally completes a job leaves observables
+  // bit-identical to a synchronous run. O(prefix) per attempt — the
+  // quadratic path, kept as the differential oracle. The attempt ends by
+  // completing the log or suspending on the first unanswered round.
   for (;;) {
     int64_t next_round = 0;
-    size_t start_job = 0;
-    size_t suffix_begin = 0;
-    bool restore_snapshot = false;
-    bool live = false;
     {
       MutexLock lock(&mutex_);
       if (state->jobs_completed >= state->job_log.size()) {
@@ -371,41 +323,19 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         return;
       }
       next_round = state->answered_rounds;
-      if (snapshot_mode) {
-        live = state->pipeline_live;
-        restore_snapshot = !live && state->snapshot.valid;
-        if (live || restore_snapshot) start_job = state->jobs_completed;
-        suffix_begin = state->entries_cursor;
-      }
     }
     // Copying the answered transcript can be O(session lifetime); do it
     // outside the router-wide mutex. Safe unlocked: answered_entries only
     // mutates in ProvideAnswers/CorrectAnswer, which require awaiting ==
     // true, and this runner owns the session (awaiting stays false) until
     // it suspends — the lock above orders this read after the resume's
-    // writes. The snapshot is likewise only written by the runner that
-    // owns the session and only read here.
-    if (live) {
-      // Case (a): the session's state already reflects every completed
-      // job; just make sure no stale pending state survives.
-      state->pending_backend->BeginAttempt(next_round);
-    } else if (restore_snapshot) {
-      // Case (b): O(1) rounds of user-boundary replay — just the suffix.
-      std::vector<TranscriptEntry> suffix(
-          state->answered_entries.begin() +
-              static_cast<ptrdiff_t>(suffix_begin),
-          state->answered_entries.end());
-      state->session->RestoreSnapshot(state->snapshot, std::move(suffix));
-      state->pending_backend->BeginAttempt(next_round);
-    } else {
-      // Case (c) / kReplay: full-prefix replay from job 0.
-      std::vector<TranscriptEntry> prefix = state->answered_entries;
-      state->session->ResetWithUserReplay(std::move(prefix));
-      state->pending_backend->BeginAttempt(next_round);
-    }
+    // writes.
+    std::vector<TranscriptEntry> prefix = state->answered_entries;
+    state->session->ResetWithUserReplay(std::move(prefix));
+    state->pending_backend->BeginAttempt(next_round);
     bool suspended = false;
     try {
-      for (size_t i = start_job;; ++i) {
+      for (size_t i = 0;; ++i) {
         JobRecord job;
         {
           MutexLock lock(&mutex_);
@@ -413,10 +343,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
           job = state->job_log[i];  // copy: re-runs reuse the log
         }
         job.fn(*state->session);
-        // The job ran to completion: the next suspension's snapshot must
-        // rewind the transcript to *this* boundary (the suspended job
-        // re-records its own questions on resume).
-        if (snapshot_mode) state->session->MarkJobBoundary();
         bool idle = false;
         bool finished = false;
         {
@@ -432,13 +358,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
             if (state->jobs_completed >= state->job_log.size()) {
               state->running = false;
               finished = true;
-              // The pipeline now reflects every completed job; jobs
-              // submitted later may run on it directly, and the parked
-              // snapshot has nothing left to resume.
-              state->pipeline_live = true;
-              state->snapshot = SessionSnapshot();
-              state->snapshot_bytes = 0;
-              state->entries_cursor = state->answered_entries.size();
             }
             idle = --runnable_jobs_ == 0;
           }
@@ -450,10 +369,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       suspended = true;
     }
     if (suspended) {
-      // Capture before taking the router lock: the copy is O(session
-      // history) and the runner still owns the session.
-      SessionSnapshot snap;
-      if (snapshot_mode) snap = state->session->CapturePreRound();
       bool idle = false;
       {
         MutexLock lock(&mutex_);
@@ -473,16 +388,7 @@ void SessionRouter::RunPendingSession(SessionState* state) {
           // Published in the same critical section as runnable_jobs_'s
           // decrement, so Drain-then-poll observes every parked round.
           AnnounceRound(state);
-          if (snapshot_mode) {
-            state->snapshot = std::move(snap);
-            state->snapshot_bytes = state->snapshot.MemoryBytes();
-            // Every answer folded so far is baked into this snapshot
-            // (absorbed by the attempt that just suspended); the next
-            // restore replays only rounds answered beyond this point.
-            state->entries_cursor = state->answered_entries.size();
-          }
         }
-        state->pipeline_live = false;
         state->running = false;
       }
       if (idle) idle_cv_.NotifyAll();
@@ -498,7 +404,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
   // no replay, no re-walk. The body only fetches jobs and runs them; every
   // piece of completion bookkeeping happens on this (host) side of the
   // switch, after Resume() returns, so counters and the running flag
-  // change under the same locking discipline as the unwind-based runners.
+  // change under the same locking discipline as the replay runner.
   for (;;) {
     bool resume_parked = false;
     bool cancel_parked = false;
@@ -629,7 +535,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
         state->pending_round = state->pending_backend->TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
-        AnnounceRound(state);  // see the unwind runner
+        AnnounceRound(state);  // see the replay runner
       }
       state->pipeline_live = false;
       state->running = false;
@@ -819,7 +725,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     state->answered_entries[entry_index].response =
         !state->answered_entries[entry_index].response;
     state->answered_entries.resize(entry_index + 1);
-    // The parked snapshot and job cursor describe a run over the old
+    // The parked stack and job cursor describe a run over the old
     // answers; restart the whole job log through the ordinary resume path
     // (a full-prefix replay attempt, whatever the resume mode). The
     // abandoned round's id is retired — answered_rounds advances past it —
@@ -827,9 +733,6 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // ProvideAnswers against the abandoned round reports kStaleRound,
     // never folds old answers into the new question stream.
     ++state->answered_rounds;
-    state->snapshot = SessionSnapshot();
-    state->snapshot_bytes = 0;
-    state->entries_cursor = 0;
     state->pipeline_live = false;
     state->jobs_completed = 0;
     // A parked continuation was built over the old answer; mark it for the

@@ -19,10 +19,11 @@
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
 // lane. Sessions opened with OpenPending run over a PendingOracle backend:
-// the first round that needs the user records a PendingRound and unwinds
-// the job (JobSuspended, src/util/suspend.h) — the lane is released the
-// moment the unwind reaches the runner, so 256 sessions all blocked on
-// users occupy zero threads. The embedding server polls PendingRounds()
+// the first round that needs the user records a PendingRound and takes
+// the job off its lane (parking its fiber, or unwinding it with
+// JobSuspended, src/util/suspend.h) — the lane is released the moment
+// control is back in the runner, so 256 sessions all blocked on users
+// occupy zero threads. The embedding server polls PendingRounds()
 // (or renders them as they appear), collects the user's labels, and calls
 // ProvideAnswers(id, round_id, answers); the router then resumes the
 // session's jobs. How it resumes is the ResumeMode:
@@ -34,32 +35,18 @@
 //     into the exact frame that asked: O(1) compute per resume, O(rounds)
 //     per session, nothing re-run and nothing replayed. The memory traded
 //     for that compute is the parked stack (reported as the session's
-//     snapshot_bytes while it awaits). Corrections and crash recovery
-//     cannot resume a parked stack built over the old answers, so they
-//     unwind it (cancel + one last resume) and restart through the
-//     full-prefix replay attempt below.
-//   * kSnapshot: suspension captured a SessionSnapshot — the
-//     copyable decorator state (transcript at the job boundary, cache and
-//     counters at the pre-round boundary) — so the resume restores the
-//     snapshot, arms a ReplayOracle with *only the newly answered round*,
-//     and re-runs just the suspended job; its question prefix is served
-//     entirely by the restored cache, so each answered question crosses
-//     the user boundary exactly once over the session's whole lifetime
-//     (O(rounds) total replay, though the re-walk itself is O(prefix)
-//     compute per resume). Completed jobs are never re-run: the job
-//     cursor skips them, and a snapshot trades bytes for that compute
-//     (ServiceStats.snapshot_bytes; the state is dominated by the
-//     transcript + cache, i.e. by questions actually asked). The
-//     memory-lean fallback when parked stacks are too dear.
-//   * kReplay: the original full-prefix protocol — rebuild fresh
-//     decorators, replay *every* answered round at the user boundary and
-//     re-run the job log from the start, O(prefix) per resume and
-//     O(rounds²) per session. Kept alive as the differential oracle: all
-//     three modes are bit-identical in every observable (the workload fuzz
+//     snapshot_bytes while it awaits). A correction cannot resume a
+//     parked stack built over the old answer, so it unwinds the stack
+//     (cancel + one last resume) and restarts through the full-prefix
+//     replay attempt below.
+//   * kReplay: the full-prefix protocol — rebuild fresh decorators,
+//     replay *every* answered round at the user boundary and re-run the
+//     job log from the start, O(prefix) per resume and O(rounds²) per
+//     session. Kept as the differential oracle: both modes are
+//     bit-identical in every observable (the continuation, workload fuzz
 //     and durable crash suites assert fingerprint equality across modes),
-//     and replay needs no question cache (snapshot mode requires it — with
-//     cache_questions off a kSnapshot request degrades to kReplay; kFiber
-//     never re-walks, so it has no cache dependency).
+//     and as the resume path that needs no parked stack. Neither mode
+//     depends on the question cache.
 //
 // Learners are deterministic functions of the transcript, so either resume
 // reaches the next live round without asking anything twice.
@@ -179,29 +166,23 @@ struct ServiceStats {
   int64_t awaiting_sessions = 0;  ///< sessions currently blocked on a user
   /// Questions served by user-boundary replay stages across all resume
   /// attempts. Fiber resume replays nothing (answers feed the parked
-  /// frame directly); snapshot resume replays each answered question
-  /// exactly once (== questions answered through the pending protocol);
-  /// full-prefix replay resume re-serves the whole prefix per resume
-  /// (quadratic). The resume-depth stress test gates on this split.
+  /// frame directly; only a correction restart replays); full-prefix
+  /// replay resume re-serves the whole prefix per resume (quadratic). The
+  /// resume-depth stress test gates on this split.
   int64_t replayed_questions = 0;
-  /// Resident parked-resume bytes across sessions currently awaiting a
-  /// user — the memory resume trades for the retired replay compute. In
-  /// snapshot mode this is SessionSnapshot::MemoryBytes (transcript +
-  /// cache); in fiber mode it is the parked stack's mapped size (lazily
-  /// committed, so resident use is typically far smaller).
+  /// Parked-stack bytes across sessions currently awaiting a user under
+  /// fiber resume — the memory it trades for the replay compute: each
+  /// stack's resident-able size after the cold-stack trim. Replay resume
+  /// parks nothing and reports 0.
   int64_t snapshot_bytes = 0;
   int64_t corrections = 0;  ///< CorrectAnswer calls accepted
 };
 
 /// How a suspended pending session resumes after ProvideAnswers. See the
-/// file comment; kDefault resolves to kFiber unless the QHORN_RESUME_MODE
-/// environment variable says "snapshot" or "replay" (the differential
-/// escape hatches).
+/// file comment.
 enum class ResumeMode {
-  kDefault,   ///< resolve from QHORN_RESUME_MODE, else kFiber
-  kFiber,     ///< park the live call stack; O(1) switch back per resume
-  kSnapshot,  ///< restore the suspension snapshot; replay only new rounds
-  kReplay,    ///< rebuild from scratch; replay the full answered prefix
+  kFiber,   ///< park the live call stack; O(1) switch back per resume
+  kReplay,  ///< rebuild from scratch; replay the full answered prefix
 };
 
 const char* ToString(ResumeMode m);
@@ -233,9 +214,10 @@ class SessionRouter {
   using SessionId = int64_t;
   /// A unit of session work, run on an executor lane with exclusive
   /// access to the session. For sessions opened with OpenPending, a job
-  /// may be run *multiple times* (each resume replays the job sequence
-  /// from the start), so raw Submit jobs on pending sessions must be
-  /// idempotent in their external effects; the typed submits are.
+  /// may be run *multiple times* (under kReplay each resume re-runs the
+  /// job sequence from the start; under either mode a CorrectAnswer
+  /// restarts it from job 0), so raw Submit jobs on pending sessions must
+  /// be idempotent in their external effects; the typed submits are.
   using Job = std::function<void(QuerySession&)>;
 
   struct Options {
@@ -247,13 +229,8 @@ class SessionRouter {
     /// Drain() rather than running them. Ignored when `executor` is set.
     int threads = 0;
     QuerySession::Options session;
-    /// Resume protocol for pending sessions. kDefault resolves from the
-    /// QHORN_RESUME_MODE environment variable at construction ("replay" →
-    /// kReplay, "snapshot" → kSnapshot, anything else → kFiber). Snapshot
-    /// resume requires the question cache, so `session.cache_questions ==
-    /// false` degrades a kSnapshot request to kReplay; fiber resume never
-    /// re-walks a prefix and works either way.
-    ResumeMode resume_mode = ResumeMode::kDefault;
+    /// Resume protocol for pending sessions.
+    ResumeMode resume_mode = ResumeMode::kFiber;
     /// Borrowed executor (how ShardedRouter shares one pool across its
     /// shards). Non-null: the router posts to it instead of owning a pool,
     /// `threads` is ignored, and the *owner* must keep the executor alive
@@ -338,9 +315,9 @@ class SessionRouter {
   /// be the id carried by the session's current PendingRound and
   /// `answers.size()` must equal its question count; anything else is
   /// rejected without touching the session (the transcript cannot be
-  /// corrupted by a stale or malformed reply). On kResumed the session's
-  /// jobs re-run with the answered prefix replayed; answers are consumed
-  /// by value, so the caller's storage is free immediately.
+  /// corrupted by a stale or malformed reply). On kResumed the session
+  /// resumes under the router's ResumeMode; answers are consumed by value,
+  /// so the caller's storage is free immediately.
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers);
 
@@ -381,12 +358,12 @@ class SessionRouter {
   /// (QuerySession::CorrectAndRelearn still refuses in continuation mode —
   /// it relearns synchronously inside the call, which a pending backend
   /// would immediately suspend out of). Works in both resume modes; the
-  /// restart attempt is a full-prefix replay even under kSnapshot (the
-  /// correction invalidates the captured snapshot).
+  /// restart attempt is a full-prefix replay even under kFiber (the
+  /// parked stack was built over the old answer and is unwound first).
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
-  /// The resolved resume protocol this router runs (never kDefault).
-  ResumeMode resume_mode() const { return resume_mode_; }
+  /// The resume protocol this router runs.
+  ResumeMode resume_mode() const { return options_.resume_mode; }
 
   /// The round the session is blocked on, if any — nullopt for unknown,
   /// closed, or not-awaiting sessions. A copy, so the recovery replay can
@@ -454,8 +431,8 @@ class SessionRouter {
   // Locking protocol: the map shape, queue, job log, counters, the
   // awaiting/running/closed flags and the announcement pointer are guarded
   // by the router's mutex_.
-  // The resume-state fields (answered_entries, snapshot, staged_answers,
-  // fiber*) follow an ownership handoff instead: while `running` is true
+  // The resume-state fields (answered_entries, staged_answers, fiber*)
+  // follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
   // without the lock — a protocol thread-safety analysis cannot express
   // (TSA has no "guarded by mutex_ OR owned by the runner"), and a
@@ -478,24 +455,21 @@ class SessionRouter {
     std::vector<TranscriptEntry> answered_entries;
     int64_t answered_rounds = 0;
     std::optional<PendingRound> pending_round;  // set while awaiting
-    // Snapshot-resume state. `snapshot` is captured at each suspension;
-    // `entries_cursor` marks how much of answered_entries the snapshot has
-    // already absorbed (the restore replays only the suffix beyond it).
-    // `pipeline_live` records that the last attempt exited by *completing*
-    // the job log, so the session's live pipeline is current and jobs
-    // submitted later run directly on it — no restore, no replay.
-    SessionSnapshot snapshot;
-    size_t snapshot_bytes = 0;
-    size_t entries_cursor = 0;
-    bool pipeline_live = false;
-    // Fiber-resume state (kFiber). `fiber` is the parked continuation —
-    // the suspended job's live call stack. `staged_answers` carries the
-    // answered round's bits from ProvideAnswers to the resuming runner.
+    // Fiber-resume state (kFiber). `pipeline_live` records that the last
+    // attempt exited by *completing* the job log, so the session's live
+    // pipeline is current and jobs submitted later run directly on it —
+    // no rebuild, no replay. `snapshot_bytes` is the parked stack's
+    // resident-able size while awaiting (ServiceStats.snapshot_bytes).
+    // `fiber` is the parked continuation — the suspended job's live call
+    // stack. `staged_answers` carries the answered round's bits from
+    // ProvideAnswers to the resuming runner.
     // `fiber_cancel` marks a parked stack a correction abandoned: the
     // runner unwinds it (cancel + one last resume) before the restart
     // attempt. `fiber_jobs_run` is the body's progress cursor — jobs fully
     // run this attempt — read by the host after each switch back, so all
     // completion bookkeeping stays on the host side of the switch.
+    bool pipeline_live = false;
+    size_t snapshot_bytes = 0;
     std::unique_ptr<Fiber> fiber;
     std::vector<bool> staged_answers;
     bool fiber_cancel = false;
@@ -522,11 +496,11 @@ class SessionRouter {
   /// Executor task: runs a direct session's queued jobs until the queue is
   /// empty, then releases ownership.
   void RunSession(SessionState* state);
-  /// Executor task: one *attempt* loop for a pending session — rebuild the
-  /// pipeline with the answered prefix replayed, re-run the job log, and
-  /// either finish (queue empty) or catch the suspension, publish the
-  /// pending round and release the lane. Dispatches to the fiber runner
-  /// under ResumeMode::kFiber.
+  /// Executor task: the kReplay attempt loop for a pending session —
+  /// rebuild the pipeline with the answered prefix replayed, re-run the
+  /// job log from job 0, and either finish (log complete) or catch the
+  /// suspension, publish the pending round and release the lane.
+  /// Dispatches to the fiber runner under ResumeMode::kFiber.
   void RunPendingSession(SessionState* state);
   /// The kFiber runner: resumes the parked continuation (or starts a fresh
   /// attempt on a new fiber), then either publishes the round it parked on
@@ -548,7 +522,6 @@ class SessionRouter {
   SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
 
   Options options_;
-  ResumeMode resume_mode_ = ResumeMode::kSnapshot;  // resolved, never kDefault
   std::unique_ptr<Executor> owned_executor_;  // null when Options.executor set
   Executor* exec_ = nullptr;                  // owned or borrowed, never null
   std::unique_ptr<CompiledQueryCache> owned_cache_;  // null when borrowed

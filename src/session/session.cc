@@ -4,36 +4,6 @@
 
 namespace qhorn {
 
-namespace {
-
-size_t TupleSetBytes(const TupleSet& question) {
-  return sizeof(TupleSet) + question.heap_bytes();
-}
-
-size_t QueryBytes(const std::optional<Query>& query) {
-  if (!query.has_value()) return 0;
-  return sizeof(Query) + query->universal().size() * sizeof(UniversalHorn) +
-         query->existential().size() * sizeof(ExistentialConj);
-}
-
-}  // namespace
-
-size_t SessionSnapshot::MemoryBytes() const {
-  size_t bytes = sizeof(*this);
-  for (const TranscriptEntry& entry : transcript) {
-    bytes += sizeof(TranscriptEntry) - sizeof(TupleSet) +
-             TupleSetBytes(entry.question);
-  }
-  // Per-node overhead of the unordered_map buckets: one forward pointer
-  // and the cached hash per node, plus the bucket array — approximated as
-  // three words per entry.
-  for (const auto& [question, answer] : cache) {
-    bytes += TupleSetBytes(question) + sizeof(bool) + 3 * sizeof(void*);
-  }
-  bytes += QueryBytes(current);
-  return bytes;
-}
-
 QuerySession::QuerySession(int n, MembershipOracle* user)
     : QuerySession(n, user, Options()) {}
 
@@ -70,54 +40,6 @@ void QuerySession::ResetWithUserReplay(
   continuation_mode_ = true;
   BuildPipeline({}, std::move(user_prefix));
   current_.reset();
-  MarkJobBoundary();
-}
-
-void QuerySession::MarkJobBoundary() {
-  boundary_entries_ = transcript_->entries().size();
-  boundary_rounds_ = transcript_->rounds();
-  boundary_current_ = current_;
-}
-
-SessionSnapshot QuerySession::CapturePreRound() const {
-  QHORN_CHECK_MSG(cache_ != nullptr,
-                  "snapshot capture requires question caching (the restored "
-                  "attempt's re-walk is served from the cache)");
-  const std::vector<TranscriptEntry>& entries = transcript_->entries();
-  QHORN_CHECK(boundary_entries_ <= entries.size());
-  SessionSnapshot snap;
-  snap.transcript.assign(entries.begin(),
-                         entries.begin() + static_cast<ptrdiff_t>(boundary_entries_));
-  snap.transcript_rounds = boundary_rounds_;
-  snap.current = boundary_current_;
-  snap.cache = cache_->entries();
-  snap.cache_hits = cache_->hits();
-  snap.cache_misses = cache_->misses();
-  snap.counting = counting_->stats();
-  snap.replay_hits =
-      static_cast<int64_t>(entries.size() - boundary_entries_);
-  snap.valid = true;
-  return snap;
-}
-
-void QuerySession::RestoreSnapshot(const SessionSnapshot& snap,
-                                   std::vector<TranscriptEntry> user_suffix) {
-  QHORN_CHECK_MSG(options_.cache_questions,
-                  "snapshot restore requires question caching");
-  QHORN_CHECK(snap.valid);
-  continuation_mode_ = true;
-  BuildPipeline({}, std::move(user_suffix));
-  transcript_->Restore(snap.transcript, snap.transcript_rounds);
-  // The suspended job's re-walk re-probes its whole question prefix; every
-  // probe is a hit on the restored cache, so starting the counter
-  // `replay_hits` low lands it exactly on the captured value once the
-  // re-walk reaches the suspension point — the same count a synchronous run
-  // would show.
-  cache_->Restore(snap.cache, snap.cache_hits - snap.replay_hits,
-                  snap.cache_misses);
-  counting_->RestoreStats(snap.counting);
-  current_ = snap.current;
-  MarkJobBoundary();
 }
 
 const Query& QuerySession::Learn() {

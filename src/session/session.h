@@ -23,43 +23,6 @@
 
 namespace qhorn {
 
-/// Copyable decorator state captured at a `JobSuspended` boundary, so a
-/// resume can restore the pipeline instead of replaying the whole answered
-/// prefix (SessionRouter's snapshot resume mode).
-///
-/// The snapshot is deliberately *two* slices. The transcript and current
-/// query are the **job-boundary** slice: the suspended job re-runs from its
-/// start on resume and re-records its own question prefix (with identical
-/// round ids — round ids are consumed per completed round), so the history
-/// must rewind to where the job began. The cache and counting stats are the
-/// **pre-round** slice, exactly as they stood when the unanswered round
-/// unwound: the re-walk's questions are all served by the restored cache,
-/// so no question reaches the user boundary twice and the counters end the
-/// re-walk precisely at their captured values (`replay_hits` corrects the
-/// hit counter for the re-walk's extra cache probes).
-struct SessionSnapshot {
-  // Job-boundary slice.
-  std::vector<TranscriptEntry> transcript;
-  int64_t transcript_rounds = 0;
-  std::optional<Query> current;
-  // Pre-round slice.
-  CachingOracle::CacheMap cache;
-  int64_t cache_hits = 0;
-  int64_t cache_misses = 0;
-  OracleStats counting;
-  /// Questions the suspended job had asked since its start (the re-walk
-  /// depth); each re-walked question is one extra cache hit to discount.
-  int64_t replay_hits = 0;
-  bool valid = false;
-
-  /// Estimated resident size of the snapshot — the bytes a parked session
-  /// holds while awaiting the user (the memory the snapshot trades for the
-  /// retired replay compute). Counts the tuple storage of every recorded
-  /// question plus container-node overhead; an estimate, not an allocator
-  /// audit.
-  size_t MemoryBytes() const;
-};
-
 /// One user's query-specification session over n propositions.
 class QuerySession {
  public:
@@ -126,34 +89,10 @@ class QuerySession {
   /// the cache precisely so re-asked questions are *not* re-counted.)
   void ResetWithUserReplay(std::vector<TranscriptEntry> user_prefix);
 
-  /// Records the job boundary the next snapshot will rewind the transcript
-  /// to. The router calls this after every completed job (and the restore
-  /// path re-marks it): a later suspension re-runs the *current* job from
-  /// its start, so the snapshot's transcript slice must stop where that job
-  /// began.
-  void MarkJobBoundary();
-
-  /// Captures the suspended session's state at the `JobSuspended` boundary.
-  /// Requires question caching (the restored attempt's re-walk is served
-  /// entirely from the captured cache; SessionRouter forces replay resume
-  /// when the cache is disabled). The decorators roll themselves back on
-  /// suspension, so the captured counters are exactly the last completed
-  /// round's — the same values a synchronous run would show there.
-  SessionSnapshot CapturePreRound() const;
-
-  /// Restores a captured snapshot and arms a ReplayOracle at the user
-  /// boundary with only the newly answered rounds (`user_suffix`) — the
-  /// O(1)-per-round half of the resume protocol: completed jobs are never
-  /// re-run (the router's job cursor skips them), and the suspended job's
-  /// re-walk is answered by the restored cache without a single question
-  /// reaching the user boundary again.
-  void RestoreSnapshot(const SessionSnapshot& snap,
-                       std::vector<TranscriptEntry> user_suffix);
-
   /// Cumulative questions served by user-boundary replay stages across
-  /// every resume attempt of this session's lifetime. Under snapshot
-  /// resume each answered question is replayed exactly once (O(rounds)
-  /// total); under full-prefix replay resume the whole answered prefix is
+  /// every resume attempt of this session's lifetime. Under fiber resume
+  /// nothing is replayed (only a correction restart re-serves its
+  /// prefix); under full-prefix replay resume the whole answered prefix is
   /// replayed per resume (O(rounds²) total). The resume-depth stress test
   /// asserts exactly this split.
   int64_t user_questions_replayed() const {
@@ -202,10 +141,6 @@ class QuerySession {
   // Replayed-question count harvested from retired user-boundary replay
   // stages (each pipeline rebuild discards the live stage).
   int64_t user_replayed_total_ = 0;
-  // Job-boundary markers for CapturePreRound (see MarkJobBoundary).
-  size_t boundary_entries_ = 0;
-  int64_t boundary_rounds_ = 0;
-  std::optional<Query> boundary_current_;
 };
 
 }  // namespace qhorn

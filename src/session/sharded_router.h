@@ -85,9 +85,9 @@ class ShardedRouter {
     /// to synchronous in-caller execution — the differential baseline.
     int threads = 0;
     QuerySession::Options session;
-    /// Resume protocol, resolved identically by every shard (see
+    /// Resume protocol, shared by every shard (see
     /// SessionRouter::Options::resume_mode).
-    ResumeMode resume_mode = ResumeMode::kDefault;
+    ResumeMode resume_mode = ResumeMode::kFiber;
   };
 
   ShardedRouter() : ShardedRouter(Options()) {}

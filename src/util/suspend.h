@@ -6,11 +6,13 @@
 // session — the opposite of thousands of sessions sharing a small pool.
 // Instead, an oracle backend that cannot answer a round synchronously
 // (PendingOracle, src/oracle/pending.h) records the round's questions and
-// throws JobSuspended: the in-flight job unwinds off its lane at the round
-// boundary, the lane is free the moment the unwind reaches the job runner,
-// and the session re-enters later by re-running the job with the answered
-// prefix replayed (ReplayOracle) — continuations by replay, so learners
-// need no restructuring.
+// either parks the job's fiber (the default fiber resume) or throws
+// JobSuspended. A throw unwinds the in-flight job off its lane at the
+// round boundary, the lane is free the moment the unwind reaches the job
+// runner, and the session re-enters later by re-running the job with the
+// answered prefix replayed (ReplayOracle) — continuations by replay, so
+// learners need no restructuring. A parked fiber that must be abandoned
+// (correction, close, shutdown) is unwound by the same throw.
 //
 // JobSuspended is a control-flow signal, not an error: it deliberately
 // does not derive from std::exception so generic catch (const

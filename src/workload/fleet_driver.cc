@@ -271,15 +271,13 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
   return result;
 }
 
-FleetResult FleetDriver::RunPending(int lanes_override, ResumeMode mode,
+FleetResult FleetDriver::RunPending(int lanes_override,
+                                    std::optional<ResumeMode> mode,
                                     int shards_override) {
   const int threads =
       lanes_override > 0 ? lanes_override : fleet_.spec.lanes;
-  const ResumeMode resume =
-      mode != ResumeMode::kDefault
-          ? mode
-          : (fleet_.spec.replay_resume ? ResumeMode::kReplay
-                                       : ResumeMode::kFiber);
+  const ResumeMode resume = mode.value_or(
+      fleet_.spec.replay_resume ? ResumeMode::kReplay : ResumeMode::kFiber);
   QuerySession::Options sopts;
   sopts.learner.existential.speculative_batching =
       fleet_.spec.speculative_batching;

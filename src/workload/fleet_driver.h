@@ -42,6 +42,7 @@
 #define QHORN_WORKLOAD_FLEET_DRIVER_H_
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -156,14 +157,14 @@ class FleetDriver {
   /// RunHostile over a fleet-owned in-memory router on
   /// `fleet.spec.lanes` lanes (overridable for the benchmarks' lane
   /// sweeps; <= 0 uses the spec). `mode` picks the resume protocol;
-  /// kDefault derives it from the spec (`replay_resume` → kReplay,
+  /// nullopt derives it from the spec (`replay_resume` → kReplay,
   /// otherwise kFiber) so a fuzz seed pins the protocol too.
   /// `shards_override` picks the router shard count (<= 0 uses the
   /// spec's `router_shards`); 1 runs the classic bare SessionRouter,
   /// anything higher runs the ShardedRouter facade — observables must
   /// not notice, which is exactly what the sharded differentials pin.
   FleetResult RunPending(int lanes_override = 0,
-                         ResumeMode mode = ResumeMode::kDefault,
+                         std::optional<ResumeMode> mode = std::nullopt,
                          int shards_override = 0);
 
   /// Reference arm: synchronous in-order replay on one lane.

@@ -114,9 +114,9 @@ struct WorkloadSpec {
   /// (RpUniversalOptions::speculative_batching).
   bool speculative_batching = false;
   /// Drive the concurrent arm's router in full-prefix replay resume mode
-  /// instead of the default fiber mode (the fuzz sweep draws this so the
-  /// resume protocols see hostile traffic; the snapshot mode gets its own
-  /// explicit arms in the differential tests).
+  /// instead of the default fiber mode (the fuzz sweep draws this so both
+  /// resume protocols see hostile traffic; the differential tests also pin
+  /// each protocol explicitly on fixed seeds).
   bool replay_resume = false;
 
   /// Router shards the hostile arm runs behind (PR 9): 1 is the classic

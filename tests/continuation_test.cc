@@ -493,12 +493,11 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
   // on the mislearned path, then corrects the flipped entry: the session
   // must restart, replay the corrected prefix without re-asking it, and
   // converge to the exact observables of a user who answered truthfully
-  // from the start. All three resume modes take the same correction path
+  // from the start. Both resume modes take the same correction path
   // (fiber mode additionally exercises the cancel/unwind of the parked
   // stack before the fresh full-prefix attempt).
   Query target = SmallTarget(5, 97);
-  for (ResumeMode mode :
-       {ResumeMode::kFiber, ResumeMode::kSnapshot, ResumeMode::kReplay}) {
+  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
     SessionRouter::Options opts;
     opts.threads = 1;  // inline: each resume runs to its next suspension
     opts.resume_mode = mode;
@@ -649,83 +648,83 @@ TEST(ContinuationEdgeTest, PollFreesNodesRetiredBetweenPolls) {
   EXPECT_EQ(router.retained_announcements(), 0u);
 }
 
-TEST(ContinuationTest, SnapshotAndReplayResumesAreBitIdentical) {
-  // The three resume protocols must be observationally indistinguishable —
-  // same fingerprints, same question/round/cache counters — while their
-  // *replay* counters split exactly as advertised: fiber resume replays
-  // nothing (the parked frame consumes the answers in place), snapshot
-  // resume serves each answered question from the user-boundary replay
-  // stage once, full-prefix replay re-serves the whole prefix per resume.
+TEST(ContinuationTest, FiberAndReplayResumesAreBitIdentical) {
+  // The two resume protocols must be observationally indistinguishable —
+  // same fingerprints, same question/round/cache counters, and both equal
+  // to a synchronous run — while their *replay* counters split exactly as
+  // advertised: fiber resume replays nothing (the parked frame consumes
+  // the answers in place), full-prefix replay re-serves the whole prefix
+  // per resume. Run with the question cache on and off: neither protocol
+  // may depend on it.
   Query target = SmallTarget(6, 13);
-  std::string fingerprints[3];
-  int64_t replayed[3] = {0, 0, 0};
-  int64_t answered_questions[3] = {0, 0, 0};
-  int64_t resumes[3] = {0, 0, 0};
-  ResumeMode modes[3] = {ResumeMode::kFiber, ResumeMode::kSnapshot,
-                         ResumeMode::kReplay};
-  for (int m = 0; m < 3; ++m) {
-    SessionRouter::Options opts;
-    opts.threads = 1;
-    opts.resume_mode = modes[m];
-    SessionRouter router(opts);
-    EXPECT_EQ(router.resume_mode(), modes[m]);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(6);
-    router.SubmitLearn(id);
-    router.SubmitVerify(id, target);
-    for (;;) {
-      router.Drain();
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      if (rounds.empty()) break;
-      ASSERT_EQ(rounds.size(), 1u);
-      BitVec bits;
-      BitSpan span = bits.Prepare(rounds[0].questions.size());
-      truth.IsAnswerBatch(rounds[0].questions, span);
-      answered_questions[m] += static_cast<int64_t>(rounds[0].questions.size());
-      ++resumes[m];
-      ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
-                ProvideOutcome::kResumed);
+  for (bool cache_questions : {true, false}) {
+    std::string fingerprints[2];
+    int64_t replayed[2] = {0, 0};
+    int64_t answered_questions[2] = {0, 0};
+    int64_t resumes[2] = {0, 0};
+    const ResumeMode modes[2] = {ResumeMode::kFiber, ResumeMode::kReplay};
+    for (int m = 0; m < 2; ++m) {
+      SessionRouter::Options opts;
+      opts.threads = 1;
+      opts.resume_mode = modes[m];
+      opts.session.cache_questions = cache_questions;
+      SessionRouter router(opts);
+      EXPECT_EQ(router.resume_mode(), modes[m]);
+      QueryOracle truth(target);
+      SessionRouter::SessionId id = router.OpenPending(6);
+      router.SubmitLearn(id);
+      router.SubmitVerify(id, target);
+      for (;;) {
+        router.Drain();
+        std::vector<PendingRound> rounds = router.PendingRounds();
+        if (rounds.empty()) break;
+        ASSERT_EQ(rounds.size(), 1u);
+        BitVec bits;
+        BitSpan span = bits.Prepare(rounds[0].questions.size());
+        truth.IsAnswerBatch(rounds[0].questions, span);
+        answered_questions[m] +=
+            static_cast<int64_t>(rounds[0].questions.size());
+        ++resumes[m];
+        ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
+                  ProvideOutcome::kResumed);
+      }
+      fingerprints[m] = SessionFingerprint(router.session(id));
+      replayed[m] = router.stats().replayed_questions;
     }
-    fingerprints[m] = SessionFingerprint(router.session(id));
-    replayed[m] = router.stats().replayed_questions;
+
+    SessionRouter::Options sync_opts;
+    sync_opts.threads = 1;
+    sync_opts.session.cache_questions = cache_questions;
+    SessionRouter sync_router(sync_opts);
+    QueryOracle sync_truth(target);
+    SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
+    sync_router.SubmitLearn(sid);
+    sync_router.SubmitVerify(sid, target);
+    sync_router.Drain();
+
+    EXPECT_EQ(fingerprints[0], fingerprints[1])
+        << "fiber and replay resume diverged on the same answer stream"
+        << " (cache_questions=" << cache_questions << ")";
+    EXPECT_EQ(fingerprints[0], SessionFingerprint(sync_router.session(sid)))
+        << "pending sessions diverged from the synchronous run"
+        << " (cache_questions=" << cache_questions << ")";
+    EXPECT_EQ(answered_questions[0], answered_questions[1]);
+    EXPECT_EQ(resumes[0], resumes[1]);
+    EXPECT_GT(resumes[0], 1);
+    // O(1) vs O(rounds²): fiber resume replays nothing at all; full-prefix
+    // replay re-serves prefixes on every resume of a multi-round session.
+    EXPECT_EQ(replayed[0], 0)
+        << "fiber resume re-served questions despite the parked stack";
+    EXPECT_GT(replayed[1], answered_questions[1])
+        << "full-prefix replay should re-serve more than it was answered "
+           "on a multi-round session";
   }
-  EXPECT_EQ(fingerprints[0], fingerprints[1])
-      << "fiber and snapshot resume diverged on the same answer stream";
-  EXPECT_EQ(fingerprints[1], fingerprints[2])
-      << "snapshot and replay resume diverged on the same answer stream";
-  EXPECT_EQ(answered_questions[0], answered_questions[1]);
-  EXPECT_EQ(answered_questions[1], answered_questions[2]);
-  EXPECT_EQ(resumes[0], resumes[1]);
-  EXPECT_EQ(resumes[1], resumes[2]);
-  // O(1) vs O(rounds) vs O(rounds²): fiber resume replays nothing at all;
-  // snapshot replays each answered question at most once (the final
-  // attempt's suffix can go unconsumed, hence ≤); full-prefix replay
-  // re-serves prefixes whose sum strictly dominates.
-  EXPECT_EQ(replayed[0], 0)
-      << "fiber resume re-served questions despite the parked stack";
-  EXPECT_LE(replayed[1], answered_questions[1]);
-  EXPECT_GT(replayed[2], replayed[1])
-      << "full-prefix replay should replay strictly more than snapshot "
-         "resume on a multi-round session";
 }
 
 TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
-  // A parked session under snapshot resume holds its suspension snapshot;
-  // the service surfaces that residency so operators can budget memory.
-  SessionRouter::Options opts;
-  opts.threads = 1;
-  opts.resume_mode = ResumeMode::kSnapshot;
-  SessionRouter router(opts);
-  SessionRouter::SessionId id = router.OpenPending(5);
-  router.SubmitLearn(id);
-  router.Drain();
-  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-  ServiceStats stats = router.stats();
-  EXPECT_EQ(stats.awaiting_sessions, 1);
-  EXPECT_GT(stats.snapshot_bytes, 0)
-      << "a suspended session must account for its parked snapshot";
-
-  // Replay mode keeps no snapshot — the memory column must read zero.
+  // The service surfaces each parked session's resume residency
+  // (ServiceStats.snapshot_bytes) so operators can budget memory.
+  // Replay mode parks nothing — the memory column must read zero.
   SessionRouter::Options ropts;
   ropts.threads = 1;
   ropts.resume_mode = ResumeMode::kReplay;
@@ -734,6 +733,7 @@ TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
   replay_router.SubmitLearn(rid);
   replay_router.Drain();
   ASSERT_EQ(replay_router.status(rid), SessionStatus::kAwaitingUser);
+  EXPECT_EQ(replay_router.stats().awaiting_sessions, 1);
   EXPECT_EQ(replay_router.stats().snapshot_bytes, 0);
 
   // Fiber mode parks a live stack; its mapped size is the session's

@@ -76,18 +76,20 @@ TEST(DurableCrashTest, SeedRangeParsing) {
 TEST(DurableCrashTest, BothResumeProtocolsSurviveCrashesIdentically) {
   // The crash differential under each resume protocol explicitly (the
   // sweep below draws the protocol per seed): the same fleet, the same
-  // crash schedule, once with snapshot resume and once with full-prefix
+  // crash schedule, once with fiber resume and once with full-prefix
   // replay. Both must recover bit-identical to the synchronous reference
-  // — and to *each other* — so the snapshot path cannot hide behind
+  // — and to *each other* — so the fiber path cannot hide behind
   // replay's coverage, or vice versa.
   for (uint64_t seed : {5u, 17u, 23u}) {
     WorkloadSpec spec = WorkloadSpec::FromSeed(seed);
-    CrashOutcome snapshot = RunCrashDifferential(spec, ResumeMode::kSnapshot);
-    ASSERT_TRUE(snapshot.ok) << "snapshot resume: " << snapshot.failure;
+    CrashOutcome fiber = RunCrashDifferential(spec, ResumeMode::kFiber);
+    ASSERT_TRUE(fiber.ok) << "fiber resume: " << fiber.failure;
     CrashOutcome replay = RunCrashDifferential(spec, ResumeMode::kReplay);
     ASSERT_TRUE(replay.ok) << "full-prefix replay: " << replay.failure;
-    for (size_t i = 0; i < snapshot.hostile.fingerprints.size(); ++i) {
-      ASSERT_EQ(snapshot.hostile.fingerprints[i],
+    ASSERT_EQ(fiber.hostile.fingerprints.size(),
+              replay.hostile.fingerprints.size());
+    for (size_t i = 0; i < fiber.hostile.fingerprints.size(); ++i) {
+      ASSERT_EQ(fiber.hostile.fingerprints[i],
                 replay.hostile.fingerprints[i])
           << "resume protocols diverged across crashes on session " << i
           << " (" << spec.ReproLine() << ")";

@@ -26,6 +26,7 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
+#include <optional>
 #include <string>
 
 #include "src/workload/fleet_driver.h"
@@ -74,40 +75,45 @@ TEST(WorkloadFuzzTest, SeedRangeParsing) {
   EXPECT_EQ(ParseSeedRange("1337:0").count, 1u);
 }
 
-TEST(WorkloadFuzzTest, SnapshotAndReplayResumeArmsAreBitIdentical) {
+TEST(WorkloadFuzzTest, FiberAndReplayResumeArmsAreBitIdentical) {
   // The resume-protocol differential, run explicitly on both protocols
   // (the big sweep below draws the mode per seed; this pins seed-for-seed
-  // that snapshot resume and the retired full-prefix replay produce
-  // bit-identical fingerprints under the same hostile delivery, and both
-  // match the synchronous reference). Also pins the accounting split the
-  // protocols exist for: replay's user-boundary re-serving dominates
-  // snapshot's.
-  int64_t snapshot_replayed = 0;
+  // that fiber resume and full-prefix replay produce bit-identical
+  // fingerprints under the same hostile delivery, and both match the
+  // synchronous reference). Each seed runs at a pinned shard count, and
+  // together they cover every count the sweep draws. Also pins the accounting split between the protocols:
+  // fiber resume re-serves nothing, replay re-serves its answered
+  // prefixes.
+  const struct {
+    uint64_t seed;
+    int shards;
+  } cases[] = {{3, 1}, {11, 2}, {29, 4}, {41, 8}, {57, 1}};
   int64_t replay_replayed = 0;
-  for (uint64_t seed : {3u, 11u, 29u, 41u, 57u}) {
+  for (const auto& [seed, shards] : cases) {
     WorkloadSpec spec = WorkloadSpec::FromSeed(seed);
     Fleet fleet = GenerateFleet(spec);
     FleetDriver driver(fleet);
-    FleetResult snapshot = driver.RunPending(0, ResumeMode::kSnapshot);
-    FleetResult replay = driver.RunPending(0, ResumeMode::kReplay);
+    FleetResult fiber = driver.RunPending(0, ResumeMode::kFiber, shards);
+    FleetResult replay = driver.RunPending(0, ResumeMode::kReplay, shards);
     FleetResult synchronous = driver.RunSynchronous();
-    ASSERT_TRUE(snapshot.ok) << snapshot.failure;
+    ASSERT_TRUE(fiber.ok) << fiber.failure;
     ASSERT_TRUE(replay.ok) << replay.failure;
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
     for (size_t i = 0; i < fleet.sessions.size(); ++i) {
-      ASSERT_EQ(snapshot.fingerprints[i], replay.fingerprints[i])
-          << "resume protocols diverged on session " << i << " ("
-          << spec.ReproLine() << ")";
+      ASSERT_EQ(fiber.fingerprints[i], replay.fingerprints[i])
+          << "resume protocols diverged on session " << i << " at "
+          << shards << " shards (" << spec.ReproLine() << ")";
     }
-    ASSERT_EQ(CompareArmFingerprints(fleet, snapshot, synchronous),
+    ASSERT_EQ(CompareArmFingerprints(fleet, fiber, synchronous),
               std::string());
     ASSERT_EQ(CompareArmFingerprints(fleet, replay, synchronous),
               std::string());
-    snapshot_replayed += snapshot.stats.replayed_questions;
+    EXPECT_EQ(fiber.stats.replayed_questions, 0)
+        << "fiber resume re-served questions (" << spec.ReproLine() << ")";
     replay_replayed += replay.stats.replayed_questions;
   }
-  EXPECT_GT(replay_replayed, snapshot_replayed)
-      << "full-prefix replay must re-serve strictly more than snapshot "
+  EXPECT_GT(replay_replayed, 0)
+      << "full-prefix replay must re-serve strictly more than fiber "
          "resume across the sample fleets";
 }
 
@@ -126,7 +132,7 @@ TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
     for (int shards : {1, 2, 8}) {
       FleetResult hostile =
-          driver.RunPending(0, ResumeMode::kDefault, shards);
+          driver.RunPending(0, std::nullopt, shards);
       ASSERT_TRUE(hostile.ok)
           << hostile.failure << " (shards=" << shards << ")";
       ASSERT_EQ(CompareArmFingerprints(fleet, hostile, synchronous),

@@ -66,18 +66,12 @@ HEADLINE_PAIRS = [
     # guards it against regressing further.
     ("BM_ServiceOpenSessions/64/real_time",
      "BM_ServiceOpenSessionsDirect/64/real_time"),
-    # Resume-protocol pair: snapshot restore (O(rounds) questions re-served
-    # across a session's resumes) vs the retired full-prefix replay
-    # (O(rounds²)). Both run one session on one lane, so the ratio is
-    # machine-independent; it widens with depth, hence both arms. Not
-    # concurrency-dependent: a single lane is a single lane everywhere.
-    ("BM_SessionResumeSnapshot/8/real_time",
-     "BM_SessionResumeReplay/8/real_time"),
-    ("BM_SessionResumeSnapshot/64/real_time",
-     "BM_SessionResumeReplay/64/real_time"),
-    # The default protocol: fiber resume switches into the parked frame
-    # (O(1) compute per resume, nothing re-served) vs the same full-prefix
-    # replay baseline.
+    # Resume-protocol pair: fiber resume switches into the parked frame
+    # (O(1) compute per resume, nothing re-served) vs full-prefix replay
+    # (O(rounds²) questions re-served). Both run one session on one lane,
+    # so the ratio is machine-independent; it widens with depth, hence both
+    # arms. Not concurrency-dependent: a single lane is a single lane
+    # everywhere.
     ("BM_SessionResumeFiber/8/real_time",
      "BM_SessionResumeReplay/8/real_time"),
     ("BM_SessionResumeFiber/64/real_time",
