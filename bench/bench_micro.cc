@@ -197,40 +197,6 @@ void BM_OracleBatchSequential(benchmark::State& state) {
 }
 BENCHMARK(BM_OracleBatchSequential)->Arg(1)->Arg(16)->Arg(256)->Arg(4096);
 
-// BM_OracleBatchParallel vs BM_OracleBatchBatched at the same width is the
-// executor pair: the identical round through the identical decorator,
-// evaluated inline (Batched) vs sharded across the executor by the
-// AsyncOracle backend (Parallel). Widths straddle
-// CompiledQuery::kParallelRoundCutover. Executor sized by
-// Executor::DefaultConcurrency() — i.e. QHORN_THREADS-overridable — so the
-// recorded number reflects the machine it ran on.
-void BM_OracleBatchParallel(benchmark::State& state) {
-  int n = 64;
-  size_t batch = static_cast<size_t>(state.range(0));
-  Query q = BenchQuery(n);
-  Executor executor;
-  AsyncOracle oracle(std::make_shared<const CompiledQuery>(q), &executor);
-  CountingOracle counting(&oracle);
-  MembershipOracle* top = &counting;
-  std::vector<TupleSet> questions = BatchQuestions(n, batch);
-  BitVec answers;
-  for (auto _ : state) {
-    top->IsAnswerBatch(questions, answers.Prepare(batch));
-    benchmark::DoNotOptimize(answers);
-  }
-  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(batch));
-  // The lane count (QHORN_THREADS-sensitive) rides along in the JSON so
-  // tools/bench_compare.py can refuse to compare runs with different
-  // effective parallelism, not just different machines.
-  state.counters["lanes"] = static_cast<double>(executor.concurrency());
-  state.SetLabel("executor-sharded EvaluateAll, " +
-                 std::to_string(executor.concurrency()) + " lanes");
-}
-// UseRealTime: the work happens on pool threads, so the benchmark
-// thread's cpu_time would under-count; the pair ratio is wall-clock
-// (tools/bench_compare.py reads real_time for the concurrency pairs).
-BENCHMARK(BM_OracleBatchParallel)->Arg(256)->Arg(4096)->UseRealTime();
-
 void BM_CachingOracleHit(benchmark::State& state) {
   int n = 64;
   Query q = BenchQuery(n);

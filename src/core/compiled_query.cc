@@ -6,7 +6,6 @@
 
 #include "src/core/normalize.h"
 #include "src/util/check.h"
-#include "src/util/executor.h"
 
 namespace qhorn {
 
@@ -102,7 +101,7 @@ void CompiledQuery::EvaluateAll(std::span<const TupleSet> objects,
 }
 
 void CompiledQuery::EvaluateAll(std::span<const TupleSet> objects,
-                                BitSpan verdicts, Executor* executor) const {
+                                BitSpan verdicts) const {
   size_t count = objects.size();
   QHORN_DCHECK(verdicts.size() == count);
   if (count == 1) {
@@ -112,30 +111,7 @@ void CompiledQuery::EvaluateAll(std::span<const TupleSet> objects,
     verdicts.Set(0, Evaluate(objects[0]));
     return;
   }
-  if (executor == nullptr || executor->concurrency() < 2 ||
-      count < kParallelRoundCutover) {
-    for (size_t i = 0; i < count; ++i) verdicts.Set(i, Evaluate(objects[i]));
-    return;
-  }
-  // Shards accumulate into a word array of their own (offset 0, so the
-  // 64-aligned shard boundaries own disjoint words regardless of the
-  // output span's bit offset); the caller lane then copies the bits out
-  // bit by bit — one pass, trivial next to the evaluations it follows.
-  std::vector<uint64_t> words((count + 63) / 64, 0);
-  const TupleSet* objs = objects.data();
-  executor->ParallelFor(count, kParallelGrain, [&](size_t begin, size_t end) {
-    for (size_t base = begin; base < end; base += 64) {
-      uint64_t bits = 0;
-      size_t hi = base + 64 < end ? base + 64 : end;
-      for (size_t i = base; i < hi; ++i) {
-        if (Evaluate(objs[i])) bits |= uint64_t{1} << (i - base);
-      }
-      words[base >> 6] = bits;
-    }
-  });
-  for (size_t i = 0; i < count; ++i) {
-    verdicts.Set(i, (words[i >> 6] >> (i & 63)) & 1);
-  }
+  for (size_t i = 0; i < count; ++i) verdicts.Set(i, Evaluate(objects[i]));
 }
 
 }  // namespace qhorn

@@ -54,8 +54,6 @@
 
 namespace qhorn {
 
-class Executor;
-
 namespace internal {
 
 /// Portable reference kernel (also the differential-test oracle for the
@@ -153,28 +151,16 @@ class CompiledQuery {
     return EvaluateTuples(object.tuples().data(), object.tuples().size());
   }
 
-  /// Rounds below this many questions are evaluated inline even when an
-  /// executor is supplied: sharding costs two condition-variable round
-  /// trips plus task dispatch (~5–10 µs), and a short round of ~10 ns
-  /// evaluations never earns it back. Tuned against BM_OracleBatch* /
-  /// BM_OracleBatchParallel (see BENCH_micro.json).
+  /// A round width learner rounds do not reach. No code path uses it;
+  /// bench_e2e reports the share of rounds at or above it
+  /// (oracle.rounds_ge_512_share).
   static constexpr size_t kParallelRoundCutover = 512;
-
-  /// Shard granularity for the parallel path: boundaries are multiples of
-  /// 64 questions so each shard owns whole words of the verdict bits (see
-  /// the BitSpan concurrency contract).
-  static constexpr size_t kParallelGrain = 64;
 
   /// Evaluates a span of objects — the kernel behind every batched oracle
   /// round (QueryOracle::IsAnswerBatch and the miss-only forwarding of
   /// CachingOracle both land here). `verdicts.size()` must equal
-  /// `objects.size()`. With a non-null executor of concurrency ≥ 2, rounds
-  /// of at least kParallelRoundCutover questions are partitioned across it
-  /// in word-aligned shards; the verdict order is the question order
-  /// either way. The compiled mask vectors are shared read-only across
-  /// shards; each shard accumulates its verdict words privately.
-  void EvaluateAll(std::span<const TupleSet> objects, BitSpan verdicts,
-                   Executor* executor = nullptr) const;
+  /// `objects.size()`; verdicts land in question order.
+  void EvaluateAll(std::span<const TupleSet> objects, BitSpan verdicts) const;
 
   /// Convenience variants over owned vector<bool> storage (non-oracle
   /// callers: brute-force sweeps, construction self-tests).

@@ -8,8 +8,8 @@
 // Oracles answer one question at a time (IsAnswer) or a whole round at
 // once (IsAnswerBatch). The batch entry point is the seam for oracle
 // backends that amortize per-question cost — compiled bulk evaluation,
-// cache partitioning, version-space pruning, executor-sharded evaluation
-// (AsyncOracle in pipeline.h) — while the learners stay backend-agnostic.
+// cache partitioning, version-space pruning — while the learners stay
+// backend-agnostic.
 //
 // Answers travel as bits: the caller supplies a BitSpan over reusable
 // storage (BitVec), so a round allocates nothing anywhere in the stack.
@@ -51,8 +51,8 @@ class MembershipOracle {
   /// evolution, same decorator statistics and transcripts. Overrides are
   /// pure optimizations of that sequential semantics (bulk compiled
   /// evaluation, miss-only forwarding, one version-space partition per
-  /// round, executor-sharded evaluation); tests/oracle_batch_test.cc pins
-  /// every override against the default question-for-question path.
+  /// round); tests/oracle_batch_test.cc pins every override against the
+  /// default question-for-question path.
   ///
   /// `answers.size()` must equal `questions.size()`; answer i is written
   /// to bit i. The caller owns the storage (typically a per-loop BitVec).

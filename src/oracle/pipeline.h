@@ -18,13 +18,13 @@
 // MembershipOracle (it terminates the chain); a Stage is a MembershipOracle
 // constructible from the oracle below it plus stage-specific arguments.
 //
-// AsyncOracle is the concurrent backend the service layer plugs in: it
-// answers from a shared compiled query and executes large rounds on an
-// Executor via CompiledQuery::EvaluateAll. Answers land in question order
-// no matter how the executor schedules the shards, so every decorator
-// above it — including NoisyOracle, whose flip draws consume the seed in
-// question order — observes exactly the sequential semantics
-// (differentially pinned in tests/oracle_batch_test.cc).
+// AsyncOracle is the simulated-user backend the service layer plugs in: it
+// answers from a compiled query shared across sessions and evaluates each
+// round inline on the asking session's lane via CompiledQuery::EvaluateAll.
+// Answers land in question order, so every decorator above it — including
+// NoisyOracle, whose flip draws consume the seed in question order —
+// observes exactly the sequential semantics (differentially pinned in
+// tests/oracle_batch_test.cc).
 
 #ifndef QHORN_ORACLE_PIPELINE_H_
 #define QHORN_ORACLE_PIPELINE_H_
@@ -35,7 +35,6 @@
 #include <vector>
 
 #include "src/oracle/oracle.h"
-#include "src/util/executor.h"
 
 namespace qhorn {
 
@@ -89,16 +88,13 @@ class OraclePipeline {
 
 /// Concurrent simulated-user backend: answers from a compiled query shared
 /// across sessions (the SessionRouter's compiled-query cache hands these
-/// out) and shards large rounds across the executor. The compiled form is
-/// immutable and accessed read-only, so any number of AsyncOracles — and
-/// any number of concurrent rounds — may share one.
+/// out). The compiled form is immutable and accessed read-only, so any
+/// number of AsyncOracles — and any number of concurrent rounds on
+/// different lanes — may share one.
 class AsyncOracle : public MembershipOracle {
  public:
-  /// Neither pointer is owned; `executor` may be null (inline evaluation,
-  /// useful as the differential baseline of the parallel path).
-  AsyncOracle(std::shared_ptr<const CompiledQuery> compiled,
-              Executor* executor)
-      : compiled_(std::move(compiled)), executor_(executor) {}
+  explicit AsyncOracle(std::shared_ptr<const CompiledQuery> compiled)
+      : compiled_(std::move(compiled)) {}
 
   bool IsAnswer(const TupleSet& question) override {
     return compiled_->Evaluate(question);
@@ -106,14 +102,13 @@ class AsyncOracle : public MembershipOracle {
 
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override {
-    compiled_->EvaluateAll(questions, answers, executor_);
+    compiled_->EvaluateAll(questions, answers);
   }
 
   const CompiledQuery& compiled() const { return *compiled_; }
 
  private:
   std::shared_ptr<const CompiledQuery> compiled_;
-  Executor* executor_;
 };
 
 }  // namespace qhorn

@@ -89,17 +89,12 @@ const char* ToString(ResumeMode m) {
 SessionRouter::SessionRouter() : SessionRouter(Options()) {}
 
 SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
-  // Options.threads counts *session lanes*. Session jobs are Post()ed and
-  // the submitting thread sleeps in Drain(), so only the executor's
-  // workers (concurrency - 1 of them) ever run jobs — ask for one more
-  // lane so `threads` sessions really do run concurrently. threads == 1
-  // stays the synchronous inline executor (the differential baseline).
+  // Options.threads counts session lanes; threads == 1 stays the
+  // synchronous inline executor (the differential baseline).
   if (options_.executor != nullptr) {
     exec_ = options_.executor;
   } else {
-    int lanes = options_.threads <= 0 ? Executor::DefaultConcurrency()
-                                      : options_.threads;
-    owned_executor_ = std::make_unique<Executor>(lanes == 1 ? 1 : lanes + 1);
+    owned_executor_ = std::make_unique<Executor>(options_.threads);
     exec_ = owned_executor_.get();
   }
   if (options_.compiled_cache != nullptr) {
@@ -181,8 +176,7 @@ SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
 
 SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
                                                       EvalOptions opts) {
-  auto backend = std::make_unique<AsyncOracle>(
-      cache_->Get(intended, opts), exec_);
+  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
   MembershipOracle* user = backend.get();
   return OpenInternal(intended.n(), user, std::move(backend), nullptr);
 }

@@ -13,8 +13,8 @@
 //   * Simulated users opened through OpenSimulated share compiled queries
 //     via a cache keyed by canonical form (Proposition 4.1: equal forms ⇒
 //     identical answers), so a thousand sessions against a hundred target
-//     queries compile each query once — and their AsyncOracle backends
-//     additionally shard large rounds across the same executor.
+//     queries compile each query once. Their AsyncOracle backends
+//     evaluate each round inline on the session's own lane.
 //
 // Pending-round continuations (OpenPending): a *real* user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
@@ -224,9 +224,7 @@ class SessionRouter {
     /// Concurrent session lanes (worker threads running session jobs);
     /// ≤ 0 means Executor::DefaultConcurrency() (which honours
     /// QHORN_THREADS). 1 degrades to synchronous in-caller execution —
-    /// the differential baseline. The router sizes its executor one lane
-    /// wider than this, since the thread that submits jobs sleeps in
-    /// Drain() rather than running them. Ignored when `executor` is set.
+    /// the differential baseline. Ignored when `executor` is set.
     int threads = 0;
     QuerySession::Options session;
     /// Resume protocol for pending sessions.
@@ -261,8 +259,8 @@ class SessionRouter {
   SessionId Open(int n, MembershipOracle* user);
 
   /// Opens a session against a simulated user holding `intended`: the
-  /// compiled form comes from the shared cache and rounds are sharded
-  /// across the router's executor (AsyncOracle backend). The router owns
+  /// compiled form comes from the shared cache and each round is evaluated
+  /// inline on the session's lane (AsyncOracle backend). The router owns
   /// the backend.
   SessionId OpenSimulated(const Query& intended,
                           EvalOptions opts = EvalOptions());

@@ -8,14 +8,10 @@ namespace qhorn {
 
 ShardedRouter::ShardedRouter(Options options) {
   QHORN_CHECK_MSG(options.shards >= 1, "ShardedRouter needs >= 1 shard");
-  // Same lane arithmetic as SessionRouter: `threads` counts session lanes,
-  // the pool gets one extra worker because the submitting thread sleeps in
-  // Drain() rather than running jobs, and 1 stays the synchronous inline
-  // executor (the differential baseline — even with many shards, every
-  // runner then executes in the caller).
-  int lanes = options.threads <= 0 ? Executor::DefaultConcurrency()
-                                   : options.threads;
-  executor_ = std::make_unique<Executor>(lanes == 1 ? 1 : lanes + 1);
+  // `threads` counts session lanes across all shards; 1 stays the
+  // synchronous inline executor (the differential baseline — even with
+  // many shards, every runner then executes in the caller).
+  executor_ = std::make_unique<Executor>(options.threads);
   shards_.reserve(static_cast<size_t>(options.shards));
   for (int i = 0; i < options.shards; ++i) {
     SessionRouter::Options shard;

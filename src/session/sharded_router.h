@@ -8,7 +8,7 @@
 // cheap-to-share part:
 //
 //   * one Executor: lanes are a machine-wide resource; every shard posts
-//     its runner tasks to the same work-stealing pool (Options.threads is
+//     its runner tasks to the same one-queue pool (Options.threads is
 //     the TOTAL lane count, not per-shard).
 //   * one CompiledQueryCache: a query compiled once is compiled once
 //     service-wide. The cache is striped internally, so sharing it does

@@ -9,9 +9,7 @@
 // whole oracle stack writes verdict bits in place with zero allocation.
 //
 // Concurrency contract: Set() is a non-atomic read-modify-write of a
-// 64-bit word. Concurrent writers (the parallel EvaluateAll shards) must
-// own disjoint *word* ranges — i.e. partition the index space at positions
-// where word_index() changes — not merely disjoint bit ranges.
+// 64-bit word, so a span has one writer at a time.
 
 #ifndef QHORN_UTIL_BIT_SPAN_H_
 #define QHORN_UTIL_BIT_SPAN_H_
@@ -51,9 +49,6 @@ class BitSpan {
   BitSpan Subspan(size_t pos) const {
     return BitSpan(words_, offset_ + pos, size_ - pos);
   }
-
-  /// Word index bit i lives in — parallel writers partition on this.
-  size_t word_index(size_t i) const { return (offset_ + i) >> 6; }
 
  private:
   uint64_t* words_ = nullptr;

@@ -14,11 +14,6 @@
 // aspiration. Verified chains (each inner acquisition happens while the
 // outer lock is held):
 //
-//   kExecutorSleep < kExecutorQueue
-//     Executor::WorkerLoop / ParallelFor wait predicates call
-//     HasPendingTask() — which takes each queue mutex in turn — while
-//     holding sleep_mutex_.
-//
 //   kDurableRouter < kRouterShard < kWalShard < kFaultFs / kFs
 //     The PR 9 durability chain: DurableRouter releases its id-map mutex
 //     before calling into the router (so holding it across the call would
@@ -32,6 +27,8 @@
 //
 // Everything else is a leaf — nothing is acquired while holding it:
 //
+//   kExecutor      the Executor's one task queue; tasks run with it
+//                  released.
 //   kRouterPoll    SessionRouter::PendingRounds serialization; only the
 //                  lock-free announcement stack and per-session atomics
 //                  are touched under it.
@@ -40,9 +37,9 @@
 //   kMemo          the CompactAntichainsOfWidth memo cache in
 //                  src/core/enumerate.cc.
 //
-// The executor ranks sit at the very bottom deliberately: no legitimate
+// The executor rank sits at the very bottom deliberately: no legitimate
 // path takes an executor lock while holding a service lock, and ranking
-// them lowest turns "Post() while holding a router mutex" — which would
+// it lowest turns "Post() while holding a router mutex" — which would
 // deadlock outright at concurrency 1, where Post runs the task inline —
 // into a loud rank violation in every checked build.
 //
@@ -57,8 +54,7 @@
 namespace qhorn {
 
 enum class LockRank : int {
-  kExecutorSleep = 10,  // Executor::sleep_mutex_
-  kExecutorQueue = 20,  // Executor worker/injection/helpers queues
+  kExecutor = 10,       // Executor::mutex_ (leaf)
   kDurableRouter = 30,  // DurableRouter id maps
   kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
   kRouterPoll = 45,     // SessionRouter::poll_mutex_ (leaf)
@@ -72,8 +68,7 @@ enum class LockRank : int {
 /// Human-readable rank for rank-violation diagnostics.
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
-    case LockRank::kExecutorSleep: return "executor-sleep";
-    case LockRank::kExecutorQueue: return "executor-queue";
+    case LockRank::kExecutor: return "executor";
     case LockRank::kDurableRouter: return "durable-router";
     case LockRank::kRouterShard: return "router-shard";
     case LockRank::kRouterPoll: return "router-poll";

@@ -87,8 +87,8 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   SessionRouter::Options opts;
   opts.threads = kLanes;
   SessionRouter router(opts);
-  ASSERT_EQ(router.executor()->concurrency(), kLanes + 1)
-      << "the router's pool is lanes + the draining caller, nothing more";
+  ASSERT_EQ(router.executor()->concurrency(), kLanes)
+      << "the router's pool is exactly its session lanes";
 
   // Ground truth per session — also the answer source for the sync arm,
   // so both arms see the exact same labelling of every question.

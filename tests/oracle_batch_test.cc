@@ -30,7 +30,6 @@
 #include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/session/session.h"
-#include "src/util/executor.h"
 #include "src/verify/verifier.h"
 
 namespace qhorn {
@@ -418,10 +417,10 @@ INSTANTIATE_TEST_SUITE_P(
 // ---------------------------------------------------------------------------
 // Pipeline composition and the concurrent backend. The OraclePipeline must
 // wire the identical stack the hand-built chains above use, and the
-// AsyncOracle backend — rounds sharded across an executor — must be
-// invisible: same answers in question order, same decorator statistics,
-// same noise draws. SequentialOracle is itself a pipeline stage, so the
-// reference arm is one extra Push.
+// AsyncOracle backend's batched rounds must be invisible: same answers in
+// question order, same decorator statistics, same noise draws.
+// SequentialOracle is itself a pipeline stage, so the reference arm is one
+// extra Push.
 
 RunRecord RunPipelineStack(MembershipOracle* backend, const Workload& drive,
                            bool force_sequential) {
@@ -455,14 +454,14 @@ void ExpectRecordsEqual(const RunRecord& batched, const RunRecord& sequential,
   }
 }
 
-/// Rounds wide enough to cross CompiledQuery::kParallelRoundCutover, with
-/// in-round duplicates so the cache partition feeds the parallel backend
-/// miss rounds of a different width than the posed rounds.
+/// Rounds of 1061 questions, far wider than any learner round, with
+/// in-round duplicates so the cache partition feeds the backend miss
+/// rounds of a different width than the posed rounds.
 Workload WideRoundWorkload(int n, uint64_t seed) {
   return [n, seed](MembershipOracle* top) {
     Rng rng(seed);
     std::string payload;
-    size_t width = 2 * CompiledQuery::kParallelRoundCutover + 37;
+    size_t width = 1061;
     for (int round = 0; round < 3; ++round) {
       std::vector<TupleSet> batch;
       batch.reserve(width);
@@ -491,20 +490,19 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
   auto [n, seed] = GetParam();
   Query target = RandomRp(n, seed);
   auto compiled = std::make_shared<const CompiledQuery>(target);
-  Executor executor(4);
 
   for (const auto& [name, workload] :
        std::vector<std::pair<std::string, Workload>>{
            {"rp-learn", RpWorkload(n)},
            {"wide", WideRoundWorkload(n, seed)}}) {
-    // Batched arm: executor-sharded rounds. Sequential arm: the identical
-    // backend decomposed question for question (never reaches the
-    // parallel path — it is the semantics being preserved).
-    AsyncOracle parallel_backend(compiled, &executor);
-    RunRecord batched = RunPipelineStack(&parallel_backend, workload,
+    // Batched arm: whole rounds through CompiledQuery::EvaluateAll.
+    // Sequential arm: the identical backend decomposed question for
+    // question — the semantics being preserved.
+    AsyncOracle batched_backend(compiled);
+    RunRecord batched = RunPipelineStack(&batched_backend, workload,
                                          /*force_sequential=*/false);
-    AsyncOracle inline_backend(compiled, nullptr);
-    RunRecord sequential = RunPipelineStack(&inline_backend, workload,
+    AsyncOracle sequential_backend(compiled);
+    RunRecord sequential = RunPipelineStack(&sequential_backend, workload,
                                             /*force_sequential=*/true);
     ExpectRecordsEqual(batched, sequential,
                        "pipeline+async " + name + " n=" + std::to_string(n) +
@@ -516,11 +514,10 @@ TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
   auto [n, seed] = GetParam();
   Query target = RandomRp(n, seed);
   auto compiled = std::make_shared<const CompiledQuery>(target);
-  Executor executor(4);
 
-  // The noise stage sits between the concurrent backend and the counting
-  // decorators: however the executor schedules the shards below it, the
-  // flip draws must consume the seed in question order.
+  // The noise stage sits between the backend and the counting decorators:
+  // whether the round below it arrives batched or question by question,
+  // the flip draws must consume the seed in question order.
   auto run = [&](MembershipOracle* backend, bool force_sequential) {
     OraclePipeline pipeline(backend);
     pipeline.Push<NoisyOracle>(0.25, /*seed=*/seed ^ 0xf1f5ULL);
@@ -530,9 +527,9 @@ TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
     payload += " answers=" + std::to_string(counting->stats().answers);
     return payload;
   };
-  AsyncOracle parallel_backend(compiled, &executor);
-  AsyncOracle inline_backend(compiled, nullptr);
-  EXPECT_EQ(run(&parallel_backend, false), run(&inline_backend, true))
+  AsyncOracle batched_backend(compiled);
+  AsyncOracle sequential_backend(compiled);
+  EXPECT_EQ(run(&batched_backend, false), run(&sequential_backend, true))
       << "n=" << n << " seed=" << seed;
 }
 

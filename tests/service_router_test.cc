@@ -14,7 +14,9 @@
 #include <cstdlib>
 #include <memory>
 #include <mutex>
+#include <set>
 #include <string>
+#include <thread>
 #include <tuple>
 #include <vector>
 
@@ -32,51 +34,97 @@ namespace {
 // ---------------------------------------------------------------------------
 // Executor.
 
-TEST(ExecutorTest, ParallelForCoversTheRangeExactlyOnce) {
-  for (int threads : {1, 2, 4, 8}) {
-    Executor executor(threads);
-    EXPECT_EQ(executor.concurrency(), threads);
-    std::vector<std::atomic<int>> hits(1000);
-    executor.ParallelFor(1000, 64, [&](size_t begin, size_t end) {
-      if (begin != 1000) {
-        EXPECT_EQ(begin % 64, 0u) << "shard boundaries must be grain-aligned";
-      }
-      for (size_t i = begin; i < end; ++i) {
-        hits[i].fetch_add(1, std::memory_order_relaxed);
-      }
-    });
-    for (size_t i = 0; i < hits.size(); ++i) {
-      EXPECT_EQ(hits[i].load(), 1) << "index " << i << " threads " << threads;
+/// Four producer threads Post kTasks tasks between them; every
+/// kChildEvery-th task Posts a child from its lane. Records, per task, how
+/// often it ran and which thread ran it, and the producers' thread ids.
+struct ProducerRun {
+  static constexpr int kProducers = 4;
+  static constexpr int kTasks = 10000;
+  static constexpr int kChildEvery = 7;
+  static constexpr int kChildren = (kTasks + kChildEvery - 1) / kChildEvery;
+
+  std::vector<std::atomic<int>> parent_runs;
+  std::vector<std::atomic<int>> child_runs;
+  std::vector<std::thread::id> parent_thread;
+  std::vector<std::thread::id> child_thread;
+  std::vector<std::thread::id> producer_ids;
+
+  explicit ProducerRun(Executor* executor)
+      : parent_runs(kTasks),
+        child_runs(kChildren),
+        parent_thread(kTasks),
+        child_thread(kChildren),
+        producer_ids(kProducers) {
+    std::atomic<int> done{0};
+    std::vector<std::thread> producers;
+    for (int p = 0; p < kProducers; ++p) {
+      producers.emplace_back([this, executor, p, &done] {
+        producer_ids[static_cast<size_t>(p)] = std::this_thread::get_id();
+        for (int i = p; i < kTasks; i += kProducers) {
+          executor->Post([this, executor, i, &done] {
+            parent_runs[static_cast<size_t>(i)].fetch_add(1);
+            parent_thread[static_cast<size_t>(i)] = std::this_thread::get_id();
+            if (i % kChildEvery == 0) {
+              size_t c = static_cast<size_t>(i / kChildEvery);
+              executor->Post([this, c, &done] {
+                child_runs[c].fetch_add(1);
+                child_thread[c] = std::this_thread::get_id();
+                done.fetch_add(1, std::memory_order_release);
+              });
+            }
+            done.fetch_add(1, std::memory_order_release);
+          });
+        }
+      });
+    }
+    for (std::thread& t : producers) t.join();
+    while (done.load(std::memory_order_acquire) < kTasks + kChildren) {
+      std::this_thread::yield();
+    }
+  }
+};
+
+TEST(ExecutorTest, ProducersAndLaneChildrenRunExactlyOnce) {
+  for (int lanes : {2, 4, 8}) {
+    Executor executor(lanes);
+    EXPECT_EQ(executor.concurrency(), lanes);
+    ProducerRun run(&executor);
+    std::set<std::thread::id> runners;
+    for (int i = 0; i < ProducerRun::kTasks; ++i) {
+      ASSERT_EQ(run.parent_runs[static_cast<size_t>(i)].load(), 1)
+          << "task " << i << " lanes " << lanes;
+      runners.insert(run.parent_thread[static_cast<size_t>(i)]);
+    }
+    for (int c = 0; c < ProducerRun::kChildren; ++c) {
+      ASSERT_EQ(run.child_runs[static_cast<size_t>(c)].load(), 1)
+          << "child " << c << " lanes " << lanes;
+      runners.insert(run.child_thread[static_cast<size_t>(c)]);
+    }
+    EXPECT_LE(runners.size(), static_cast<size_t>(lanes))
+        << "only the pool's own workers run tasks";
+    for (std::thread::id producer : run.producer_ids) {
+      EXPECT_EQ(runners.count(producer), 0u)
+          << "a multi-lane Post never runs its task in the caller";
     }
   }
 }
 
-TEST(ExecutorTest, ParallelForHandlesEmptyAndTinyRanges) {
-  Executor executor(4);
-  int calls = 0;
-  executor.ParallelFor(0, 64, [&](size_t, size_t) { ++calls; });
-  EXPECT_EQ(calls, 0);
-  std::atomic<int> sum{0};
-  executor.ParallelFor(3, 64, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) sum.fetch_add(static_cast<int>(i));
-  });
-  EXPECT_EQ(sum.load(), 0 + 1 + 2);
-}
-
-TEST(ExecutorTest, NestedParallelForDoesNotDeadlock) {
-  Executor executor(4);
-  std::atomic<int> total{0};
-  // Every outer shard issues an inner loop on the same pool; with all
-  // lanes blocked in outer waits, progress depends on the waiters
-  // draining helper tasks.
-  executor.ParallelFor(8, 1, [&](size_t begin, size_t end) {
-    for (size_t i = begin; i < end; ++i) {
-      executor.ParallelFor(256, 64, [&](size_t b, size_t e) {
-        total.fetch_add(static_cast<int>(e - b), std::memory_order_relaxed);
-      });
+TEST(ExecutorTest, OneLaneRunsEveryTaskInItsCaller) {
+  Executor executor(1);
+  EXPECT_EQ(executor.concurrency(), 1);
+  ProducerRun run(&executor);
+  for (int i = 0; i < ProducerRun::kTasks; ++i) {
+    ASSERT_EQ(run.parent_runs[static_cast<size_t>(i)].load(), 1) << i;
+    // Task i was posted by producer i % kProducers; a child by its parent.
+    std::thread::id poster =
+        run.producer_ids[static_cast<size_t>(i % ProducerRun::kProducers)];
+    EXPECT_EQ(run.parent_thread[static_cast<size_t>(i)], poster) << i;
+    if (i % ProducerRun::kChildEvery == 0) {
+      size_t c = static_cast<size_t>(i / ProducerRun::kChildEvery);
+      ASSERT_EQ(run.child_runs[c].load(), 1) << "child " << c;
+      EXPECT_EQ(run.child_thread[c], poster) << "child " << c;
     }
-  });
-  EXPECT_EQ(total.load(), 8 * 256);
+  }
 }
 
 TEST(ExecutorTest, PostRunsInlineAtConcurrencyOne) {
@@ -94,32 +142,6 @@ TEST(ExecutorTest, QhornThreadsOverridesDefaultConcurrency) {
   EXPECT_GE(Executor::DefaultConcurrency(), 1);
   unsetenv("QHORN_THREADS");
   EXPECT_GE(Executor::DefaultConcurrency(), 1);
-}
-
-// ---------------------------------------------------------------------------
-// Parallel EvaluateAll: sharded verdicts must equal inline verdicts.
-
-TEST(ParallelEvaluateAllTest, ShardedEqualsInline) {
-  Rng rng(11);
-  RpOptions qopts;
-  qopts.num_heads = 2;
-  qopts.theta = 2;
-  qopts.num_conjunctions = 3;
-  Query q = RandomRolePreserving(16, rng, qopts);
-  CompiledQuery compiled(q);
-  size_t count = 2 * CompiledQuery::kParallelRoundCutover + 101;
-  std::vector<TupleSet> objects;
-  for (size_t i = 0; i < count; ++i) {
-    objects.push_back(RandomObject(16, rng, 8));
-  }
-  BitVec inline_bits;
-  compiled.EvaluateAll(objects, inline_bits.Prepare(count), nullptr);
-  Executor executor(4);
-  BitVec parallel_bits;
-  compiled.EvaluateAll(objects, parallel_bits.Prepare(count), &executor);
-  for (size_t i = 0; i < count; ++i) {
-    ASSERT_EQ(parallel_bits.Get(i), inline_bits.Get(i)) << "object " << i;
-  }
 }
 
 // ---------------------------------------------------------------------------

@@ -51,14 +51,13 @@ HEADLINE_PAIRS = [
     # One-question rounds must stay within noise of a plain IsAnswer — the
     # contract that let the learners drop their singleton short-circuits.
     ("BM_OracleBatchBatched/1", "BM_OracleBatchSequential/1"),
-    # Concurrency pairs: the identical round / fleet on the executor vs one
-    # lane, compared on *wall-clock* (the work runs on pool threads, so the
+    # Concurrency pair: the identical fleet on the executor vs one lane,
+    # compared on *wall-clock* (the work runs on pool threads, so the
     # benchmark thread's cpu_time under-counts — these benchmarks use
     # UseRealTime and load_times() reads real_time for them). The upside is
     # machine-dependent (a 1-core runner measures ~1.0×), so the ratio gate
     # only guards against the parallel path *regressing* relative to the
     # committed reference machine's ratio.
-    ("BM_OracleBatchParallel/4096/real_time", "BM_OracleBatchBatched/4096"),
     ("BM_ServiceThroughput/16/real_time", "BM_ServiceSequential/16/real_time"),
     # Open-sessions-vs-lanes: 64 pending (suspend/replay) sessions vs the
     # identical direct fleet on the same 4 lanes. The ratio is *below* 1x
@@ -105,7 +104,6 @@ ABSOLUTE_HEADLINES = [
 # recorded wide would fail a narrower runner spuriously, and a 1-lane
 # baseline would gate nothing while pretending to.
 CONCURRENCY_DEPENDENT = {
-    "BM_OracleBatchParallel/4096/real_time",
     "BM_ServiceThroughput/16/real_time",
     "BM_ServiceOpenSessions/64/real_time",
     "BM_RouterContention/4096/8/real_time",
