@@ -182,6 +182,18 @@ std::vector<PendingRound> DurableRouter::PendingRounds() {
   return rounds;
 }
 
+std::optional<PendingRound> DurableRouter::pending_round(SessionId id) {
+  SessionId internal;
+  {
+    MutexLock lock(&mutex_);
+    internal = InternalOf(id);
+  }
+  if (internal == 0) return std::nullopt;
+  std::optional<PendingRound> round = router_->pending_round(internal);
+  if (round.has_value()) round->session_id = id;
+  return round;
+}
+
 void DurableRouter::Drain() { router_->Drain(); }
 
 std::optional<SessionStatus> DurableRouter::status(SessionId id) {

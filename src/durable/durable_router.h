@@ -37,9 +37,13 @@
 // across shards.
 //
 // The poll: PendingRounds() takes the facade's merged, router-id-ordered
-// list and rewrites each id through the dense map in one pass under the
-// wrapper's mutex. Session e lives on router shard (e − 1) mod shards,
-// which makes the k-th session of that shard external id
+// list of the rounds announced since the last poll (each round is
+// delivered once; pending_round(id) re-reads one) and rewrites each id
+// through the dense map in one pass under the wrapper's mutex. A
+// recovered router announces every round its replay left awaiting, so
+// the first poll after Recover delivers all of them again. Session e
+// lives on router shard (e − 1) mod shards, which makes the k-th session
+// of that shard external id
 // (k − 1)·shards + shard + 1 and router id k·shards + shard — the same
 // order. So when sessions were opened one after another, the facade's
 // order already is the external order and nothing is sorted; the pass
@@ -134,9 +138,17 @@ class DurableRouter {
   /// committed (retryable; recovery skips a duplicate close).
   bool Close(SessionId id);
 
-  /// Every awaiting round, by value, carrying external ids and ordered by
-  /// them (see the file comment for how the order comes for free).
+  /// The rounds announced since the last poll and still awaiting, by
+  /// value, carrying external ids and ordered by them (see the file
+  /// comment for how the order comes for free). Each round is delivered by
+  /// exactly one poll; the first poll after Recover delivers every
+  /// awaiting round.
   std::vector<PendingRound> PendingRounds();
+
+  /// The round `id` is blocked on, in external-id form: the way to re-read
+  /// a round the poll already delivered. nullopt for an unknown or
+  /// unmapped id, and for a closed or not-awaiting session.
+  std::optional<PendingRound> pending_round(SessionId id);
 
   void Drain();
   std::optional<SessionStatus> status(SessionId id);

@@ -132,18 +132,6 @@ SessionRouter::~SessionRouter() {
     }
   }
   for (SessionState* state : parked) UnwindFiber(state);
-  // Free announcement nodes for rounds still pending at teardown — both
-  // the batch never popped and the retained poll set. No producer is live
-  // (workers joined above), so the pop is race-free.
-  for (AnnouncementNode* node = announced_rounds_.PopAll(); node != nullptr;) {
-    AnnouncementNode* next = node->next;
-    delete node;
-    node = next;
-  }
-  {
-    MutexLock poll_lock(&poll_mutex_);
-    live_announcements_.clear();
-  }
 }
 
 void SessionRouter::UnwindFiber(SessionState* state) {
@@ -567,65 +555,35 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
 }
 
 void SessionRouter::AnnounceRound(SessionState* state) {
-  state->announcement = new AnnouncementNode(*state->pending_round);
-  announced_rounds_.Push(state->announcement);
+  state->announced_slot = announced_rounds_.size();
+  state->announced_batch = announce_batch_;
+  announced_rounds_.push_back(*state->pending_round);
 }
 
-void SessionRouter::RetireAnnouncement(SessionState* state) {
-  // The release store is this side's last touch of the node: once the poll
-  // observes the flag it may free the node at any moment.
-  state->announcement->value.retired.store(true, std::memory_order_release);
-  state->announcement = nullptr;
+void SessionRouter::RetireRound(SessionState* state) {
+  // A round some poll already took is the caller's to drop.
+  if (state->announced_batch != announce_batch_) return;
+  state->announced_batch = 0;
+  const size_t slot = state->announced_slot;
+  if (slot + 1 != announced_rounds_.size()) {
+    announced_rounds_[slot] = std::move(announced_rounds_.back());
+    FindSession(announced_rounds_[slot].session_id)->announced_slot = slot;
+  }
+  announced_rounds_.pop_back();
 }
 
 std::vector<PendingRound> SessionRouter::PendingRounds() {
-  MutexLock poll_lock(&poll_mutex_);
-  // The freshly announced batch (one atomic exchange), in session order.
-  for (AnnouncementNode* node = announced_rounds_.PopAll(); node != nullptr;) {
-    AnnouncementNode* next = node->next;
-    fresh_announcements_.emplace_back(node);
-    node = next;
-  }
-  const auto session_of = [](const std::unique_ptr<AnnouncementNode>& node) {
-    return node->value.round.session_id;
-  };
-  std::sort(fresh_announcements_.begin(), fresh_announcements_.end(),
-            [&](const auto& a, const auto& b) {
-              return session_of(a) < session_of(b);
-            });
-  // Merge it into the retained list, which is already in session order.
-  // A node whose round was answered, corrected away or closed is freed;
-  // every other node is reported. A session has at most one unretired
-  // node: its previous round was retired before it could run again.
   std::vector<PendingRound> rounds;
-  rounds.reserve(live_announcements_.size() + fresh_announcements_.size());
-  merged_announcements_.reserve(live_announcements_.size() +
-                                fresh_announcements_.size());
-  auto live = live_announcements_.begin();
-  auto fresh = fresh_announcements_.begin();
-  while (live != live_announcements_.end() ||
-         fresh != fresh_announcements_.end()) {
-    const bool take_live =
-        fresh == fresh_announcements_.end() ||
-        (live != live_announcements_.end() &&
-         session_of(*live) <= session_of(*fresh));
-    std::unique_ptr<AnnouncementNode>& node = take_live ? *live++ : *fresh++;
-    if (node->value.retired.load(std::memory_order_acquire)) {
-      node.reset();
-      continue;
-    }
-    rounds.push_back(node->value.round);
-    merged_announcements_.push_back(std::move(node));
+  {
+    MutexLock lock(&mutex_);
+    rounds.swap(announced_rounds_);
+    ++announce_batch_;  // every slot into the taken vector is now stale
   }
-  live_announcements_.swap(merged_announcements_);
-  merged_announcements_.clear();
-  fresh_announcements_.clear();
+  std::sort(rounds.begin(), rounds.end(),
+            [](const PendingRound& a, const PendingRound& b) {
+              return a.session_id < b.session_id;
+            });
   return rounds;
-}
-
-size_t SessionRouter::retained_announcements() {
-  MutexLock poll_lock(&poll_mutex_);
-  return live_announcements_.size();
 }
 
 ProvideOutcome SessionRouter::ProvideAnswers(SessionId id, int64_t round_id,
@@ -687,8 +645,7 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
           std::move(round.questions[i]), answers.Get(i), round.round_id});
     }
     ++state->answered_rounds;
-    // The answered round's node is dead; the next poll frees it.
-    RetireAnnouncement(state);
+    RetireRound(state);
     state->pending_round.reset();
     state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
@@ -734,7 +691,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // destructors, so it happens on a lane, never under this lock).
     state->fiber_cancel = state->fiber != nullptr;
     state->staged_answers.clear();
-    RetireAnnouncement(state);  // the abandoned round's node is dead
+    RetireRound(state);  // the abandoned round is never delivered
     state->pending_round.reset();
     state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size());
@@ -764,7 +721,7 @@ bool SessionRouter::Close(SessionId id) {
   if (state->awaiting) {
     // The user will never answer; abandon the round. The session's
     // uncompleted jobs were uncounted at suspension, so nothing waits.
-    RetireAnnouncement(state);
+    RetireRound(state);
     state->pending_round.reset();
     state->awaiting = false;
   }

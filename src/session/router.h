@@ -23,9 +23,9 @@
 // the job off its lane (parking its fiber, or unwinding it with
 // JobSuspended, src/util/suspend.h) — the lane is released the moment
 // control is back in the runner, so 256 sessions all blocked on users
-// occupy zero threads. The embedding server polls PendingRounds()
-// (or renders them as they appear), collects the user's labels, and calls
-// ProvideAnswers(id, round_id, answers); the router then resumes the
+// occupy zero threads. The embedding server polls PendingRounds() for the
+// rounds announced since its last poll, collects the user's labels, and
+// calls ProvideAnswers(id, round_id, answers); the router then resumes the
 // session's jobs. How it resumes is the ResumeMode:
 //
 //   * kFiber (default): the job runs on a Fiber (src/util/fiber.h) and a
@@ -86,7 +86,6 @@
 #include "src/util/executor.h"
 #include "src/util/fiber.h"
 #include "src/util/function_ref.h"
-#include "src/util/mpsc.h"
 
 namespace qhorn {
 
@@ -283,31 +282,27 @@ class SessionRouter {
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// All rounds currently awaiting user answers, by value, ordered by
-  /// session id. The embedding server's poll: render each round's
-  /// questions to its user, then call ProvideAnswers with the labels.
+  /// The rounds announced since the last poll and still awaiting answers,
+  /// by value, ordered by session id. The embedding server's poll: render
+  /// each round's questions to its user, then call ProvideAnswers with the
+  /// labels.
   ///
-  /// Drained through a lock-free MPSC announcement queue: a suspending
-  /// runner copies its round into a heap node and publishes it with one
-  /// atomic push. Each node carries a `retired` flag, which ProvideAnswers,
-  /// CorrectAnswer and Close set — under the router mutex, through the
-  /// session's pointer to its current node — when the round stops being
-  /// answerable. The poll keeps the nodes it has seen in one list sorted
-  /// by session id: it sorts the newly popped batch, merges it in, frees
-  /// every node whose flag is set and copies out the rest. It reads only
-  /// its own nodes — never a session's state and never the router mutex —
-  /// so polling cannot stall (or be stalled by) opens, submits or resumes,
-  /// and the result needs no sort of its own. After Drain() the result is
-  /// exact; a poll racing live runners may transiently omit a round that
-  /// is suspending or include one being answered right now (a stale reply
-  /// then bounces off kStaleRound/kNotAwaiting, exactly like any hostile
-  /// duplicate).
+  /// Edge-triggered (like epoll's EPOLLET): each announced round is
+  /// delivered by exactly one poll, and a round answered, corrected or
+  /// closed before that poll is never delivered. A suspending runner
+  /// appends its round to a plain vector under the router mutex it already
+  /// holds; the poll swaps that vector out in one short critical section,
+  /// then sorts and returns it outside the lock — O(new rounds) per poll,
+  /// whatever the number of parked sessions. Retiring a round that no poll
+  /// has taken yet removes it from the vector in place (see RetireRound).
+  /// The poll keeps no state between calls, so concurrent pollers get
+  /// disjoint batches whose union is every announced round. To re-read a
+  /// round already delivered, use pending_round(id). After Drain() and one
+  /// more poll, the rounds delivered and not yet answered or closed are
+  /// exactly the rounds awaiting; a poll racing live runners may deliver a
+  /// round being answered right now (a stale reply then bounces off
+  /// kStaleRound/kNotAwaiting, exactly like any hostile duplicate).
   std::vector<PendingRound> PendingRounds();
-
-  /// Announcement nodes the poll still holds after its last pass: one per
-  /// round that was awaiting then, none for a retired round. A health
-  /// gauge (and the test that retired nodes are freed).
-  size_t retained_announcements();
 
   /// Feeds a user's labels back into a suspended session. `round_id` must
   /// be the id carried by the session's current PendingRound and
@@ -366,7 +361,8 @@ class SessionRouter {
   /// The round the session is blocked on, if any — nullopt for unknown,
   /// closed, or not-awaiting sessions. A copy, so the recovery replay can
   /// match surfaced rounds against logged answers without racing the
-  /// runner.
+  /// runner. The one way to re-read a round PendingRounds() already
+  /// delivered.
   std::optional<PendingRound> pending_round(SessionId id);
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
@@ -390,8 +386,10 @@ class SessionRouter {
   ///   for (;;) { router.Drain();
   ///              auto rounds = router.PendingRounds();
   ///              if (rounds.empty()) break;
-  ///              /* answer them */ }
-  /// — which terminates once every session has run out of jobs.
+  ///              /* answer every one of them */ }
+  /// — which terminates once every session has run out of jobs. A loop
+  /// that answers only some rounds must keep the rest itself: the poll
+  /// delivers each round once.
   void Drain();
 
   /// The session, for inspection between jobs. The caller must ensure no
@@ -415,20 +413,9 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  /// A parked round as the poll path sees it: the round payload copied at
-  /// suspension, pushed onto announced_rounds_ by the suspending runner.
-  /// The poll reports a node while `retired` is clear and frees it once
-  /// set; the payload never changes after the push.
-  struct RoundAnnouncement {
-    explicit RoundAnnouncement(PendingRound r) : round(std::move(r)) {}
-    PendingRound round;
-    std::atomic<bool> retired{false};
-  };
-  using AnnouncementNode = MpscStack<RoundAnnouncement>::Node;
-
   // Locking protocol: the map shape, queue, job log, counters, the
-  // awaiting/running/closed flags and the announcement pointer are guarded
-  // by the router's mutex_.
+  // awaiting/running/closed flags and the announcement slot are guarded by
+  // the router's mutex_.
   // The resume-state fields (answered_entries, staged_answers, fiber*)
   // follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
@@ -476,11 +463,12 @@ class SessionRouter {
     bool awaiting = false;  // suspended; ProvideAnswers will resume
     bool running = false;   // a runner task currently owns this session
     bool closed = false;
-    // The announcement node of the round this session awaits (null while
-    // not awaiting). Set when the round is published; RetireAnnouncement
-    // flags the node and drops the pointer, after which only the poll
-    // touches the node (and frees it).
-    AnnouncementNode* announcement = nullptr;
+    // Where this session's undelivered round sits in announced_rounds_.
+    // Valid only while announced_batch equals the router's announce_batch_:
+    // a poll bumps that counter as it takes the vector, which invalidates
+    // every slot at once.
+    size_t announced_slot = 0;
+    uint64_t announced_batch = 0;
   };
 
   SessionId OpenInternal(int n, MembershipOracle* user,
@@ -512,11 +500,12 @@ class SessionRouter {
   void UnwindFiber(SessionState* state);
   /// Bumps jobs_done_ and the per-kind counter.
   void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
-  /// Publishes the session's freshly set pending_round to the poll.
+  /// Publishes the session's freshly set pending_round to the next poll.
   void AnnounceRound(SessionState* state) QHORN_REQUIRES(mutex_);
-  /// Marks the session's current announcement dead (the poll frees it)
-  /// and forgets it.
-  void RetireAnnouncement(SessionState* state) QHORN_REQUIRES(mutex_);
+  /// The session's round stops being answerable: if no poll has taken it
+  /// yet, remove it from announced_rounds_ (the last entry moves into its
+  /// slot), so it is never delivered.
+  void RetireRound(SessionState* state) QHORN_REQUIRES(mutex_);
   SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
 
   Options options_;
@@ -527,31 +516,18 @@ class SessionRouter {
 
   // Guards the sessions_ map shape, the per-session queues/bookkeeping
   // (SessionState fields — see the struct comments for the runner-owned
-  // exceptions) and the service counters. One per shard; a DurableRouter
-  // commit hook runs while exactly one of these is held
-  // (LockRank::kRouterShard — the rank checker asserts the invariant in
-  // ProvideAnswersInternal).
+  // exceptions), the announced rounds and the service counters. One per
+  // shard; a DurableRouter commit hook runs while exactly one of these is
+  // held (LockRank::kRouterShard — the rank checker asserts the invariant
+  // in ProvideAnswersInternal).
   Mutex mutex_{"router-shard", LockRank::kRouterShard};
   CondVar idle_cv_;
-  // The pending-round drain: suspending runners publish here (one push per
-  // suspension, lock-free as seen by the consumer), PendingRounds pops the
-  // batch and merges it into live_announcements_ under poll_mutex_ — so the
-  // poll path never takes mutex_ and suspension/resume on this router never
-  // contends with another shard's opens through the facade.
-  MpscStack<RoundAnnouncement> announced_rounds_;
-  // Serializes PendingRounds consumers. A leaf (LockRank::kRouterPoll):
-  // only the announcement stack and the nodes' flags are touched under it,
-  // never mutex_.
-  Mutex poll_mutex_{"router-poll", LockRank::kRouterPoll};
-  // Every node the poll has popped and not yet freed, sorted by session
-  // id. `fresh_announcements_` and `merged_announcements_` are the poll's
-  // scratch lists, kept to reuse their capacity.
-  std::vector<std::unique_ptr<AnnouncementNode>> live_announcements_
-      QHORN_GUARDED_BY(poll_mutex_);
-  std::vector<std::unique_ptr<AnnouncementNode>> fresh_announcements_
-      QHORN_GUARDED_BY(poll_mutex_);
-  std::vector<std::unique_ptr<AnnouncementNode>> merged_announcements_
-      QHORN_GUARDED_BY(poll_mutex_);
+  // Rounds announced since the last poll, at most one per session, in no
+  // particular order. PendingRounds swaps the vector out and bumps
+  // announce_batch_, which starts at 1 so a fresh session's batch (0)
+  // never matches.
+  std::vector<PendingRound> announced_rounds_ QHORN_GUARDED_BY(mutex_);
+  uint64_t announce_batch_ QHORN_GUARDED_BY(mutex_) = 1;
   std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
       QHORN_GUARDED_BY(mutex_);
   SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;

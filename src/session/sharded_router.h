@@ -3,7 +3,7 @@
 // One SessionRouter serializes every protocol call on a single mutex —
 // fine at 64 sessions, a wall at millions. The facade splits the session
 // space across N shards, each a complete SessionRouter with its own mutex,
-// session map and announcement queue, so protocol calls against different
+// session map and announced-round list, so protocol calls against different
 // shards never touch a shared line. What *is* shared is deliberately the
 // cheap-to-share part:
 //
@@ -29,14 +29,14 @@
 // only on its own job and answer sequence, never on which shard hosts it
 // or how many shards exist. The facade adds no cross-shard coordination —
 // Drain() drains shard by shard (jobs never create work on another
-// shard), PendingRounds() merges per-shard lock-free drains, and stats()
-// sums.
+// shard), PendingRounds() merges the shards' polls, and stats() sums.
 //
-// The poll: each shard returns its awaiting rounds already in internal-id
-// order (its retained announcement list is kept sorted), and Encode is
+// The poll: each shard returns the rounds announced since its last poll,
+// already in internal-id order (it sorts its batch), and Encode is
 // monotone in the internal id within one shard, so the facade re-encodes
 // each list in place and k-way merges them — no sort at this layer, and
-// every round is moved, never copied, on its way through.
+// every round is moved, never copied, on its way through. Like a shard's,
+// the merged poll is edge-triggered: each round is delivered once.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -122,8 +122,9 @@ class ShardedRouter {
   bool SubmitVerify(SessionId id, Query candidate);
   bool SubmitRevise(SessionId id, Query candidate);
 
-  /// Every shard's lock-free drain, session ids re-encoded to external
-  /// form, k-way merged into session-id order.
+  /// The rounds announced since the last poll on every shard (each round
+  /// delivered once, see SessionRouter::PendingRounds), session ids
+  /// re-encoded to external form, k-way merged into session-id order.
   std::vector<PendingRound> PendingRounds();
 
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
@@ -132,7 +133,8 @@ class ShardedRouter {
                                 BitSpan answers, CommitHook commit);
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
-  /// The round the session is blocked on (external id form), if any.
+  /// The round the session is blocked on (external id form), if any: the
+  /// way to re-read a round the poll already delivered.
   std::optional<PendingRound> pending_round(SessionId id);
 
   bool Close(SessionId id);

@@ -23,15 +23,14 @@
 //     across WritableFile::Append/Sync), and MemFs/FaultFs lock their own
 //     mutex inside the file operations. FaultFs releases its mutex before
 //     delegating to the base file, but it ranks below kFs so holding it
-//     across the call would also be legal.
+//     across the call would also be legal. The pending-round poll takes a
+//     shard mutex only to swap out the rounds announced since the last
+//     poll, and calls nothing while holding it.
 //
 // Everything else is a leaf — nothing is acquired while holding it:
 //
 //   kExecutor      the Executor's one task queue; tasks run with it
 //                  released.
-//   kRouterPoll    SessionRouter::PendingRounds serialization; only the
-//                  lock-free announcement stack and per-session atomics
-//                  are touched under it.
 //   kCacheStripe   CompiledQueryCache stripes; compiles happen *outside*
 //                  all locks, the stripe lock covers only map probes.
 //   kMemo          the CompactAntichainsOfWidth memo cache in
@@ -57,7 +56,6 @@ enum class LockRank : int {
   kExecutor = 10,       // Executor::mutex_ (leaf)
   kDurableRouter = 30,  // DurableRouter id maps
   kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
-  kRouterPoll = 45,     // SessionRouter::poll_mutex_ (leaf)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex
@@ -71,7 +69,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kExecutor: return "executor";
     case LockRank::kDurableRouter: return "durable-router";
     case LockRank::kRouterShard: return "router-shard";
-    case LockRank::kRouterPoll: return "router-poll";
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kFaultFs: return "fault-fs";
     case LockRank::kFs: return "fs";

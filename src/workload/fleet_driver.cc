@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <map>
 #include <memory>
 #include <string>
 #include <unordered_map>
@@ -102,18 +103,39 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
   BitVec answer_bits;
   BitVec garbage_bits;
   std::vector<PendingRound*> eligible;
+  // Rounds some poll delivered and the driver has not answered or closed,
+  // in session order. The poll delivers each round once, so merging every
+  // poll in makes each sweep see exactly the awaiting rounds, in the order
+  // a poll of the whole awaiting set would list them. A recovered service
+  // re-delivers every awaiting round on its first poll; those must be the
+  // very rounds already held, since recovery is observably a service that
+  // never crashed.
+  std::map<ServiceEndpoint::SessionId, PendingRound> outstanding;
+  bool may_have_recovered = false;
   int64_t tick = 0;
   for (;;) {
     endpoint.Drain();
     if (crash != nullptr && crash->MaybeCrashAtSweep(result.sweeps)) {
-      // The service died and recovered at a round boundary; whatever was
-      // polled before is stale, so re-drain the recovered service and
-      // re-poll. Observables must not notice — that is the differential.
+      // The service died and recovered at a round boundary; re-drain the
+      // recovered service and re-poll. Observables must not notice — that
+      // is the differential.
       ++result.crash_recoveries;
+      may_have_recovered = true;
       continue;
     }
-    std::vector<PendingRound> rounds = endpoint.PendingRounds();
-    if (rounds.empty()) break;
+    for (PendingRound& round : endpoint.PendingRounds()) {
+      const auto [held, fresh] =
+          outstanding.try_emplace(round.session_id, std::move(round));
+      if (!fresh && (!may_have_recovered ||
+                     held->second.round_id != round.round_id)) {
+        fail("a poll delivered round " + std::to_string(round.round_id) +
+             " of session " + std::to_string(round.session_id) +
+             " while round " + std::to_string(held->second.round_id) +
+             " was unanswered");
+      }
+    }
+    may_have_recovered = false;
+    if (outstanding.empty()) break;
     if (!result.ok) break;  // bail once a protocol assertion failed
     ++result.sweeps;
     ++tick;
@@ -122,7 +144,8 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
     // abandoning sessions whose configured round count has been answered —
     // the Close lands while a round is pending, and a late reply for the
     // abandoned round must bounce off kSessionClosed.
-    for (PendingRound& round : rounds) {
+    for (auto it = outstanding.begin(); it != outstanding.end();) {
+      PendingRound& round = it->second;
       size_t idx = index_of.at(round.session_id);
       Delivery& d = delivery[idx];
       const SessionSpec& s = fleet_.sessions[idx];
@@ -138,6 +161,7 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
                             crash->OnLogWriteFailed();
              ++retry) {
           ++result.log_write_retries;
+          may_have_recovered = true;
           closed_ok = endpoint.Close(round.session_id);
         }
         if (!closed_ok) fail("Close rejected a live awaiting session");
@@ -150,15 +174,17 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
           fail("reply to a closed session was not rejected as kSessionClosed");
         }
       }
+      it = d.closed ? outstanding.erase(it) : std::next(it);
     }
 
     // The answerable subset this sweep: open sessions whose simulated user
     // latency has elapsed. Shuffled, and only a fraction answered, so
     // resume order is adversarial with respect to session order.
     eligible.clear();
-    for (PendingRound& round : rounds) {
-      Delivery& d = delivery[index_of.at(round.session_id)];
-      if (!d.closed && d.due_tick <= tick) eligible.push_back(&round);
+    for (auto& [id, round] : outstanding) {
+      if (delivery[index_of.at(id)].due_tick <= tick) {
+        eligible.push_back(&round);
+      }
     }
     sched.Shuffle(&eligible);
 
@@ -232,6 +258,7 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
         // recovery the same round is pending again and the cached bits
         // make the retry byte-identical.
         ++result.log_write_retries;
+        may_have_recovered = true;
         out = endpoint.ProvideAnswers(round.session_id, round.round_id, span);
       }
       if (out != ProvideOutcome::kResumed) {
@@ -255,6 +282,8 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
           fail("duplicate round delivery was not rejected");
         }
       }
+      const ServiceEndpoint::SessionId id = round.session_id;
+      outstanding.erase(id);  // last use of `round`
     }
   }
 

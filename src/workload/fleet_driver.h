@@ -4,23 +4,23 @@
 // Two arms, both pure functions of the fleet's seed:
 //
 //   * RunHostile: the hostile concurrent arm, driven against any
-//     ServiceEndpoint. Every session is opened through the endpoint's
-//     pending protocol; the driver plays all of the fleet's users at once
-//     (Drain → PendingRounds → ProvideAnswers), with adversarial
-//     delivery — per-round heavy-tailed simulated latency, sweeps that
-//     shuffle the pending rounds and answer only a fraction of them (so
-//     sessions resume out of order and interleave with blocked ones),
-//     duplicate re-delivery of already-answered rounds, malformed replies
-//     (stale round ids, wrong answer counts, unknown sessions) that must
-//     be rejected without touching state, and mid-round Close of
-//     abandoning sessions. An optional CrashController additionally
-//     kills and recovers the service at seeded round boundaries and
-//     mid-append (the durable crash harness); the driver, playing users
-//     who outlive server crashes, retries refused calls with *cached*
-//     answer bits — a noisy user consulted twice about one round must
-//     say the same thing twice, because real users do not re-roll their
-//     answers when the server restarts. RunPending is the classic
-//     in-memory instantiation over a fleet-owned SessionRouter.
+//     ServiceEndpoint. Every session is opened through the endpoint's pending
+//     protocol; the driver plays all of the fleet's users at once (Drain →
+//     PendingRounds → ProvideAnswers; the poll delivers a round once, so the
+//     driver keeps it until it answers or closes it), with adversarial delivery
+//     — per-round heavy-tailed simulated latency, sweeps that shuffle the
+//     pending rounds and answer only a fraction of them (so sessions resume out
+//     of order and interleave with blocked ones), duplicate re-delivery of
+//     already-answered rounds, malformed replies (stale round ids, wrong answer
+//     counts, unknown sessions) that must be rejected without touching state,
+//     and mid-round Close of abandoning sessions. An optional CrashController
+//     additionally kills and recovers the service at seeded round boundaries
+//     and mid-append (the durable crash harness); the driver, playing users who
+//     outlive server crashes, retries refused calls with *cached* answer bits —
+//     a noisy user consulted twice about one round must say the same thing
+//     twice, because real users do not re-roll their answers when the server
+//     restarts. RunPending is the classic in-memory instantiation over a
+//     fleet-owned SessionRouter.
 //
 //   * RunSynchronous: the reference arm. The same sessions (minus the
 //     abandoned ones) over the same per-session user stacks, opened as

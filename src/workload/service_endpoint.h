@@ -51,7 +51,10 @@ class ServiceEndpoint {
   /// session stays open; retryable).
   virtual bool Close(SessionId id) = 0;
 
-  /// Pending rounds carrying the *stable* session ids, ordered by them.
+  /// The rounds announced since the last poll, carrying the *stable*
+  /// session ids, ordered by them. Each round is delivered by exactly one
+  /// poll (SessionRouter::PendingRounds); after a crash-recovery the first
+  /// poll delivers every awaiting round again.
   virtual std::vector<PendingRound> PendingRounds() = 0;
 
   virtual void Drain() = 0;
@@ -73,7 +76,8 @@ class CrashController {
 
   /// Called once per sweep, between Drain and the round poll — the round
   /// boundary. Return true if the service was crashed and recovered: the
-  /// driver re-drains and re-polls instead of acting on stale rounds.
+  /// driver re-drains and re-polls, and the recovered service's first poll
+  /// re-delivers every awaiting round.
   virtual bool MaybeCrashAtSweep(int64_t sweep) = 0;
 
   /// Called when the endpoint reports a durable-commit failure

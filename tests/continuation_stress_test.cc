@@ -119,10 +119,19 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   // sessions that are still blocked.
   Rng sched(99);
   int64_t sweeps = 0;
+  // The poll delivers each round once: the rounds a sweep leaves
+  // unanswered stay here, so every sweep deals from all awaiting rounds.
+  std::map<SessionRouter::SessionId, PendingRound> outstanding;
   for (;;) {
     router.Drain();
-    std::vector<PendingRound> rounds = router.PendingRounds();
-    if (rounds.empty()) break;
+    for (PendingRound& round : router.PendingRounds()) {
+      const SessionRouter::SessionId id = round.session_id;
+      ASSERT_TRUE(outstanding.try_emplace(id, std::move(round)).second)
+          << "session " << id << " was delivered a second round";
+    }
+    if (outstanding.empty()) break;
+    std::vector<PendingRound*> rounds;
+    for (auto& [id, round] : outstanding) rounds.push_back(&round);
     for (size_t i = rounds.size(); i > 1; --i) {
       std::swap(rounds[i - 1],
                 rounds[static_cast<size_t>(sched.Range(
@@ -130,13 +139,15 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
     }
     size_t take = std::max<size_t>(1, (rounds.size() * 2) / 3);
     for (size_t i = 0; i < take; ++i) {
-      PendingRound& round = rounds[i];
-      QueryOracle* truth = truths[plan_of.at(round.session_id)].get();
+      PendingRound& round = *rounds[i];
+      const SessionRouter::SessionId id = round.session_id;
+      QueryOracle* truth = truths[plan_of.at(id)].get();
       BitVec bits;
       BitSpan span = bits.Prepare(round.questions.size());
       truth->IsAnswerBatch(round.questions, span);
-      ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+      ASSERT_EQ(router.ProvideAnswers(id, round.round_id, span),
                 ProvideOutcome::kResumed);
+      outstanding.erase(id);
     }
     ++sweeps;
   }
@@ -245,11 +256,19 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
 
     // Same adversarial sweep as the bare-router stress: shuffled rounds,
     // only ~2/3 answered per sweep, resumes racing still-parked sessions.
+    // Delivered rounds a sweep leaves unanswered are kept, as above.
     Rng sched(131 + static_cast<uint64_t>(shards));
+    std::map<ShardedRouter::SessionId, PendingRound> outstanding;
     for (;;) {
       router.Drain();
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      if (rounds.empty()) break;
+      for (PendingRound& round : router.PendingRounds()) {
+        const ShardedRouter::SessionId id = round.session_id;
+        ASSERT_TRUE(outstanding.try_emplace(id, std::move(round)).second)
+            << "session " << id << " was delivered a second round";
+      }
+      if (outstanding.empty()) break;
+      std::vector<PendingRound*> rounds;
+      for (auto& [id, round] : outstanding) rounds.push_back(&round);
       for (size_t i = rounds.size(); i > 1; --i) {
         std::swap(rounds[i - 1],
                   rounds[static_cast<size_t>(sched.Range(
@@ -257,14 +276,15 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
       }
       size_t take = std::max<size_t>(1, (rounds.size() * 2) / 3);
       for (size_t i = 0; i < take; ++i) {
-        PendingRound& round = rounds[i];
-        QueryOracle* truth = truths[plan_of.at(round.session_id)].get();
+        PendingRound& round = *rounds[i];
+        const ShardedRouter::SessionId id = round.session_id;
+        QueryOracle* truth = truths[plan_of.at(id)].get();
         BitVec bits;
         BitSpan span = bits.Prepare(round.questions.size());
         truth->IsAnswerBatch(round.questions, span);
-        ASSERT_EQ(
-            router.ProvideAnswers(round.session_id, round.round_id, span),
-            ProvideOutcome::kResumed);
+        ASSERT_EQ(router.ProvideAnswers(id, round.round_id, span),
+                  ProvideOutcome::kResumed);
+        outstanding.erase(id);
       }
     }
 

@@ -18,6 +18,7 @@
 
 #include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <map>
 #include <memory>
 #include <optional>
@@ -99,6 +100,23 @@ int64_t AnswerAllPending(
       ++answered;
     }
   }
+}
+
+/// Answers `round` from `truth`, expecting the session to resume.
+void AnswerRound(SessionRouter& router, QueryOracle& truth,
+                 const PendingRound& round) {
+  BitVec bits;
+  BitSpan span = bits.Prepare(round.questions.size());
+  truth.IsAnswerBatch(round.questions, span);
+  ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+            ProvideOutcome::kResumed);
+}
+
+bool SortedBySession(const std::vector<PendingRound>& rounds) {
+  return std::is_sorted(rounds.begin(), rounds.end(),
+                        [](const PendingRound& a, const PendingRound& b) {
+                          return a.session_id < b.session_id;
+                        });
 }
 
 Query SmallTarget(int n, uint64_t seed) {
@@ -279,13 +297,14 @@ TEST(ContinuationEdgeTest, MalformedProvideAnswersRejectsWithoutCorruption) {
             ProvideOutcome::kAnswerCountMismatch);
   // Still awaiting, round unchanged: the rejects touched nothing.
   ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-  std::vector<PendingRound> after = router.PendingRounds();
-  ASSERT_EQ(after.size(), 1u);
-  EXPECT_EQ(after[0].round_id, round.round_id);
-  EXPECT_EQ(after[0].questions.size(), round.questions.size());
+  std::optional<PendingRound> after = router.pending_round(id);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->round_id, round.round_id);
+  EXPECT_EQ(after->questions.size(), round.questions.size());
 
   // A well-formed reply after the garbage completes the session with the
   // exact synchronous-run observables — the transcript was not corrupted.
+  AnswerRound(router, truth, *after);
   AnswerAllPending(router, {{id, &truth}});
   QueryOracle sync_truth(target);
   SessionRouter::Options sync_opts;
@@ -570,12 +589,89 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
   }
 }
 
-TEST(ContinuationEdgeTest, PollFreesNodesRetiredBetweenPolls) {
-  // Each awaited round is one announcement node; an answer, a close or a
-  // correction sets its retired flag and the next poll frees it. Under the
-  // asan preset a node the poll forgot is a leak and one freed while still
-  // reachable is a use after free; retained_announcements() pins the count
-  // in every build.
+// ---------------------------------------------------------------------------
+// The poll contract: PendingRounds() is edge-triggered. Each announced round
+// is delivered by exactly one poll, in session-id order; a round retired
+// before its poll is never delivered; pending_round(id) re-reads a round
+// already delivered.
+
+TEST(PollContractTest, EachRoundIsDeliveredByExactlyOnePoll) {
+  Query target = SmallTarget(5, 97);
+  SessionRouter::Options opts;
+  opts.threads = 2;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  constexpr size_t kSessions = 8;
+  std::vector<SessionRouter::SessionId> ids;
+  for (size_t i = 0; i < kSessions; ++i) {
+    ids.push_back(router.OpenPending(5));
+    ASSERT_TRUE(router.SubmitLearn(ids.back()));
+  }
+  router.Drain();
+  std::vector<PendingRound> first = router.PendingRounds();
+  ASSERT_EQ(first.size(), kSessions);
+  EXPECT_TRUE(SortedBySession(first));
+  EXPECT_TRUE(router.PendingRounds().empty())
+      << "a second poll with nothing announced in between delivered again";
+
+  // Answer the even sessions only. The next poll delivers exactly their
+  // new rounds; the odd sessions' rounds stay delivered-and-awaiting, and
+  // pending_round(id) is how to read them again.
+  std::map<SessionRouter::SessionId, std::vector<int64_t>> delivered;
+  for (const PendingRound& round : first) {
+    delivered[round.session_id].push_back(round.round_id);
+  }
+  for (size_t i = 0; i < kSessions; i += 2) {
+    AnswerRound(router, truth, first[i]);
+  }
+  router.Drain();
+  std::vector<PendingRound> second = router.PendingRounds();
+  EXPECT_TRUE(SortedBySession(second));
+  for (const PendingRound& round : second) {
+    const auto at = std::find(ids.begin(), ids.end(), round.session_id);
+    ASSERT_NE(at, ids.end());
+    EXPECT_EQ((at - ids.begin()) % 2, 0) << "an unanswered round came back";
+    EXPECT_EQ(round.round_id, 1);
+    delivered[round.session_id].push_back(round.round_id);
+  }
+  for (size_t i = 1; i < kSessions; i += 2) {
+    std::optional<PendingRound> again = router.pending_round(ids[i]);
+    ASSERT_TRUE(again.has_value());
+    EXPECT_EQ(again->round_id, first[i].round_id);
+    EXPECT_EQ(again->questions, first[i].questions);
+    AnswerRound(router, truth, *again);
+  }
+
+  // Drive everything home. Across all polls, each session's delivered
+  // round ids are 0, 1, 2, … with no repeat and no gap, one per suspension.
+  for (const PendingRound& round : second) AnswerRound(router, truth, round);
+  for (;;) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    EXPECT_TRUE(SortedBySession(rounds));
+    for (const PendingRound& round : rounds) {
+      delivered[round.session_id].push_back(round.round_id);
+      AnswerRound(router, truth, round);
+    }
+  }
+  for (SessionRouter::SessionId id : ids) {
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+    const std::vector<int64_t>& got = delivered[id];
+    ASSERT_EQ(static_cast<int64_t>(got.size()), router.suspensions(id));
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r], static_cast<int64_t>(r)) << "session " << id;
+    }
+  }
+}
+
+TEST(PollContractTest, RoundRetiredBeforeItsPollIsNeverDelivered) {
+  // Between two polls, twelve sessions each announce a round; four of
+  // those rounds are answered, four closed and four corrected before the
+  // next poll. The poll delivers none of the twelve retired rounds — only
+  // the rounds the answered and corrected sessions announced afterwards.
+  // Under the asan preset this also walks every slot move of the retire
+  // path.
   Query target = SmallTarget(5, 97);
   SessionRouter::Options opts;
   opts.threads = 1;
@@ -588,64 +684,141 @@ TEST(ContinuationEdgeTest, PollFreesNodesRetiredBetweenPolls) {
     ASSERT_TRUE(router.SubmitLearn(id));
     ids.push_back(id);
   }
-  BitVec bits;
-  auto answer = [&](const PendingRound& round) {
-    BitSpan span = bits.Prepare(round.questions.size());
-    truth.IsAnswerBatch(round.questions, span);
-    ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
-              ProvideOutcome::kResumed);
-  };
-  auto awaiting = [&] {
-    size_t count = 0;
-    for (SessionRouter::SessionId id : ids) {
-      count += router.status(id) == SessionStatus::kAwaitingUser ? 1 : 0;
-    }
-    return count;
-  };
-
   router.Drain();
   std::vector<PendingRound> first = router.PendingRounds();
   ASSERT_EQ(first.size(), kSessions);
-  EXPECT_EQ(router.retained_announcements(), kSessions);
   // One answered round each, so every session has an entry to correct.
-  for (const PendingRound& round : first) answer(round);
+  for (const PendingRound& round : first) AnswerRound(router, truth, round);
   router.Drain();
+
+  // The twelve round-1 announcements, read without polling.
+  std::vector<PendingRound> announced;
+  for (SessionRouter::SessionId id : ids) {
+    std::optional<PendingRound> round = router.pending_round(id);
+    ASSERT_TRUE(round.has_value()) << "one round cannot finish a learn";
+    EXPECT_EQ(round->round_id, 1);
+    announced.push_back(*round);
+  }
+  // Retire them in an order that moves slots around: answer from the
+  // back, close from the middle, correct from the front.
+  for (size_t i = 12; i > 8; --i) AnswerRound(router, truth, announced[i - 1]);
+  for (size_t i = 4; i < 8; ++i) ASSERT_TRUE(router.Close(ids[i]));
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_EQ(router.CorrectAnswer(ids[i], 0), ProvideOutcome::kResumed);
+  }
+  router.Drain();
+
   std::vector<PendingRound> second = router.PendingRounds();
-  ASSERT_EQ(second.size(), kSessions) << "one round cannot finish a learn";
-  EXPECT_EQ(router.retained_announcements(), kSessions)
-      << "the answered rounds' nodes must be gone";
-
-  // Between two polls: answer four, close four, correct four.
-  for (size_t i = 0; i < 4; ++i) answer(second[i]);
-  for (size_t i = 4; i < 8; ++i) {
-    ASSERT_TRUE(router.Close(second[i].session_id));
+  EXPECT_TRUE(SortedBySession(second));
+  size_t awaiting = 0;
+  for (SessionRouter::SessionId id : ids) {
+    awaiting += router.status(id) == SessionStatus::kAwaitingUser ? 1 : 0;
   }
-  for (size_t i = 8; i < 12; ++i) {
-    ASSERT_EQ(router.CorrectAnswer(second[i].session_id, 0),
-              ProvideOutcome::kResumed);
-  }
-  router.Drain();
-  std::vector<PendingRound> third = router.PendingRounds();
-  EXPECT_EQ(third.size(), awaiting());
-  EXPECT_EQ(router.retained_announcements(), third.size());
-  for (const PendingRound& round : third) {
-    const auto before = std::find_if(
-        second.begin(), second.end(), [&](const PendingRound& r) {
-          return r.session_id == round.session_id;
-        });
-    ASSERT_NE(before, second.end());
-    const size_t index = static_cast<size_t>(before - second.begin());
-    EXPECT_FALSE(index >= 4 && index < 8) << "closed session still reported";
-    if (index < 4 || index >= 8) {
-      EXPECT_GT(round.round_id, before->round_id)
-          << "a retired round came back";
-    }
+  EXPECT_EQ(second.size(), awaiting)
+      << "the poll must deliver exactly the rounds announced after retiring";
+  for (const PendingRound& round : second) {
+    const size_t index = static_cast<size_t>(
+        std::find(ids.begin(), ids.end(), round.session_id) - ids.begin());
+    ASSERT_LT(index, kSessions);
+    EXPECT_FALSE(index >= 4 && index < 8) << "closed session delivered";
+    EXPECT_GT(round.round_id, announced[index].round_id)
+        << "a retired round was delivered";
+    std::optional<PendingRound> now = router.pending_round(round.session_id);
+    ASSERT_TRUE(now.has_value());
+    EXPECT_EQ(now->round_id, round.round_id);
   }
 
-  // Retire every remaining round, then poll once: nothing is left behind.
+  // Retire every remaining round: nothing is ever delivered again.
   for (SessionRouter::SessionId id : ids) router.Close(id);
   EXPECT_TRUE(router.PendingRounds().empty());
-  EXPECT_EQ(router.retained_announcements(), 0u);
+}
+
+TEST(PollContractTest, ConcurrentPollersGetDisjointBatchesCoveringEveryRound) {
+  // Four threads poll one 3-lane router at once and answer whatever their
+  // poll delivered, while the lanes suspend and resume sessions under
+  // them. Every answer must be accepted — a round delivered to two pollers
+  // would bounce the second answer off kStaleRound or kNotAwaiting — and
+  // across all batches each session must see every one of its rounds,
+  // once. Runs under the tsan preset in CI.
+  constexpr int kPollers = 4;
+  constexpr size_t kSessions = 24;
+  SessionRouter::Options opts;
+  opts.threads = 3;
+  SessionRouter router(opts);
+  std::vector<Query> targets;
+  std::vector<std::unique_ptr<QueryOracle>> truths;
+  std::map<SessionRouter::SessionId, QueryOracle*> truth_of;
+  std::vector<SessionRouter::SessionId> ids;
+  for (size_t i = 0; i < kSessions; ++i) {
+    targets.push_back(SmallTarget(5, 300 + i));
+    truths.push_back(std::make_unique<QueryOracle>(targets.back()));
+    ids.push_back(router.OpenPending(5));
+    truth_of[ids.back()] = truths.back().get();
+  }
+  struct Delivered {
+    SessionRouter::SessionId session;
+    int64_t round;
+  };
+  std::vector<std::vector<Delivered>> batches(kPollers);
+  std::vector<int> rejected(kPollers, 0);
+  std::vector<int> unsorted(kPollers, 0);
+  std::atomic<bool> done{false};
+  std::vector<std::thread> pollers;
+  for (int p = 0; p < kPollers; ++p) {
+    pollers.emplace_back([&, p] {
+      BitVec bits;
+      while (!done.load(std::memory_order_acquire)) {
+        std::vector<PendingRound> rounds = router.PendingRounds();
+        if (!SortedBySession(rounds)) ++unsorted[p];
+        for (const PendingRound& round : rounds) {
+          batches[p].push_back({round.session_id, round.round_id});
+          BitSpan span = bits.Prepare(round.questions.size());
+          truth_of.at(round.session_id)->IsAnswerBatch(round.questions, span);
+          if (router.ProvideAnswers(round.session_id, round.round_id, span) !=
+              ProvideOutcome::kResumed) {
+            ++rejected[p];
+          }
+        }
+        if (rounds.empty()) std::this_thread::yield();
+      }
+    });
+  }
+  for (SessionRouter::SessionId id : ids) EXPECT_TRUE(router.SubmitLearn(id));
+  // A round no poller ever got would leave its session awaiting forever.
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  for (;;) {
+    router.Drain();
+    bool all_idle = true;
+    for (SessionRouter::SessionId id : ids) {
+      all_idle = all_idle && router.status(id) == SessionStatus::kIdle;
+    }
+    if (all_idle) break;
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "a session never finished: a round was not delivered";
+      break;
+    }
+    std::this_thread::yield();
+  }
+  done.store(true, std::memory_order_release);
+  for (std::thread& t : pollers) t.join();
+
+  std::map<SessionRouter::SessionId, std::vector<int64_t>> seen;
+  for (int p = 0; p < kPollers; ++p) {
+    EXPECT_EQ(rejected[p], 0) << "poller " << p << " got a round twice";
+    EXPECT_EQ(unsorted[p], 0) << "poller " << p << " got an unsorted batch";
+    for (const Delivered& d : batches[p]) seen[d.session].push_back(d.round);
+  }
+  for (size_t i = 0; i < kSessions; ++i) {
+    std::vector<int64_t>& got = seen[ids[i]];
+    std::sort(got.begin(), got.end());
+    ASSERT_EQ(static_cast<int64_t>(got.size()), router.suspensions(ids[i]));
+    for (size_t r = 0; r < got.size(); ++r) {
+      EXPECT_EQ(got[r], static_cast<int64_t>(r)) << "session " << i;
+    }
+    EXPECT_TRUE(Equivalent(*router.session(ids[i]).current_query(),
+                           targets[i]));
+  }
 }
 
 TEST(ContinuationTest, FiberAndReplayResumesAreBitIdentical) {

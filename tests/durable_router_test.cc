@@ -14,7 +14,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <cstdlib>
+#include <filesystem>
 #include <memory>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -40,6 +43,31 @@ DurableRouterOptions Opts(int shards = 2) {
   return opts;
 }
 
+/// A fresh directory under the system temp directory, removed with
+/// everything in it when the test leaves scope by any path (a failed
+/// ASSERT included). path() is empty if mkdtemp failed.
+class TempDir {
+ public:
+  TempDir() {
+    std::string pattern =
+        (std::filesystem::temp_directory_path() / "qhorn-durable-XXXXXX")
+            .string();
+    if (mkdtemp(pattern.data()) != nullptr) path_ = pattern;
+  }
+  ~TempDir() {
+    if (path_.empty()) return;
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
+  TempDir(const TempDir&) = delete;
+  TempDir& operator=(const TempDir&) = delete;
+
+  const std::string& path() const { return path_; }
+
+ private:
+  std::string path_;
+};
+
 /// Clean (reliable, completing) specs drawn from a generated fleet, so the
 /// sessions exercised here are the same shapes the fuzz fleets produce.
 std::vector<SessionSpec> CleanSpecs(size_t want) {
@@ -55,7 +83,8 @@ std::vector<SessionSpec> CleanSpecs(size_t want) {
 }
 
 /// Answers every pending round of `id` with ground truth until the session
-/// runs out of jobs. Returns rounds answered.
+/// runs out of jobs. Returns rounds answered. Reads each round through
+/// pending_round(id), so it works whether or not a poll delivered it.
 int64_t DriveToCompletion(DurableRouter& dr, DurableRouter::SessionId id,
                           const SessionSpec& spec) {
   QueryOracle truth(spec.target);
@@ -63,12 +92,8 @@ int64_t DriveToCompletion(DurableRouter& dr, DurableRouter::SessionId id,
   int64_t answered = 0;
   for (;;) {
     dr.Drain();
-    std::vector<PendingRound> rounds = dr.PendingRounds();
-    const PendingRound* mine = nullptr;
-    for (const PendingRound& r : rounds) {
-      if (r.session_id == id) mine = &r;
-    }
-    if (mine == nullptr) break;
+    std::optional<PendingRound> mine = dr.pending_round(id);
+    if (!mine.has_value()) break;
     BitSpan span = bits.Prepare(mine->questions.size());
     truth.IsAnswerBatch(mine->questions, span);
     ProvideOutcome out = dr.ProvideAnswers(id, mine->round_id, span);
@@ -94,10 +119,12 @@ TEST(DurableRouterTest, CreateWritesShardHeadersUpFront) {
   }
 }
 
-TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAck) {
-  MemFs mem;
+/// Log-before-ack over `fs`: each open, answered round and close is one
+/// record in the session's shard, in call order.
+void CheckEveryProtocolCallIsLoggedBeforeAck(Fs* fs,
+                                             const std::string& log_dir) {
   std::string error;
-  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  auto dr = DurableRouter::Create(fs, log_dir, Opts(), &error);
   ASSERT_NE(dr, nullptr) << error;
 
   SessionSpec spec = CleanSpecs(1)[0];
@@ -119,12 +146,24 @@ TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAck) {
   EXPECT_EQ(dr->records_logged(), 3 + rounds);
 
   // The shard really carries the session: opened first, closed last.
-  std::string path = DurableRouter::ShardPath(kLogDir, /*shard=*/id % 2);
-  LogReadResult r = ReadLog(&mem, path);
+  std::string path = DurableRouter::ShardPath(log_dir, /*shard=*/id % 2);
+  LogReadResult r = ReadLog(fs, path);
   ASSERT_EQ(r.status, LogReadStatus::kOk) << r.error;
   ASSERT_EQ(r.records.size(), static_cast<size_t>(3 + rounds));
   EXPECT_EQ(r.records.front().type, LogRecordType::kSessionOpened);
   EXPECT_EQ(r.records.back().type, LogRecordType::kSessionClosed);
+}
+
+TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAck) {
+  MemFs mem;
+  CheckEveryProtocolCallIsLoggedBeforeAck(&mem, kLogDir);
+}
+
+TEST(DurableRouterTest, EveryProtocolCallIsLoggedBeforeAckOnRealFs) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty()) << "mkdtemp failed";
+  RealFs fs;
+  CheckEveryProtocolCallIsLoggedBeforeAck(&fs, dir.path() + "/qlog");
 }
 
 TEST(DurableRouterTest, SessionsShardByExternalId) {
@@ -177,8 +216,12 @@ TEST(DurableRouterTest, RecoverOnEmptyLogsIsAFreshService) {
 // The tentpole contract: kill the service mid-fleet, recover from the log
 // alone, and the observable state — pending rounds, round ids, and the
 // final fingerprints after the fleet finishes — is bit-identical to a
-// service that never crashed.
-TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
+// service that never crashed. The crash arm runs over `fs`; `mem`, when
+// set, is the same filesystem as a MemFs, and the machine then also loses
+// its unsynced bytes at the crash (a real disk only loses the process).
+void CheckRecoveryIsObservablyIdenticalMidSession(Fs* fs,
+                                                  const std::string& log_dir,
+                                                  MemFs* mem) {
   std::vector<SessionSpec> specs = CleanSpecs(3);
 
   // Reference arm: same specs, no crash.
@@ -197,9 +240,8 @@ TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
   }
 
   // Crash arm: open everything, answer exactly one round each, die.
-  MemFs mem;
   std::string error;
-  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  auto dr = DurableRouter::Create(fs, log_dir, Opts(), &error);
   ASSERT_NE(dr, nullptr) << error;
   for (const SessionSpec& s : specs) ASSERT_GT(dr->OpenPending(s), 0);
   dr->Drain();
@@ -216,11 +258,11 @@ TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
   dr->Drain();
   std::vector<PendingRound> acked = dr->PendingRounds();
 
-  dr.reset();      // the process dies…
-  mem.CrashAll();  // …and every unsynced byte dies with it
+  dr.reset();                         // the process dies…
+  if (mem != nullptr) mem->CrashAll();  // …and every unsynced byte with it
 
   RecoveryReport report;
-  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  auto rec = DurableRouter::Recover(fs, log_dir, Opts(), &report, &error);
   ASSERT_NE(rec, nullptr) << error;
   EXPECT_EQ(report.sessions_recovered,
             static_cast<int64_t>(specs.size()));
@@ -246,6 +288,19 @@ TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
     EXPECT_EQ(SessionFingerprint(rec->session(id)), want_prints[i])
         << "session " << id << " diverged after recovery";
   }
+}
+
+TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSession) {
+  MemFs mem;
+  CheckRecoveryIsObservablyIdenticalMidSession(&mem, kLogDir, &mem);
+}
+
+TEST(DurableRouterTest, RecoveryIsObservablyIdenticalMidSessionOnRealFs) {
+  TempDir dir;
+  ASSERT_FALSE(dir.path().empty()) << "mkdtemp failed";
+  RealFs fs;
+  CheckRecoveryIsObservablyIdenticalMidSession(&fs, dir.path() + "/qlog",
+                                               nullptr);
 }
 
 TEST(DurableRouterTest, RecoverReclosesClosedSessions) {
@@ -355,10 +410,11 @@ TEST(DurableRouterTest, LogWriteFailedLeavesSessionUntouchedAndRetries) {
 
   // Nothing mutated: still awaiting, same round, same questions.
   EXPECT_EQ(dr->status(id), SessionStatus::kAwaitingUser);
-  std::vector<PendingRound> still = dr->PendingRounds();
-  ASSERT_EQ(still.size(), 1u);
-  EXPECT_EQ(still[0].round_id, round.round_id);
-  EXPECT_EQ(still[0].questions, round.questions);
+  std::optional<PendingRound> still = dr->pending_round(id);
+  ASSERT_TRUE(still.has_value());
+  EXPECT_EQ(still->session_id, id);
+  EXPECT_EQ(still->round_id, round.round_id);
+  EXPECT_EQ(still->questions, round.questions);
 
   // The identical retry goes through (the record is appended again; the
   // duplicate is Recover's to skip).
@@ -499,7 +555,14 @@ TEST(DurableRouterTest, RecoveredPollIsInExternalIdOrder) {
                 ProvideOutcome::kResumed);
     }
     dr->Drain();
-    std::vector<PendingRound> before = dr->PendingRounds();
+    // Every awaiting round, delivered by a poll or not, in id order.
+    std::vector<PendingRound> before;
+    for (DurableRouter::SessionId id = 1;
+         id <= static_cast<DurableRouter::SessionId>(specs.size()); ++id) {
+      std::optional<PendingRound> round = dr->pending_round(id);
+      if (round.has_value()) before.push_back(std::move(*round));
+    }
+    ASSERT_EQ(before.size(), specs.size()) << "one round finishes no session";
     dr.reset();
 
     RecoveryReport report;
@@ -550,6 +613,99 @@ TEST(DurableRouterTest, RecoveredPollIsInExternalIdOrder) {
   }
 }
 
+TEST(DurableRouterTest, FirstPollAfterRecoverRedeliversEveryAwaitingRound) {
+  // The poll delivers each round once, so before the crash every awaiting
+  // round has been delivered and a poll returns nothing. The recovered
+  // service has no such history: its first poll delivers every awaiting
+  // round again, in external-id order, and its second poll nothing.
+  constexpr int kShards = 4;
+  std::vector<SessionSpec> specs = CleanSpecs(9);
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(kShards), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  for (const SessionSpec& spec : specs) ASSERT_GT(dr->OpenPending(spec), 0);
+  dr->Drain();
+  BitVec bits;
+  for (const PendingRound& r : dr->PendingRounds()) {
+    if (r.session_id == 5) {
+      ASSERT_TRUE(dr->Close(r.session_id));
+      continue;
+    }
+    if (r.session_id % 3 != 0) continue;
+    QueryOracle truth(specs[static_cast<size_t>(r.session_id - 1)].target);
+    BitSpan span = bits.Prepare(r.questions.size());
+    truth.IsAnswerBatch(r.questions, span);
+    ASSERT_EQ(dr->ProvideAnswers(r.session_id, r.round_id, span),
+              ProvideOutcome::kResumed);
+  }
+  dr->Drain();
+  EXPECT_EQ(dr->PendingRounds().size(), 3u) << "sessions 3, 6 and 9";
+  EXPECT_TRUE(dr->PendingRounds().empty()) << "every round was delivered";
+  std::vector<PendingRound> awaiting;
+  for (DurableRouter::SessionId id = 1; id <= 9; ++id) {
+    std::optional<PendingRound> round = dr->pending_round(id);
+    if (round.has_value()) awaiting.push_back(std::move(*round));
+  }
+  ASSERT_EQ(awaiting.size(), 8u) << "all but the closed session";
+  dr.reset();
+  mem.CrashAll();
+
+  RecoveryReport report;
+  auto rec =
+      DurableRouter::Recover(&mem, kLogDir, Opts(kShards), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  rec->Drain();
+  std::vector<PendingRound> first = rec->PendingRounds();
+  ASSERT_EQ(first.size(), awaiting.size());
+  for (size_t i = 0; i < first.size(); ++i) {
+    if (i > 0) {
+      EXPECT_LT(first[i - 1].session_id, first[i].session_id);
+    }
+    EXPECT_EQ(first[i].session_id, awaiting[i].session_id);
+    EXPECT_EQ(first[i].round_id, awaiting[i].round_id);
+    EXPECT_EQ(first[i].questions, awaiting[i].questions);
+  }
+  EXPECT_TRUE(rec->PendingRounds().empty());
+}
+
+TEST(DurableRouterTest, PendingRoundRereadsADeliveredRoundInExternalIdForm) {
+  constexpr int kShards = 4;
+  std::vector<SessionSpec> specs = CleanSpecs(4);
+  MemFs mem;
+  std::string error;
+  {
+    ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(kShards), &error),
+              nullptr);
+  }
+  // Ids 2, 3 and 5 are never opened: router ids differ from external ids.
+  const std::vector<DurableRouter::SessionId> ids = {1, 4, 6, 7};
+  WriteOpenRecords(&mem, kShards, ids, specs);
+  RecoveryReport report;
+  auto dr =
+      DurableRouter::Recover(&mem, kLogDir, Opts(kShards), &report, &error);
+  ASSERT_NE(dr, nullptr) << error;
+  dr->Drain();
+  std::vector<PendingRound> polled = dr->PendingRounds();
+  ASSERT_EQ(polled.size(), ids.size());
+  for (const PendingRound& round : polled) {
+    std::optional<PendingRound> again = dr->pending_round(round.session_id);
+    ASSERT_TRUE(again.has_value()) << round.session_id;
+    EXPECT_EQ(again->session_id, round.session_id);
+    EXPECT_EQ(again->round_id, round.round_id);
+    EXPECT_EQ(again->questions, round.questions);
+  }
+  // Unknown, unmapped, closed and finished sessions have no round.
+  for (DurableRouter::SessionId id : {-1, 0, 2, 3, 5, 8, 1000}) {
+    EXPECT_EQ(dr->pending_round(id), std::nullopt) << id;
+  }
+  ASSERT_TRUE(dr->Close(4));
+  EXPECT_EQ(dr->pending_round(4), std::nullopt);
+  DriveToCompletion(*dr, 6, specs[2]);
+  EXPECT_EQ(dr->status(6), SessionStatus::kIdle);
+  EXPECT_EQ(dr->pending_round(6), std::nullopt);
+}
+
 TEST(DurableRouterTest, ConcurrentOpensGetDistinctIdsWhileAPollRuns) {
   // Two openers race each other and a poller. Every open must get its own
   // id (and log it once), and no poll may see a round of a session whose
@@ -579,10 +735,14 @@ TEST(DurableRouterTest, ConcurrentOpensGetDistinctIdsWhileAPollRuns) {
         openers_left.fetch_sub(1, std::memory_order_release);
       });
     }
+    std::vector<DurableRouter::SessionId> polled;  // the poller's rounds
     std::thread poller([&] {
       while (!go.load(std::memory_order_acquire)) std::this_thread::yield();
       while (openers_left.load(std::memory_order_acquire) > 0) {
         std::vector<PendingRound> rounds = dr->PendingRounds();
+        for (const PendingRound& round : rounds) {
+          polled.push_back(round.session_id);
+        }
         for (size_t i = 0; i < rounds.size(); ++i) {
           const bool in_range = rounds[i].session_id >= 1 &&
                                 rounds[i].session_id <= 2 * kPerOpener;
@@ -610,12 +770,23 @@ TEST(DurableRouterTest, ConcurrentOpensGetDistinctIdsWhileAPollRuns) {
     EXPECT_EQ(all, want) << "every open gets its own id";
     EXPECT_EQ(dr->records_logged(), 2 * kPerOpener);
 
+    // Each session's first round was delivered once: by the racing poll
+    // or by this one. The final poll, like every racing batch, comes back
+    // strictly ascending by external id.
     dr->Drain();
-    std::vector<PendingRound> rounds = dr->PendingRounds();
-    ASSERT_EQ(rounds.size(), want.size());
-    for (size_t i = 0; i < rounds.size(); ++i) {
-      EXPECT_EQ(rounds[i].session_id, want[i]);
+    std::vector<DurableRouter::SessionId> last;
+    for (const PendingRound& round : dr->PendingRounds()) {
+      last.push_back(round.session_id);
     }
+    EXPECT_TRUE(std::adjacent_find(last.begin(), last.end(),
+                                   [](DurableRouter::SessionId a,
+                                      DurableRouter::SessionId b) {
+                                     return a >= b;
+                                   }) == last.end())
+        << "final poll is not strictly ascending";
+    polled.insert(polled.end(), last.begin(), last.end());
+    std::sort(polled.begin(), polled.end());
+    EXPECT_EQ(polled, want);
     // Each id hosts the spec its own opener passed.
     for (int t = 0; t < 2; ++t) {
       for (int i = 0; i < kPerOpener; ++i) {

@@ -1,14 +1,13 @@
-// ShardedRouter — the N-shard facade over SessionRouter — plus the two
-// concurrency structures PR 9 slid underneath it: the striped
-// CompiledQueryCache every shard shares and the lock-free MPSC
-// pending-round drain. Also covers the parked-fiber cold-stack trim.
+// ShardedRouter — the N-shard facade over SessionRouter — plus the striped
+// CompiledQueryCache every shard shares and the merged pending-round poll.
+// Also covers the parked-fiber cold-stack trim.
 //
 // The load-bearing property is the facade contract: a session's
 // observables depend only on its own job and answer sequence, never on
 // the shard count — a 1-shard facade is bit-identical (ids included) to a
 // bare SessionRouter, and 2/8-shard runs produce fingerprints equal to
-// the 1-shard run session for session. The lock-free poll is raced
-// against live suspensions/resumes under TSan.
+// the 1-shard run session for session. The poll is raced against live
+// suspensions/resumes under TSan.
 //
 // Runs under the tsan preset in CI (ctest label: continuation).
 
@@ -17,6 +16,8 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <chrono>
+#include <map>
 #include <memory>
 #include <optional>
 #include <set>
@@ -30,7 +31,6 @@
 #include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "src/util/fiber.h"
-#include "src/util/mpsc.h"
 #include "tests/session_fingerprint.h"
 
 namespace qhorn {
@@ -191,10 +191,11 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
 }
 
 TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
-  // The facade merges per-shard lists instead of sorting; the result must
-  // equal every awaiting round gathered session by session in id order —
-  // across shard counts, and across polls that merge retained nodes with
-  // freshly announced ones.
+  // The facade merges per-shard lists instead of sorting; each poll must
+  // come back in session-id order, and the rounds delivered so far and not
+  // yet answered must equal every awaiting round gathered session by
+  // session in id order — across shard counts, and across polls that
+  // deliver only the rounds announced since the last one.
   const Query target = TestTarget();
   QueryOracle truth(target);
   for (int shards : {1, 2, 4, 8}) {
@@ -211,27 +212,41 @@ TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
     }
     std::sort(ids.begin(), ids.end());
     BitVec bits;
+    std::map<int64_t, PendingRound> delivered;  // by session id
     for (int poll = 0; poll < 4; ++poll) {
       router.Drain();
       std::vector<PendingRound> merged = router.PendingRounds();
+      for (size_t i = 0; i < merged.size(); ++i) {
+        if (i > 0) {
+          EXPECT_LT(merged[i - 1].session_id, merged[i].session_id);
+        }
+        EXPECT_TRUE(delivered.emplace(merged[i].session_id, merged[i]).second)
+            << "a session's round was delivered while one was outstanding";
+      }
       std::vector<PendingRound> expected;
       for (int64_t id : ids) {
         std::optional<PendingRound> round = router.pending_round(id);
         if (round.has_value()) expected.push_back(std::move(*round));
       }
-      ASSERT_EQ(merged.size(), expected.size()) << "poll " << poll;
-      for (size_t i = 0; i < merged.size(); ++i) {
-        EXPECT_EQ(merged[i].session_id, expected[i].session_id);
-        EXPECT_EQ(merged[i].round_id, expected[i].round_id);
-        EXPECT_EQ(merged[i].questions, expected[i].questions);
+      ASSERT_EQ(delivered.size(), expected.size()) << "poll " << poll;
+      size_t i = 0;
+      for (const auto& [id, round] : delivered) {
+        EXPECT_EQ(round.session_id, expected[i].session_id);
+        EXPECT_EQ(round.round_id, expected[i].round_id);
+        EXPECT_EQ(round.questions, expected[i].questions);
+        ++i;
       }
-      // Answer every other round: the next poll sees both kinds of node.
-      for (size_t i = 0; i < merged.size(); i += 2) {
-        BitSpan span = bits.Prepare(merged[i].questions.size());
-        truth.IsAnswerBatch(merged[i].questions, span);
-        ASSERT_EQ(router.ProvideAnswers(merged[i].session_id,
-                                        merged[i].round_id, span),
+      // Answer every other round: the next poll delivers the answered
+      // sessions' new rounds, while the others stay outstanding.
+      for (auto it = delivered.begin(); it != delivered.end();) {
+        const PendingRound& round = it->second;
+        BitSpan span = bits.Prepare(round.questions.size());
+        truth.IsAnswerBatch(round.questions, span);
+        ASSERT_EQ(router.ProvideAnswers(round.session_id, round.round_id,
+                                        span),
                   ProvideOutcome::kResumed);
+        it = delivered.erase(it);
+        if (it != delivered.end()) ++it;
       }
     }
     for (int64_t id : ids) router.Close(id);
@@ -278,78 +293,73 @@ TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
 }
 
 // ---------------------------------------------------------------------------
-// The lock-free poll, raced against live suspensions and resumes (TSan).
+// The poll, raced against live suspensions and resumes (TSan).
 
-TEST(ShardedRouterTest, LockFreePollRacesSuspensionsAndResumes) {
+TEST(ShardedRouterTest, PollRacesSuspensionsAndResumes) {
   const Query target = TestTarget();
   ShardedRouter::Options sopts;
   sopts.shards = 2;
   sopts.threads = 4;
   ShardedRouter router(sopts);
+  std::vector<int64_t> ids;
+  for (int i = 0; i < 24; ++i) {
+    int64_t id = router.OpenPending(target.n());
+    ASSERT_TRUE(router.SubmitVerify(id, target));
+    ids.push_back(id);
+  }
 
-  std::atomic<bool> stop{false};
-  // The racy poller: hammers PendingRounds with no synchronization
-  // against the driver below. It may transiently miss a suspending round
-  // or see one being answered; it must never crash, corrupt the retained
-  // node set, or return a malformed round.
-  std::thread poller([&] {
-    while (!stop.load(std::memory_order_acquire)) {
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      for (const PendingRound& round : rounds) {
-        if (round.session_id <= 0) {
-          ADD_FAILURE() << "malformed polled round id " << round.session_id;
-          return;
-        }
+  // Two pollers, each answering whatever its own poll delivered: the racy
+  // one polls with no synchronization against the lanes, which suspend
+  // and resume sessions under it; the driver drains between polls. Each
+  // round reaches exactly one of them, so every answer must be accepted,
+  // and no poll may return a malformed round. Each thread has its own
+  // ground truth (an oracle is single-threaded; both answer alike).
+  auto answer = [&router](QueryOracle& truth, BitVec& bits,
+                          const std::vector<PendingRound>& rounds) {
+    for (const PendingRound& round : rounds) {
+      if (round.session_id <= 0) {
+        ADD_FAILURE() << "malformed polled round id " << round.session_id;
+        continue;
       }
+      BitSpan span = bits.Prepare(round.questions.size());
+      truth.IsAnswerBatch(round.questions, span);
+      EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
+                ProvideOutcome::kResumed);
+    }
+  };
+  std::atomic<bool> stop{false};
+  std::thread poller([&] {
+    QueryOracle truth(target);
+    BitVec bits;
+    while (!stop.load(std::memory_order_acquire)) {
+      answer(truth, bits, router.PendingRounds());
     }
   });
-
-  std::vector<std::string> prints = DriveVerifyFleet(router, target, 24);
+  QueryOracle truth(target);
+  BitVec bits;
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(120);
+  for (;;) {
+    router.Drain();
+    answer(truth, bits, router.PendingRounds());
+    bool all_idle = true;
+    for (int64_t id : ids) {
+      all_idle = all_idle && router.status(id) == SessionStatus::kIdle;
+    }
+    if (all_idle) break;
+    if (std::chrono::steady_clock::now() > deadline) {
+      ADD_FAILURE() << "a session never finished: a round was not delivered";
+      break;
+    }
+  }
   stop.store(true, std::memory_order_release);
   poller.join();
 
-  // The drive loop itself used the lock-free poll; the sessions must all
-  // have finished their verification exactly once.
-  EXPECT_EQ(prints.size(), 24u);
+  // The sessions must all have finished their verification exactly once.
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.verifies, 24);
   EXPECT_GE(stats.suspensions, 24);
   EXPECT_EQ(stats.awaiting_sessions, 0);
-}
-
-TEST(ShardedRouterTest, MpscStackDeliversEveryPushAcrossThreads) {
-  MpscStack<int> stack;
-  constexpr int kThreads = 4;
-  constexpr int kPerThread = 1000;
-  std::vector<std::thread> producers;
-  for (int t = 0; t < kThreads; ++t) {
-    producers.emplace_back([&stack, t] {
-      for (int i = 0; i < kPerThread; ++i) {
-        stack.Push(new MpscStack<int>::Node(t * kPerThread + i));
-      }
-    });
-  }
-  std::set<int> seen;
-  // Consume concurrently with the producers, then drain the remainder.
-  for (int spin = 0; spin < 10000 && seen.size() < kThreads * kPerThread;
-       ++spin) {
-    for (MpscStack<int>::Node* node = stack.PopAll(); node != nullptr;) {
-      MpscStack<int>::Node* next = node->next;
-      EXPECT_TRUE(seen.insert(node->value).second)
-          << "value " << node->value << " delivered twice";
-      delete node;
-      node = next;
-    }
-  }
-  for (auto& p : producers) p.join();
-  for (MpscStack<int>::Node* node = stack.PopAll(); node != nullptr;) {
-    MpscStack<int>::Node* next = node->next;
-    EXPECT_TRUE(seen.insert(node->value).second);
-    delete node;
-    node = next;
-  }
-  EXPECT_EQ(seen.size(), static_cast<size_t>(kThreads * kPerThread));
-  EXPECT_TRUE(stack.Empty());
 }
 
 // ---------------------------------------------------------------------------
