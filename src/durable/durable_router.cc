@@ -1,6 +1,5 @@
 #include "src/durable/durable_router.h"
 
-#include <algorithm>
 #include <sstream>
 #include <utility>
 
@@ -55,165 +54,77 @@ std::unique_ptr<DurableRouter> DurableRouter::Create(
   return router;
 }
 
-SessionLog* DurableRouter::ShardFor(SessionId external_id) {
-  return shards_[static_cast<size_t>(external_id) %
-                 static_cast<size_t>(options_.shards)]
-      .get();
-}
-
-int DurableRouter::RouterShardFor(SessionId external) const {
-  return static_cast<int>((external - 1) % options_.shards);
-}
-
-void DurableRouter::MapIds(SessionId external, SessionId internal) {
-  const auto grow = [](std::vector<SessionId>& map, SessionId index) {
-    if (static_cast<size_t>(index) >= map.size()) {
-      map.resize(static_cast<size_t>(index) + 1, 0);
-    }
-  };
-  grow(to_internal_, external);
-  grow(to_external_, internal);
-  to_internal_[static_cast<size_t>(external)] = internal;
-  to_external_[static_cast<size_t>(internal)] = external;
-}
-
-DurableRouter::SessionId DurableRouter::InternalOf(SessionId external) const {
-  if (external <= 0 || static_cast<size_t>(external) >= to_internal_.size()) {
-    return 0;
-  }
-  return to_internal_[static_cast<size_t>(external)];
+SessionLog* DurableRouter::ShardFor(SessionId id) {
+  return shards_[static_cast<size_t>(id % options_.shards)].get();
 }
 
 DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
   // Refuse before logging: a logged open the router cannot host would
   // abort every recovery that replays it.
   if (spec.n < 1 || spec.n > kMaxVars) return 0;
-  SessionId external;
-  {
-    MutexLock lock(&mutex_);
-    external = next_external_++;  // reserved: no concurrent open shares it
-  }
+  // Reserved: no concurrent open shares it.
+  const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   // Log before ack. A crash after this append but before OpenPending
   // returns re-creates a session whose id the caller never learned — an
   // orphan that waits forever, which is the durable-service analogue of
   // an abandoned session, not a correctness hole: nothing was
   // acknowledged, so nothing is owed.
-  if (!ShardFor(external)->AppendSessionOpened(external, spec)) {
-    MutexLock lock(&mutex_);
-    // Hand the id back unless a concurrent open already reserved past it.
-    if (next_external_ == external + 1) next_external_ = external;
+  SessionLog* log = ShardFor(id);
+  if (!log->AppendSessionOpened(id, spec)) {
+    // A failed sync leaves the record whole in the buffer, where a later
+    // sync can still make it durable, so its id stays spent. A poisoned
+    // log's torn tail is truncated by Recover: that id can go back to the
+    // next open, unless a concurrent open has taken a later one.
+    if (log->poisoned()) {
+      SessionId next = id + 1;
+      next_id_.compare_exchange_strong(next, id, std::memory_order_relaxed);
+    }
     return 0;
   }
-  // Pin the session to the router shard paired with its WAL shard: this
-  // session's commit hooks append to WAL `external % shards` while holding
-  // router shard `(external - 1) % shards`'s mutex — a 1:1 pairing, so two
-  // sessions contend on a router lock iff they share a WAL anyway.
-  const SessionId internal =
-      router_->OpenPendingOnShard(RouterShardFor(external), spec.n);
-  {
-    // Mapped before any job can suspend, so every round a concurrent poll
-    // sees belongs to a mapped session.
-    MutexLock lock(&mutex_);
-    MapIds(external, internal);
-  }
-  SubmitSpecJobs(*router_, internal, spec);
-  return external;
+  // Only this wrapper opens sessions on router_, and never twice at an id.
+  const SessionId opened = router_->OpenPendingAt(id, spec.n);
+  QHORN_CHECK_MSG(opened == id, "router refused durable session " << id);
+  SubmitSpecJobs(*router_, id, spec);
+  return id;
 }
 
 ProvideOutcome DurableRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    internal = InternalOf(id);
-  }
-  if (internal == 0) return ProvideOutcome::kUnknownSession;
-  SessionLog* shard = ShardFor(id);
   // The append runs inside the router's commit hook: after validation,
   // before mutation, atomic with the fold. Anything the log did not
   // accept was never acknowledged and never happened in memory.
   auto commit = [&]() -> bool {
-    return shard->AppendRoundAnswered(id, round_id, answers);
+    return ShardFor(id)->AppendRoundAnswered(id, round_id, answers);
   };
-  return router_->ProvideAnswers(internal, round_id, answers,
+  return router_->ProvideAnswers(id, round_id, answers,
                                  SessionRouter::CommitHook(commit));
 }
 
 bool DurableRouter::Close(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    internal = InternalOf(id);
-  }
-  if (internal == 0) return false;
-  // Log before ack; a duplicate close record (append ok but the router
-  // reports already-closed, or a caller retry after a sync failure) is
-  // skipped idempotently by Recover.
-  if (!ShardFor(id)->AppendSessionClosed(id)) return false;
-  return router_->Close(internal);
+  // Logged from the commit hook, like an answer: the router has checked
+  // the session is open, so a refused Close logs nothing (and never
+  // leaves a SessionClosed that Recover would reject). A caller retry
+  // after a sync failure appends a duplicate, which Recover skips.
+  auto commit = [&]() -> bool { return ShardFor(id)->AppendSessionClosed(id); };
+  return router_->Close(id, SessionRouter::CommitHook(commit));
 }
 
 std::vector<PendingRound> DurableRouter::PendingRounds() {
-  std::vector<PendingRound> rounds = router_->PendingRounds();
-  bool ordered = true;
-  {
-    MutexLock lock(&mutex_);
-    SessionId last = 0;
-    for (PendingRound& round : rounds) {
-      const auto internal = static_cast<size_t>(round.session_id);
-      QHORN_CHECK_MSG(internal < to_external_.size() &&
-                          to_external_[internal] != 0,
-                      "pending round for unmapped session "
-                          << round.session_id);
-      round.session_id = to_external_[internal];
-      ordered = ordered && round.session_id > last;
-      last = round.session_id;
-    }
-  }
-  // The facade's merge is already external-id order whenever the ids were
-  // opened one after another (see RouterShardFor); only opens that raced
-  // each other or gave up an id leave a session out of place.
-  if (!ordered) {
-    std::sort(rounds.begin(), rounds.end(),
-              [](const PendingRound& a, const PendingRound& b) {
-                return a.session_id < b.session_id;
-              });
-  }
-  return rounds;
+  return router_->PendingRounds();
 }
 
 std::optional<PendingRound> DurableRouter::pending_round(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    internal = InternalOf(id);
-  }
-  if (internal == 0) return std::nullopt;
-  std::optional<PendingRound> round = router_->pending_round(internal);
-  if (round.has_value()) round->session_id = id;
-  return round;
+  return router_->pending_round(id);
 }
 
 void DurableRouter::Drain() { router_->Drain(); }
 
 std::optional<SessionStatus> DurableRouter::status(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    internal = InternalOf(id);
-  }
-  if (internal == 0) return std::nullopt;
-  return router_->status(internal);
+  return router_->status(id);
 }
 
 QuerySession& DurableRouter::session(SessionId id) {
-  SessionId internal;
-  {
-    MutexLock lock(&mutex_);
-    internal = InternalOf(id);
-  }
-  QHORN_CHECK_MSG(internal != 0, "no durable session " << id);
-  return router_->session(internal);
+  return router_->session(id);
 }
 
 ServiceStats DurableRouter::stats() { return router_->stats(); }
@@ -338,25 +249,19 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     }
   }
 
-  // Phase 3 — rebuild: fresh router, every session re-opened (in id
-  // order) with its job plan resubmitted.
+  // Phase 3 — rebuild: fresh router, every session re-opened at its
+  // logged id with its job plan resubmitted; new opens continue past the
+  // highest one.
   auto durable = std::unique_ptr<DurableRouter>(
       new DurableRouter(fs, log_dir, options));
   if (!durable->OpenLogs(error)) return nullptr;
-  for (const auto& [external, image] : images) {
-    SessionId internal = durable->router_->OpenPendingOnShard(
-        durable->RouterShardFor(external), image.spec.n);
-    {
-      // Recovery is single-threaded, but the id maps are guarded members:
-      // take the (uncontended) lock so the annotations stay honest.
-      MutexLock lock(&durable->mutex_);
-      durable->MapIds(external, internal);
-      durable->next_external_ =
-          std::max(durable->next_external_, external + 1);
-    }
-    SubmitSpecJobs(*durable->router_, internal, image.spec);
+  for (const auto& [id, image] : images) {
+    const SessionId opened = durable->router_->OpenPendingAt(id, image.spec.n);
+    QHORN_CHECK_MSG(opened == id, "router refused logged session " << id);
+    SubmitSpecJobs(*durable->router_, id, image.spec);
     ++report->sessions_recovered;
   }
+  if (!images.empty()) durable->next_id_ = images.rbegin()->first + 1;
 
   // Phase 4 — replay: feed the logged answers back through the ordinary
   // pending protocol, in round order per session. Determinism does the
@@ -368,28 +273,22 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   for (;;) {
     durable->router_->Drain();
     bool progress = false;
-    for (const auto& [external, image] : images) {
-      size_t& next = fed[external];
+    for (const auto& [id, image] : images) {
+      size_t& next = fed[id];
       if (next >= image.rounds.size()) continue;
-      SessionId internal;
-      {
-        MutexLock lock(&durable->mutex_);
-        internal = durable->InternalOf(external);
-      }
-      std::optional<PendingRound> round =
-          durable->router_->pending_round(internal);
+      std::optional<PendingRound> round = durable->router_->pending_round(id);
       if (!round.has_value()) continue;  // checked after the fixpoint
       const std::vector<bool>& answers = image.rounds[next];
       if (round->round_id != static_cast<int64_t>(next)) {
         std::ostringstream os;
-        os << "session " << external << ": replay surfaced round "
+        os << "session " << id << ": replay surfaced round "
            << round->round_id << " where the log expects round " << next;
         *error = os.str();
         return nullptr;
       }
       if (round->questions.size() != answers.size()) {
         std::ostringstream os;
-        os << "session " << external << ": replay round " << next << " asks "
+        os << "session " << id << ": replay round " << next << " asks "
            << round->questions.size() << " question(s) but the log recorded "
            << answers.size() << " answer(s)";
         *error = os.str();
@@ -399,11 +298,11 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       for (size_t q = 0; q < answers.size(); ++q) span.Set(q, answers[q]);
       // The three-argument overload: replay must not re-log what the log
       // just said.
-      ProvideOutcome out = durable->router_->ProvideAnswers(
-          internal, round->round_id, span);
+      ProvideOutcome out =
+          durable->router_->ProvideAnswers(id, round->round_id, span);
       if (out != ProvideOutcome::kResumed) {
         std::ostringstream os;
-        os << "session " << external << ": replay of round " << next
+        os << "session " << id << ": replay of round " << next
            << " was rejected (" << ToString(out) << ")";
         *error = os.str();
         return nullptr;
@@ -414,10 +313,10 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     }
     if (!progress) break;
   }
-  for (const auto& [external, image] : images) {
-    if (fed[external] < image.rounds.size()) {
+  for (const auto& [id, image] : images) {
+    if (fed[id] < image.rounds.size()) {
       std::ostringstream os;
-      os << "session " << external << ": log records round " << fed[external]
+      os << "session " << id << ": log records round " << fed[id]
          << " but the replayed session never asked it";
       *error = os.str();
       return nullptr;
@@ -426,14 +325,9 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
 
   // Phase 5 — re-close what the log says was closed (after replay, so a
   // session closed mid-round abandons the same round it abandoned then).
-  for (const auto& [external, image] : images) {
+  for (const auto& [id, image] : images) {
     if (!image.closed) continue;
-    SessionId internal;
-    {
-      MutexLock lock(&durable->mutex_);
-      internal = durable->InternalOf(external);
-    }
-    durable->router_->Close(internal);
+    durable->router_->Close(id);
     ++report->sessions_closed;
   }
   durable->router_->Drain();

@@ -12,8 +12,10 @@
 //                              under the router lock. A refused append
 //                              surfaces as kLogWriteFailed with the
 //                              session untouched;
-//   Close(id)                → SessionClosed{id} appended, then the
-//                              session closes.
+//   Close(id)                → SessionClosed{id} appended from inside
+//                              the router's commit hook, once the
+//                              router has checked the session is open:
+//                              a refused Close logs nothing.
 //
 // Sessions are deterministic functions of (spec, answer sequence)
 // (router.h's determinism contract), so the log needs no checkpoints:
@@ -24,35 +26,26 @@
 // the crash harness (crash_harness.h) enforces differentially against a
 // synchronous reference arm.
 //
-// Session ids: the wrapper assigns its own ("external") ids and keeps
-// honoring them across recovery, remapping internally to whatever ids the
-// fresh post-crash router hands out. Users outlive server crashes; their
-// session handles must too. Both directions of the map are dense vectors
-// (external ids count up from 1, router ids interleave the shards' own
-// counters), so a lookup is an index, not a hash probe.
+// Session ids: one number at every layer. The wrapper hands out ids from
+// an atomic counter counting up from 1, logs session `id` to WAL shard
+// `id mod shards`, and opens it under that same id on router shard
+// `id mod shards` (ShardedRouter::OpenPendingAt). Recovery re-opens each
+// logged session at its logged id, so ids survive crashes with nothing
+// to map — users outlive server crashes, and so must their session
+// handles. The log is sharded so concurrent sessions do not serialize on
+// one append mutex; a session's records stay in one WAL shard, totally
+// ordered by round id, so recovery never needs an order across shards.
 //
-// The log is sharded (shard = id mod shards) so concurrent sessions do
-// not serialize on one append mutex; a session's records stay in one
-// shard, totally ordered by round id, so recovery never needs an order
-// across shards.
-//
-// The poll: PendingRounds() takes the facade's merged, router-id-ordered
-// list of the rounds announced since the last poll (each round is
-// delivered once; pending_round(id) re-reads one) and rewrites each id
-// through the dense map in one pass under the wrapper's mutex. A
-// recovered router announces every round its replay left awaiting, so
-// the first poll after Recover delivers all of them again. Session e
-// lives on router shard (e − 1) mod shards, which makes the k-th session
-// of that shard external id
-// (k − 1)·shards + shard + 1 and router id k·shards + shard — the same
-// order. So when sessions were opened one after another, the facade's
-// order already is the external order and nothing is sorted; the pass
-// checks it as it goes and sorts only when racing opens (or an id a
-// refused open could not hand back) left a session out of place.
+// Everything but opening is a pass-through to the facade, whose poll
+// already comes back in id order and delivers each round once
+// (pending_round(id) re-reads one). A recovered router announces every
+// round its replay left awaiting, so the first poll after Recover
+// delivers all of them again.
 
 #ifndef QHORN_DURABLE_DURABLE_ROUTER_H_
 #define QHORN_DURABLE_DURABLE_ROUTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <map>
 #include <memory>
@@ -63,18 +56,17 @@
 #include "src/durable/fs.h"
 #include "src/durable/session_log.h"
 #include "src/session/sharded_router.h"
-#include "src/util/checked_mutex.h"
 #include "src/workload/workload.h"
 
 namespace qhorn {
 
 struct DurableRouterOptions {
   SessionRouter::Options router;
-  SessionLogOptions log;  ///< kEveryAppend = full log-before-ack durability
+  SessionLogOptions log;  ///< kEveryAppend: full log-before-ack durability
   /// WAL shards *and* router shards: the in-memory service is a
-  /// ShardedRouter with the same count, each session pinned to the router
-  /// shard matching its WAL shard (id mod shards), so a commit hook on
-  /// one WAL only ever holds that one router shard's mutex.
+  /// ShardedRouter with the same count, and session `id` lives on router
+  /// shard and WAL shard `id mod shards` alike, so a commit hook on one
+  /// WAL only ever holds that one router shard's mutex.
   int shards = 4;
 };
 
@@ -120,9 +112,11 @@ class DurableRouter {
   /// Logs SessionOpened, then opens the session and submits the spec's
   /// job plan. 0 (never a valid id) if `spec.n` is outside [1, kMaxVars]
   /// (refused before anything is logged) or if the log refused the record
-  /// — the call is retryable, and the id goes back to the next open
-  /// unless a concurrent open has already reserved a later one. Safe to
-  /// call from several threads; each gets its own id.
+  /// — the call is retryable. After a failed write the id goes back to
+  /// the next open unless a concurrent open has already reserved a later
+  /// one; after a failed sync it stays spent, since the buffered record
+  /// may still become durable. Safe to call from several threads; each
+  /// gets its own id.
   SessionId OpenPending(const SessionSpec& spec);
 
   /// SessionRouter::ProvideAnswers semantics plus kLogWriteFailed when
@@ -133,21 +127,20 @@ class DurableRouter {
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers);
 
-  /// Logs SessionClosed, then closes. False if the id is unknown, the
-  /// session is already closed, or the close record could not be
-  /// committed (retryable; recovery skips a duplicate close).
+  /// Logs SessionClosed from the router's commit hook, then closes. False,
+  /// with nothing logged, if the id is unknown or the session is already
+  /// closed; false, with the session still open, if the close record
+  /// could not be committed (retryable; recovery skips a duplicate close).
   bool Close(SessionId id);
 
   /// The rounds announced since the last poll and still awaiting, by
-  /// value, carrying external ids and ordered by them (see the file
-  /// comment for how the order comes for free). Each round is delivered by
-  /// exactly one poll; the first poll after Recover delivers every
-  /// awaiting round.
+  /// value, ordered by session id. Each round is delivered by exactly one
+  /// poll; the first poll after Recover delivers every awaiting round.
   std::vector<PendingRound> PendingRounds();
 
-  /// The round `id` is blocked on, in external-id form: the way to re-read
-  /// a round the poll already delivered. nullopt for an unknown or
-  /// unmapped id, and for a closed or not-awaiting session.
+  /// The round `id` is blocked on: the way to re-read a round the poll
+  /// already delivered. nullopt for an unknown id, and for a closed or
+  /// not-awaiting session.
   std::optional<PendingRound> pending_round(SessionId id);
 
   void Drain();
@@ -166,27 +159,16 @@ class DurableRouter {
   DurableRouter(Fs* fs, std::string log_dir, DurableRouterOptions options);
 
   bool OpenLogs(std::string* error);
-  SessionLog* ShardFor(SessionId external_id);
-  /// The router shard paired with `external`'s WAL shard (file comment).
-  int RouterShardFor(SessionId external) const;
-  void MapIds(SessionId external, SessionId internal) QHORN_REQUIRES(mutex_);
-  /// The router id of `external`, or 0 for an id never handed out.
-  SessionId InternalOf(SessionId external) const QHORN_REQUIRES(mutex_);
+  SessionLog* ShardFor(SessionId id);
 
   Fs* fs_;
   std::string log_dir_;
   DurableRouterOptions options_;
   std::unique_ptr<ShardedRouter> router_;
   std::vector<std::unique_ptr<SessionLog>> shards_;
-
-  // Guards the id maps and next_external_. Always released before calling
-  // into router_ — but its rank (kDurableRouter) sits below kRouterShard,
-  // so even holding it across such a call would respect the lock order.
-  mutable Mutex mutex_{"durable-router", LockRank::kDurableRouter};
-  // Dense id maps; 0 marks an unmapped slot (no session has id 0).
-  std::vector<SessionId> to_internal_ QHORN_GUARDED_BY(mutex_);  // [external]
-  std::vector<SessionId> to_external_ QHORN_GUARDED_BY(mutex_);  // [router id]
-  SessionId next_external_ QHORN_GUARDED_BY(mutex_) = 1;
+  // The id the next open takes; a refused open hands its id back by
+  // compare-and-swap unless a concurrent open has taken a later one.
+  std::atomic<SessionId> next_id_{1};
 };
 
 }  // namespace qhorn

@@ -168,28 +168,13 @@ bool SessionLog::AppendRecord(std::string_view payload) {
     return false;
   }
   ++records_;
-  ++records_since_sync_;
-  bool needs_sync = false;
-  switch (options_.fsync_policy) {
-    case FsyncPolicy::kEveryAppend:
-      needs_sync = true;
-      break;
-    case FsyncPolicy::kEveryN:
-      needs_sync = records_since_sync_ >= options_.fsync_every_n;
-      break;
-    case FsyncPolicy::kNever:
-      break;
+  if (!file_->Sync()) {
+    // Not poisoned: the frame is buffered whole. The caller must not
+    // acknowledge, but may retry with a fresh append of the same record
+    // — recovery treats the resulting duplicate as a no-op.
+    return false;
   }
-  if (needs_sync) {
-    if (!file_->Sync()) {
-      // Not poisoned: the frame is buffered whole. The caller must not
-      // acknowledge, but may retry with a fresh append of the same record
-      // — recovery treats the resulting duplicate as a no-op.
-      return false;
-    }
-    ++syncs_;
-    records_since_sync_ = 0;
-  }
+  ++syncs_;
   return true;
 }
 
@@ -224,15 +209,6 @@ bool SessionLog::AppendSessionClosed(int64_t session_id) {
   std::string payload;
   EncodeRecordPayload(rec, &payload);
   return AppendRecord(payload);
-}
-
-bool SessionLog::SyncNow() {
-  MutexLock lock(&mutex_);
-  if (poisoned_) return false;
-  if (!file_->Sync()) return false;
-  ++syncs_;
-  records_since_sync_ = 0;
-  return true;
 }
 
 bool SessionLog::poisoned() const {

@@ -66,19 +66,16 @@ struct LogRecord {
   std::vector<bool> answers;   // kRoundAnswered
 };
 
-/// When appended records become durable. Only kEveryAppend gives the full
-/// log-before-ack guarantee (an acknowledged answer survives any crash);
-/// the relaxed policies trade the tail of un-synced acknowledgements for
-/// fewer fsyncs and exist for benchmarks and tests.
+/// When appended records become durable: after every record, so an
+/// acknowledged call survives any crash (log-before-ack). It is the only
+/// policy; the enum stays because callers name it when they build their
+/// options (the end-to-end benchmark among them).
 enum class FsyncPolicy {
-  kEveryAppend,  ///< sync after every record — the durable default
-  kEveryN,       ///< sync after every N records
-  kNever,        ///< never sync (a crash loses every buffered record)
+  kEveryAppend,  ///< sync after every record
 };
 
 struct SessionLogOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryAppend;
-  int fsync_every_n = 32;  ///< used by kEveryN
 };
 
 /// Append side of one shard. Thread-safe (appends serialize internally;
@@ -94,20 +91,16 @@ class SessionLog {
                                           const SessionLogOptions& options,
                                           std::string* error);
 
-  /// Appends one record; true iff the record is on storage per the fsync
-  /// policy. A false return distinguishes two caller-visible states via
-  /// poisoned(): a failed *write* poisons the log (the tail is
-  /// indeterminate, every later append is refused), while a failed *sync*
-  /// leaves the record buffered and whole — the caller may retry by
-  /// appending the record again (recovery skips the duplicate).
+  /// Appends one record; true iff the record is written and synced. A
+  /// false return distinguishes two caller-visible states via poisoned():
+  /// a failed *write* poisons the log (the tail is indeterminate, every
+  /// later append is refused), while a failed *sync* leaves the record
+  /// buffered and whole — the caller may retry by appending the record
+  /// again (recovery skips the duplicate).
   bool AppendSessionOpened(int64_t session_id, const SessionSpec& spec);
   bool AppendRoundAnswered(int64_t session_id, int64_t round_id,
                            BitSpan answers);
   bool AppendSessionClosed(int64_t session_id);
-
-  /// Forces a sync regardless of policy (shutdown barrier). False on
-  /// fsync failure (retryable) or a poisoned log.
-  bool SyncNow();
 
   /// True once an append failed at the write (not sync) stage: the file
   /// tail is indeterminate and this handle refuses all further appends.
@@ -138,7 +131,6 @@ class SessionLog {
   mutable Mutex mutex_{"wal-shard", LockRank::kWalShard};
   bool poisoned_ QHORN_GUARDED_BY(mutex_) = false;
   int64_t records_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t records_since_sync_ QHORN_GUARDED_BY(mutex_) = 0;
   int64_t syncs_ QHORN_GUARDED_BY(mutex_) = 0;
 };
 

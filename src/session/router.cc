@@ -144,7 +144,7 @@ void SessionRouter::UnwindFiber(SessionState* state) {
 }
 
 SessionRouter::SessionId SessionRouter::OpenInternal(
-    int n, MembershipOracle* user,
+    SessionId id, int n, MembershipOracle* user,
     std::unique_ptr<MembershipOracle> owned_backend,
     PendingOracle* pending_backend) {
   auto state = std::make_unique<SessionState>();
@@ -152,31 +152,60 @@ SessionRouter::SessionId SessionRouter::OpenInternal(
   state->owned_backend = std::move(owned_backend);
   state->pending_backend = pending_backend;
   MutexLock lock(&mutex_);
-  SessionId id = next_id_++;
+  if (id == 0) {
+    while (sessions_.contains(next_id_)) ++next_id_;
+    id = next_id_++;
+  } else if (sessions_.contains(id)) {
+    return 0;
+  }
   sessions_.emplace(id, std::move(state));
   return id;
 }
 
 SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
   QHORN_CHECK(user != nullptr);
-  return OpenInternal(n, user, nullptr, nullptr);
+  return OpenInternal(0, n, user, nullptr, nullptr);
+}
+
+SessionRouter::SessionId SessionRouter::OpenAt(SessionId id, int n,
+                                               MembershipOracle* user) {
+  QHORN_CHECK(user != nullptr);
+  if (id <= 0) return 0;
+  return OpenInternal(id, n, user, nullptr, nullptr);
 }
 
 SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
                                                       EvalOptions opts) {
   auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
   MembershipOracle* user = backend.get();
-  return OpenInternal(intended.n(), user, std::move(backend), nullptr);
+  return OpenInternal(0, intended.n(), user, std::move(backend), nullptr);
+}
+
+SessionRouter::SessionId SessionRouter::OpenSimulatedAt(
+    SessionId id, const Query& intended, EvalOptions opts) {
+  if (id <= 0) return 0;
+  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
+  MembershipOracle* user = backend.get();
+  return OpenInternal(id, intended.n(), user, std::move(backend), nullptr);
 }
 
 SessionRouter::SessionId SessionRouter::OpenPending(int n) {
+  return OpenPendingInternal(0, n);
+}
+
+SessionRouter::SessionId SessionRouter::OpenPendingAt(SessionId id, int n) {
+  return id <= 0 ? 0 : OpenPendingInternal(id, n);
+}
+
+SessionRouter::SessionId SessionRouter::OpenPendingInternal(SessionId id,
+                                                            int n) {
   if (n < 1 || n > kMaxVars) return 0;
   auto backend = std::make_unique<PendingOracle>();
   PendingOracle* pending = backend.get();
-  SessionId id = OpenInternal(n, pending, std::move(backend), pending);
+  id = OpenInternal(id, n, pending, std::move(backend), pending);
   // Safe after the fact: the caller cannot Submit before OpenPending
   // returns, so no round can suspend carrying the unset id.
-  pending->set_session_id(id);
+  if (id != 0) pending->set_session_id(id);
   return id;
 }
 
@@ -618,11 +647,11 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
     // lock, so the logged record and the fold it authorizes are one
     // atomic step as seen by every other router call. A veto leaves the
     // session exactly as it was (the round stays pending, the same call
-    // can be retried once the log is healthy). The PR 9 sharding
-    // invariant — a DurableRouter commit hook runs under exactly one
-    // shard's mutex — is what lets the hook append to this shard's WAL
-    // without cross-shard ordering concerns; the rank checker enforces it
-    // (a hook reaching into a second shard dies on the same-rank check).
+    // can be retried once the log is healthy). The sharding invariant —
+    // a DurableRouter commit hook runs under exactly one shard's mutex —
+    // is what lets the hook append to this shard's WAL without
+    // cross-shard ordering concerns; the rank checker enforces it (a hook
+    // reaching into a second shard dies on the same-rank check).
     if (commit != nullptr) {
       LockRankChecker::AssertHeldCountAtRank(LockRank::kRouterShard, 1,
                                              "a DurableRouter commit hook");
@@ -712,11 +741,18 @@ std::optional<PendingRound> SessionRouter::pending_round(SessionId id) {
 }
 
 bool SessionRouter::Close(SessionId id) {
+  return Close(id, [] { return true; });
+}
+
+bool SessionRouter::Close(SessionId id, CommitHook commit) {
   MutexLock lock(&mutex_);
   auto it = sessions_.find(id);
   if (it == sessions_.end()) return false;
   SessionState* state = it->second.get();
   if (state->closed) return false;
+  // The write-ahead barrier, as in ProvideAnswersInternal: only a close
+  // the router accepts is logged, and it is logged before it happens.
+  if (!commit()) return false;
   state->closed = true;
   if (state->awaiting) {
     // The user will never answer; abandon the round. The session's

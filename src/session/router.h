@@ -271,6 +271,17 @@ class SessionRouter {
   /// [1, kMaxVars] — the typed refusal for a hostile open.
   SessionId OpenPending(int n);
 
+  /// The three opens above under an id the caller picks — how
+  /// ShardedRouter places a session on the shard its id names. Each
+  /// returns `id`, or 0 and opens nothing when `id` ≤ 0 or is already in
+  /// use (and, for OpenPendingAt, when `n` is out of range as above). The
+  /// ids the router assigns itself skip every id in use, so the two kinds
+  /// never collide.
+  SessionId OpenAt(SessionId id, int n, MembershipOracle* user);
+  SessionId OpenSimulatedAt(SessionId id, const Query& intended,
+                            EvalOptions opts = EvalOptions());
+  SessionId OpenPendingAt(SessionId id, int n);
+
   /// Enqueues a job for the session. Jobs of one session run in
   /// submission order; jobs of different sessions run concurrently.
   /// Returns false — and enqueues nothing — for an unknown or closed
@@ -370,6 +381,11 @@ class SessionRouter {
   /// queued jobs of a direct session still drain. Returns false for an
   /// unknown or already-closed id.
   bool Close(SessionId id);
+
+  /// Close with a durable commit barrier, run like ProvideAnswers': after
+  /// the id is known to name an open session, before it closes, under
+  /// the router lock. A veto returns false with the session still open.
+  bool Close(SessionId id, CommitHook commit);
 
   /// The session's lifecycle state, for the embedding server's dashboard
   /// (and the continuation tests). Like every id-taking protocol call,
@@ -471,9 +487,11 @@ class SessionRouter {
     uint64_t announced_batch = 0;
   };
 
-  SessionId OpenInternal(int n, MembershipOracle* user,
+  /// Opens under `id`, or under the next free id when `id` is 0.
+  SessionId OpenInternal(SessionId id, int n, MembershipOracle* user,
                          std::unique_ptr<MembershipOracle> owned_backend,
                          PendingOracle* pending_backend);
+  SessionId OpenPendingInternal(SessionId id, int n);
   bool SubmitInternal(SessionId id, Job job, JobKind kind);
   /// Shared body of both ProvideAnswers overloads; `commit` null means
   /// commit unconditionally (FunctionRef itself is non-nullable).
@@ -516,10 +534,12 @@ class SessionRouter {
 
   // Guards the sessions_ map shape, the per-session queues/bookkeeping
   // (SessionState fields — see the struct comments for the runner-owned
-  // exceptions), the announced rounds and the service counters. One per
-  // shard; a DurableRouter commit hook runs while exactly one of these is
-  // held (LockRank::kRouterShard — the rank checker asserts the invariant
-  // in ProvideAnswersInternal).
+  // exceptions), the announced rounds and the service counters. A
+  // ShardedRouter has one router, hence one of these, per shard; a
+  // DurableRouter commit hook (ProvideAnswers or Close) runs while
+  // exactly one of them is held (LockRank::kRouterShard — the rank
+  // checker forbids nesting two, and ProvideAnswersInternal asserts it
+  // before running its hook).
   Mutex mutex_{"router-shard", LockRank::kRouterShard};
   CondVar idle_cv_;
   // Rounds announced since the last poll, at most one per session, in no
@@ -530,6 +550,7 @@ class SessionRouter {
   uint64_t announce_batch_ QHORN_GUARDED_BY(mutex_) = 1;
   std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
       QHORN_GUARDED_BY(mutex_);
+  // Where an assigning open starts looking for a free id.
   SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;
   // Jobs that can make progress right now: queued + running jobs of
   // direct sessions, plus uncompleted jobs of pending sessions that are

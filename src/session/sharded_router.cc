@@ -1,5 +1,7 @@
 #include "src/session/sharded_router.h"
 
+#include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
@@ -33,90 +35,72 @@ ShardedRouter::~ShardedRouter() {
   shards_.clear();
 }
 
+ShardedRouter::SessionId ShardedRouter::OpenNext(
+    FunctionRef<SessionId(SessionRouter& shard, SessionId id)> open_at) {
+  for (;;) {
+    const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    if (open_at(*Route(id), id) != 0) return id;
+  }
+}
+
 ShardedRouter::SessionId ShardedRouter::Open(int n, MembershipOracle* user) {
-  const int shard = NextShard();
-  return Encode(shards_[static_cast<size_t>(shard)]->Open(n, user), shard);
+  return OpenNext([&](SessionRouter& shard, SessionId id) {
+    return shard.OpenAt(id, n, user);
+  });
 }
 
 ShardedRouter::SessionId ShardedRouter::OpenSimulated(const Query& intended,
                                                       EvalOptions opts) {
-  const int shard = NextShard();
-  return Encode(
-      shards_[static_cast<size_t>(shard)]->OpenSimulated(intended, opts),
-      shard);
+  return OpenNext([&](SessionRouter& shard, SessionId id) {
+    return shard.OpenSimulatedAt(id, intended, opts);
+  });
 }
 
 ShardedRouter::SessionId ShardedRouter::OpenPending(int n) {
-  return OpenPendingOnShard(NextShard(), n);
+  // Refused before taking an id, so a refusal consumes none (and OpenNext
+  // never retries an open no id could make succeed).
+  if (n < 1 || n > kMaxVars) return 0;
+  return OpenNext([n](SessionRouter& shard, SessionId id) {
+    return shard.OpenPendingAt(id, n);
+  });
 }
 
-ShardedRouter::SessionId ShardedRouter::OpenPendingOnShard(int shard, int n) {
-  QHORN_CHECK_MSG(shard >= 0 && shard < shards(),
-                  "shard " << shard << " out of range");
-  const SessionId internal =
-      shards_[static_cast<size_t>(shard)]->OpenPending(n);
-  return internal == 0 ? 0 : Encode(internal, shard);  // 0: refused open
-}
-
-SessionRouter* ShardedRouter::Route(SessionId external) {
-  if (external <= 0) return nullptr;
-  const SessionId internal = Internal(external);
-  if (internal <= 0) return nullptr;
-  return shards_[static_cast<size_t>(ShardOf(external))].get();
+ShardedRouter::SessionId ShardedRouter::OpenPendingAt(SessionId id, int n) {
+  SessionRouter* shard = Route(id);
+  return shard == nullptr ? 0 : shard->OpenPendingAt(id, n);
 }
 
 bool ShardedRouter::Submit(SessionId id, Job job) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->Submit(Internal(id), std::move(job));
+  return shard != nullptr && shard->Submit(id, std::move(job));
 }
 
 bool ShardedRouter::SubmitLearn(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->SubmitLearn(Internal(id));
+  return shard != nullptr && shard->SubmitLearn(id);
 }
 
 bool ShardedRouter::SubmitVerify(SessionId id, Query candidate) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr &&
-         shard->SubmitVerify(Internal(id), std::move(candidate));
+  return shard != nullptr && shard->SubmitVerify(id, std::move(candidate));
 }
 
 bool ShardedRouter::SubmitRevise(SessionId id, Query candidate) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr &&
-         shard->SubmitRevise(Internal(id), std::move(candidate));
+  return shard != nullptr && shard->SubmitRevise(id, std::move(candidate));
 }
 
 std::vector<PendingRound> ShardedRouter::PendingRounds() {
-  // Each shard's list is in internal-id order, and Encode is monotone in
-  // the internal id for a fixed shard, so the re-encoded lists stay sorted
-  // and one k-way merge orders the whole poll. Shard counts are small, so
-  // the merge scans the list heads instead of keeping a heap.
-  std::vector<std::vector<PendingRound>> lists(shards_.size());
-  size_t total = 0;
-  for (size_t i = 0; i < shards_.size(); ++i) {
-    lists[i] = shards_[i]->PendingRounds();
-    for (PendingRound& round : lists[i]) {
-      // Shards stamp rounds with their own (internal) ids; the facade
-      // speaks external ids everywhere.
-      round.session_id = Encode(round.session_id, static_cast<int>(i));
-    }
-    total += lists[i].size();
-  }
-  std::vector<size_t> next(lists.size(), 0);
   std::vector<PendingRound> rounds;
-  rounds.reserve(total);
-  for (size_t taken = 0; taken < total; ++taken) {
-    size_t best = lists.size();
-    for (size_t i = 0; i < lists.size(); ++i) {
-      if (next[i] == lists[i].size()) continue;
-      if (best == lists.size() || lists[i][next[i]].session_id <
-                                      lists[best][next[best]].session_id) {
-        best = i;
-      }
-    }
-    rounds.push_back(std::move(lists[best][next[best]++]));
+  for (auto& shard : shards_) {
+    std::vector<PendingRound> batch = shard->PendingRounds();
+    rounds.insert(rounds.end(), std::make_move_iterator(batch.begin()),
+                  std::make_move_iterator(batch.end()));
   }
+  std::sort(rounds.begin(), rounds.end(),
+            [](const PendingRound& a, const PendingRound& b) {
+              return a.session_id < b.session_id;
+            });
   return rounds;
 }
 
@@ -124,7 +108,7 @@ ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              BitSpan answers) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->ProvideAnswers(Internal(id), round_id, answers);
+  return shard->ProvideAnswers(id, round_id, answers);
 }
 
 ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
@@ -132,37 +116,40 @@ ProvideOutcome ShardedRouter::ProvideAnswers(SessionId id, int64_t round_id,
                                              CommitHook commit) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->ProvideAnswers(Internal(id), round_id, answers, commit);
+  return shard->ProvideAnswers(id, round_id, answers, commit);
 }
 
 ProvideOutcome ShardedRouter::CorrectAnswer(SessionId id, size_t entry_index) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return ProvideOutcome::kUnknownSession;
-  return shard->CorrectAnswer(Internal(id), entry_index);
+  return shard->CorrectAnswer(id, entry_index);
 }
 
 std::optional<PendingRound> ShardedRouter::pending_round(SessionId id) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return std::nullopt;
-  std::optional<PendingRound> round = shard->pending_round(Internal(id));
-  if (round.has_value()) round->session_id = id;  // external id form
-  return round;
+  return shard->pending_round(id);
 }
 
 bool ShardedRouter::Close(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard != nullptr && shard->Close(Internal(id));
+  return shard != nullptr && shard->Close(id);
+}
+
+bool ShardedRouter::Close(SessionId id, CommitHook commit) {
+  SessionRouter* shard = Route(id);
+  return shard != nullptr && shard->Close(id, commit);
 }
 
 std::optional<SessionStatus> ShardedRouter::status(SessionId id) {
   SessionRouter* shard = Route(id);
   if (shard == nullptr) return std::nullopt;
-  return shard->status(Internal(id));
+  return shard->status(id);
 }
 
 int64_t ShardedRouter::suspensions(SessionId id) {
   SessionRouter* shard = Route(id);
-  return shard == nullptr ? -1 : shard->suspensions(Internal(id));
+  return shard == nullptr ? -1 : shard->suspensions(id);
 }
 
 void ShardedRouter::Drain() {
@@ -172,7 +159,7 @@ void ShardedRouter::Drain() {
 QuerySession& ShardedRouter::session(SessionId id) {
   SessionRouter* shard = Route(id);
   QHORN_CHECK_MSG(shard != nullptr, "no session " << id);
-  return shard->session(Internal(id));
+  return shard->session(id);
 }
 
 ServiceStats ShardedRouter::stats() {

@@ -14,29 +14,24 @@
 //     service-wide. The cache is striped internally, so sharing it does
 //     not reintroduce the lock the shards just removed.
 //
-// Session ids are encoded so the facade is stateless about placement:
-//
-//     external = internal * shards + shard_index
-//
-// ShardOf() is a modulo, the shard's own id comes back from a division,
-// and — the property the differential suites pin — at shards == 1 the
-// encoding is the identity, so a 1-shard facade is bit-identical to a bare
-// SessionRouter (same ids, same rounds, same stats). DurableRouter maps
-// its per-WAL shards 1:1 onto router shards via OpenPendingOnShard, so a
-// durable commit on one WAL contends only with its own router shard.
+// Session ids are the same number at every layer: session `id` lives on
+// shard `id mod shards` under that same id, so the facade keeps no
+// placement state and rewrites no id. Its own opens take ids from one
+// atomic counter counting up from 1 — at shards == 1 that is exactly the
+// bare SessionRouter's sequence, so a 1-shard facade is bit-identical to
+// a bare SessionRouter (same ids, same rounds, same stats). OpenPendingAt
+// opens at an id the caller picks; DurableRouter uses it so a session's
+// id is also its WAL record's id, and WAL file `id mod shards` pairs 1:1
+// with router shard `id mod shards`: a durable commit on one WAL contends
+// only with its own router shard.
 //
 // Determinism contract (inherited): a session's observable history depends
 // only on its own job and answer sequence, never on which shard hosts it
 // or how many shards exist. The facade adds no cross-shard coordination —
 // Drain() drains shard by shard (jobs never create work on another
-// shard), PendingRounds() merges the shards' polls, and stats() sums.
-//
-// The poll: each shard returns the rounds announced since its last poll,
-// already in internal-id order (it sorts its batch), and Encode is
-// monotone in the internal id within one shard, so the facade re-encodes
-// each list in place and k-way merges them — no sort at this layer, and
-// every round is moved, never copied, on its way through. Like a shard's,
-// the merged poll is edge-triggered: each round is delivered once.
+// shard), PendingRounds() concatenates the shards' polls and sorts the
+// result once by id, and stats() sums. Like a shard's, the poll is
+// edge-triggered: each round is delivered once.
 //
 // Scaling model: throughput ≈ min(lanes, shards × per-shard capacity).
 // Shards bound protocol-call parallelism (mutex acquisitions spread
@@ -44,14 +39,13 @@
 // bounded by memory alone (a parked session holds no lane on any shard).
 //
 // Lock order (enforced at runtime by the rank checker, src/util/
-// lock_ranks.h): the facade itself holds no mutex — placement is one
+// lock_ranks.h): the facade itself holds no mutex — ids come from one
 // atomic counter — so the order through this layer is exactly one
-// shard's: DurableRouter (kDurableRouter) → that shard's SessionRouter
-// (kRouterShard) → its WAL shard (kWalShard) → the filesystem (kFaultFs/
-// kFs). Same-rank nesting is forbidden, so no call path may hold two
-// shard mutexes at once — cross-shard deadlock is structurally
-// impossible, and a DurableRouter commit hook runs under exactly one
-// shard mutex (asserted in SessionRouter::ProvideAnswersInternal).
+// shard's: that shard's SessionRouter (kRouterShard) → its WAL shard
+// (kWalShard) → the filesystem (kFaultFs/kFs). Same-rank nesting is
+// forbidden, so no call path may hold two shard mutexes at once —
+// cross-shard deadlock is structurally impossible, and a DurableRouter
+// commit hook runs under exactly one shard mutex.
 
 #ifndef QHORN_SESSION_SHARDED_ROUTER_H_
 #define QHORN_SESSION_SHARDED_ROUTER_H_
@@ -62,6 +56,7 @@
 #include <vector>
 
 #include "src/session/router.h"
+#include "src/util/function_ref.h"
 
 namespace qhorn {
 
@@ -101,9 +96,9 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Session opens place round-robin across shards (placement does not
-  /// affect observables; round-robin keeps shards balanced without
-  /// coordination beyond one atomic counter).
+  /// Opens take the counter's next id and land on shard `id mod shards`
+  /// (placement does not affect observables; consecutive ids keep shards
+  /// balanced). An id a caller-chosen open already holds is skipped.
   SessionId Open(int n, MembershipOracle* user);
   SessionId OpenSimulated(const Query& intended,
                           EvalOptions opts = EvalOptions());
@@ -111,11 +106,10 @@ class ShardedRouter {
   /// [1, kMaxVars], like SessionRouter::OpenPending.
   SessionId OpenPending(int n);
 
-  /// Pinned-placement open: the durable layer maps WAL shard i onto
-  /// router shard i so one WAL's commit hooks contend with exactly one
-  /// router mutex. `shard` must be in [0, shards()); an out-of-range `n`
-  /// returns 0 as above.
-  SessionId OpenPendingOnShard(int shard, int n);
+  /// OpenPending under an id the caller picks, on shard `id mod shards`
+  /// (see SessionRouter::OpenPendingAt): 0, and nothing opens, for an id
+  /// ≤ 0, an id in use or an out-of-range `n`.
+  SessionId OpenPendingAt(SessionId id, int n);
 
   bool Submit(SessionId id, Job job);
   bool SubmitLearn(SessionId id);
@@ -123,8 +117,8 @@ class ShardedRouter {
   bool SubmitRevise(SessionId id, Query candidate);
 
   /// The rounds announced since the last poll on every shard (each round
-  /// delivered once, see SessionRouter::PendingRounds), session ids
-  /// re-encoded to external form, k-way merged into session-id order.
+  /// delivered once, see SessionRouter::PendingRounds), in session-id
+  /// order.
   std::vector<PendingRound> PendingRounds();
 
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
@@ -133,11 +127,12 @@ class ShardedRouter {
                                 BitSpan answers, CommitHook commit);
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
-  /// The round the session is blocked on (external id form), if any: the
-  /// way to re-read a round the poll already delivered.
+  /// The round the session is blocked on, if any: the way to re-read a
+  /// round the poll already delivered.
   std::optional<PendingRound> pending_round(SessionId id);
 
   bool Close(SessionId id);
+  bool Close(SessionId id, CommitHook commit);
   std::optional<SessionStatus> status(SessionId id);
   int64_t suspensions(SessionId id);
 
@@ -162,24 +157,20 @@ class ShardedRouter {
   CompiledQueryCache& compiled_cache() { return cache_; }
 
  private:
-  SessionId Encode(SessionId internal, int shard) const {
-    return internal * static_cast<SessionId>(shards_.size()) + shard;
+  /// The shard hosting `id`, or nullptr for an id ≤ 0, which no shard
+  /// hosts.
+  SessionRouter* Route(SessionId id) {
+    return id <= 0 ? nullptr : shards_[static_cast<size_t>(ShardOf(id))].get();
   }
-  SessionId Internal(SessionId external) const {
-    return external / static_cast<SessionId>(shards_.size());
-  }
-  /// The shard hosting `external`, or nullptr for ids no shard can host
-  /// (≤ 0, or an encoding whose internal part is below the first id).
-  SessionRouter* Route(SessionId external);
-  int NextShard() {
-    return static_cast<int>(next_shard_.fetch_add(1, std::memory_order_relaxed) %
-                            shards_.size());
-  }
+  /// Opens with `open_at(shard, id)` at the counter's next id, skipping
+  /// any id the shard refuses because a caller-chosen open holds it.
+  SessionId OpenNext(
+      FunctionRef<SessionId(SessionRouter& shard, SessionId id)> open_at);
 
   CompiledQueryCache cache_;
   std::unique_ptr<Executor> executor_;
   std::vector<std::unique_ptr<SessionRouter>> shards_;
-  std::atomic<uint64_t> next_shard_{0};
+  std::atomic<SessionId> next_id_{1};
 };
 
 }  // namespace qhorn

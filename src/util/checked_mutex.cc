@@ -16,9 +16,9 @@ struct HeldLock {
   LockRank rank;
 };
 
-// Deepest legitimate nesting today is 5 (durable-router → router-shard →
-// wal-shard → fault-fs → fs); 32 leaves generous headroom and keeps the
-// stack a flat thread-local array with no allocation on the lock path.
+// Deepest legitimate nesting today is 4 (router-shard → wal-shard →
+// fault-fs → fs); 32 leaves generous headroom and keeps the stack a flat
+// thread-local array with no allocation on the lock path.
 constexpr int kMaxHeldLocks = 32;
 thread_local HeldLock tls_held[kMaxHeldLocks];
 thread_local int tls_held_count = 0;

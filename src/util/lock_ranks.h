@@ -14,14 +14,13 @@
 // aspiration. Verified chains (each inner acquisition happens while the
 // outer lock is held):
 //
-//   kDurableRouter < kRouterShard < kWalShard < kFaultFs / kFs
-//     The PR 9 durability chain: DurableRouter releases its id-map mutex
-//     before calling into the router (so holding it across the call would
-//     still be legal), SessionRouter::ProvideAnswersInternal invokes the
-//     commit hook while holding exactly one shard mutex, the hook appends
-//     to that shard's WAL (SessionLog::AppendRecord holds the log mutex
-//     across WritableFile::Append/Sync), and MemFs/FaultFs lock their own
-//     mutex inside the file operations. FaultFs releases its mutex before
+//   kRouterShard < kWalShard < kFaultFs / kFs
+//     The durability chain: DurableRouter holds no mutex of its own,
+//     SessionRouter's ProvideAnswers and Close invoke the commit hook
+//     while holding exactly one shard mutex, the hook appends to that
+//     shard's WAL (SessionLog::AppendRecord holds the log mutex across
+//     WritableFile::Append/Sync), and MemFs/FaultFs lock their own mutex
+//     inside the file operations. FaultFs releases its mutex before
 //     delegating to the base file, but it ranks below kFs so holding it
 //     across the call would also be legal. The pending-round poll takes a
 //     shard mutex only to swap out the rounds announced since the last
@@ -54,7 +53,6 @@ namespace qhorn {
 
 enum class LockRank : int {
   kExecutor = 10,       // Executor::mutex_ (leaf)
-  kDurableRouter = 30,  // DurableRouter id maps
   kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
@@ -67,7 +65,6 @@ enum class LockRank : int {
 constexpr const char* LockRankName(LockRank rank) {
   switch (rank) {
     case LockRank::kExecutor: return "executor";
-    case LockRank::kDurableRouter: return "durable-router";
     case LockRank::kRouterShard: return "router-shard";
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kFaultFs: return "fault-fs";

@@ -11,9 +11,10 @@
 //
 // Session ids returned by OpenPending are *stable across recovery*: a
 // durable implementation that loses its process and rebuilds from the log
-// must keep honoring the ids it handed out before the crash (internally
-// remapping them), because the driver — playing the fleet's users, who
-// survive server crashes — keeps using them.
+// must keep honoring the ids it handed out before the crash (the durable
+// router re-opens each logged session at its logged id), because the
+// driver — playing the fleet's users, who survive server crashes — keeps
+// using them.
 
 #ifndef QHORN_WORKLOAD_SERVICE_ENDPOINT_H_
 #define QHORN_WORKLOAD_SERVICE_ENDPOINT_H_

@@ -139,17 +139,16 @@ void CheckEveryProtocolCallIsLoggedBeforeAck(Fs* fs,
 
   EXPECT_TRUE(dr->Close(id));
   EXPECT_EQ(dr->records_logged(), 2 + rounds);
-  // Log-before-ack holds even for the refusal path: the duplicate close is
-  // appended before the router reports already-closed, and Recover skips
-  // it idempotently (RecoverReclosesClosedSessions covers the replay side).
+  // A refused call is not logged: the router refuses the duplicate close
+  // before its commit hook would append.
   EXPECT_FALSE(dr->Close(id));
-  EXPECT_EQ(dr->records_logged(), 3 + rounds);
+  EXPECT_EQ(dr->records_logged(), 2 + rounds);
 
   // The shard really carries the session: opened first, closed last.
   std::string path = DurableRouter::ShardPath(log_dir, /*shard=*/id % 2);
   LogReadResult r = ReadLog(fs, path);
   ASSERT_EQ(r.status, LogReadStatus::kOk) << r.error;
-  ASSERT_EQ(r.records.size(), static_cast<size_t>(3 + rounds));
+  ASSERT_EQ(r.records.size(), static_cast<size_t>(2 + rounds));
   EXPECT_EQ(r.records.front().type, LogRecordType::kSessionOpened);
   EXPECT_EQ(r.records.back().type, LogRecordType::kSessionClosed);
 }
@@ -188,16 +187,34 @@ TEST(DurableRouterTest, SessionsShardByExternalId) {
 
 TEST(DurableRouterTest, GarbageIdsAreRefusedNotLogged) {
   MemFs mem;
+  FaultFs faults(&mem, /*seed=*/23);
   std::string error;
-  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  auto dr = DurableRouter::Create(&faults, kLogDir, Opts(), &error);
   ASSERT_NE(dr, nullptr) << error;
 
+  // Session 1 opens and closes; the open of session 2 tears its append,
+  // which hands id 2 back without opening anything.
+  std::vector<SessionSpec> specs = CleanSpecs(2);
+  ASSERT_EQ(dr->OpenPending(specs[0]), 1);
+  ASSERT_TRUE(dr->Close(1));
+  faults.ArmTornAppend(/*after=*/1);
+  ASSERT_EQ(dr->OpenPending(specs[1]), 0);
+  const int64_t logged = dr->records_logged();
+  EXPECT_EQ(logged, 2);
+
   BitVec bits;
-  EXPECT_EQ(dr->ProvideAnswers(42, 0, bits.Prepare(1)),
-            ProvideOutcome::kUnknownSession);
-  EXPECT_FALSE(dr->Close(42));
-  EXPECT_EQ(dr->status(42), std::nullopt);
-  EXPECT_EQ(dr->records_logged(), 0)
+  for (DurableRouter::SessionId id : {42, 0, -1, 1, 2}) {
+    SCOPED_TRACE(testing::Message() << "id " << id);
+    EXPECT_EQ(dr->ProvideAnswers(id, 0, bits.Prepare(1)),
+              id == 1 ? ProvideOutcome::kSessionClosed
+                      : ProvideOutcome::kUnknownSession);
+    EXPECT_FALSE(dr->Close(id));
+    EXPECT_EQ(dr->pending_round(id), std::nullopt);
+    if (id != 1) {
+      EXPECT_EQ(dr->status(id), std::nullopt);
+    }
+  }
+  EXPECT_EQ(dr->records_logged(), logged)
       << "refused calls must not leave records behind";
 }
 
@@ -437,6 +454,35 @@ TEST(DurableRouterTest, LogWriteFailedLeavesSessionUntouchedAndRetries) {
   EXPECT_EQ(SessionFingerprint(rec->session(id)), print);
 }
 
+TEST(DurableRouterTest, AnOpenWhoseSyncFailedKeepsItsIdSpent) {
+  // A failed sync leaves the SessionOpened record whole in the buffer,
+  // and the next sync of that WAL makes it durable. Handing its id to the
+  // next open would log a second, different open under the same id.
+  MemFs mem;
+  FaultFs faults(&mem, /*seed=*/24);
+  std::string error;
+  auto dr = DurableRouter::Create(&faults, kLogDir, Opts(/*shards=*/1),
+                                  &error);
+  ASSERT_NE(dr, nullptr) << error;
+  std::vector<SessionSpec> specs = CleanSpecs(2);
+  faults.ArmSyncFailure(/*after=*/1);
+  EXPECT_EQ(dr->OpenPending(specs[0]), 0);
+  ASSERT_EQ(dr->OpenPending(specs[1]), 2);
+  DriveToCompletion(*dr, 2, specs[1]);
+  const std::string print = SessionFingerprint(dr->session(2));
+  dr.reset();
+  mem.CrashAll();
+
+  // Session 1 is an orphan nobody was told about; session 2 is intact.
+  RecoveryReport report;
+  auto rec =
+      DurableRouter::Recover(&mem, kLogDir, Opts(/*shards=*/1), &report,
+                             &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, 2);
+  EXPECT_EQ(SessionFingerprint(rec->session(2)), print);
+}
+
 TEST(DurableRouterTest, PoisonedLogKeepsRefusingUntilRecovery) {
   MemFs mem;
   FaultFs faults(&mem, /*seed=*/22);
@@ -584,8 +630,8 @@ TEST(DurableRouterTest, RecoveredPollIsInExternalIdOrder) {
   }
 
   // A log with holes in its ids (opens that gave up their id under
-  // contention): router ids no longer follow external ids, and the poll
-  // must still come out in external-id order with the right ids.
+  // contention): the poll must still come out in id order with the
+  // logged ids.
   {
     MemFs mem;
     std::string error;
@@ -617,7 +663,7 @@ TEST(DurableRouterTest, FirstPollAfterRecoverRedeliversEveryAwaitingRound) {
   // The poll delivers each round once, so before the crash every awaiting
   // round has been delivered and a poll returns nothing. The recovered
   // service has no such history: its first poll delivers every awaiting
-  // round again, in external-id order, and its second poll nothing.
+  // round again, in id order, and its second poll nothing.
   constexpr int kShards = 4;
   std::vector<SessionSpec> specs = CleanSpecs(9);
   MemFs mem;
@@ -678,7 +724,7 @@ TEST(DurableRouterTest, PendingRoundRereadsADeliveredRoundInExternalIdForm) {
     ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(kShards), &error),
               nullptr);
   }
-  // Ids 2, 3 and 5 are never opened: router ids differ from external ids.
+  // Ids 2, 3 and 5 are never opened.
   const std::vector<DurableRouter::SessionId> ids = {1, 4, 6, 7};
   WriteOpenRecords(&mem, kShards, ids, specs);
   RecoveryReport report;
@@ -695,7 +741,7 @@ TEST(DurableRouterTest, PendingRoundRereadsADeliveredRoundInExternalIdForm) {
     EXPECT_EQ(again->round_id, round.round_id);
     EXPECT_EQ(again->questions, round.questions);
   }
-  // Unknown, unmapped, closed and finished sessions have no round.
+  // Unknown, never-opened, closed and finished sessions have no round.
   for (DurableRouter::SessionId id : {-1, 0, 2, 3, 5, 8, 1000}) {
     EXPECT_EQ(dr->pending_round(id), std::nullopt) << id;
   }

@@ -35,7 +35,7 @@ namespace {
   } while (0)
 
 TEST(LockRankTest, InOrderAcquisitionIsClean) {
-  Mutex low("low-mutex", LockRank::kDurableRouter);
+  Mutex low("low-mutex", LockRank::kExecutor);
   Mutex mid("mid-mutex", LockRank::kRouterShard);
   Mutex high("high-mutex", LockRank::kWalShard);
   {
@@ -229,10 +229,11 @@ TEST(LockRankDeathTest, CommitHookGrabbingASecondShardMutexDies) {
 // Positive stress: the real lock chain, walked concurrently, stays silent.
 
 TEST(LockRankTest, RankCleanChainStress) {
-  // The deepest legitimate chain in the tree, one local replica per
-  // thread plus shared leaves, hammered from several threads at once:
-  // the checker must stay silent and the per-thread stacks must balance.
-  Mutex durable("stress-durable", LockRank::kDurableRouter);
+  // The deepest legitimate chain in the tree below a shared low-ranked
+  // outer lock, one local replica per thread plus shared leaves, hammered
+  // from several threads at once: the checker must stay silent and the
+  // per-thread stacks must balance.
+  Mutex outer("stress-outer", LockRank::kExecutor);
   Mutex wal("stress-wal", LockRank::kWalShard);
   Mutex fs("stress-fs", LockRank::kFs);
   SharedMutex stripe("stress-stripe", LockRank::kCacheStripe);
@@ -246,7 +247,7 @@ TEST(LockRankTest, RankCleanChainStress) {
     threads.emplace_back([&, t] {
       Mutex shard("stress-shard", LockRank::kRouterShard);
       for (int i = 0; i < kIters; ++i) {
-        MutexLock a(&durable);
+        MutexLock a(&outer);
         MutexLock b(&shard);
         MutexLock c(&wal);
         MutexLock d(&fs);

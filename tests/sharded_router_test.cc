@@ -1,5 +1,5 @@
 // ShardedRouter — the N-shard facade over SessionRouter — plus the striped
-// CompiledQueryCache every shard shares and the merged pending-round poll.
+// CompiledQueryCache every shard shares and the combined pending-round poll.
 // Also covers the parked-fiber cold-stack trim.
 //
 // The load-bearing property is the facade contract: a session's
@@ -126,7 +126,36 @@ TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
 }
 
 // ---------------------------------------------------------------------------
-// Id encoding and garbage tolerance.
+// Caller-chosen ids and garbage tolerance.
+
+TEST(ShardedRouterTest, BareRouterOpensAtChosenIdsAndAssignsAroundThem) {
+  const Query target = TestTarget();
+  SessionRouter::Options bopts;
+  bopts.threads = 1;
+  SessionRouter router(bopts);
+  QueryOracle user(target);
+
+  EXPECT_EQ(router.OpenPendingAt(2, 3), 2);
+  EXPECT_EQ(router.OpenAt(5, target.n(), &user), 5);
+  EXPECT_EQ(router.OpenSimulatedAt(6, target), 6);
+  // Refused, opening nothing: ids ≤ 0, ids in use, and (pending) an
+  // out-of-range n.
+  for (int64_t bad : {int64_t{0}, int64_t{-4}, int64_t{2}, int64_t{5}}) {
+    EXPECT_EQ(router.OpenPendingAt(bad, 3), 0) << bad;
+    EXPECT_EQ(router.OpenAt(bad, target.n(), &user), 0) << bad;
+    EXPECT_EQ(router.OpenSimulatedAt(bad, target), 0) << bad;
+  }
+  EXPECT_EQ(router.OpenPendingAt(9, 0), 0);
+  EXPECT_EQ(router.OpenPendingAt(9, kMaxVars + 1), 0);
+  EXPECT_EQ(router.stats().sessions, 3);
+
+  // Assigned ids skip the chosen ones.
+  std::vector<int64_t> assigned;
+  for (int i = 0; i < 4; ++i) assigned.push_back(router.OpenPending(3));
+  EXPECT_EQ(assigned, (std::vector<int64_t>{1, 3, 4, 7}));
+  EXPECT_EQ(router.OpenPendingAt(7, 3), 0) << "an assigned id is in use";
+  EXPECT_EQ(router.stats().sessions, 7);
+}
 
 TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   ShardedRouter::Options sopts;
@@ -134,23 +163,37 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   sopts.threads = 1;
   ShardedRouter router(sopts);
 
-  std::set<int64_t> seen;
-  for (int s = 0; s < 4; ++s) {
-    for (int k = 0; k < 3; ++k) {
-      int64_t id = router.OpenPendingOnShard(s, 3);
-      EXPECT_EQ(router.ShardOf(id), s);
-      EXPECT_TRUE(seen.insert(id).second) << "duplicate external id " << id;
-      EXPECT_EQ(router.status(id), SessionStatus::kIdle);
-    }
+  // Session e lives on shard e mod 4, under the id e itself.
+  const std::vector<int64_t> chosen = {5, 6, 7, 8, 13, 22};
+  for (int64_t id : chosen) {
+    EXPECT_EQ(router.OpenPendingAt(id, 3), id);
+    EXPECT_EQ(router.ShardOf(id), id % 4);
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   }
+  for (int64_t bad : {int64_t{0}, int64_t{-4}, int64_t{5}, int64_t{22}}) {
+    EXPECT_EQ(router.OpenPendingAt(bad, 3), 0) << bad;
+  }
+  EXPECT_EQ(router.stats().sessions, static_cast<int64_t>(chosen.size()));
 
-  // Garbage ids: zero, negative, an encoding whose internal part is zero
-  // (external < shards), and a well-formed encoding nobody opened. All
-  // rejected without a crash.
-  for (int64_t garbage : {int64_t{0}, int64_t{-7}, int64_t{3}, int64_t{4004}}) {
+  // The facade's own opens skip every chosen id.
+  std::set<int64_t> seen(chosen.begin(), chosen.end());
+  std::set<int64_t> assigned;
+  for (int i = 0; i < 8; ++i) {
+    int64_t id = router.OpenPending(3);
+    EXPECT_TRUE(seen.insert(id).second) << "duplicate id " << id;
+    assigned.insert(id);
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  }
+  EXPECT_EQ(assigned, (std::set<int64_t>{1, 2, 3, 4, 9, 10, 11, 12}));
+
+  // Garbage ids: zero, negative, and ids nobody opened. All rejected
+  // without a crash.
+  for (int64_t garbage :
+       {int64_t{0}, int64_t{-7}, int64_t{14}, int64_t{4004}}) {
     EXPECT_EQ(router.status(garbage), std::nullopt) << garbage;
     EXPECT_FALSE(router.Close(garbage)) << garbage;
     EXPECT_EQ(router.suspensions(garbage), -1) << garbage;
+    EXPECT_EQ(router.pending_round(garbage), std::nullopt) << garbage;
     BitVec bits;
     EXPECT_EQ(router.ProvideAnswers(garbage, 0, bits.Prepare(1)),
               ProvideOutcome::kUnknownSession)
@@ -180,7 +223,7 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
     if (i > 0) {
       EXPECT_LT(rounds[i - 1].session_id, rounds[i].session_id);
     }
-    // The per-id view speaks the same external ids as the merged poll.
+    // The per-id view speaks the same ids as the poll.
     std::optional<PendingRound> single =
         router.pending_round(rounds[i].session_id);
     ASSERT_TRUE(single.has_value());
@@ -191,8 +234,8 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
 }
 
 TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
-  // The facade merges per-shard lists instead of sorting; each poll must
-  // come back in session-id order, and the rounds delivered so far and not
+  // The facade concatenates the per-shard lists and sorts them once; each
+  // poll must come back in session-id order, and the rounds delivered so far and not
   // yet answered must equal every awaiting round gathered session by
   // session in id order — across shard counts, and across polls that
   // deliver only the rounds announced since the last one.
@@ -264,12 +307,13 @@ TEST(ShardedRouterTest, OutOfRangeSchemaSizesAreRefusedAtEveryLayer) {
   for (int n : {0, -3, kMaxVars + 1}) {
     EXPECT_EQ(bare.OpenPending(n), 0) << n;
     EXPECT_EQ(facade.OpenPending(n), 0) << n;
-    EXPECT_EQ(facade.OpenPendingOnShard(2, n), 0) << n;
+    EXPECT_EQ(facade.OpenPendingAt(6, n), 0) << n;
   }
   EXPECT_EQ(bare.stats().sessions, 0) << "a refused open opens nothing";
   EXPECT_EQ(facade.stats().sessions, 0);
   EXPECT_EQ(bare.OpenPending(1), 1) << "refusals consume no id";
-  EXPECT_GT(facade.OpenPendingOnShard(2, kMaxVars), 0);
+  EXPECT_EQ(facade.OpenPending(1), 1);
+  EXPECT_EQ(facade.OpenPendingAt(6, kMaxVars), 6);
 }
 
 TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
