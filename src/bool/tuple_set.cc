@@ -75,10 +75,6 @@ void TupleSet::AssignRaw(const Tuple* src, size_t count) {
   size_ = static_cast<uint32_t>(count);
 }
 
-bool operator==(const TupleSet& a, const TupleSet& b) {
-  return std::equal(a.begin(), a.end(), b.begin(), b.end());
-}
-
 TupleSet TupleSet::Parse(const std::vector<std::string>& literals) {
   std::vector<Tuple> tuples;
   tuples.reserve(literals.size());

@@ -21,6 +21,7 @@
 #ifndef QHORN_BOOL_TUPLE_SET_H_
 #define QHORN_BOOL_TUPLE_SET_H_
 
+#include <algorithm>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -95,7 +96,10 @@ class TupleSet {
   /// of one full scan per mask.
   bool SatisfiesConjunctionAll(std::span<const VarSet> conjunctions) const;
 
-  friend bool operator==(const TupleSet& a, const TupleSet& b);
+  /// Inline: the question cache's hit path is one index probe and this.
+  friend bool operator==(const TupleSet& a, const TupleSet& b) {
+    return std::equal(a.begin(), a.end(), b.begin(), b.end());
+  }
 
   /// Stable hash of the canonical tuple list (computed lazily, then
   /// cached until the next mutation). NOTE: the lazy fill mutates shared

@@ -1,6 +1,10 @@
 #include "src/oracle/oracle.h"
 
 #include <algorithm>
+#include <bit>
+#include <utility>
+
+#include "src/util/check.h"
 
 namespace qhorn {
 
@@ -42,23 +46,66 @@ void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   }
 }
 
+size_t CachingOracle::Append(const TupleSet& question, size_t slot) {
+  const size_t pos = log_.size();
+  QHORN_CHECK_MSG(pos < 0xffffffffu, "question log full");
+  if ((pos + 1) * 4 > slots_.size() * 3) {
+    Grow();
+    Find(question, &slot);
+  }
+  slots_[slot] = (question.Hash() >> 32 << 32) | (pos + 1);
+  log_.push_back(TranscriptEntry{question, false, rounds_});
+  return pos;
+}
+
+void CachingOracle::Truncate(size_t size) {
+  const size_t mask = slots_.size() - 1;
+  while (log_.size() > size) {
+    const uint64_t want = log_.size();  // position + 1 of the newest entry
+    size_t i = Home(log_.back().question.Hash());
+    while ((slots_[i] & 0xffffffffu) != want) i = (i + 1) & mask;
+    slots_[i] = 0;
+    log_.pop_back();
+  }
+}
+
+void CachingOracle::Grow() {
+  const size_t capacity = slots_.empty() ? 16 : slots_.size() * 2;
+  slots_.assign(capacity, 0);
+  shift_ = 64 - std::countr_zero(capacity);
+  for (size_t pos = 0; pos < log_.size(); ++pos) {
+    const size_t hash = log_[pos].question.Hash();
+    size_t i = Home(hash);
+    while (slots_[i] != 0) i = (i + 1) & (capacity - 1);
+    slots_[i] = (hash >> 32 << 32) | (pos + 1);
+  }
+}
+
+std::vector<TranscriptEntry> CachingOracle::TakeLog() {
+  QHORN_CHECK_MSG(answered_ == log_.size(), "log taken mid-round");
+  std::vector<TranscriptEntry> log = std::move(log_);
+  log_.clear();
+  slots_.clear();
+  shift_ = 64;
+  answered_ = 0;
+  return log;
+}
+
 bool CachingOracle::IsAnswer(const TupleSet& question) {
-  auto it = cache_.find(question);
-  if (it != cache_.end()) {
+  size_t slot = 0;
+  const size_t pos = Find(question, &slot);
+  if (pos != kAbsent) {
     ++hits_;
-    return it->second;
+    return log_[pos].response;
   }
+  // Logged once the inner oracle answers: a pending backend suspends by
+  // throwing, and the unasked question must leave no trace. Nothing
+  // touches the index in between, so `slot` is still the free one.
+  const bool answer = inner_->IsAnswer(question);
+  log_[Append(question, slot)].response = answer;
+  answered_ = log_.size();
+  ++rounds_;
   ++misses_;
-  bool answer;
-  try {
-    answer = inner_->IsAnswer(question);
-  } catch (...) {
-    // A pending backend suspends by throwing; the unasked question must
-    // leave the cache state untouched.
-    --misses_;
-    throw;
-  }
-  cache_.emplace(question, answer);
   return answer;
 }
 
@@ -66,32 +113,32 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
                                   BitSpan answers) {
   // Partition in question order. A duplicate of an earlier miss in the same
   // round counts as a hit (the sequential path would have cached the first
-  // occurrence before seeing the second), so the forwarded batch holds each
-  // unseen question exactly once, in first-occurrence order. One map probe
-  // per question: the per-question cache slots are remembered (references
-  // into an unordered_map survive rehashing) and patched after the inner
+  // occurrence before seeing the second): the misses enter the log as they
+  // are found, so the forwarded batch holds each unseen question exactly
+  // once, in first-occurrence order, and the misses sit at log positions
+  // [first_miss, first_miss + misses). One index probe per question; the
+  // per-question log positions are remembered and read after the inner
   // round answers the misses. (An empty round falls through every loop: no
   // probes, no forward.)
+  const size_t first_miss = log_.size();
+  positions_.clear();
   miss_indices_.clear();
-  miss_slots_.clear();
-  slots_.clear();
   bool contiguous = true;
   for (size_t i = 0; i < questions.size(); ++i) {
-    auto [it, inserted] = cache_.try_emplace(questions[i], false);
-    if (inserted) {
-      ++misses_;
+    size_t slot = 0;
+    size_t pos = Find(questions[i], &slot);
+    if (pos == kAbsent) {
       if (!miss_indices_.empty() && miss_indices_.back() + 1 != i) {
         contiguous = false;
       }
       miss_indices_.push_back(i);
-      miss_slots_.push_back(&it->second);
-    } else {
-      ++hits_;
+      pos = Append(questions[i], slot);
     }
-    slots_.push_back(&it->second);
+    positions_.push_back(pos);
   }
-  if (!miss_indices_.empty()) {
-    BitSpan miss_bits = miss_answers_.Prepare(miss_indices_.size());
+  const size_t misses = miss_indices_.size();
+  if (misses != 0) {
+    BitSpan miss_bits = miss_answers_.Prepare(misses);
     try {
       if (contiguous) {
         // The misses are one run [front, back] of the caller's span:
@@ -99,9 +146,8 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
         // copies no matter how wide the round. This is the hot shape: an
         // all-fresh round is contiguous, and so is any round whose cache
         // hits sit only at the edges.
-        inner_->IsAnswerBatch(
-            questions.subspan(miss_indices_.front(), miss_indices_.size()),
-            miss_bits);
+        inner_->IsAnswerBatch(questions.subspan(miss_indices_.front(), misses),
+                              miss_bits);
       } else {
         // Hits interleaved between misses: gather the misses. The copies
         // are confined to this cold shape (reused capacity, but each
@@ -112,22 +158,23 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
         inner_->IsAnswerBatch(miss_questions_, miss_bits);
       }
     } catch (...) {
-      // Suspended round (pending backend): erase the false placeholders
-      // inserted above — a later probe must never be answered by one — and
-      // roll the counters back, so the cache holds exactly its pre-round
-      // state. miss_indices_ records first occurrences only, so each erase
-      // removes one distinct placeholder key.
-      for (size_t idx : miss_indices_) cache_.erase(questions[idx]);
-      misses_ -= static_cast<int64_t>(miss_indices_.size());
-      hits_ -=
-          static_cast<int64_t>(questions.size() - miss_indices_.size());
+      // Suspended round (pending backend): drop its pending entries, so a
+      // later probe is never answered by one and the log holds exactly its
+      // pre-round state. Nothing was counted yet.
+      Truncate(first_miss);
       throw;
     }
-    for (size_t i = 0; i < miss_indices_.size(); ++i) {
-      *miss_slots_[i] = miss_bits.Get(i);
+    for (size_t k = 0; k < misses; ++k) {
+      log_[first_miss + k].response = miss_bits.Get(k);
     }
+    answered_ = log_.size();
+    ++rounds_;
   }
-  for (size_t i = 0; i < slots_.size(); ++i) answers.Set(i, *slots_[i]);
+  misses_ += static_cast<int64_t>(misses);
+  hits_ += static_cast<int64_t>(questions.size() - misses);
+  for (size_t i = 0; i < questions.size(); ++i) {
+    answers.Set(i, log_[positions_[i]].response);
+  }
 }
 
 bool NoisyOracle::MaybeFlip(bool answer) {

@@ -23,9 +23,9 @@
 #ifndef QHORN_ORACLE_ORACLE_H_
 #define QHORN_ORACLE_ORACLE_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "src/bool/tuple_set.h"
@@ -140,19 +140,44 @@ class CountingOracle : public MembershipOracle {
   OracleStats stats_;
 };
 
+/// One question/answer exchange.
+struct TranscriptEntry {
+  TupleSet question;
+  bool response = false;
+  /// Oracle round the exchange belonged to (a batch is one round; the
+  /// questions of a batch share a round id).
+  int64_t round = 0;
+};
+
 /// Decorator that memoizes responses, so repeated identical questions cost
 /// nothing. The role-preserving universal-body search re-examines lattice
 /// roots as new bodies are found; the paper's counting convention charges a
-/// question once, which this decorator implements. Probes are cheap:
-/// TupleSet caches its canonical-form hash, so a lookup never rehashes the
-/// tuple list. A batch forwards only its unique misses to the wrapped
-/// oracle — duplicates within a round and questions answered in earlier
-/// rounds are served from the cache, exactly as the sequential path would.
-/// When the misses form one contiguous run (the common shapes: an all-fresh
-/// round, or hits only at the edges), the forward is a subspan of the
-/// caller's own span — an index-based view, no TupleSet is copied however
-/// wide the round; only rounds with hits *interleaved between* misses fall
-/// back to gathering the misses into a scratch vector.
+/// question once, which this decorator implements.
+///
+/// The memo is an ask-ordered log: every miss is appended as one
+/// (question, answer) entry, so the log is exactly the exchanges that
+/// passed this stage toward the user, in the order they were asked — the
+/// session's user-boundary transcript, each question stored once. Entry
+/// `round` counts this stage's forwards (one per round with a miss). An
+/// open-addressed index of log positions finds a question in one probe
+/// sequence: a slot holds a 32-bit hash tag and a position, so a probe
+/// compares tags and touches the log only on a likely match. TupleSet
+/// caches its canonical-form hash, so a lookup never rehashes the tuples.
+///
+/// A batch forwards only its unique misses to the wrapped oracle —
+/// duplicates within a round and questions answered in earlier rounds are
+/// served from the log, exactly as the sequential path would. When the
+/// misses form one contiguous run (the common shapes: an all-fresh round,
+/// or hits only at the edges), the forward is a subspan of the caller's own
+/// span — an index-based view, no TupleSet is copied however wide the
+/// round; only rounds with hits *interleaved between* misses fall back to
+/// gathering the misses into a scratch vector.
+///
+/// A round's misses enter the log before the forward (so a duplicate later
+/// in the same round finds them) but count as answered only once it
+/// returns: log(), hits() and misses() never show an in-flight round, and a
+/// round that suspends by throwing (a pending backend) removes its entries
+/// again, leaving log, index and counters exactly as before the call.
 class CachingOracle : public MembershipOracle {
  public:
   explicit CachingOracle(MembershipOracle* inner) : inner_(inner) {}
@@ -164,20 +189,73 @@ class CachingOracle : public MembershipOracle {
   int64_t hits() const { return hits_; }
   int64_t misses() const { return misses_; }
 
+  /// The answered exchanges, in ask order.
+  std::span<const TranscriptEntry> log() const {
+    return {log_.data(), answered_};
+  }
+
+  /// Moves the log out and empties the cache (counters stay). Not while a
+  /// round is in flight.
+  std::vector<TranscriptEntry> TakeLog();
+
  private:
+  static constexpr size_t kAbsent = SIZE_MAX;
+
+  /// Log position of `question`, or kAbsent; either way `*slot` is the
+  /// index slot where the probe stopped (untouched while the index is
+  /// empty). Defined inline below: it is the whole hit path.
+  size_t Find(const TupleSet& question, size_t* slot) const;
+  /// Appends `question` (answer pending) at the empty `slot` Find
+  /// returned for it; returns its log position.
+  size_t Append(const TupleSet& question, size_t slot);
+  /// Removes the log entries from `size` on, and their index slots.
+  void Truncate(size_t size);
+  /// Rebuilds the index at twice the capacity (16 at first).
+  void Grow();
+  size_t Home(size_t hash) const {
+    return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
+  }
+
   MembershipOracle* inner_;
-  std::unordered_map<TupleSet, bool, TupleSetHash> cache_;
+  std::vector<TranscriptEntry> log_;
+  size_t answered_ = 0;  // log_[answered_, size) is the in-flight round
+  int64_t rounds_ = 0;
+  // Slot = (hash >> 32) << 32 | (position + 1); 0 is empty. Linear
+  // probing, power-of-two capacity, at most 3/4 full. Entries are inserted
+  // in log order and removed newest first, so clearing a slot never cuts
+  // another entry's probe sequence.
+  std::vector<uint64_t> slots_;
+  int shift_ = 64;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   // Round-local scratch, members so a steady-state round allocates
   // nothing. Never read across calls; safe because the inner round runs on
   // a *different* oracle object (the stack is a chain, not a cycle).
+  std::vector<size_t> positions_;
   std::vector<size_t> miss_indices_;
   std::vector<TupleSet> miss_questions_;  // gather fallback only
-  std::vector<bool*> miss_slots_;
-  std::vector<const bool*> slots_;
   BitVec miss_answers_;
 };
+
+inline size_t CachingOracle::Find(const TupleSet& question,
+                                 size_t* slot) const {
+  if (slots_.empty()) return kAbsent;  // Append grows before inserting
+  const size_t hash = question.Hash();
+  const uint64_t tag = hash >> 32;
+  const size_t mask = slots_.size() - 1;
+  for (size_t i = Home(hash);; i = (i + 1) & mask) {
+    const uint64_t entry = slots_[i];
+    if (entry == 0) {
+      *slot = i;
+      return kAbsent;
+    }
+    const size_t pos = static_cast<size_t>(entry & 0xffffffffu) - 1;
+    if ((entry >> 32) == tag && log_[pos].question == question) {
+      *slot = i;
+      return pos;
+    }
+  }
+}
 
 /// Decorator modelling an unreliable user (§5 "Noisy Users"): each response
 /// is flipped independently with probability `flip_prob`. The flip draws

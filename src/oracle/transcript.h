@@ -18,20 +18,12 @@
 
 #include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/oracle/oracle.h"
 
 namespace qhorn {
-
-/// One question/answer exchange.
-struct TranscriptEntry {
-  TupleSet question;
-  bool response = false;
-  /// Oracle round the exchange belonged to (a batch is one round; the
-  /// questions of a batch share a round id).
-  int64_t round = 0;
-};
 
 /// Decorator that records the full exchange history.
 class TranscriptOracle : public MembershipOracle {
@@ -78,6 +70,12 @@ class ReplayOracle : public MembershipOracle {
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
+
+  /// Moves the recorded transcript out; nothing is replayed after.
+  std::vector<TranscriptEntry> TakeTranscript() {
+    diverged_ = true;
+    return std::move(transcript_);
+  }
 
   /// Questions served from the recorded transcript.
   int64_t replayed() const { return replayed_; }

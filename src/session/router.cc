@@ -116,9 +116,9 @@ SessionRouter::~SessionRouter() {
   // for the same guarantee: it must have destroyed (joined) the shared
   // pool before destroying this router (ShardedRouter's teardown order).
   owned_executor_.reset();
-  // Unwind continuations still parked on abandoned rounds (sessions
-  // awaiting a user who never answered, or closed while parked): the
-  // parked stacks hold live learner frames whose destructors must run.
+  // Unwind continuations still parked on rounds no user answered (a
+  // session closed while parked was unwound at its close): the parked
+  // stacks hold live learner frames whose destructors must run.
   // Safe on this thread — the workers are joined, so no runner owns any
   // session anymore. Collect under the lock (the locks are uncontended
   // now, but they keep the guarded-field discipline uniform), unwind
@@ -140,7 +140,43 @@ void SessionRouter::UnwindFiber(SessionState* state) {
   QHORN_CHECK_MSG(state->fiber->finished(),
                   "cancelled fiber parked again instead of unwinding");
   state->fiber.reset();
-  state->fiber_cancel = false;
+}
+
+void SessionRouter::UnwindClosedSession(SessionState* state) {
+  UnwindFiber(state);
+  bool idle = false;
+  {
+    MutexLock lock(&mutex_);
+    state->running = false;
+    idle = --runnable_jobs_ == 0;
+  }
+  if (idle) idle_cv_.NotifyAll();
+}
+
+std::vector<TranscriptEntry> SessionRouter::TakeRestartPrefix(
+    SessionState* state) {
+  std::vector<TranscriptEntry> prefix = state->session->TakeUserTranscript();
+  if (state->correction.has_value()) {
+    // Flip the corrected answer and drop everything after it: the later
+    // entries answered a question stream computed from the bad answer.
+    // The surviving prefix re-aligns on the restart (questions up to the
+    // flipped entry depend only on the unchanged answers before it), so
+    // the user re-answers nothing they already answered correctly.
+    const size_t index = *state->correction;
+    state->correction.reset();
+    QHORN_CHECK_MSG(index < prefix.size(),
+                    "correction " << index << " past the user transcript");
+    prefix.resize(index + 1);
+    prefix[index].response = !prefix[index].response;
+  }
+  // kReplay's answered round (ReplayOracle reads question and response).
+  for (size_t i = 0; i < state->staged_questions.size(); ++i) {
+    prefix.push_back(TranscriptEntry{std::move(state->staged_questions[i]),
+                                     state->staged_answers[i], 0});
+  }
+  state->staged_questions.clear();
+  state->staged_answers.clear();
+  return prefix;
 }
 
 SessionRouter::SessionId SessionRouter::OpenInternal(
@@ -335,14 +371,13 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       }
       next_round = state->answered_rounds;
     }
-    // Copying the answered transcript can be O(session lifetime); do it
-    // outside the router-wide mutex. Safe unlocked: answered_entries only
-    // mutates in ProvideAnswers/CorrectAnswer, which require awaiting ==
-    // true, and this runner owns the session (awaiting stays false) until
-    // it suspends — the lock above orders this read after the resume's
-    // writes.
-    std::vector<TranscriptEntry> prefix = state->answered_entries;
-    state->session->ResetWithUserReplay(std::move(prefix));
+    // Rebuilding moves the session's log, O(session lifetime), so it
+    // happens outside the router-wide mutex. Safe unlocked: the staged
+    // round and the correction only change in ProvideAnswers/CorrectAnswer,
+    // which require awaiting == true, and this runner owns the session
+    // (awaiting stays false) until it suspends — the lock above orders
+    // this read after the resume's writes.
+    state->session->ResetWithUserReplay(TakeRestartPrefix(state));
     state->pending_backend->BeginAttempt(next_round);
     bool suspended = false;
     try {
@@ -425,7 +460,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
     {
       MutexLock lock(&mutex_);
       resume_parked = state->fiber != nullptr;
-      cancel_parked = resume_parked && state->fiber_cancel;
+      cancel_parked = resume_parked && state->correction.has_value();
       if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
         state->running = false;
         return;
@@ -436,8 +471,9 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
     }
     if (cancel_parked) {
       // A correction abandoned this parked stack (it was built over the
-      // flipped answer); unwind it and fall through to a fresh attempt
-      // that replays the corrected prefix.
+      // flipped answer); unwind it — the cache's rollback leaves its log
+      // at the answered prefix — and fall through to a fresh attempt that
+      // replays the corrected prefix.
       UnwindFiber(state);
       continue;
     }
@@ -446,8 +482,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
       // wait-site and switch back in. staged_answers was written by
       // ProvideAnswers under the lock taken above.
       state->pending_backend->StageResumeAnswers(
-          std::move(state->staged_answers));
-      state->staged_answers.clear();
+          std::exchange(state->staged_answers, {}));
       state->fiber->Resume();
     } else {
       // Fresh attempt: over the live pipeline when the previous attempt
@@ -456,8 +491,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
       // run, or a correction restart — the only quadratic path left, paid
       // once per correction rather than once per round).
       if (!live) {
-        std::vector<TranscriptEntry> prefix = state->answered_entries;
-        state->session->ResetWithUserReplay(std::move(prefix));
+        state->session->ResetWithUserReplay(TakeRestartPrefix(state));
         start_job = 0;
       }
       state->pending_backend->BeginAttempt(next_round);
@@ -631,6 +665,7 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
                                                      BitSpan answers,
                                                      CommitHook* commit) {
   SessionState* state = nullptr;
+  std::optional<PendingRound> answered;  // freed after the lock is dropped
   {
     MutexLock lock(&mutex_);
     auto it = sessions_.find(id);
@@ -659,22 +694,21 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
         return ProvideOutcome::kLogWriteFailed;
       }
     }
-    // Accepted: fold the answered round into the user-boundary transcript
-    // and make the session runnable again.
-    if (state->fiber != nullptr) {
-      // Stage the bits for the parked continuation: the runner hands them
-      // to the suspended wait-site before switching back in.
-      state->staged_answers.assign(answers.size(), false);
-      for (size_t i = 0; i < answers.size(); ++i) {
-        state->staged_answers[i] = answers.Get(i);
-      }
+    // Accepted: stage the answered round for the runner and make the
+    // session runnable again. Under kFiber the runner hands the bits to the
+    // parked wait-site, and the parked cache logs them with its questions;
+    // under kReplay the runner replays the session's log plus this round.
+    state->staged_answers.assign(answers.size(), false);
+    for (size_t i = 0; i < answers.size(); ++i) {
+      state->staged_answers[i] = answers.Get(i);
     }
-    for (size_t i = 0; i < round.questions.size(); ++i) {
-      state->answered_entries.push_back(TranscriptEntry{
-          std::move(round.questions[i]), answers.Get(i), round.round_id});
+    if (options_.resume_mode == ResumeMode::kReplay) {
+      state->staged_questions = std::move(round.questions);
     }
+    state->answered_questions += answers.size();
     ++state->answered_rounds;
     RetireRound(state);
+    answered = std::move(state->pending_round);
     state->pending_round.reset();
     state->awaiting = false;
     runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
@@ -694,17 +728,15 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
-    if (entry_index >= state->answered_entries.size()) {
+    if (entry_index >= state->answered_questions) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
-    // Flip the recorded answer and discard everything after it: the later
-    // entries answered a question stream computed from the bad answer.
-    // The surviving prefix re-aligns on the restart (questions up to the
-    // flipped entry depend only on the unchanged answers before it), so
-    // the user re-answers nothing they already answered correctly.
-    state->answered_entries[entry_index].response =
-        !state->answered_entries[entry_index].response;
-    state->answered_entries.resize(entry_index + 1);
+    // Record the correction; the runner applies it to the session's log
+    // (TakeRestartPrefix) once it owns the session — and, under kFiber,
+    // once it has unwound the parked stack, whose cache still holds the
+    // in-flight round.
+    state->correction = entry_index;
+    state->answered_questions = entry_index + 1;
     // The parked stack and job cursor describe a run over the old
     // answers; restart the whole job log through the ordinary resume path
     // (a full-prefix replay attempt, whatever the resume mode). The
@@ -715,11 +747,10 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     ++state->answered_rounds;
     state->pipeline_live = false;
     state->jobs_completed = 0;
-    // A parked continuation was built over the old answer; mark it for the
-    // runner to unwind before the restart attempt (the unwind runs learner
-    // destructors, so it happens on a lane, never under this lock).
-    state->fiber_cancel = state->fiber != nullptr;
-    state->staged_answers.clear();
+    // A parked continuation was built over the old answer; the pending
+    // correction tells the runner to unwind it before the restart attempt
+    // (the unwind runs learner destructors, so it happens on a lane, never
+    // under this lock).
     RetireRound(state);  // the abandoned round is never delivered
     state->pending_round.reset();
     state->awaiting = false;
@@ -745,21 +776,37 @@ bool SessionRouter::Close(SessionId id) {
 }
 
 bool SessionRouter::Close(SessionId id, CommitHook commit) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return false;
-  SessionState* state = it->second.get();
-  if (state->closed) return false;
-  // The write-ahead barrier, as in ProvideAnswersInternal: only a close
-  // the router accepts is logged, and it is logged before it happens.
-  if (!commit()) return false;
-  state->closed = true;
-  if (state->awaiting) {
-    // The user will never answer; abandon the round. The session's
-    // uncompleted jobs were uncounted at suspension, so nothing waits.
-    RetireRound(state);
-    state->pending_round.reset();
-    state->awaiting = false;
+  SessionState* parked = nullptr;
+  {
+    MutexLock lock(&mutex_);
+    auto it = sessions_.find(id);
+    if (it == sessions_.end()) return false;
+    SessionState* state = it->second.get();
+    if (state->closed) return false;
+    // The write-ahead barrier, as in ProvideAnswersInternal: only a close
+    // the router accepts is logged, and it is logged before it happens.
+    if (!commit()) return false;
+    state->closed = true;
+    if (state->awaiting) {
+      // The user will never answer; abandon the round. The session's
+      // uncompleted jobs were uncounted at suspension.
+      RetireRound(state);
+      state->pending_round.reset();
+      state->awaiting = false;
+      if (state->fiber != nullptr) {
+        // Its parked stack goes now, on a lane, not with the router: take
+        // ownership as a runner would and count the unwind, so Drain
+        // waits for it. Closed, the session never starts another attempt.
+        state->running = true;
+        ++runnable_jobs_;
+        parked = state;
+      }
+    }
+  }
+  // Posted outside the lock: at one lane the unwind runs inline, and it
+  // switches into the parked stack, which no held lock may cross.
+  if (parked != nullptr) {
+    exec_->Post([this, parked] { UnwindClosedSession(parked); });
   }
   return true;
 }

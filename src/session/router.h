@@ -6,6 +6,10 @@
 //
 //   * Each session keeps its own oracle pipeline (transcript → cache →
 //     counting → user backend), so per-user state never crosses threads.
+//     The cache's ask-ordered log is the session's user-boundary
+//     transcript — every question that reached the user, once, with its
+//     answer — and the one place the router restarts a session from: the
+//     router keeps no copy of answered questions, only their count.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is
 //     inherently sequential per user); jobs of different sessions run in
@@ -35,18 +39,22 @@
 //     into the exact frame that asked: O(1) compute per resume, O(rounds)
 //     per session, nothing re-run and nothing replayed. The memory traded
 //     for that compute is the parked stack (reported as the session's
-//     snapshot_bytes while it awaits). A correction cannot resume a
-//     parked stack built over the old answer, so it unwinds the stack
-//     (cancel + one last resume) and restarts through the full-prefix
-//     replay attempt below.
+//     snapshot_bytes while it awaits). ProvideAnswers only stages the
+//     bits; the parked cache writes them into its log when the frame
+//     returns. A correction cannot resume a parked stack built over the
+//     old answer, so the runner unwinds the stack (cancel + one last
+//     resume), takes the session's log, truncates it at the corrected
+//     entry, flips that answer and restarts through the full-prefix replay
+//     attempt below.
 //   * kReplay: the full-prefix protocol — rebuild fresh decorators,
 //     replay *every* answered round at the user boundary and re-run the
 //     job log from the start, O(prefix) per resume and O(rounds²) per
-//     session. Kept as the differential oracle: both modes are
-//     bit-identical in every observable (the continuation, workload fuzz
-//     and durable crash suites assert fingerprint equality across modes),
-//     and as the resume path that needs no parked stack. Neither mode
-//     depends on the question cache.
+//     session. ProvideAnswers moves the answered round into the session
+//     state; the runner takes the session's log and replays it plus that
+//     round. Kept as the differential oracle: both modes are bit-identical
+//     in every observable (the continuation, workload fuzz and durable
+//     crash suites assert fingerprint equality across modes), and as the
+//     resume path that needs no parked stack.
 //
 // Learners are deterministic functions of the transcript, so either resume
 // reaches the next live round without asking anything twice.
@@ -341,7 +349,8 @@ class SessionRouter {
 
   /// The §5 correction workflow for pending sessions: the user flips their
   /// recorded answer to `entry_index` (an index into the session's answered
-  /// user-boundary transcript, in answer order). Only legal while the
+  /// user-boundary transcript, QuerySession::user_transcript(), in answer
+  /// order). Only legal while the
   /// session is awaiting a round (kNotAwaiting otherwise — a running
   /// session's runner owns its state; an idle session has nothing to
   /// correct that Close + re-learn would not do better). The answered
@@ -377,9 +386,12 @@ class SessionRouter {
   std::optional<PendingRound> pending_round(SessionId id);
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
-  /// rejected. A pending round awaiting answers is abandoned; already
-  /// queued jobs of a direct session still drain. Returns false for an
-  /// unknown or already-closed id.
+  /// rejected. A pending round awaiting answers is abandoned, and a stack
+  /// parked on it is unwound on a lane right after the close (inline at
+  /// one lane; Drain waits for it), so its mapping and learner frames go
+  /// with the close, not with the router. Already queued jobs of a direct
+  /// session still drain. Returns false for an unknown or already-closed
+  /// id.
   bool Close(SessionId id);
 
   /// Close with a durable commit barrier, run like ProvideAnswers': after
@@ -432,7 +444,7 @@ class SessionRouter {
   // Locking protocol: the map shape, queue, job log, counters, the
   // awaiting/running/closed flags and the announcement slot are guarded by
   // the router's mutex_.
-  // The resume-state fields (answered_entries, staged_answers, fiber*)
+  // The resume-state fields (staged_*, correction, fiber*)
   // follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
   // without the lock — a protocol thread-safety analysis cannot express
@@ -450,30 +462,36 @@ class SessionRouter {
     std::deque<JobRecord> queue;
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
-    // The user-boundary transcript: every answered round, flattened in
-    // order, replayed below the decorators on each re-run. round field =
-    // the pending-protocol round id the entry was answered in.
-    std::vector<TranscriptEntry> answered_entries;
+    // The answered user-boundary questions live once, in the session's
+    // cache log (QuerySession::user_transcript); the router keeps their
+    // count, for CorrectAnswer's range check, and the count of answered
+    // rounds, the next round's id.
+    size_t answered_questions = 0;
     int64_t answered_rounds = 0;
     std::optional<PendingRound> pending_round;  // set while awaiting
+    // The answered round, from ProvideAnswers to the resuming runner: its
+    // bits (both modes) and, under kReplay, its questions, which the
+    // runner appends to the replayed log. (Under kFiber the parked cache
+    // still holds the questions; it logs them with the bits on resume.)
+    std::vector<bool> staged_answers;
+    std::vector<TupleSet> staged_questions;
+    // Set by CorrectAnswer: the runner restarts from the log truncated
+    // after this entry, with the entry's answer flipped.
+    std::optional<size_t> correction;
     // Fiber-resume state (kFiber). `pipeline_live` records that the last
     // attempt exited by *completing* the job log, so the session's live
     // pipeline is current and jobs submitted later run directly on it —
     // no rebuild, no replay. `snapshot_bytes` is the parked stack's
     // resident-able size while awaiting (ServiceStats.snapshot_bytes).
     // `fiber` is the parked continuation — the suspended job's live call
-    // stack. `staged_answers` carries the answered round's bits from
-    // ProvideAnswers to the resuming runner.
-    // `fiber_cancel` marks a parked stack a correction abandoned: the
-    // runner unwinds it (cancel + one last resume) before the restart
-    // attempt. `fiber_jobs_run` is the body's progress cursor — jobs fully
-    // run this attempt — read by the host after each switch back, so all
-    // completion bookkeeping stays on the host side of the switch.
+    // stack; a pending `correction` makes the runner unwind it (cancel +
+    // one last resume) before the restart attempt. `fiber_jobs_run` is the
+    // body's progress cursor — jobs fully run this attempt — read by the
+    // host after each switch back, so all completion bookkeeping stays on
+    // the host side of the switch.
     bool pipeline_live = false;
     size_t snapshot_bytes = 0;
     std::unique_ptr<Fiber> fiber;
-    std::vector<bool> staged_answers;
-    bool fiber_cancel = false;
     size_t fiber_jobs_run = 0;
     int64_t suspensions = 0;
     bool awaiting = false;  // suspended; ProvideAnswers will resume
@@ -516,6 +534,14 @@ class SessionRouter {
   /// called with no checked lock held: the resume switches into the
   /// parked stack, and the unwind may run arbitrary destructor code.
   void UnwindFiber(SessionState* state);
+  /// Executor task posted by Close for a session parked on the round it
+  /// abandoned: unwinds the stack, then releases ownership and the
+  /// runnable count Close took for it.
+  void UnwindClosedSession(SessionState* state);
+  /// The restart prefix of a fresh attempt: the session's user
+  /// transcript, moved out, with what came since the last attempt applied
+  /// — a pending correction, or kReplay's answered round.
+  std::vector<TranscriptEntry> TakeRestartPrefix(SessionState* state);
   /// Bumps jobs_done_ and the per-kind counter.
   void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
   /// Publishes the session's freshly set pending_round to the next poll.

@@ -26,13 +26,22 @@ void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
     user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
   }
   counting_ = pipeline.Push<CountingOracle>();
-  cache_ = options_.cache_questions ? pipeline.Push<CachingOracle>() : nullptr;
+  cache_ = pipeline.Push<CachingOracle>();
   if (!replay_prefix.empty()) {
     pipeline.Push<ReplayOracle>(std::move(replay_prefix));
   }
   transcript_ = pipeline.Push<TranscriptOracle>();
   pipeline_ = std::move(pipeline);
   top_ = pipeline_.top();
+}
+
+std::vector<TranscriptEntry> QuerySession::TakeUserTranscript() {
+  std::vector<TranscriptEntry> log = cache_->TakeLog();
+  if (user_replay_ != nullptr) {
+    std::vector<TranscriptEntry> prefix = user_replay_->TakeTranscript();
+    if (prefix.size() > log.size()) return prefix;
+  }
+  return log;
 }
 
 void QuerySession::ResetWithUserReplay(

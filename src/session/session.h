@@ -6,6 +6,11 @@
 // (§5), learning (§3), verification (§4) and revision (§6). The embedding
 // UI implements MembershipOracle (pose the object to the user, return
 // their label); everything else is this class.
+//
+// The question cache's log doubles as the *user-boundary transcript*:
+// every question that reached the user, once, with its answer, in ask
+// order. The service layer restarts a pending session from it (see
+// TakeUserTranscript) rather than keeping a copy of its own.
 
 #ifndef QHORN_SESSION_SESSION_H_
 #define QHORN_SESSION_SESSION_H_
@@ -13,6 +18,7 @@
 #include <cstddef>
 #include <memory>
 #include <optional>
+#include <span>
 #include <vector>
 
 #include "src/learn/revision.h"
@@ -28,8 +34,6 @@ class QuerySession {
  public:
   struct Options {
     RpLearnerOptions learner;
-    /// Deduplicate identical questions before they reach the user.
-    bool cache_questions = true;
   };
 
   /// `user` must outlive the session.
@@ -57,6 +61,23 @@ class QuerySession {
     return transcript_->entries();
   }
 
+  /// The user-boundary transcript: the questions that reached the user
+  /// backend (cache misses, replayed ones included), each once, with its
+  /// answer, in ask order — the cache's log. A round still awaiting its
+  /// answers is not in it. That includes, after a correction in mid-round,
+  /// the head of the corrected round that the restart re-served up to the
+  /// corrected entry: it joins the log together with the re-asked rest.
+  std::span<const TranscriptEntry> user_transcript() const {
+    return cache_->log();
+  }
+
+  /// Moves every answered user-boundary exchange out, for a
+  /// ResetWithUserReplay that must follow before the session is used
+  /// again: the cache's log, or the replay stage's prefix when that is
+  /// longer — a round re-served from the prefix and then suspended (the
+  /// mid-round head above) leaves the log a prefix of it.
+  std::vector<TranscriptEntry> TakeUserTranscript();
+
   /// The §5 workflow: the user flips their answer to history entry
   /// `index`; learning restarts from that point, replaying the unchanged
   /// prefix so the user only answers genuinely new questions.
@@ -67,7 +88,7 @@ class QuerySession {
   /// and unwind out of the correction with the session half-rebuilt. The
   /// router owns the suspend/resume protocol, so mid-suspension corrections
   /// go through `SessionRouter::CorrectAnswer` instead — it truncates the
-  /// stored answers at the flipped entry and restarts the job log through
+  /// user transcript at the flipped entry and restarts the job log through
   /// the ordinary resume path, which is allowed to suspend. The invariant
   /// that made the old blanket refusal load-bearing (never touch a
   /// mid-replay pipeline) still holds here: the refusal is an always-on
@@ -113,7 +134,7 @@ class QuerySession {
   int64_t rounds() const { return transcript_->rounds(); }
 
   /// Cache traffic: identical questions served without re-asking the user.
-  int64_t cache_hits() const { return cache_ ? cache_->hits() : 0; }
+  int64_t cache_hits() const { return cache_->hits(); }
 
  private:
   /// (Re)builds the middleware chain over the user backend, outermost

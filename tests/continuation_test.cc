@@ -19,9 +19,11 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <fstream>
 #include <map>
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <thread>
 #include <vector>
@@ -335,11 +337,68 @@ TEST(ContinuationEdgeTest, CloseAbandonsAPendingRound) {
   BitVec bits;
   EXPECT_EQ(router.ProvideAnswers(id, 0, bits.Prepare(1)),
             ProvideOutcome::kSessionClosed);
-  // Drain returns immediately: the abandoned jobs are not runnable.
+  // Drain waits only for the parked stack's unwind (inline at one lane):
+  // the abandoned jobs are not runnable.
   router.Drain();
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.jobs, 0);
   EXPECT_EQ(stats.awaiting_sessions, 0);
+}
+
+#if defined(__SANITIZE_THREAD__)
+#define QHORN_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define QHORN_TEST_TSAN 1
+#endif
+#endif
+#if defined(QHORN_TEST_TSAN)
+// TSan's runtime splits its shadow mappings as stacks are unmapped (256
+// closed stacks, 512 mappings, made the count fall by only ~250), so there
+// the count can only show that most stacks went.
+constexpr size_t kMinUnmapped = 128;
+#else
+constexpr size_t kMinUnmapped = 256;  // at least one per parked stack
+#endif
+
+/// Lines of /proc/self/maps: the process's memory mappings.
+size_t MappingCount() {
+  std::ifstream maps("/proc/self/maps");
+  size_t lines = 0;
+  for (std::string line; std::getline(maps, line);) ++lines;
+  return lines;
+}
+
+TEST(ContinuationEdgeTest, CloseUnwindsTheParkedStackAtTheClose) {
+  // A parked stack is a mapping plus a guard page. Closing its session
+  // must unmap it then, not when the router goes: a client that opens and
+  // abandons sessions would otherwise run the process out of mappings
+  // (vm.max_map_count) and abort on the next fiber's mmap.
+  for (int lanes : {1, 4}) {
+    SessionRouter::Options opts;
+    opts.threads = lanes;
+    SessionRouter router(opts);
+    constexpr int kSessions = 256;
+    static_assert(kMinUnmapped <= kSessions);
+    std::vector<SessionRouter::SessionId> ids;
+    for (int i = 0; i < kSessions; ++i) {
+      ids.push_back(router.OpenPending(4));
+      router.SubmitLearn(ids.back());
+    }
+    router.Drain();
+    ASSERT_EQ(router.stats().awaiting_sessions, kSessions);
+    const size_t parked = MappingCount();
+    for (SessionRouter::SessionId id : ids) EXPECT_TRUE(router.Close(id));
+    router.Drain();
+    const size_t closed = MappingCount();
+    EXPECT_GE(parked, closed + kMinUnmapped)
+        << lanes << " lanes: " << parked << " mappings parked, "
+        << closed << " after closing every session";
+    for (SessionRouter::SessionId id : ids) {
+      EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+    }
+    EXPECT_EQ(router.stats().awaiting_sessions, 0);
+  }
 }
 
 TEST(ContinuationEdgeTest, SubmitWhileAwaitingQueuesBehindTheAnswer) {
@@ -821,76 +880,226 @@ TEST(PollContractTest, ConcurrentPollersGetDisjointBatchesCoveringEveryRound) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// The single user-boundary transcript: the session's cache log is the only
+// record of what the user answered, so it must equal, question for
+// question, every round the embedding server answered — corrections
+// applied — in both resume modes.
+
+/// What the test's user answered, in order, as the router should see it.
+struct AnswerRecord {
+  std::vector<TranscriptEntry> entries;
+
+  void Answer(const PendingRound& round, BitSpan bits) {
+    for (size_t i = 0; i < round.questions.size(); ++i) {
+      entries.push_back(TranscriptEntry{round.questions[i], bits.Get(i), 0});
+    }
+  }
+  void Correct(size_t index) {
+    entries.resize(index + 1);
+    entries[index].response = !entries[index].response;
+  }
+};
+
+/// The transcript equals the record, or — with `prefix_only`, for a round
+/// pending after a mid-round correction — is a prefix of it.
+void ExpectSameTranscript(const AnswerRecord& record,
+                          std::span<const TranscriptEntry> transcript,
+                          const std::string& when, bool prefix_only = false) {
+  if (prefix_only) {
+    ASSERT_LE(transcript.size(), record.entries.size()) << when;
+  } else {
+    ASSERT_EQ(transcript.size(), record.entries.size()) << when;
+  }
+  for (size_t i = 0; i < transcript.size(); ++i) {
+    EXPECT_EQ(transcript[i].question, record.entries[i].question)
+        << when << ", entry " << i;
+    EXPECT_EQ(transcript[i].response, record.entries[i].response)
+        << when << ", entry " << i;
+  }
+}
+
 TEST(ContinuationTest, FiberAndReplayResumesAreBitIdentical) {
   // The two resume protocols must be observationally indistinguishable —
   // same fingerprints, same question/round/cache counters, and both equal
   // to a synchronous run — while their *replay* counters split exactly as
   // advertised: fiber resume replays nothing (the parked frame consumes
   // the answers in place), full-prefix replay re-serves the whole prefix
-  // per resume. Run with the question cache on and off: neither protocol
-  // may depend on it.
+  // per resume. The session's user transcript — the question cache's log,
+  // the one record of what the user answered — equals every answered
+  // round, question for question, while awaiting and at the end.
   Query target = SmallTarget(6, 13);
-  for (bool cache_questions : {true, false}) {
-    std::string fingerprints[2];
-    int64_t replayed[2] = {0, 0};
-    int64_t answered_questions[2] = {0, 0};
-    int64_t resumes[2] = {0, 0};
-    const ResumeMode modes[2] = {ResumeMode::kFiber, ResumeMode::kReplay};
-    for (int m = 0; m < 2; ++m) {
-      SessionRouter::Options opts;
-      opts.threads = 1;
-      opts.resume_mode = modes[m];
-      opts.session.cache_questions = cache_questions;
-      SessionRouter router(opts);
-      EXPECT_EQ(router.resume_mode(), modes[m]);
-      QueryOracle truth(target);
-      SessionRouter::SessionId id = router.OpenPending(6);
-      router.SubmitLearn(id);
-      router.SubmitVerify(id, target);
-      for (;;) {
-        router.Drain();
-        std::vector<PendingRound> rounds = router.PendingRounds();
-        if (rounds.empty()) break;
-        ASSERT_EQ(rounds.size(), 1u);
-        BitVec bits;
-        BitSpan span = bits.Prepare(rounds[0].questions.size());
-        truth.IsAnswerBatch(rounds[0].questions, span);
-        answered_questions[m] +=
-            static_cast<int64_t>(rounds[0].questions.size());
-        ++resumes[m];
-        ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
-                  ProvideOutcome::kResumed);
-      }
-      fingerprints[m] = SessionFingerprint(router.session(id));
-      replayed[m] = router.stats().replayed_questions;
+  std::string fingerprints[2];
+  int64_t replayed[2] = {0, 0};
+  int64_t answered_questions[2] = {0, 0};
+  int64_t resumes[2] = {0, 0};
+  const ResumeMode modes[2] = {ResumeMode::kFiber, ResumeMode::kReplay};
+  for (int m = 0; m < 2; ++m) {
+    SessionRouter::Options opts;
+    opts.threads = 1;
+    opts.resume_mode = modes[m];
+    SessionRouter router(opts);
+    EXPECT_EQ(router.resume_mode(), modes[m]);
+    QueryOracle truth(target);
+    SessionRouter::SessionId id = router.OpenPending(6);
+    router.SubmitLearn(id);
+    router.SubmitVerify(id, target);
+    const std::string mode = ToString(modes[m]);
+    AnswerRecord record;
+    for (;;) {
+      router.Drain();
+      ExpectSameTranscript(record, router.session(id).user_transcript(),
+                           mode + " while awaiting");
+      std::vector<PendingRound> rounds = router.PendingRounds();
+      if (rounds.empty()) break;
+      ASSERT_EQ(rounds.size(), 1u);
+      BitVec bits;
+      BitSpan span = bits.Prepare(rounds[0].questions.size());
+      truth.IsAnswerBatch(rounds[0].questions, span);
+      record.Answer(rounds[0], span);
+      answered_questions[m] +=
+          static_cast<int64_t>(rounds[0].questions.size());
+      ++resumes[m];
+      ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
+                ProvideOutcome::kResumed);
     }
+    EXPECT_EQ(static_cast<int64_t>(record.entries.size()),
+              router.session(id).questions_asked())
+        << mode;
+    fingerprints[m] = SessionFingerprint(router.session(id));
+    replayed[m] = router.stats().replayed_questions;
+  }
+
+  SessionRouter::Options sync_opts;
+  sync_opts.threads = 1;
+  SessionRouter sync_router(sync_opts);
+  QueryOracle sync_truth(target);
+  SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
+  sync_router.SubmitLearn(sid);
+  sync_router.SubmitVerify(sid, target);
+  sync_router.Drain();
+
+  EXPECT_EQ(fingerprints[0], fingerprints[1])
+      << "fiber and replay resume diverged on the same answer stream";
+  EXPECT_EQ(fingerprints[0], SessionFingerprint(sync_router.session(sid)))
+      << "pending sessions diverged from the synchronous run";
+  EXPECT_EQ(answered_questions[0], answered_questions[1]);
+  EXPECT_EQ(resumes[0], resumes[1]);
+  EXPECT_GT(resumes[0], 1);
+  // O(1) vs O(rounds²): fiber resume replays nothing at all; full-prefix
+  // replay re-serves prefixes on every resume of a multi-round session.
+  EXPECT_EQ(replayed[0], 0)
+      << "fiber resume re-served questions despite the parked stack";
+  EXPECT_GT(replayed[1], answered_questions[1])
+      << "full-prefix replay should re-serve more than it was answered "
+         "on a multi-round session";
+}
+
+TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscriptInBothModes) {
+  // Corrections at the last answered entry, at entry 0 (the restart then
+  // re-asks the rest of round 0 — a round that begins inside the replayed
+  // prefix) and at entry 0 again while that round is pending, bracketed by
+  // refusals that must leave the transcript as it was. The record of what
+  // the test answered, corrections applied, must equal the session's user
+  // transcript (while the re-asked rest of round 0 pends, its replayed
+  // head is not logged yet: a prefix), and the final session must equal a
+  // truthful synchronous run.
+  Query target = SmallTarget(6, 13);
+  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
+    const std::string m = ToString(mode);
+    SessionRouter::Options opts;
+    opts.threads = 1;
+    opts.resume_mode = mode;
+    SessionRouter router(opts);
+    QueryOracle truth(target);
+    SessionRouter::SessionId id = router.OpenPending(6);
+    router.SubmitLearn(id);
+    router.Drain();
+    AnswerRecord record;
+    auto transcript = [&] { return router.session(id).user_transcript(); };
+    auto answer = [&](bool flip_last) {
+      std::optional<PendingRound> round = router.pending_round(id);
+      ASSERT_TRUE(round.has_value());
+      BitVec bits;
+      BitSpan span = bits.Prepare(round->questions.size());
+      truth.IsAnswerBatch(round->questions, span);
+      const size_t last = round->questions.size() - 1;
+      if (flip_last) span.Set(last, !span.Get(last));
+      record.Answer(*round, span);
+      ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
+                ProvideOutcome::kResumed);
+      router.Drain();
+    };
+    auto correct = [&](size_t index, bool mid_round) {
+      ASSERT_EQ(router.CorrectAnswer(id, index), ProvideOutcome::kResumed);
+      record.Correct(index);
+      router.Drain();
+      ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser) << m;
+      ExpectSameTranscript(record, transcript(),
+                           m + " after correcting " + std::to_string(index),
+                           mid_round);
+    };
+
+    // Round 0 with its last answer flipped; the session parks on round 1.
+    router.PendingRounds();
+    std::optional<PendingRound> round0 = router.pending_round(id);
+    ASSERT_TRUE(round0.has_value());
+    ASSERT_GE(round0->questions.size(), 2u);
+    answer(/*flip_last=*/true);
+    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser) << m;
+    ExpectSameTranscript(record, transcript(), m + " after round 0");
+    const size_t answered = record.entries.size();
+    ASSERT_EQ(answered, round0->questions.size());
+
+    // A refused reply leaves the transcript unchanged.
+    std::optional<PendingRound> pending = router.pending_round(id);
+    ASSERT_TRUE(pending.has_value());
+    BitVec bits;
+    EXPECT_EQ(router.ProvideAnswers(id, pending->round_id,
+                                    bits.Prepare(pending->questions.size() + 1)),
+              ProvideOutcome::kAnswerCountMismatch);
+    EXPECT_EQ(router.ProvideAnswers(id, pending->round_id + 1,
+                                    bits.Prepare(pending->questions.size())),
+              ProvideOutcome::kStaleRound);
+    ExpectSameTranscript(record, transcript(), m + " after refused replies");
+
+    // The answered count itself is out of range.
+    EXPECT_EQ(router.CorrectAnswer(id, answered),
+              ProvideOutcome::kAnswerCountMismatch);
+    ExpectSameTranscript(record, transcript(), m + " after a refused fix");
+
+    // Back to the truth: round 0 replays whole, round 1 pends again.
+    correct(answered - 1, /*mid_round=*/false);
+    // Entry 0 now lies; the rest of round 0 is re-asked, nothing else.
+    correct(0, /*mid_round=*/true);
+    std::optional<PendingRound> rest = router.pending_round(id);
+    ASSERT_TRUE(rest.has_value());
+    EXPECT_EQ(rest->questions,
+              std::vector<TupleSet>(round0->questions.begin() + 1,
+                                    round0->questions.end()))
+        << m;
+    // And back, while that re-asked round pends.
+    correct(0, /*mid_round=*/true);
+    EXPECT_EQ(router.CorrectAnswer(id, 1),
+              ProvideOutcome::kAnswerCountMismatch)
+        << "only entry 0 survives a correction at entry 0";
+
+    // Answer truthfully to completion.
+    while (router.pending_round(id).has_value()) answer(/*flip_last=*/false);
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle) << m;
+    ExpectSameTranscript(record, transcript(), m + " at the end");
+    EXPECT_EQ(router.stats().corrections, 3) << m;
 
     SessionRouter::Options sync_opts;
     sync_opts.threads = 1;
-    sync_opts.session.cache_questions = cache_questions;
     SessionRouter sync_router(sync_opts);
     QueryOracle sync_truth(target);
     SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
     sync_router.SubmitLearn(sid);
-    sync_router.SubmitVerify(sid, target);
     sync_router.Drain();
-
-    EXPECT_EQ(fingerprints[0], fingerprints[1])
-        << "fiber and replay resume diverged on the same answer stream"
-        << " (cache_questions=" << cache_questions << ")";
-    EXPECT_EQ(fingerprints[0], SessionFingerprint(sync_router.session(sid)))
-        << "pending sessions diverged from the synchronous run"
-        << " (cache_questions=" << cache_questions << ")";
-    EXPECT_EQ(answered_questions[0], answered_questions[1]);
-    EXPECT_EQ(resumes[0], resumes[1]);
-    EXPECT_GT(resumes[0], 1);
-    // O(1) vs O(rounds²): fiber resume replays nothing at all; full-prefix
-    // replay re-serves prefixes on every resume of a multi-round session.
-    EXPECT_EQ(replayed[0], 0)
-        << "fiber resume re-served questions despite the parked stack";
-    EXPECT_GT(replayed[1], answered_questions[1])
-        << "full-prefix replay should re-serve more than it was answered "
-           "on a multi-round session";
+    EXPECT_EQ(SessionFingerprint(router.session(id)),
+              SessionFingerprint(sync_router.session(sid)))
+        << "corrected session diverged from the truthful run under " << m;
   }
 }
 

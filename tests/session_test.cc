@@ -52,20 +52,21 @@ TEST(SessionTest, ReviseConvergesFromACloseGuess) {
 TEST(SessionTest, CachingReducesUserQuestions) {
   Query intended = Query::Parse("∀x1x2→x5 ∀x3x4→x5 ∃x1x2x3", 5);
   QueryOracle user1(intended);
-  QuerySession::Options cached;
-  cached.cache_questions = true;
-  QuerySession with_cache(5, &user1, cached);
+  QuerySession with_cache(5, &user1);
   with_cache.Learn();
 
+  // The same learner over a hand-built pipeline with no cache stage: every
+  // question, repeated or not, reaches the user.
   QueryOracle user2(intended);
-  QuerySession::Options uncached;
-  uncached.cache_questions = false;
-  QuerySession without_cache(5, &user2, uncached);
-  without_cache.Learn();
+  OraclePipeline without_cache(&user2);
+  CountingOracle* counting = without_cache.Push<CountingOracle>();
+  Query uncached = LearnRolePreserving(5, without_cache.top()).query;
 
-  EXPECT_LE(with_cache.questions_asked(), without_cache.questions_asked());
-  EXPECT_TRUE(Equivalent(*with_cache.current_query(),
-                         *without_cache.current_query()));
+  EXPECT_LE(with_cache.questions_asked(), counting->stats().questions);
+  EXPECT_TRUE(Equivalent(*with_cache.current_query(), uncached));
+  // What reached the user is the cache's log, each question once.
+  EXPECT_EQ(static_cast<int64_t>(with_cache.user_transcript().size()),
+            with_cache.questions_asked());
 }
 
 TEST(SessionTest, CorrectAndRelearnRecovers) {
