@@ -4,6 +4,7 @@
 #include <bit>
 #include <utility>
 
+#include "src/oracle/history.h"
 #include "src/util/check.h"
 
 namespace qhorn {
@@ -48,7 +49,7 @@ void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
 
 size_t CachingOracle::Append(const TupleSet& question, size_t slot) {
   const size_t pos = log_.size();
-  QHORN_CHECK_MSG(pos < 0xffffffffu, "question log full");
+  QHORN_CHECK_MSG(pos < QuestionHistory::kPrefixTag, "question log full");
   if ((pos + 1) * 4 > slots_.size() * 3) {
     Grow();
     Find(question, &slot);
@@ -81,6 +82,16 @@ void CachingOracle::Grow() {
   }
 }
 
+void CachingOracle::Record(std::span<const size_t> positions) {
+  std::vector<uint32_t>& recorded = history_->positions;
+  QHORN_CHECK_MSG(recorded.size() < UINT32_MAX - positions.size(),
+                  "question history full");
+  if (history_rounds_) {
+    history_->round_starts.push_back(static_cast<uint32_t>(recorded.size()));
+  }
+  for (size_t pos : positions) recorded.push_back(static_cast<uint32_t>(pos));
+}
+
 std::vector<TranscriptEntry> CachingOracle::TakeLog() {
   QHORN_CHECK_MSG(answered_ == log_.size(), "log taken mid-round");
   std::vector<TranscriptEntry> log = std::move(log_);
@@ -96,16 +107,19 @@ bool CachingOracle::IsAnswer(const TupleSet& question) {
   const size_t pos = Find(question, &slot);
   if (pos != kAbsent) {
     ++hits_;
+    if (history_ != nullptr) Record({&pos, 1});
     return log_[pos].response;
   }
   // Logged once the inner oracle answers: a pending backend suspends by
   // throwing, and the unasked question must leave no trace. Nothing
   // touches the index in between, so `slot` is still the free one.
   const bool answer = inner_->IsAnswer(question);
-  log_[Append(question, slot)].response = answer;
+  const size_t appended = Append(question, slot);
+  log_[appended].response = answer;
   answered_ = log_.size();
   ++rounds_;
   ++misses_;
+  if (history_ != nullptr) Record({&appended, 1});
   return answer;
 }
 
@@ -175,6 +189,7 @@ void CachingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   for (size_t i = 0; i < questions.size(); ++i) {
     answers.Set(i, log_[positions_[i]].response);
   }
+  if (history_ != nullptr && !questions.empty()) Record(positions_);
 }
 
 bool NoisyOracle::MaybeFlip(bool answer) {

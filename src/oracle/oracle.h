@@ -36,6 +36,8 @@
 
 namespace qhorn {
 
+struct QuestionHistory;  // src/oracle/history.h
+
 /// The user being questioned: classifies objects as answers/non-answers.
 class MembershipOracle {
  public:
@@ -158,7 +160,11 @@ struct TranscriptEntry {
 /// (question, answer) entry, so the log is exactly the exchanges that
 /// passed this stage toward the user, in the order they were asked — the
 /// session's user-boundary transcript, each question stored once. Entry
-/// `round` counts this stage's forwards (one per round with a miss). An
+/// `round` counts this stage's forwards (one per round with a miss). The
+/// log also backs the learner-facing history: with RecordHistory, every
+/// question of every answered round, hits included, is recorded as its
+/// log position (see src/oracle/history.h), so a session's history holds
+/// no question of its own. An
 /// open-addressed index of log positions finds a question in one probe
 /// sequence: a slot holds a 32-bit hash tag and a position, so a probe
 /// compares tags and touches the log only on a likely match. TupleSet
@@ -198,6 +204,15 @@ class CachingOracle : public MembershipOracle {
   /// round is in flight.
   std::vector<TranscriptEntry> TakeLog();
 
+  /// From now on, records each question of every round this stage answers
+  /// into `history`: its log position, once the round's forward has
+  /// returned. With `rounds` it also records where each round starts; pass
+  /// false when a recording stage above opens the rounds.
+  void RecordHistory(QuestionHistory* history, bool rounds) {
+    history_ = history;
+    history_rounds_ = rounds;
+  }
+
  private:
   static constexpr size_t kAbsent = SIZE_MAX;
 
@@ -212,6 +227,8 @@ class CachingOracle : public MembershipOracle {
   void Truncate(size_t size);
   /// Rebuilds the index at twice the capacity (16 at first).
   void Grow();
+  /// Records the answered round whose log positions are `positions`.
+  void Record(std::span<const size_t> positions);
   size_t Home(size_t hash) const {
     return static_cast<size_t>((hash * 0x9e3779b97f4a7c15ULL) >> shift_);
   }
@@ -228,6 +245,8 @@ class CachingOracle : public MembershipOracle {
   int shift_ = 64;
   int64_t hits_ = 0;
   int64_t misses_ = 0;
+  QuestionHistory* history_ = nullptr;
+  bool history_rounds_ = false;
   // Round-local scratch, members so a steady-state round allocates
   // nothing. Never read across calls; safe because the inner round runs on
   // a *different* oracle object (the stack is a chain, not a cycle).

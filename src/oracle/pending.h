@@ -32,9 +32,10 @@
 //
 // Round ids count *user-boundary* rounds (each suspension is one round);
 // they are the resumption protocol's sequence numbers, distinct from the
-// TranscriptOracle round ids the session reports. An empty round is a
-// no-op, not a suspension — sequential equivalence says zero questions
-// mean zero user interactions.
+// learner round ids of the session's history (QuerySession::history() and
+// rounds(), which also count rounds the cache answered whole). An empty
+// round is a no-op, not a suspension — sequential equivalence says zero
+// questions mean zero user interactions.
 
 #ifndef QHORN_ORACLE_PENDING_H_
 #define QHORN_ORACLE_PENDING_H_

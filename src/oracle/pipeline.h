@@ -8,10 +8,9 @@
 // decorator it owns. The user-facing entry point is top(); the stage
 // nearest the backend was pushed first.
 //
-//   OraclePipeline p(&backend);          // transcript → cache → counting
+//   OraclePipeline p(&backend);          // cache → counting → backend
 //   auto* counting = p.Push<CountingOracle>();
 //   auto* cache = p.Push<CachingOracle>();
-//   auto* transcript = p.Push<TranscriptOracle>();
 //   learner.Learn(p.top());
 //
 // The Backend/Stage concepts make the two roles explicit: a Backend is any

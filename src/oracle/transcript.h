@@ -21,6 +21,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/oracle/history.h"
 #include "src/oracle/oracle.h"
 
 namespace qhorn {
@@ -56,25 +57,41 @@ class TranscriptOracle : public MembershipOracle {
 /// prefix in order; once the prefix is exhausted (or a question deviates),
 /// defers to the fallback oracle. Used to re-run a learner after a
 /// correction without re-asking the user everything.
+///
+/// The prefix is released as soon as a call returns with it used up
+/// (exhausted or diverged): nothing is replayed after that. A call that
+/// does not return — a round that began inside the prefix and suspended —
+/// keeps it, so the suspended run's answered exchanges can still be taken.
 class ReplayOracle : public MembershipOracle {
  public:
   ReplayOracle(std::vector<TranscriptEntry> transcript,
                MembershipOracle* fallback)
-      : transcript_(std::move(transcript)), fallback_(fallback) {}
+      : owned_(std::move(transcript)), prefix_(owned_), fallback_(fallback) {}
 
   /// Stage-order constructor (inner first) for OraclePipeline::Push.
   ReplayOracle(MembershipOracle* fallback,
                std::vector<TranscriptEntry> transcript)
       : ReplayOracle(std::move(transcript), fallback) {}
 
+  /// Replays a prefix the caller keeps alive, and records each round it
+  /// answers into `history`: a served question as its prefix index tagged
+  /// QuestionHistory::kPrefixTag, and the round's start. The fallback
+  /// records the positions of the questions it answers, without rounds.
+  ReplayOracle(MembershipOracle* fallback,
+               std::span<const TranscriptEntry> prefix,
+               QuestionHistory* history)
+      : prefix_(prefix), fallback_(fallback), history_(history) {}
+
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
-  /// Moves the recorded transcript out; nothing is replayed after.
+  /// Moves the owned transcript out (empty once released); nothing is
+  /// replayed after.
   std::vector<TranscriptEntry> TakeTranscript() {
     diverged_ = true;
-    return std::move(transcript_);
+    prefix_ = {};
+    return std::move(owned_);
   }
 
   /// Questions served from the recorded transcript.
@@ -86,9 +103,13 @@ class ReplayOracle : public MembershipOracle {
   /// Serves `question` from the transcript prefix if it still matches.
   /// Returns false when the question must go to the fallback instead.
   bool TryReplay(const TupleSet& question, bool* response);
+  /// After a call returns: drops the prefix once nothing is left to serve.
+  void ReleaseIfUsedUp();
 
-  std::vector<TranscriptEntry> transcript_;
+  std::vector<TranscriptEntry> owned_;
+  std::span<const TranscriptEntry> prefix_;  // owned_, or the caller's
   MembershipOracle* fallback_;
+  QuestionHistory* history_ = nullptr;
   size_t next_ = 0;
   bool diverged_ = false;
   int64_t replayed_ = 0;

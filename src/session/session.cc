@@ -21,21 +21,32 @@ void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
   // cumulative across resume attempts.
   if (user_replay_ != nullptr) user_replayed_total_ += user_replay_->replayed();
   user_replay_ = nullptr;
+  history_.clear();
+  corrected_prefix_ = std::move(replay_prefix);
   OraclePipeline pipeline(user_);
   if (!user_prefix.empty()) {
     user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
   }
   counting_ = pipeline.Push<CountingOracle>();
   cache_ = pipeline.Push<CachingOracle>();
-  if (!replay_prefix.empty()) {
-    pipeline.Push<ReplayOracle>(std::move(replay_prefix));
+  cache_->RecordHistory(&history_, corrected_prefix_.empty());
+  if (!corrected_prefix_.empty()) {
+    pipeline.Push<ReplayOracle>(std::span<const TranscriptEntry>(
+                                    corrected_prefix_),
+                                &history_);
   }
-  transcript_ = pipeline.Push<TranscriptOracle>();
   pipeline_ = std::move(pipeline);
   top_ = pipeline_.top();
 }
 
+HistoryView QuerySession::history() const {
+  return HistoryView(history_, cache_->log(), corrected_prefix_);
+}
+
 std::vector<TranscriptEntry> QuerySession::TakeUserTranscript() {
+  // The history indexes the log about to move out; the rebuild that must
+  // follow re-records it.
+  history_.clear();
   std::vector<TranscriptEntry> log = cache_->TakeLog();
   if (user_replay_ != nullptr) {
     std::vector<TranscriptEntry> prefix = user_replay_->TakeTranscript();
@@ -79,12 +90,23 @@ const Query& QuerySession::CorrectAndRelearn(size_t index) {
   QHORN_CHECK_MSG(!continuation_mode_,
                   "CorrectAndRelearn is not supported on pending-round "
                   "continuation sessions; close the session and re-learn");
-  transcript_->Correct(index);
+  // The corrected prefix: the history up to `index`, resolved, with that
+  // answer flipped. Later entries were computed from the bad answer and
+  // must be re-asked.
+  HistoryView history = this->history();
+  QHORN_CHECK_MSG(index < history.size(), "no history entry " << index);
+  std::vector<TranscriptEntry> prefix;
+  prefix.reserve(index + 1);
+  for (HistoryEntry e : history) {
+    if (prefix.size() == index + 1) break;
+    prefix.push_back(TranscriptEntry{e.question, e.response, e.round});
+  }
+  prefix.back().response = !prefix.back().response;
   // Rebuild the chain with the corrected prefix behind a replay stage;
   // fresh questions flow to the user through a fresh cache (the old cache
-  // holds the wrong answer) and the new transcript re-records the whole
+  // holds the wrong answer) and the new history re-records the whole
   // corrected run.
-  BuildPipeline(transcript_->entries(), {});
+  BuildPipeline(std::move(prefix), {});
   RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
   current_ = std::move(result.query);
   return *current_;

@@ -10,7 +10,9 @@
 // The question cache's log doubles as the *user-boundary transcript*:
 // every question that reached the user, once, with its answer, in ask
 // order. The service layer restarts a pending session from it (see
-// TakeUserTranscript) rather than keeping a copy of its own.
+// TakeUserTranscript) rather than keeping a copy of its own. The
+// learner-facing history indexes the same log: a position per learner
+// question and a start per learner round, resolved on read (history()).
 
 #ifndef QHORN_SESSION_SESSION_H_
 #define QHORN_SESSION_SESSION_H_
@@ -23,6 +25,7 @@
 
 #include "src/learn/revision.h"
 #include "src/learn/rp_learner.h"
+#include "src/oracle/history.h"
 #include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/verify/verifier.h"
@@ -40,6 +43,10 @@ class QuerySession {
   QuerySession(int n, MembershipOracle* user);
   QuerySession(int n, MembershipOracle* user, Options options);
 
+  // The pipeline's stages point at the session's history.
+  QuerySession(const QuerySession&) = delete;
+  QuerySession& operator=(const QuerySession&) = delete;
+
   int n() const { return n_; }
 
   /// Learns the user's query from membership questions (§3.2). The result
@@ -56,10 +63,12 @@ class QuerySession {
   /// The session's current query, if any phase has produced one.
   const std::optional<Query>& current_query() const { return current_; }
 
-  /// Full question/answer history (in the order the user saw them).
-  const std::vector<TranscriptEntry>& history() const {
-    return transcript_->entries();
-  }
+  /// Full question/answer history: every question the learners asked,
+  /// cache hits included, in order, each with its response and round id.
+  /// A view that resolves positions into the question cache's log (and,
+  /// after CorrectAndRelearn, into the corrected prefix it replays); valid
+  /// until the session is next used.
+  HistoryView history() const;
 
   /// The user-boundary transcript: the questions that reached the user
   /// backend (cache misses, replayed ones included), each once, with its
@@ -75,7 +84,8 @@ class QuerySession {
   /// ResetWithUserReplay that must follow before the session is used
   /// again: the cache's log, or the replay stage's prefix when that is
   /// longer — a round re-served from the prefix and then suspended (the
-  /// mid-round head above) leaves the log a prefix of it.
+  /// mid-round head above) leaves the log a prefix of it. Empties the
+  /// history too, since it indexes that log.
   std::vector<TranscriptEntry> TakeUserTranscript();
 
   /// The §5 workflow: the user flips their answer to history entry
@@ -131,17 +141,22 @@ class QuerySession {
   /// user interactions, as opposed to the number of questions. Learners
   /// emit whole lattice levels / head sweeps per round, so this is much
   /// smaller than the question count.
-  int64_t rounds() const { return transcript_->rounds(); }
+  int64_t rounds() const {
+    return static_cast<int64_t>(history_.round_starts.size());
+  }
 
   /// Cache traffic: identical questions served without re-asking the user.
   int64_t cache_hits() const { return cache_->hits(); }
 
  private:
   /// (Re)builds the middleware chain over the user backend, outermost
-  /// first: transcript → [replay] → cache → counting → [user replay] →
-  /// user. A non-empty `replay_prefix` inserts a ReplayOracle between the
-  /// cache and the transcript for the §5 correction workflow (served
-  /// questions are not re-counted); a non-empty `user_prefix` inserts one
+  /// first: [replay] → cache → counting → [user replay] → user, and
+  /// empties the history. The cache records the history: each learner
+  /// question's log position and each round's start. A non-empty
+  /// `replay_prefix` becomes corrected_prefix_ and puts a ReplayOracle over
+  /// it above the cache for the §5 correction workflow (served questions
+  /// are not re-counted); that stage records the served questions and the
+  /// round starts. A non-empty `user_prefix` inserts a ReplayOracle
   /// directly above the user for continuation re-entry (served questions
   /// pass through every decorator, exactly as when first asked).
   void BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
@@ -155,10 +170,14 @@ class QuerySession {
   OraclePipeline pipeline_;
   CountingOracle* counting_ = nullptr;
   CachingOracle* cache_ = nullptr;
-  TranscriptOracle* transcript_ = nullptr;
   ReplayOracle* user_replay_ = nullptr;  // user-boundary stage, if armed
   MembershipOracle* top_ = nullptr;
   std::optional<Query> current_;
+  // The learner-facing history, by position: into cache_'s log, or with
+  // QuestionHistory::kPrefixTag into corrected_prefix_ (the input of the
+  // correction replay stage, kept for the pipeline's life).
+  QuestionHistory history_;
+  std::vector<TranscriptEntry> corrected_prefix_;
   // Replayed-question count harvested from retired user-boundary replay
   // stages (each pipeline rebuild discards the live stage).
   int64_t user_replayed_total_ = 0;

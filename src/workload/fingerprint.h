@@ -26,7 +26,7 @@ inline std::string SessionFingerprint(QuerySession& session) {
     out += " current=" + session.current_query()->ToString();
   }
   out += "\n";
-  for (const TranscriptEntry& e : session.history()) {
+  for (const HistoryEntry& e : session.history()) {
     out += std::to_string(e.round) + ":" + e.question.ToString(session.n());
     out += e.response ? "+" : "-";
     out += "\n";

@@ -8,6 +8,7 @@
 
 #include "src/core/normalize.h"
 #include "src/learn/rp_learner.h"
+#include "src/util/suspend.h"
 
 namespace qhorn {
 namespace {
@@ -63,6 +64,56 @@ TEST(ReplayTest, DivergenceStopsReplay) {
   EXPECT_FALSE(replay.IsAnswer(TupleSet::Parse({"01"})));
   EXPECT_EQ(replay.replayed(), 0);
   EXPECT_EQ(replay.asked(), 2);
+}
+
+TEST(ReplayTest, ReleasesThePrefixOnceACallGoesPastIt) {
+  QueryOracle truth(Query::Parse("∃x1", 2));
+  const std::vector<TranscriptEntry> recorded = {
+      {TupleSet::Parse({"10"}), true},
+      {TupleSet::Parse({"01"}), false},
+  };
+  // A batch served from the prefix and then past it: the prefix is gone.
+  ReplayOracle replay(recorded, &truth);
+  const std::vector<TupleSet> round = {
+      TupleSet::Parse({"10"}), TupleSet::Parse({"01"}), TupleSet::Parse({"11"})};
+  BitVec bits;
+  replay.IsAnswerBatch(round, bits.Prepare(round.size()));
+  EXPECT_EQ(replay.replayed(), 2);
+  EXPECT_TRUE(replay.TakeTranscript().empty());
+
+  // Single questions: the call that asks past the prefix releases it.
+  ReplayOracle single(recorded, &truth);
+  EXPECT_TRUE(single.IsAnswer(TupleSet::Parse({"10"})));
+  EXPECT_FALSE(single.IsAnswer(TupleSet::Parse({"01"})));
+  EXPECT_TRUE(single.IsAnswer(TupleSet::Parse({"11"})));
+  EXPECT_TRUE(single.TakeTranscript().empty());
+
+  // A diverged prefix is released as well.
+  ReplayOracle diverged(recorded, &truth);
+  EXPECT_TRUE(diverged.IsAnswer(TupleSet::Parse({"11"})));
+  EXPECT_TRUE(diverged.TakeTranscript().empty());
+}
+
+TEST(ReplayTest, KeepsThePrefixWhileARoundBegunInsideItIsSuspended) {
+  // The fallback suspends every round it sees, as a pending backend does.
+  struct Suspending : MembershipOracle {
+    bool IsAnswer(const TupleSet&) override { throw JobSuspended{}; }
+  } suspending;
+  const std::vector<TranscriptEntry> recorded = {
+      {TupleSet::Parse({"10"}), true},
+      {TupleSet::Parse({"01"}), false},
+  };
+  ReplayOracle replay(recorded, &suspending);
+  const std::vector<TupleSet> round = {TupleSet::Parse({"10"}),
+                                       TupleSet::Parse({"01"}),
+                                       TupleSet::Parse({"11"})};
+  BitVec bits;
+  EXPECT_THROW(replay.IsAnswerBatch(round, bits.Prepare(round.size())),
+               JobSuspended);
+  const std::vector<TranscriptEntry> kept = replay.TakeTranscript();
+  ASSERT_EQ(kept.size(), recorded.size());
+  EXPECT_EQ(kept[0].question, recorded[0].question);
+  EXPECT_EQ(kept[1].question, recorded[1].question);
 }
 
 // End-to-end §5 workflow: a user answers one question wrong, the learner
