@@ -17,6 +17,7 @@
 
 #include <benchmark/benchmark.h>
 
+#include <latch>
 #include <memory>
 #include <optional>
 #include <set>
@@ -356,8 +357,9 @@ void BM_SynthesizeQuestion(benchmark::State& state) {
 BENCHMARK(BM_SynthesizeQuestion);
 
 // Aggregate multi-session throughput through the SessionRouter: N
-// simulated users, four distinct intended queries shared via the
-// compiled-query cache, each session learning end to end. The
+// pending sessions over four distinct intended queries, each learning end
+// to end while the benchmark thread answers every round from one
+// QueryOracle per target. The
 // Throughput/Sequential pair is the service-layer headline: the identical
 // workload routed across the default executor (QHORN_THREADS-overridable;
 // the 4-core reference config targets ≥3× at 16 sessions) vs pinned to one
@@ -375,23 +377,36 @@ std::vector<Query> ServiceTargets(int n) {
   return targets;
 }
 
-void ServiceRound(int threads, int sessions, const std::vector<Query>& targets) {
+/// One QueryOracle per target, compiled once and shared by every session
+/// that learns it; only the benchmark thread calls them.
+std::vector<std::unique_ptr<QueryOracle>> ServiceUsers(
+    const std::vector<Query>& targets) {
+  std::vector<std::unique_ptr<QueryOracle>> users;
+  users.reserve(targets.size());
+  for (const Query& q : targets) users.push_back(std::make_unique<QueryOracle>(q));
+  return users;
+}
+
+void ServiceRound(int threads, int sessions,
+                  const std::vector<std::unique_ptr<QueryOracle>>& users) {
   SessionRouter::Options opts;
   opts.threads = threads;
   SessionRouter router(opts);
+  std::unordered_map<SessionRouter::SessionId, QueryOracle*> truth_of;
   for (int s = 0; s < sessions; ++s) {
-    SessionRouter::SessionId id =
-        router.OpenSimulated(targets[static_cast<size_t>(s) % targets.size()]);
+    SessionRouter::SessionId id = router.OpenPending(32);
+    truth_of[id] = users[static_cast<size_t>(s) % users.size()].get();
     router.SubmitLearn(id);
   }
-  router.Drain();
+  benchmark::DoNotOptimize(DrivePendingSessions(router, truth_of));
 }
 
 void BM_ServiceThroughput(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
-  std::vector<Query> targets = ServiceTargets(32);
+  std::vector<std::unique_ptr<QueryOracle>> users =
+      ServiceUsers(ServiceTargets(32));
   for (auto _ : state) {
-    ServiceRound(/*threads=*/0, sessions, targets);
+    ServiceRound(/*threads=*/0, sessions, users);
   }
   state.SetItemsProcessed(state.iterations() * sessions);
   state.counters["lanes"] =
@@ -400,7 +415,8 @@ void BM_ServiceThroughput(benchmark::State& state) {
                  std::to_string(Executor::DefaultConcurrency()) + " lanes)");
 }
 // UseRealTime: the sessions run on router lanes while the benchmark
-// thread sleeps in Drain(); aggregate throughput is a wall-clock number.
+// thread drains and plays the users; aggregate throughput is a
+// wall-clock number.
 BENCHMARK(BM_ServiceThroughput)
     ->Arg(16)
     ->Unit(benchmark::kMillisecond)
@@ -408,9 +424,10 @@ BENCHMARK(BM_ServiceThroughput)
 
 void BM_ServiceSequential(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
-  std::vector<Query> targets = ServiceTargets(32);
+  std::vector<std::unique_ptr<QueryOracle>> users =
+      ServiceUsers(ServiceTargets(32));
   for (auto _ : state) {
-    ServiceRound(/*threads=*/1, sessions, targets);
+    ServiceRound(/*threads=*/1, sessions, users);
   }
   state.SetItemsProcessed(state.iterations() * sessions);
   state.counters["lanes"] = 1.0;
@@ -430,8 +447,8 @@ BENCHMARK(BM_ServiceSequential)
 // context switch back into the frame that asked — no rebuild, no replay,
 // no re-walk — with the learner's speculative rounds batched wide so a
 // whole probe regime costs one suspension instead of one per probe. The
-// Direct arm is the identical fleet over synchronous in-process users on
-// the same 4 lanes. The ratio prices the remaining continuation machinery
+// Direct arm is the identical fleet as bare QuerySession jobs over
+// synchronous in-process users, posted on a 4-lane Executor. The ratio prices the remaining continuation machinery
 // — stack switches, round staging, protocol bookkeeping — against the
 // zero threads it parks; the gate guards the recorded ratio against
 // regressing (BM_SessionResume* below prices the two resume protocols
@@ -477,8 +494,8 @@ BENCHMARK(BM_ServiceOpenSessions)
 void BM_ServiceOpenSessionsDirect(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
   std::vector<Query> targets = ServiceTargets(8);
-  // One private synchronous user per session (Open's contract); compiled
-  // once, reused across iterations.
+  // One private synchronous user per session (a user answers from the lane
+  // its session runs on); compiled once, reused across iterations.
   std::vector<std::unique_ptr<QueryOracle>> users;
   users.reserve(static_cast<size_t>(sessions));
   for (int s = 0; s < sessions; ++s) {
@@ -486,15 +503,20 @@ void BM_ServiceOpenSessionsDirect(benchmark::State& state) {
         targets[static_cast<size_t>(s) % targets.size()]));
   }
   for (auto _ : state) {
-    SessionRouter::Options opts;
-    opts.threads = 4;
-    SessionRouter router(opts);
+    // Bare sessions, one Learn job each, on the same 4 lanes.
+    Executor lanes(4);
+    std::vector<std::unique_ptr<QuerySession>> fleet;
+    fleet.reserve(static_cast<size_t>(sessions));
+    std::latch done(sessions);
     for (int s = 0; s < sessions; ++s) {
-      SessionRouter::SessionId id =
-          router.Open(8, users[static_cast<size_t>(s)].get());
-      router.SubmitLearn(id);
+      fleet.push_back(std::make_unique<QuerySession>(
+          8, users[static_cast<size_t>(s)].get()));
+      lanes.Post([session = fleet.back().get(), &done] {
+        session->Learn();
+        done.count_down();
+      });
     }
-    router.Drain();
+    done.wait();
   }
   state.SetItemsProcessed(state.iterations() * sessions);
   state.counters["lanes"] = 4.0;
@@ -506,13 +528,12 @@ BENCHMARK(BM_ServiceOpenSessionsDirect)
     ->UseRealTime();
 
 // Multi-core router contention: the PR 9 headline. Four driver threads
-// hammer one router facade with a mixed open/submit/provide/poll workload
-// over disjoint session ranges — 3/4 pending sessions (every round
-// crosses the announcement queue and a provide), 1/4 simulated sessions
-// (pure open/drain traffic through the shared striped compiled-query
-// cache). Every session verifies the same tiny target, so per-session
-// compute is a few microseconds and the time is dominated by router
-// bookkeeping: shard mutexes, cache stripes, announcement drains. The
+// hammer one router facade with an open/submit/provide/poll workload over
+// disjoint session ranges of pending sessions (every round crosses the
+// announcement queue and a provide). Every session verifies the same tiny
+// target, so per-session compute is a few microseconds and the time is
+// dominated by router bookkeeping: shard mutexes and announcement
+// drains. The
 // shards argument is the contended-vs-striped knob — at 1 shard this is
 // the old global-mutex SessionRouter reached through the identity facade;
 // the gate pair (4096 sessions, 8 shards vs 1 shard) records what the
@@ -541,14 +562,9 @@ void BM_RouterContention(benchmark::State& state) {
         const int end = (d + 1) * sessions / kDrivers;
         std::vector<ShardedRouter::SessionId> pending;
         for (int s = begin; s < end; ++s) {
-          if (s % 4 == 0) {
-            // Simulated: answers itself on a lane; open + cache traffic.
-            router.SubmitVerify(router.OpenSimulated(target), target);
-          } else {
-            ShardedRouter::SessionId id = router.OpenPending(4);
-            router.SubmitVerify(id, target);
-            pending.push_back(id);
-          }
+          ShardedRouter::SessionId id = router.OpenPending(4);
+          router.SubmitVerify(id, target);
+          pending.push_back(id);
         }
         // Play this driver's users: per-id polls (four pollers hitting
         // the per-shard announcement state concurrently), all-no answers
@@ -579,7 +595,7 @@ void BM_RouterContention(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * sessions);
   state.counters["lanes"] = 4.0;
   state.counters["shards"] = static_cast<double>(shards);
-  state.SetLabel("4 drivers, mixed open/provide/poll, " +
+  state.SetLabel("4 drivers, open/provide/poll, " +
                  std::to_string(shards) + "-shard facade");
 }
 // UseRealTime: the drivers and the router lanes all run off-thread; the

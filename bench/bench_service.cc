@@ -1,14 +1,16 @@
 // E16 — the concurrent session service end to end.
 //
 // Simulates a fleet of users against the SessionRouter: each session
-// learns its intended query (drawn from a small catalogue, so the shared
-// compiled-query cache is exercised), a fraction then verifies a candidate
-// or revises a close guess — the DataPlay workflow at service scale. The
-// sweep reports aggregate sessions/second at 1 lane vs the default
-// executor (QHORN_THREADS-overridable), wall-clock per drain, and the
-// service counters (questions, rounds, question-cache hits, compile
-// sharing). Correctness is asserted inline: every learned/verified query
-// must be equivalent to its session's target, whatever the lane count.
+// learns its intended query (drawn from a small catalogue), a fraction
+// then verifies a candidate or revises a close guess — the DataPlay
+// workflow at service scale. Every session is a pending session; this
+// thread plays the users through the PendingRounds()/ProvideAnswers
+// protocol. The sweep reports aggregate sessions/second at 1 lane vs the
+// default executor (QHORN_THREADS-overridable), wall-clock per fleet, and
+// the service counters (questions, rounds, question-cache hits,
+// suspensions). Correctness is asserted inline: every learned/verified
+// query must be equivalent to its session's target, whatever the lane
+// count.
 
 #include <chrono>
 #include <cstdio>
@@ -43,46 +45,13 @@ std::vector<Query> Catalogue(int n, int distinct) {
   return targets;
 }
 
+/// Runs the fleet over pending sessions: this thread plays every user
+/// through the PendingRounds()/ProvideAnswers protocol, answering from one
+/// QueryOracle per catalogue target. `mixed` adds a verify (s % 3 == 1) or
+/// a revise (s % 3 == 2) after each learn. Returns the wall-clock seconds
+/// from the first submit to the last answer.
 double RunFleet(int lanes, int sessions, const std::vector<Query>& catalogue,
-                ServiceStats* stats_out) {
-  SessionRouter::Options opts;
-  opts.threads = lanes;
-  SessionRouter router(opts);
-  std::vector<SessionRouter::SessionId> ids;
-  std::vector<const Query*> targets;
-  for (int s = 0; s < sessions; ++s) {
-    const Query& target = catalogue[static_cast<size_t>(s) % catalogue.size()];
-    ids.push_back(router.OpenSimulated(target));
-    targets.push_back(&target);
-  }
-  auto start = std::chrono::steady_clock::now();
-  for (int s = 0; s < sessions; ++s) {
-    router.SubmitLearn(ids[static_cast<size_t>(s)]);
-    if (s % 3 == 1) router.SubmitVerify(ids[static_cast<size_t>(s)], *targets[static_cast<size_t>(s)]);
-    if (s % 3 == 2) router.SubmitRevise(ids[static_cast<size_t>(s)], *targets[static_cast<size_t>(s)]);
-  }
-  router.Drain();
-  auto stop = std::chrono::steady_clock::now();
-  for (int s = 0; s < sessions; ++s) {
-    QuerySession& session = router.session(ids[static_cast<size_t>(s)]);
-    if (!session.current_query().has_value() ||
-        !Equivalent(*session.current_query(), *targets[static_cast<size_t>(s)])) {
-      std::printf("SERVICE FAILED: session %d diverged from its target\n", s);
-      std::exit(1);
-    }
-  }
-  if (stats_out != nullptr) *stats_out = router.stats();
-  return std::chrono::duration<double>(stop - start).count();
-}
-
-// The pending-round continuation fleet: the same learn workload, but every
-// session runs over a PendingOracle — each user round suspends the job and
-// yields its lane, and this thread plays all the users through the
-// PendingRounds()/ProvideAnswers protocol. Far more open sessions than
-// lanes, zero parked threads.
-double RunPendingFleet(int lanes, int sessions,
-                       const std::vector<Query>& catalogue,
-                       ServiceStats* stats_out) {
+                bool mixed, ServiceStats* stats_out) {
   std::vector<std::unique_ptr<QueryOracle>> truths;
   truths.reserve(catalogue.size());
   for (const Query& q : catalogue) {
@@ -103,14 +72,20 @@ double RunPendingFleet(int lanes, int sessions,
     truth_of[id] = truths[c].get();
   }
   auto start = std::chrono::steady_clock::now();
-  for (SessionRouter::SessionId id : ids) router.SubmitLearn(id);
+  for (int s = 0; s < sessions; ++s) {
+    const SessionRouter::SessionId id = ids[static_cast<size_t>(s)];
+    const Query& target = *targets[static_cast<size_t>(s)];
+    router.SubmitLearn(id);
+    if (mixed && s % 3 == 1) router.SubmitVerify(id, target);
+    if (mixed && s % 3 == 2) router.SubmitRevise(id, target);
+  }
   DrivePendingSessions(router, truth_of);
   auto stop = std::chrono::steady_clock::now();
   for (int s = 0; s < sessions; ++s) {
     QuerySession& session = router.session(ids[static_cast<size_t>(s)]);
     if (!session.current_query().has_value() ||
         !Equivalent(*session.current_query(), *targets[static_cast<size_t>(s)])) {
-      std::printf("SERVICE FAILED: pending session %d diverged\n", s);
+      std::printf("SERVICE FAILED: session %d diverged from its target\n", s);
       std::exit(1);
     }
   }
@@ -122,7 +97,7 @@ double RunPendingFleet(int lanes, int sessions,
 
 int main() {
   PrintHeader("E16 | concurrent session service",
-              "SessionRouter + AsyncOracle + shared compiled-query cache; "
+              "SessionRouter over pending sessions answered in-process; "
               "sessions/s at 1 lane vs the default executor");
 
   const int kDistinct = 4;
@@ -131,14 +106,15 @@ int main() {
               default_lanes);
 
   TextTable table({"n", "sessions", "1-lane s/s", "multi s/s", "speedup",
-                   "questions", "rounds", "q-cache hits", "compiles"});
+                   "questions", "rounds", "q-cache hits"});
   for (int n : {16, 32}) {
     if (SmokeSkip(n, 16)) continue;
     for (int sessions : {SmokeScaled(16, 4), SmokeScaled(64, 8)}) {
       std::vector<Query> catalogue = Catalogue(n, kDistinct);
       ServiceStats stats;
-      double seq = RunFleet(1, sessions, catalogue, nullptr);
-      double par = RunFleet(default_lanes, sessions, catalogue, &stats);
+      double seq = RunFleet(1, sessions, catalogue, /*mixed=*/true, nullptr);
+      double par =
+          RunFleet(default_lanes, sessions, catalogue, /*mixed=*/true, &stats);
       table.Row()
           .Cell(n)
           .Cell(sessions)
@@ -147,14 +123,12 @@ int main() {
           .Cell(seq / par, 2)
           .Cell(stats.questions)
           .Cell(stats.rounds)
-          .Cell(stats.cache_hits)
-          .Cell(stats.compiled_misses);
+          .Cell(stats.cache_hits);
     }
   }
   table.Print(std::cout);
   std::printf(
-      "\nspeedup is wall-clock 1-lane / multi-lane for the identical fleet;\n"
-      "compiles counts distinct compiled forms (sessions share the rest).\n");
+      "\nspeedup is wall-clock 1-lane / multi-lane for the identical fleet.\n");
 
   std::printf(
       "\npending-round continuations: N open sessions on 4 lanes, every\n"
@@ -167,7 +141,7 @@ int main() {
     for (int sessions : {SmokeScaled(64, 4), SmokeScaled(256, 8)}) {
       std::vector<Query> catalogue = Catalogue(n, kDistinct);
       ServiceStats stats;
-      double wall = RunPendingFleet(4, sessions, catalogue, &stats);
+      double wall = RunFleet(4, sessions, catalogue, /*mixed=*/false, &stats);
       pending.Row()
           .Cell(n)
           .Cell(sessions)

@@ -53,12 +53,7 @@ std::vector<VarSet> MaximalAntichain(std::vector<VarSet> sets) {
   return kept;
 }
 
-namespace {
-
-/// Shared R1/R2/R3 pipeline: `with_guarantees` selects whether guarantee
-/// clauses join the existential pool (they do for semantic equivalence
-/// and strict evaluation; they don't for relaxed evaluation).
-CanonicalForm CanonicalizeImpl(const Query& q, bool with_guarantees) {
+CanonicalForm Canonicalize(const Query& q) {
   CanonicalForm form;
   form.n = q.n();
 
@@ -71,30 +66,17 @@ CanonicalForm CanonicalizeImpl(const Query& q, bool with_guarantees) {
     form.universal[head] = MinimalAntichain(std::move(list));
   }
 
-  // Existential pool: user conjunctions (plus every guarantee clause when
-  // they matter). R3 closes each under the universal Horn expressions; R1
-  // keeps the maximal antichain.
+  // Existential pool: user conjunctions plus every guarantee clause. R3
+  // closes each under the universal Horn expressions; R1 keeps the maximal
+  // antichain.
   std::vector<VarSet> pool;
   for (const ExistentialConj& e : q.existential()) pool.push_back(e.vars);
-  if (with_guarantees) {
-    for (const UniversalHorn& u : q.universal()) {
-      pool.push_back(u.GuaranteeVars());
-    }
+  for (const UniversalHorn& u : q.universal()) {
+    pool.push_back(u.GuaranteeVars());
   }
   for (VarSet& s : pool) s = q.HornClosure(s);
   form.existential = MaximalAntichain(std::move(pool));
   return form;
-}
-
-}  // namespace
-
-CanonicalForm Canonicalize(const Query& q) {
-  return CanonicalizeImpl(q, /*with_guarantees=*/true);
-}
-
-CanonicalForm CanonicalizeForEvaluation(const Query& q,
-                                        const EvalOptions& opts) {
-  return CanonicalizeImpl(q, /*with_guarantees=*/opts.require_guarantees);
 }
 
 Query ToQuery(const CanonicalForm& form) {

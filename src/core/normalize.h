@@ -55,8 +55,8 @@ struct CanonicalForm {
 
   /// Stable FNV-1a hash over the canonical structure, cached after the
   /// first call (the TupleSet idiom: forms are built once, then probed
-  /// repeatedly as dedup / compiled-cache keys). Callers that mutate a
-  /// form after hashing must not reuse it as a key. NOTE: like
+  /// repeatedly as dedup keys). Callers that mutate a form after hashing
+  /// must not reuse it as a key. NOTE: like
   /// TupleSet::Hash, the lazy fill writes shared state from a const
   /// method; hash before sharing a form across threads.
   size_t Hash() const;
@@ -69,23 +69,14 @@ struct CanonicalForm {
   mutable bool hash_valid_ = false;
 };
 
-/// Hash functor for unordered containers keyed by canonical forms — the
-/// enumeration dedup and the service layer's compiled-query cache.
+/// Hash functor for unordered containers keyed by canonical forms, such as
+/// the enumeration dedup.
 struct CanonicalFormHash {
   size_t operator()(const CanonicalForm& f) const { return f.Hash(); }
 };
 
 /// Computes the canonical form.
 CanonicalForm Canonicalize(const Query& q);
-
-/// Canonical form of what *evaluation under opts* depends on. With
-/// require_guarantees set this is Canonicalize(q) (Proposition 4.1: equal
-/// forms answer identically). With it unset, guarantee clauses contribute
-/// nothing to evaluation, so the existential part closes only the user's
-/// conjunctions — two queries with equal strict forms can differ relaxed
-/// and vice versa. The compiled-query cache keys on this.
-CanonicalForm CanonicalizeForEvaluation(const Query& q,
-                                        const EvalOptions& opts);
 
 /// Rebuilds a normalized Query from a canonical form: one universal Horn
 /// expression per dominant body plus one existential conjunction per

@@ -11,8 +11,8 @@
 // using their session ids and cached answer bits.
 //
 // The oracle is the same as PR 6's hostile harness, strengthened: after
-// any number of crashes, per-session fingerprints must equal the 1-lane
-// synchronous reference bit for bit; and a *final* crash after the fleet
+// any number of crashes, per-session fingerprints must equal the
+// bare-session synchronous reference bit for bit; and a *final* crash after the fleet
 // completes must recover into a router whose sessions reproduce those
 // same fingerprints from the log alone. Torn tails must be truncated
 // loudly (counted in the recovery reports), corrupt records must be

@@ -8,6 +8,38 @@
 #include "src/workload/fleet_driver.h"
 
 namespace qhorn {
+namespace {
+
+/// Why the router could not host `spec`, or empty if it can: `n` out of
+/// range, or a job that would run a query of another arity (the session
+/// aborts on a lane when it reaches that job).
+std::string UnhostableReason(const SessionSpec& spec) {
+  if (spec.n < 1 || spec.n > kMaxVars) {
+    return "n = " + std::to_string(spec.n) + ", outside [1, " +
+           std::to_string(kMaxVars) + "]";
+  }
+  for (WorkloadJob job : spec.jobs) {
+    const Query* query = nullptr;
+    switch (job) {
+      case WorkloadJob::kLearn:
+        break;
+      case WorkloadJob::kVerifyTarget:
+        query = &spec.target;
+        break;
+      case WorkloadJob::kVerifyMutant:
+      case WorkloadJob::kRevise:
+        query = &spec.mutant;
+        break;
+    }
+    if (query != nullptr && query->n() != spec.n) {
+      return "a job over a query of n = " + std::to_string(query->n()) +
+             " in a session of n = " + std::to_string(spec.n);
+    }
+  }
+  return std::string();
+}
+
+}  // namespace
 
 DurableRouter::DurableRouter(Fs* fs, std::string log_dir,
                              DurableRouterOptions options)
@@ -61,7 +93,7 @@ SessionLog* DurableRouter::ShardFor(SessionId id) {
 DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
   // Refuse before logging: a logged open the router cannot host would
   // abort every recovery that replays it.
-  if (spec.n < 1 || spec.n > kMaxVars) return 0;
+  if (!UnhostableReason(spec).empty()) return 0;
   // Reserved: no concurrent open shares it.
   const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
   // Log before ack. A crash after this append but before OpenPending
@@ -192,11 +224,9 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
             ++report->duplicate_records_skipped;
             break;
           }
-          if (rec.spec.n < 1 || rec.spec.n > kMaxVars) {
+          if (std::string why = UnhostableReason(rec.spec); !why.empty()) {
             *error = "shard " + std::to_string(i) + ": session " +
-                     std::to_string(rec.session_id) + " opened with n = " +
-                     std::to_string(rec.spec.n) + ", outside [1, " +
-                     std::to_string(kMaxVars) + "]";
+                     std::to_string(rec.session_id) + " opened with " + why;
             return nullptr;
           }
           image.opened = true;

@@ -111,7 +111,9 @@ class DurableRouter {
 
   /// Logs SessionOpened, then opens the session and submits the spec's
   /// job plan. 0 (never a valid id) if `spec.n` is outside [1, kMaxVars]
-  /// (refused before anything is logged) or if the log refused the record
+  /// or a job's query (`target` for kVerifyTarget, `mutant` for
+  /// kVerifyMutant and kRevise) has another arity — refused before
+  /// anything is logged — or if the log refused the record
   /// — the call is retryable. After a failed write the id goes back to
   /// the next open unless a concurrent open has already reserved a later
   /// one; after a failed sync it stays spent, since the buffered record

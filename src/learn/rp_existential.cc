@@ -206,7 +206,13 @@ class LatticeSearch {
     std::sort(discovered.begin(), discovered.end());
     discovered.erase(std::unique(discovered.begin(), discovered.end()),
                      discovered.end());
-    for (Tuple t : discovered) result.conjunctions.push_back(t);
+    for (Tuple t : discovered) {
+      // Only an answer inconsistent with every role-preserving query walks
+      // the search down to the empty tuple. ∃ over no variable holds for
+      // every non-empty object, so dropping it keeps the learned query
+      // well-formed instead of aborting on one bad answer.
+      if (t != 0) result.conjunctions.push_back(t);
+    }
     return result;
   }
 

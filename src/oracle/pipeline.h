@@ -3,7 +3,7 @@
 // QuerySession used to hand-wire its decorator chain out of four named
 // unique_ptr members, rebuilt field by field for the correction-replay
 // workflow. OraclePipeline replaces that with an ordered middleware list:
-// a *backend* answers questions (a real user, QueryOracle, AsyncOracle,
+// a *backend* answers questions (a real user, QueryOracle, PendingOracle,
 // AdversaryOracle…), and each Push<Stage>() wraps the current top with a
 // decorator it owns. The user-facing entry point is top(); the stage
 // nearest the backend was pushed first.
@@ -16,14 +16,6 @@
 // The Backend/Stage concepts make the two roles explicit: a Backend is any
 // MembershipOracle (it terminates the chain); a Stage is a MembershipOracle
 // constructible from the oracle below it plus stage-specific arguments.
-//
-// AsyncOracle is the simulated-user backend the service layer plugs in: it
-// answers from a compiled query shared across sessions and evaluates each
-// round inline on the asking session's lane via CompiledQuery::EvaluateAll.
-// Answers land in question order, so every decorator above it — including
-// NoisyOracle, whose flip draws consume the seed in question order —
-// observes exactly the sequential semantics (differentially pinned in
-// tests/oracle_batch_test.cc).
 
 #ifndef QHORN_ORACLE_PIPELINE_H_
 #define QHORN_ORACLE_PIPELINE_H_
@@ -52,8 +44,8 @@ class OraclePipeline {
  public:
   OraclePipeline() = default;
 
-  /// `backend` must outlive the pipeline (sessions keep the user oracle
-  /// alive; simulated services own theirs elsewhere).
+  /// `backend` must outlive the pipeline (whoever opens a session keeps
+  /// its user oracle alive; the router owns its sessions' PendingOracles).
   explicit OraclePipeline(MembershipOracle* backend) : top_(backend) {}
 
   OraclePipeline(OraclePipeline&&) = default;
@@ -83,31 +75,6 @@ class OraclePipeline {
  private:
   std::vector<std::unique_ptr<MembershipOracle>> stages_;
   MembershipOracle* top_ = nullptr;
-};
-
-/// Concurrent simulated-user backend: answers from a compiled query shared
-/// across sessions (the SessionRouter's compiled-query cache hands these
-/// out). The compiled form is immutable and accessed read-only, so any
-/// number of AsyncOracles — and any number of concurrent rounds on
-/// different lanes — may share one.
-class AsyncOracle : public MembershipOracle {
- public:
-  explicit AsyncOracle(std::shared_ptr<const CompiledQuery> compiled)
-      : compiled_(std::move(compiled)) {}
-
-  bool IsAnswer(const TupleSet& question) override {
-    return compiled_->Evaluate(question);
-  }
-
-  void IsAnswerBatch(std::span<const TupleSet> questions,
-                     BitSpan answers) override {
-    compiled_->EvaluateAll(questions, answers);
-  }
-
-  const CompiledQuery& compiled() const { return *compiled_; }
-
- private:
-  std::shared_ptr<const CompiledQuery> compiled_;
 };
 
 }  // namespace qhorn

@@ -8,54 +8,6 @@
 
 namespace qhorn {
 
-std::shared_ptr<const CompiledQuery> CompiledQueryCache::Get(
-    const Query& query, const EvalOptions& opts) {
-  // The key captures exactly what evaluation under `opts` depends on
-  // (CanonicalizeForEvaluation shares the R1/R2/R3 pipeline with
-  // Canonicalize, so the cache can never drift from Equivalent()).
-  Key key;
-  key.require_guarantees = opts.require_guarantees;
-  key.form = CanonicalizeForEvaluation(query, opts);
-  key.form.Hash();  // fill the cached hash before sharing the key
-
-  Stripe& stripe = StripeFor(KeyHash{}(key));
-  {
-    ReaderLock lock(&stripe.mutex);
-    auto it = stripe.map.find(key);
-    if (it != stripe.map.end()) {
-      stripe.hits.fetch_add(1, std::memory_order_relaxed);
-      return it->second;
-    }
-  }
-  stripe.misses.fetch_add(1, std::memory_order_relaxed);
-  // Compile outside any lock so concurrent opens compile distinct queries
-  // in parallel and cache hits never stall behind a compile. Two threads
-  // racing on the same new key both compile (both counted as misses); the
-  // first insert wins and the loser's copy is dropped — compiles are
-  // idempotent µs-scale work, not worth a per-key latch.
-  auto compiled = std::make_shared<const CompiledQuery>(query, opts);
-  WriterLock lock(&stripe.mutex);
-  auto [it, inserted] =
-      stripe.map.try_emplace(std::move(key), std::move(compiled));
-  return it->second;
-}
-
-int64_t CompiledQueryCache::hits() const {
-  int64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.hits.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
-int64_t CompiledQueryCache::misses() const {
-  int64_t total = 0;
-  for (const Stripe& stripe : stripes_) {
-    total += stripe.misses.load(std::memory_order_relaxed);
-  }
-  return total;
-}
-
 const char* ToString(ProvideOutcome o) {
   switch (o) {
     case ProvideOutcome::kResumed:
@@ -97,19 +49,13 @@ SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
     owned_executor_ = std::make_unique<Executor>(options_.threads);
     exec_ = owned_executor_.get();
   }
-  if (options_.compiled_cache != nullptr) {
-    cache_ = options_.compiled_cache;
-  } else {
-    owned_cache_ = std::make_unique<CompiledQueryCache>();
-    cache_ = owned_cache_.get();
-  }
 }
 
 SessionRouter::~SessionRouter() {
   Drain();
   // Join the executor before any member is destroyed: Drain() returning
   // only proves the last runnable job *completed* — its runner task may
-  // still be between the completion bookkeeping and its final empty-queue
+  // still be between the completion bookkeeping and its final job-log
   // check, touching session state, mutex_ and idle_cv_. ~Executor joins
   // the workers, so after this line no runner code is in flight. With a
   // *borrowed* executor this reset is a no-op and the owner is responsible
@@ -135,7 +81,7 @@ SessionRouter::~SessionRouter() {
 }
 
 void SessionRouter::UnwindFiber(SessionState* state) {
-  state->pending_backend->RequestCancel();
+  state->backend.RequestCancel();
   state->fiber->Resume();
   QHORN_CHECK_MSG(state->fiber->finished(),
                   "cancelled fiber parked again instead of unwinding");
@@ -179,14 +125,19 @@ std::vector<TranscriptEntry> SessionRouter::TakeRestartPrefix(
   return prefix;
 }
 
-SessionRouter::SessionId SessionRouter::OpenInternal(
-    SessionId id, int n, MembershipOracle* user,
-    std::unique_ptr<MembershipOracle> owned_backend,
-    PendingOracle* pending_backend) {
+SessionRouter::SessionId SessionRouter::OpenPending(int n) {
+  return OpenInternal(0, n);
+}
+
+SessionRouter::SessionId SessionRouter::OpenPendingAt(SessionId id, int n) {
+  return id <= 0 ? 0 : OpenInternal(id, n);
+}
+
+SessionRouter::SessionId SessionRouter::OpenInternal(SessionId id, int n) {
+  if (n < 1 || n > kMaxVars) return 0;
   auto state = std::make_unique<SessionState>();
-  state->session = std::make_unique<QuerySession>(n, user, options_.session);
-  state->owned_backend = std::move(owned_backend);
-  state->pending_backend = pending_backend;
+  state->session =
+      std::make_unique<QuerySession>(n, &state->backend, options_.session);
   MutexLock lock(&mutex_);
   if (id == 0) {
     while (sessions_.contains(next_id_)) ++next_id_;
@@ -194,54 +145,8 @@ SessionRouter::SessionId SessionRouter::OpenInternal(
   } else if (sessions_.contains(id)) {
     return 0;
   }
+  state->backend.set_session_id(id);
   sessions_.emplace(id, std::move(state));
-  return id;
-}
-
-SessionRouter::SessionId SessionRouter::Open(int n, MembershipOracle* user) {
-  QHORN_CHECK(user != nullptr);
-  return OpenInternal(0, n, user, nullptr, nullptr);
-}
-
-SessionRouter::SessionId SessionRouter::OpenAt(SessionId id, int n,
-                                               MembershipOracle* user) {
-  QHORN_CHECK(user != nullptr);
-  if (id <= 0) return 0;
-  return OpenInternal(id, n, user, nullptr, nullptr);
-}
-
-SessionRouter::SessionId SessionRouter::OpenSimulated(const Query& intended,
-                                                      EvalOptions opts) {
-  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
-  MembershipOracle* user = backend.get();
-  return OpenInternal(0, intended.n(), user, std::move(backend), nullptr);
-}
-
-SessionRouter::SessionId SessionRouter::OpenSimulatedAt(
-    SessionId id, const Query& intended, EvalOptions opts) {
-  if (id <= 0) return 0;
-  auto backend = std::make_unique<AsyncOracle>(cache_->Get(intended, opts));
-  MembershipOracle* user = backend.get();
-  return OpenInternal(id, intended.n(), user, std::move(backend), nullptr);
-}
-
-SessionRouter::SessionId SessionRouter::OpenPending(int n) {
-  return OpenPendingInternal(0, n);
-}
-
-SessionRouter::SessionId SessionRouter::OpenPendingAt(SessionId id, int n) {
-  return id <= 0 ? 0 : OpenPendingInternal(id, n);
-}
-
-SessionRouter::SessionId SessionRouter::OpenPendingInternal(SessionId id,
-                                                            int n) {
-  if (n < 1 || n > kMaxVars) return 0;
-  auto backend = std::make_unique<PendingOracle>();
-  PendingOracle* pending = backend.get();
-  id = OpenInternal(id, n, pending, std::move(backend), pending);
-  // Safe after the fact: the caller cannot Submit before OpenPending
-  // returns, so no round can suspend carrying the unset id.
-  if (id != 0) pending->set_session_id(id);
   return id;
 }
 
@@ -276,27 +181,16 @@ bool SessionRouter::SubmitInternal(SessionId id, Job job, JobKind kind) {
   QHORN_CHECK(job != nullptr);
   SessionState* state = nullptr;
   bool start_runner = false;
-  bool pending = false;
   {
     MutexLock lock(&mutex_);
     auto it = sessions_.find(id);
     if (it == sessions_.end()) return false;
     state = it->second.get();
     if (state->closed) return false;
-    pending = state->pending_backend != nullptr;
-    if (pending) {
-      state->job_log.push_back(JobRecord{std::move(job), kind});
-      // A session blocked on its user cannot progress: the job waits in
-      // the log, uncounted, until ProvideAnswers makes it runnable.
-      if (!state->awaiting) {
-        ++runnable_jobs_;
-        if (!state->running) {
-          state->running = true;
-          start_runner = true;
-        }
-      }
-    } else {
-      state->queue.push_back(JobRecord{std::move(job), kind});
+    state->job_log.push_back(JobRecord{std::move(job), kind});
+    // A session blocked on its user cannot progress: the job waits in the
+    // log, uncounted, until ProvideAnswers makes it runnable.
+    if (!state->awaiting) {
       ++runnable_jobs_;
       if (!state->running) {
         state->running = true;
@@ -306,47 +200,8 @@ bool SessionRouter::SubmitInternal(SessionId id, Job job, JobKind kind) {
   }
   // Post outside the lock: at concurrency 1 the executor runs the task
   // inline, and the runner re-acquires the mutex.
-  if (start_runner) {
-    if (pending) {
-      exec_->Post([this, state] { RunPendingSession(state); });
-    } else {
-      exec_->Post([this, state] { RunSession(state); });
-    }
-  }
+  if (start_runner) exec_->Post([this, state] { RunPendingSession(state); });
   return true;
-}
-
-void SessionRouter::RunSession(SessionState* state) {
-  // The runner owns the session until its queue drains; other sessions'
-  // runners proceed in parallel on other lanes.
-  for (;;) {
-    JobRecord job;
-    {
-      MutexLock lock(&mutex_);
-      if (state->queue.empty()) {
-        state->running = false;
-        return;
-      }
-      job = std::move(state->queue.front());
-      state->queue.pop_front();
-    }
-    job.fn(*state->session);
-    bool idle = false;
-    bool finished = false;
-    {
-      MutexLock lock(&mutex_);
-      CompleteJob(job.kind);
-      // Release ownership in the same critical section that lets Drain
-      // return: a drained router must already report every session idle.
-      if (state->queue.empty()) {
-        state->running = false;
-        finished = true;
-      }
-      idle = --runnable_jobs_ == 0;
-    }
-    if (idle) idle_cv_.NotifyAll();
-    if (finished) return;
-  }
 }
 
 void SessionRouter::RunPendingSession(SessionState* state) {
@@ -378,7 +233,7 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     // (awaiting stays false) until it suspends — the lock above orders
     // this read after the resume's writes.
     state->session->ResetWithUserReplay(TakeRestartPrefix(state));
-    state->pending_backend->BeginAttempt(next_round);
+    state->backend.BeginAttempt(next_round);
     bool suspended = false;
     try {
       for (size_t i = 0;; ++i) {
@@ -427,9 +282,9 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         idle = runnable_jobs_ == 0;
         if (state->closed) {
           // Closed mid-run: abandon the round; the session never resumes.
-          (void)state->pending_backend->TakePending();
+          (void)state->backend.TakePending();
         } else {
-          state->pending_round = state->pending_backend->TakePending();
+          state->pending_round = state->backend.TakePending();
           state->awaiting = true;
           // Published in the same critical section as runnable_jobs_'s
           // decrement, so Drain-then-poll observes every parked round.
@@ -481,7 +336,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
       // O(1) resume: hand the answered round's bits to the parked
       // wait-site and switch back in. staged_answers was written by
       // ProvideAnswers under the lock taken above.
-      state->pending_backend->StageResumeAnswers(
+      state->backend.StageResumeAnswers(
           std::exchange(state->staged_answers, {}));
       state->fiber->Resume();
     } else {
@@ -494,7 +349,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
         state->session->ResetWithUserReplay(TakeRestartPrefix(state));
         start_job = 0;
       }
-      state->pending_backend->BeginAttempt(next_round);
+      state->backend.BeginAttempt(next_round);
       state->fiber_jobs_run = start_job;
       auto fiber = std::make_unique<Fiber>([this, state, start_job] {
         try {
@@ -515,7 +370,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
           // attempt replays the corrected prefix from scratch.
         }
       });
-      state->pending_backend->InstallYieldHook(
+      state->backend.InstallYieldHook(
           [f = fiber.get()] { f->Yield(); });
       state->fiber = std::move(fiber);
       state->fiber->Resume();
@@ -526,7 +381,7 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
       // the completed jobs into the counters; release ownership in the
       // same critical section that lets Drain return.
       state->fiber.reset();
-      state->pending_backend->InstallYieldHook(nullptr);
+      state->backend.InstallYieldHook(nullptr);
       bool idle = false;
       bool done = false;
       {
@@ -574,10 +429,10 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
       idle = runnable_jobs_ == 0;
       if (state->closed) {
         // Closed mid-run: abandon the round; the session never resumes.
-        (void)state->pending_backend->TakePending();
+        (void)state->backend.TakePending();
         abandoned = true;
       } else {
-        state->pending_round = state->pending_backend->TakePending();
+        state->pending_round = state->backend.TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
         AnnounceRound(state);  // see the replay runner
@@ -817,7 +672,7 @@ std::optional<SessionStatus> SessionRouter::status(SessionId id) {
   if (it == sessions_.end()) return std::nullopt;
   const SessionState* state = it->second.get();
   if (state->awaiting) return SessionStatus::kAwaitingUser;
-  if (state->running || !state->queue.empty()) return SessionStatus::kRunning;
+  if (state->running) return SessionStatus::kRunning;
   return SessionStatus::kIdle;
 }
 
@@ -865,8 +720,6 @@ ServiceStats SessionRouter::stats() {
       stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
     }
   }
-  stats.compiled_hits = cache_->hits();
-  stats.compiled_misses = cache_->misses();
   return stats;
 }
 

@@ -4,27 +4,22 @@
 // target is heavy traffic from many concurrent users. The router owns the
 // executor and multiplexes N live sessions across it:
 //
-//   * Each session keeps its own oracle pipeline (transcript → cache →
-//     counting → user backend), so per-user state never crosses threads.
-//     The cache's ask-ordered log is the session's user-boundary
-//     transcript — every question that reached the user, once, with its
-//     answer — and the one place the router restarts a session from: the
-//     router keeps no copy of answered questions, only their count.
+//   * Each session keeps its own oracle pipeline (cache → counting →
+//     PendingOracle), so per-user state never crosses threads. The
+//     cache's ask-ordered log is the session's user-boundary transcript —
+//     every question that reached the user, once, with its answer — and
+//     the one place the router restarts a session from: the router keeps
+//     no copy of answered questions, only their count.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is
 //     inherently sequential per user); jobs of different sessions run in
 //     parallel on the executor's workers.
-//   * Simulated users opened through OpenSimulated share compiled queries
-//     via a cache keyed by canonical form (Proposition 4.1: equal forms ⇒
-//     identical answers), so a thousand sessions against a hundred target
-//     queries compile each query once. Their AsyncOracle backends
-//     evaluate each round inline on the session's own lane.
 //
-// Pending-round continuations (OpenPending): a *real* user answers with
+// Every session is a pending session: a user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
-// lane. Sessions opened with OpenPending run over a PendingOracle backend:
-// the first round that needs the user records a PendingRound and takes
-// the job off its lane (parking its fiber, or unwinding it with
+// lane. Each session runs over a PendingOracle backend: the first round
+// that needs the user records a PendingRound and takes the job off its
+// lane (parking its fiber, or unwinding it with
 // JobSuspended, src/util/suspend.h) — the lane is released the moment
 // control is back in the runner, so 256 sessions all blocked on users
 // occupy zero threads. The embedding server polls PendingRounds() for the
@@ -67,28 +62,24 @@
 // same jobs over the same answers (tests/service_router_test.cc and
 // tests/continuation_stress_test.cc stress this with up to 256 sessions).
 //
-// An embedding server has two ways to plug a real user in: synchronously,
-// by implementing MembershipOracle (pose the round, block for the labels)
-// and passing it to Open(); or asynchronously via OpenPending and the
-// PendingRounds()/ProvideAnswers protocol above — the only choice that
-// scales past one blocked thread per waiting user.
+// An embedding server plugs a user in through OpenPending and the
+// PendingRounds()/ProvideAnswers protocol above; a simulated user is just
+// an answerer of that protocol in the caller's process (FleetDriver's
+// hostile arm is one). Code that wants a synchronous user drives a bare
+// QuerySession instead, which is also the service's differential
+// reference.
 
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
 
-#include <array>
-#include <atomic>
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <optional>
 #include <unordered_map>
 #include <vector>
 
-#include "src/core/normalize.h"
 #include "src/oracle/pending.h"
-#include "src/oracle/pipeline.h"
 #include "src/session/session.h"
 #include "src/util/checked_mutex.h"
 #include "src/util/executor.h"
@@ -96,65 +87,6 @@
 #include "src/util/function_ref.h"
 
 namespace qhorn {
-
-/// Shared compiled-query store. Keyed by (canonical form, guarantee mode):
-/// equal keys evaluate identically object for object, so sessions sharing
-/// an entry are indistinguishable from sessions compiling their own.
-/// Thread-safe; the returned compiled forms are immutable.
-///
-/// Striped read-mostly layout: the key hash picks one of kStripes
-/// independent (shared_mutex, map) pairs, so a hit takes only a shared
-/// lock on 1/kStripes of the keyspace — concurrent hits on different
-/// stripes never touch the same cache line, concurrent hits on the same
-/// stripe share the reader lock, and only a first-time compile of a key
-/// briefly writes its own stripe. Sessions across every router shard
-/// share one instance (a query compiled once is compiled once service-
-/// wide); the hit/miss counters are relaxed atomics folded on read.
-class CompiledQueryCache {
- public:
-  std::shared_ptr<const CompiledQuery> Get(const Query& query,
-                                           const EvalOptions& opts);
-
-  int64_t hits() const;
-  int64_t misses() const;
-
- private:
-  struct Key {
-    CanonicalForm form;
-    bool require_guarantees = false;
-
-    friend bool operator==(const Key& a, const Key& b) {
-      return a.require_guarantees == b.require_guarantees && a.form == b.form;
-    }
-  };
-  struct KeyHash {
-    size_t operator()(const Key& k) const {
-      return k.form.Hash() ^ (k.require_guarantees ? 0x9e3779b97f4a7c15ULL : 0);
-    }
-  };
-
-  static constexpr size_t kStripes = 16;  // power of two; see StripeFor
-
-  struct alignas(64) Stripe {
-    // A stripe is a leaf lock (LockRank::kCacheStripe): compiles happen
-    // outside it, so nothing is ever acquired while it is held.
-    mutable SharedMutex mutex{"cache-stripe", LockRank::kCacheStripe};
-    std::unordered_map<Key, std::shared_ptr<const CompiledQuery>, KeyHash> map
-        QHORN_GUARDED_BY(mutex);
-    std::atomic<int64_t> hits{0};
-    std::atomic<int64_t> misses{0};
-  };
-
-  /// Remix the (already cached) key hash and take the top bits: the map
-  /// inside the stripe consumes the low bits, so stripe choice and bucket
-  /// choice stay independent.
-  Stripe& StripeFor(size_t hash) {
-    static_assert(kStripes == 16, "the >> 60 below selects log2(16) bits");
-    return stripes_[(hash * 0x9e3779b97f4a7c15ULL) >> 60];
-  }
-
-  std::array<Stripe, kStripes> stripes_;
-};
 
 /// Aggregate service counters across every session the router has hosted.
 struct ServiceStats {
@@ -167,8 +99,6 @@ struct ServiceStats {
   int64_t rounds = 0;          ///< user interactions (batch = one round)
   int64_t batched_questions = 0;  ///< questions inside batched rounds
   int64_t cache_hits = 0;      ///< per-session question-cache hits
-  int64_t compiled_hits = 0;   ///< shared compiled-query cache hits
-  int64_t compiled_misses = 0;  ///< … and misses (one compile each)
   int64_t suspensions = 0;     ///< pending rounds that yielded a lane
   int64_t awaiting_sessions = 0;  ///< sessions currently blocked on a user
   /// Questions served by user-boundary replay stages across all resume
@@ -220,11 +150,11 @@ class SessionRouter {
  public:
   using SessionId = int64_t;
   /// A unit of session work, run on an executor lane with exclusive
-  /// access to the session. For sessions opened with OpenPending, a job
-  /// may be run *multiple times* (under kReplay each resume re-runs the
-  /// job sequence from the start; under either mode a CorrectAnswer
-  /// restarts it from job 0), so raw Submit jobs on pending sessions must
-  /// be idempotent in their external effects; the typed submits are.
+  /// access to the session. A job may be run *multiple times* (under
+  /// kReplay each resume re-runs the job sequence from the start; under
+  /// either mode a CorrectAnswer restarts it from job 0), so raw Submit
+  /// jobs must be idempotent in their external effects; the typed
+  /// submits are.
   using Job = std::function<void(QuerySession&)>;
 
   struct Options {
@@ -243,10 +173,6 @@ class SessionRouter {
     /// router, destroy the executor, then the routers; see
     /// ShardedRouter::~ShardedRouter for the canonical order).
     Executor* executor = nullptr;
-    /// Borrowed compiled-query cache (shared across router shards so a
-    /// query compiles once service-wide). Non-null: used instead of the
-    /// router-owned cache; must outlive the router.
-    CompiledQueryCache* compiled_cache = nullptr;
   };
 
   SessionRouter();
@@ -259,35 +185,18 @@ class SessionRouter {
   SessionRouter(const SessionRouter&) = delete;
   SessionRouter& operator=(const SessionRouter&) = delete;
 
-  /// Opens a session over a caller-owned user oracle. The oracle must
-  /// outlive the router and is used only from this session's jobs (one at
-  /// a time), so it need not be thread-safe — but it must not be shared
-  /// with another session.
-  SessionId Open(int n, MembershipOracle* user);
-
-  /// Opens a session against a simulated user holding `intended`: the
-  /// compiled form comes from the shared cache and each round is evaluated
-  /// inline on the session's lane (AsyncOracle backend). The router owns
-  /// the backend.
-  SessionId OpenSimulated(const Query& intended,
-                          EvalOptions opts = EvalOptions());
-
-  /// Opens a session over a *pending* (real, asynchronous) user: every
-  /// round suspends the job and surfaces through PendingRounds() until
+  /// Opens a session over a pending (asynchronous) user: every round
+  /// suspends the job and surfaces through PendingRounds() until
   /// ProvideAnswers feeds the labels back. The router owns the backend.
   /// Returns 0 (never a valid id) and opens nothing when `n` is outside
   /// [1, kMaxVars] — the typed refusal for a hostile open.
   SessionId OpenPending(int n);
 
-  /// The three opens above under an id the caller picks — how
-  /// ShardedRouter places a session on the shard its id names. Each
-  /// returns `id`, or 0 and opens nothing when `id` ≤ 0 or is already in
-  /// use (and, for OpenPendingAt, when `n` is out of range as above). The
-  /// ids the router assigns itself skip every id in use, so the two kinds
-  /// never collide.
-  SessionId OpenAt(SessionId id, int n, MembershipOracle* user);
-  SessionId OpenSimulatedAt(SessionId id, const Query& intended,
-                            EvalOptions opts = EvalOptions());
+  /// OpenPending under an id the caller picks — how ShardedRouter places
+  /// a session on the shard its id names. Returns `id`, or 0 and opens
+  /// nothing when `id` ≤ 0, `id` is already in use or `n` is out of range
+  /// as above. The ids the router assigns itself skip every id in use, so
+  /// the two kinds never collide.
   SessionId OpenPendingAt(SessionId id, int n);
 
   /// Enqueues a job for the session. Jobs of one session run in
@@ -389,9 +298,8 @@ class SessionRouter {
   /// rejected. A pending round awaiting answers is abandoned, and a stack
   /// parked on it is unwound on a lane right after the close (inline at
   /// one lane; Drain waits for it), so its mapping and learner frames go
-  /// with the close, not with the router. Already queued jobs of a direct
-  /// session still drain. Returns false for an unknown or already-closed
-  /// id.
+  /// with the close, not with the router. Returns false for an unknown or
+  /// already-closed id.
   bool Close(SessionId id);
 
   /// Close with a durable commit barrier, run like ProvideAnswers': after
@@ -432,7 +340,6 @@ class SessionRouter {
   ServiceStats stats();
 
   Executor* executor() { return exec_; }
-  CompiledQueryCache& compiled_cache() { return *cache_; }
 
  private:
   enum class JobKind { kOther, kLearn, kVerify, kRevise };
@@ -441,7 +348,7 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the map shape, queue, job log, counters, the
+  // Locking protocol: the map shape, job log, counters, the
   // awaiting/running/closed flags and the announcement slot are guarded by
   // the router's mutex_.
   // The resume-state fields (staged_*, correction, fiber*)
@@ -454,12 +361,11 @@ class SessionRouter {
   // each field is under; the cross-thread edges are TSan-covered by the
   // continuation stress suites.
   struct SessionState {
+    // Declared before the session, whose pipeline points at it.
+    PendingOracle backend;
     std::unique_ptr<QuerySession> session;
-    std::unique_ptr<MembershipOracle> owned_backend;  // OpenSimulated/Pending
-    PendingOracle* pending_backend = nullptr;  // null for direct sessions
-    // Direct sessions consume their queue; pending sessions keep the full
-    // job log (resumes re-run it from the start) plus the completed count.
-    std::deque<JobRecord> queue;
+    // The full job log (resumes re-run it from the start) plus the
+    // completed count.
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
     // The answered user-boundary questions live once, in the session's
@@ -506,19 +412,13 @@ class SessionRouter {
   };
 
   /// Opens under `id`, or under the next free id when `id` is 0.
-  SessionId OpenInternal(SessionId id, int n, MembershipOracle* user,
-                         std::unique_ptr<MembershipOracle> owned_backend,
-                         PendingOracle* pending_backend);
-  SessionId OpenPendingInternal(SessionId id, int n);
+  SessionId OpenInternal(SessionId id, int n);
   bool SubmitInternal(SessionId id, Job job, JobKind kind);
   /// Shared body of both ProvideAnswers overloads; `commit` null means
   /// commit unconditionally (FunctionRef itself is non-nullable).
   ProvideOutcome ProvideAnswersInternal(SessionId id, int64_t round_id,
                                         BitSpan answers, CommitHook* commit);
-  /// Executor task: runs a direct session's queued jobs until the queue is
-  /// empty, then releases ownership.
-  void RunSession(SessionState* state);
-  /// Executor task: the kReplay attempt loop for a pending session —
+  /// Executor task: the kReplay attempt loop for a session —
   /// rebuild the pipeline with the answered prefix replayed, re-run the
   /// job log from job 0, and either finish (log complete) or catch the
   /// suspension, publish the pending round and release the lane.
@@ -555,10 +455,8 @@ class SessionRouter {
   Options options_;
   std::unique_ptr<Executor> owned_executor_;  // null when Options.executor set
   Executor* exec_ = nullptr;                  // owned or borrowed, never null
-  std::unique_ptr<CompiledQueryCache> owned_cache_;  // null when borrowed
-  CompiledQueryCache* cache_ = nullptr;
 
-  // Guards the sessions_ map shape, the per-session queues/bookkeeping
+  // Guards the sessions_ map shape, the per-session bookkeeping
   // (SessionState fields — see the struct comments for the runner-owned
   // exceptions), the announced rounds and the service counters. A
   // ShardedRouter has one router, hence one of these, per shard; a
@@ -578,9 +476,8 @@ class SessionRouter {
       QHORN_GUARDED_BY(mutex_);
   // Where an assigning open starts looking for a free id.
   SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;
-  // Jobs that can make progress right now: queued + running jobs of
-  // direct sessions, plus uncompleted jobs of pending sessions that are
-  // not blocked on a user. A suspension subtracts its session's
+  // Jobs that can make progress right now: uncompleted jobs of sessions
+  // that are not blocked on a user. A suspension subtracts its session's
   // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
   int64_t runnable_jobs_ QHORN_GUARDED_BY(mutex_) = 0;
   // Counters bumped at job completion (stats() folds in session counters).

@@ -20,7 +20,6 @@ ShardedRouter::ShardedRouter(Options options) {
     shard.session = options.session;
     shard.resume_mode = options.resume_mode;
     shard.executor = executor_.get();
-    shard.compiled_cache = &cache_;
     shards_.push_back(std::make_unique<SessionRouter>(std::move(shard)));
   }
 }
@@ -35,34 +34,15 @@ ShardedRouter::~ShardedRouter() {
   shards_.clear();
 }
 
-ShardedRouter::SessionId ShardedRouter::OpenNext(
-    FunctionRef<SessionId(SessionRouter& shard, SessionId id)> open_at) {
+ShardedRouter::SessionId ShardedRouter::OpenPending(int n) {
+  // Refused before taking an id, so a refusal consumes none (and the loop
+  // never retries an open no id could make succeed). A shard refuses only
+  // an id a caller-chosen open already holds; skip it.
+  if (n < 1 || n > kMaxVars) return 0;
   for (;;) {
     const SessionId id = next_id_.fetch_add(1, std::memory_order_relaxed);
-    if (open_at(*Route(id), id) != 0) return id;
+    if (Route(id)->OpenPendingAt(id, n) != 0) return id;
   }
-}
-
-ShardedRouter::SessionId ShardedRouter::Open(int n, MembershipOracle* user) {
-  return OpenNext([&](SessionRouter& shard, SessionId id) {
-    return shard.OpenAt(id, n, user);
-  });
-}
-
-ShardedRouter::SessionId ShardedRouter::OpenSimulated(const Query& intended,
-                                                      EvalOptions opts) {
-  return OpenNext([&](SessionRouter& shard, SessionId id) {
-    return shard.OpenSimulatedAt(id, intended, opts);
-  });
-}
-
-ShardedRouter::SessionId ShardedRouter::OpenPending(int n) {
-  // Refused before taking an id, so a refusal consumes none (and OpenNext
-  // never retries an open no id could make succeed).
-  if (n < 1 || n > kMaxVars) return 0;
-  return OpenNext([n](SessionRouter& shard, SessionId id) {
-    return shard.OpenPendingAt(id, n);
-  });
 }
 
 ShardedRouter::SessionId ShardedRouter::OpenPendingAt(SessionId id, int n) {
@@ -181,9 +161,6 @@ ServiceStats ShardedRouter::stats() {
     total.snapshot_bytes += s.snapshot_bytes;
     total.corrections += s.corrections;
   }
-  // Every shard reports the *shared* cache's counters; take them once.
-  total.compiled_hits = cache_.hits();
-  total.compiled_misses = cache_.misses();
   return total;
 }
 

@@ -4,15 +4,10 @@
 // fine at 64 sessions, a wall at millions. The facade splits the session
 // space across N shards, each a complete SessionRouter with its own mutex,
 // session map and announced-round list, so protocol calls against different
-// shards never touch a shared line. What *is* shared is deliberately the
-// cheap-to-share part:
-//
-//   * one Executor: lanes are a machine-wide resource; every shard posts
-//     its runner tasks to the same one-queue pool (Options.threads is
-//     the TOTAL lane count, not per-shard).
-//   * one CompiledQueryCache: a query compiled once is compiled once
-//     service-wide. The cache is striped internally, so sharing it does
-//     not reintroduce the lock the shards just removed.
+// shards never touch a shared line. What *is* shared is the one Executor:
+// lanes are a machine-wide resource, so every shard posts its runner tasks
+// to the same one-queue pool (Options.threads is the TOTAL lane count, not
+// per-shard).
 //
 // Session ids are the same number at every layer: session `id` lives on
 // shard `id mod shards` under that same id, so the facade keeps no
@@ -56,14 +51,13 @@
 #include <vector>
 
 #include "src/session/router.h"
-#include "src/util/function_ref.h"
 
 namespace qhorn {
 
-/// Facade over N SessionRouter shards sharing one executor and one
-/// compiled-query cache. Mirrors the SessionRouter protocol surface
-/// method for method; every id-taking call is tolerant of garbage ids
-/// (unknown session / false / nullopt, never a crash).
+/// Facade over N SessionRouter shards sharing one executor. Mirrors the
+/// SessionRouter protocol surface method for method; every id-taking call
+/// is tolerant of garbage ids (unknown session / false / nullopt, never a
+/// crash).
 class ShardedRouter {
  public:
   using SessionId = SessionRouter::SessionId;
@@ -96,12 +90,9 @@ class ShardedRouter {
   ShardedRouter(const ShardedRouter&) = delete;
   ShardedRouter& operator=(const ShardedRouter&) = delete;
 
-  /// Opens take the counter's next id and land on shard `id mod shards`
+  /// Takes the counter's next id and lands on shard `id mod shards`
   /// (placement does not affect observables; consecutive ids keep shards
   /// balanced). An id a caller-chosen open already holds is skipped.
-  SessionId Open(int n, MembershipOracle* user);
-  SessionId OpenSimulated(const Query& intended,
-                          EvalOptions opts = EvalOptions());
   /// 0 (a typed refusal; nothing opens) when `n` is outside
   /// [1, kMaxVars], like SessionRouter::OpenPending.
   SessionId OpenPending(int n);
@@ -142,9 +133,8 @@ class ShardedRouter {
 
   QuerySession& session(SessionId id);
 
-  /// Aggregate counters summed across shards; the shared compiled-query
-  /// cache is counted once (not once per shard). Requires no runnable
-  /// job, like SessionRouter::stats().
+  /// Aggregate counters summed across shards. Requires no runnable job,
+  /// like SessionRouter::stats().
   ServiceStats stats();
 
   ResumeMode resume_mode() const { return shards_.front()->resume_mode(); }
@@ -154,7 +144,6 @@ class ShardedRouter {
   }
 
   Executor* executor() { return executor_.get(); }
-  CompiledQueryCache& compiled_cache() { return cache_; }
 
  private:
   /// The shard hosting `id`, or nullptr for an id ≤ 0, which no shard
@@ -162,12 +151,6 @@ class ShardedRouter {
   SessionRouter* Route(SessionId id) {
     return id <= 0 ? nullptr : shards_[static_cast<size_t>(ShardOf(id))].get();
   }
-  /// Opens with `open_at(shard, id)` at the counter's next id, skipping
-  /// any id the shard refuses because a caller-chosen open holds it.
-  SessionId OpenNext(
-      FunctionRef<SessionId(SessionRouter& shard, SessionId id)> open_at);
-
-  CompiledQueryCache cache_;
   std::unique_ptr<Executor> executor_;
   std::vector<std::unique_ptr<SessionRouter>> shards_;
   std::atomic<SessionId> next_id_{1};

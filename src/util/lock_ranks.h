@@ -30,8 +30,6 @@
 //
 //   kExecutor      the Executor's one task queue; tasks run with it
 //                  released.
-//   kCacheStripe   CompiledQueryCache stripes; compiles happen *outside*
-//                  all locks, the stripe lock covers only map probes.
 //   kMemo          the CompactAntichainsOfWidth memo cache in
 //                  src/core/enumerate.cc.
 //
@@ -57,7 +55,6 @@ enum class LockRank : int {
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex
-  kCacheStripe = 70,    // CompiledQueryCache per-stripe shared_mutex (leaf)
   kMemo = 90,           // enumerate.cc antichain memo cache (leaf)
 };
 
@@ -69,7 +66,6 @@ constexpr const char* LockRankName(LockRank rank) {
     case LockRank::kWalShard: return "wal-shard";
     case LockRank::kFaultFs: return "fault-fs";
     case LockRank::kFs: return "fs";
-    case LockRank::kCacheStripe: return "cache-stripe";
     case LockRank::kMemo: return "memo";
   }
   return "unknown";

@@ -335,37 +335,50 @@ FleetResult FleetDriver::RunPending(int lanes_override,
 }
 
 FleetResult FleetDriver::RunSynchronous() {
-  const size_t count = fleet_.sessions.size();
   FleetResult result;
-  result.fingerprints.resize(count);
-
-  SessionRouter::Options ropts;
-  ropts.threads = 1;  // the differential baseline: inline, in order
+  result.fingerprints.reserve(fleet_.sessions.size());
   // The question stream depends on these knobs, so the reference arm must
   // match the hostile arm's learner configuration exactly.
-  ropts.session.learner.existential.speculative_batching =
+  QuerySession::Options options;
+  options.learner.existential.speculative_batching =
       fleet_.spec.speculative_batching;
-  ropts.session.learner.universal.speculative_batching =
+  options.learner.universal.speculative_batching =
       fleet_.spec.speculative_batching;
-  SessionRouter router(ropts);
-
-  // Fresh stacks: each arm consumes its own noise stream from the seed.
-  std::vector<UserStack> stacks;
-  std::vector<SessionRouter::SessionId> ids;
-  stacks.reserve(count);
-  ids.reserve(count);
-  for (size_t i = 0; i < count; ++i) {
-    const SessionSpec& s = fleet_.sessions[i];
-    stacks.push_back(MakeStack(s));
-    SessionRouter::SessionId id = router.Open(s.n, stacks.back().top);
-    ids.push_back(id);
-    SubmitSpecJobs(router, id, s);
+  ServiceStats& stats = result.stats;
+  // One bare session at a time, in fleet order, each over fresh user
+  // stacks (each arm consumes its own noise stream from the seed), folded
+  // into the counters the way SessionRouter::stats() folds a session.
+  for (const SessionSpec& s : fleet_.sessions) {
+    UserStack stack = MakeStack(s);
+    QuerySession session(s.n, stack.top, options);
+    for (WorkloadJob job : s.jobs) {
+      switch (job) {
+        case WorkloadJob::kLearn:
+          session.Learn();
+          ++stats.learns;
+          break;
+        case WorkloadJob::kVerifyTarget:
+          session.Verify(s.target);
+          ++stats.verifies;
+          break;
+        case WorkloadJob::kVerifyMutant:
+          session.Verify(s.mutant);
+          ++stats.verifies;
+          break;
+        case WorkloadJob::kRevise:
+          session.Revise(s.mutant);
+          ++stats.revisions;
+          break;
+      }
+      ++stats.jobs;
+    }
+    result.fingerprints.push_back(SessionFingerprint(session));
+    ++stats.sessions;
+    stats.questions += session.oracle_stats().questions;
+    stats.batched_questions += session.oracle_stats().batched_questions;
+    stats.rounds += session.rounds();
+    stats.cache_hits += session.cache_hits();
   }
-  router.Drain();
-  for (size_t i = 0; i < count; ++i) {
-    result.fingerprints[i] = SessionFingerprint(router.session(ids[i]));
-  }
-  result.stats = router.stats();
   return result;
 }
 

@@ -22,10 +22,11 @@
 //     restarts. RunPending is the classic in-memory instantiation over a
 //     fleet-owned SessionRouter.
 //
-//   * RunSynchronous: the reference arm. The same sessions (minus the
-//     abandoned ones) over the same per-session user stacks, opened as
-//     plain synchronous sessions on a 1-lane router, answered inline and
-//     in order.
+//   * RunSynchronous: the reference arm — the library itself, with no
+//     router. Each session of the fleet runs as a bare QuerySession over
+//     its own user stack, answered inline, one session at a time in fleet
+//     order (abandoned sessions too: their fingerprints are not
+//     compared).
 //
 // Per-session answer streams are identical across the arms by
 // construction: each session's user stack is QueryOracle(target), wrapped
@@ -167,7 +168,10 @@ class FleetDriver {
                          std::optional<ResumeMode> mode = std::nullopt,
                          int shards_override = 0);
 
-  /// Reference arm: synchronous in-order replay on one lane.
+  /// Reference arm: each session as a bare QuerySession, in fleet order.
+  /// `stats` folds sessions, jobs, learns, verifies, revisions, questions,
+  /// batched_questions, rounds and cache_hits as SessionRouter::stats()
+  /// does; the other counters stay 0.
   FleetResult RunSynchronous();
 
  private:

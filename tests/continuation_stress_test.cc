@@ -73,6 +73,27 @@ void SubmitPlan(RouterT& router, typename RouterT::SessionId id,
   }
 }
 
+/// The synchronous reference: the plan's jobs over a bare QuerySession
+/// whose user answers inline.
+std::string SynchronousFingerprint(int n, const SessionPlan& plan) {
+  QueryOracle truth(plan.target);
+  QuerySession session(n, &truth);
+  for (int job : plan.jobs) {
+    switch (job) {
+      case 0:
+        session.Learn();
+        break;
+      case 1:
+        session.Verify(plan.target);
+        break;
+      default:
+        session.Revise(plan.target);
+        break;
+    }
+  }
+  return SessionFingerprint(session);
+}
+
 TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
@@ -172,30 +193,13 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   }
 
   // Single-threaded synchronous replay: the same jobs over the same
-  // answers, the user answering inline. Bit-identical observables.
-  SessionRouter::Options sync_opts;
-  sync_opts.threads = 1;
-  SessionRouter sync_router(sync_opts);
-  std::vector<std::unique_ptr<QueryOracle>> sync_truths;
-  std::vector<SessionRouter::SessionId> sync_ids;
-  for (int s = 0; s < kSessions; ++s) {
-    const SessionPlan& plan = plans[static_cast<size_t>(s)];
-    sync_truths.push_back(std::make_unique<QueryOracle>(plan.target));
-    SessionRouter::SessionId id =
-        sync_router.Open(n, sync_truths.back().get());
-    sync_ids.push_back(id);
-    sync_router.Submit(id, [](QuerySession&) {});
-    SubmitPlan(sync_router, id, plan);
-  }
-  sync_router.Drain();
-
+  // answers, a bare session whose user answers inline. Bit-identical
+  // observables.
   for (int s = 0; s < kSessions; ++s) {
     QuerySession& pending_session =
         router.session(ids[static_cast<size_t>(s)]);
-    QuerySession& sync_session =
-        sync_router.session(sync_ids[static_cast<size_t>(s)]);
     ASSERT_EQ(SessionFingerprint(pending_session),
-              SessionFingerprint(sync_session))
+              SynchronousFingerprint(n, plans[static_cast<size_t>(s)]))
         << "session " << s << " diverged from its synchronous replay";
     ASSERT_TRUE(pending_session.current_query().has_value());
     EXPECT_TRUE(Equivalent(*pending_session.current_query(),
@@ -206,10 +210,10 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
 TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
   // The same 256-session plan fleet, adversarially scheduled, driven
   // through the ShardedRouter facade at 1, 2 and 8 shards — ids and the
-  // combined poll cross the shard placement, the per-shard announcement
-  // queues, and the shared compiled-query cache. Every arm's per-session
-  // fingerprints must be bit-identical to a single-threaded synchronous
-  // replay: shard count is a throughput knob, never an observable.
+  // combined poll cross the shard placement and the per-shard
+  // announcement queues. Every arm's per-session fingerprints must be
+  // bit-identical to a single-threaded synchronous replay: shard count is
+  // a throughput knob, never an observable.
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 6;
@@ -220,20 +224,10 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
     plans.push_back(MakePlan(n, 6000 + static_cast<uint64_t>(s)));
   }
 
-  // Synchronous reference arm: inline answers, one thread, bare router.
-  SessionRouter::Options sync_opts;
-  sync_opts.threads = 1;
-  SessionRouter sync_router(sync_opts);
-  std::vector<std::unique_ptr<QueryOracle>> sync_truths;
+  // Synchronous reference arm: inline answers over bare sessions.
   std::vector<std::string> reference;
-  for (int s = 0; s < kSessions; ++s) {
-    const SessionPlan& plan = plans[static_cast<size_t>(s)];
-    sync_truths.push_back(std::make_unique<QueryOracle>(plan.target));
-    SessionRouter::SessionId id =
-        sync_router.Open(n, sync_truths.back().get());
-    SubmitPlan(sync_router, id, plan);
-    sync_router.Drain();
-    reference.push_back(SessionFingerprint(sync_router.session(id)));
+  for (const SessionPlan& plan : plans) {
+    reference.push_back(SynchronousFingerprint(n, plan));
   }
 
   for (int shards : {1, 2, 8}) {

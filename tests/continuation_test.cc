@@ -146,17 +146,13 @@ TEST(ContinuationTest, PendingLearnMatchesSynchronousRunBitForBit) {
     EXPECT_EQ(pending_router.status(pid), SessionStatus::kIdle);
     EXPECT_EQ(pending_router.suspensions(pid), rounds_answered);
 
-    // Synchronous arm: the identical user answering inline, one lane.
-    SessionRouter::Options sync_opts;
-    sync_opts.threads = 1;
-    SessionRouter sync_router(sync_opts);
+    // Synchronous arm: the identical user answering a bare session inline.
     QueryOracle sync_truth(target);
-    SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
-    sync_router.SubmitLearn(sid);
-    sync_router.Drain();
+    QuerySession sync(6, &sync_truth);
+    sync.Learn();
 
     EXPECT_EQ(SessionFingerprint(pending_router.session(pid)),
-              SessionFingerprint(sync_router.session(sid)))
+              SessionFingerprint(sync))
         << "pending continuation diverged from the synchronous run at "
         << lanes << " lanes";
     ASSERT_TRUE(pending_router.session(pid).current_query().has_value());
@@ -257,9 +253,10 @@ TEST(ContinuationEdgeTest, SubmitToUnknownOrClosedSessionIsRejected) {
   EXPECT_EQ(router.suspensions(999), -1);
 
   Query target = SmallTarget(4, 1);
-  SessionRouter::SessionId id = router.OpenSimulated(target);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(4);
   EXPECT_TRUE(router.SubmitLearn(id));
-  router.Drain();
+  AnswerAllPending(router, {{id, &truth}});
   EXPECT_TRUE(router.Close(id));
   EXPECT_FALSE(router.Close(id)) << "second close reports failure";
   EXPECT_FALSE(router.SubmitLearn(id)) << "closed sessions reject jobs";
@@ -309,14 +306,9 @@ TEST(ContinuationEdgeTest, MalformedProvideAnswersRejectsWithoutCorruption) {
   AnswerRound(router, truth, *after);
   AnswerAllPending(router, {{id, &truth}});
   QueryOracle sync_truth(target);
-  SessionRouter::Options sync_opts;
-  sync_opts.threads = 1;
-  SessionRouter sync_router(sync_opts);
-  SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
-  sync_router.SubmitLearn(sid);
-  sync_router.Drain();
-  EXPECT_EQ(SessionFingerprint(router.session(id)),
-            SessionFingerprint(sync_router.session(sid)));
+  QuerySession sync(5, &sync_truth);
+  sync.Learn();
+  EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync));
 
   // Answers for a session that is not awaiting.
   EXPECT_EQ(router.ProvideAnswers(id, 0, bits.Prepare(1)),
@@ -493,16 +485,12 @@ TEST(ContinuationEdgeTest, OutOfOrderAndDuplicateDeliveryAcrossPendingRounds) {
   }
 
   // Bit-identical to the synchronous run despite the hostile delivery.
-  SessionRouter::Options sync_opts;
-  sync_opts.threads = 1;
-  SessionRouter sync_router(sync_opts);
   for (size_t s = 0; s < 3; ++s) {
     QueryOracle sync_truth(targets[s]);
-    SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
-    sync_router.SubmitLearn(sid);
-    sync_router.Drain();
+    QuerySession sync(5, &sync_truth);
+    sync.Learn();
     EXPECT_EQ(SessionFingerprint(router.session(ids[s])),
-              SessionFingerprint(sync_router.session(sid)))
+              SessionFingerprint(sync))
         << "session " << s << " diverged after out-of-order delivery";
     EXPECT_TRUE(Equivalent(*router.session(ids[s]).current_query(),
                            targets[s]));
@@ -628,15 +616,10 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
     EXPECT_EQ(router.stats().corrections, 1);
     EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
 
-    SessionRouter::Options sync_opts;
-    sync_opts.threads = 1;
-    SessionRouter sync_router(sync_opts);
     QueryOracle sync_truth(target);
-    SessionRouter::SessionId sid = sync_router.Open(5, &sync_truth);
-    sync_router.SubmitLearn(sid);
-    sync_router.Drain();
-    EXPECT_EQ(SessionFingerprint(router.session(id)),
-              SessionFingerprint(sync_router.session(sid)))
+    QuerySession sync(5, &sync_truth);
+    sync.Learn();
+    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
         << "corrected session diverged from the truthful run under "
         << ToString(mode) << " resume";
 
@@ -645,6 +628,54 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
     EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kNotAwaiting);
     EXPECT_TRUE(router.Close(id));
     EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
+  }
+}
+
+TEST(ContinuationEdgeTest, OneFlippedAnswerNeverAbortsTheService) {
+  // A user who gets one answer wrong feeds the learner an answer stream no
+  // role-preserving query produces. Whichever answer it is, the session
+  // must finish its jobs with a query of its arity, not abort the
+  // process (the existential search once reached the empty tuple here).
+  const Query target = Query::Parse("∀x1x2→x4 ∃x3", 4);
+  const Query mutant = Query::Parse("∀x1→x4 ∃x2x3", 4);
+  QueryOracle reference_user(target);
+  QuerySession reference(4, &reference_user);
+  reference.Learn();
+  reference.Verify(target);
+  reference.Verify(mutant);
+  reference.Revise(mutant);
+  const int64_t truthful_questions = reference.questions_asked();
+  ASSERT_GT(truthful_questions, 25);
+  for (int64_t flip = 0; flip < truthful_questions; ++flip) {
+    SessionRouter::Options opts;
+    opts.threads = 1;
+    SessionRouter router(opts);
+    QueryOracle truth(target);
+    SessionRouter::SessionId id = router.OpenPending(4);
+    router.SubmitLearn(id);
+    router.SubmitVerify(id, target);
+    router.SubmitVerify(id, mutant);
+    router.SubmitRevise(id, mutant);
+    int64_t asked = 0;
+    BitVec bits;
+    for (;;) {
+      router.Drain();
+      std::vector<PendingRound> rounds = router.PendingRounds();
+      if (rounds.empty()) break;
+      for (const PendingRound& round : rounds) {
+        BitSpan span = bits.Prepare(round.questions.size());
+        truth.IsAnswerBatch(round.questions, span);
+        for (size_t q = 0; q < round.questions.size(); ++q, ++asked) {
+          if (asked == flip) span.Set(q, !span.Get(q));
+        }
+        ASSERT_EQ(router.ProvideAnswers(id, round.round_id, span),
+                  ProvideOutcome::kResumed);
+      }
+    }
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle) << "flip " << flip;
+    EXPECT_EQ(router.stats().jobs, 4) << "flip " << flip;
+    ASSERT_TRUE(router.session(id).current_query().has_value());
+    EXPECT_EQ(router.session(id).current_query()->n(), 4);
   }
 }
 
@@ -970,18 +1001,14 @@ TEST(ContinuationTest, FiberAndReplayResumesAreBitIdentical) {
     replayed[m] = router.stats().replayed_questions;
   }
 
-  SessionRouter::Options sync_opts;
-  sync_opts.threads = 1;
-  SessionRouter sync_router(sync_opts);
   QueryOracle sync_truth(target);
-  SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
-  sync_router.SubmitLearn(sid);
-  sync_router.SubmitVerify(sid, target);
-  sync_router.Drain();
+  QuerySession sync(6, &sync_truth);
+  sync.Learn();
+  sync.Verify(target);
 
   EXPECT_EQ(fingerprints[0], fingerprints[1])
       << "fiber and replay resume diverged on the same answer stream";
-  EXPECT_EQ(fingerprints[0], SessionFingerprint(sync_router.session(sid)))
+  EXPECT_EQ(fingerprints[0], SessionFingerprint(sync))
       << "pending sessions diverged from the synchronous run";
   EXPECT_EQ(answered_questions[0], answered_questions[1]);
   EXPECT_EQ(resumes[0], resumes[1]);
@@ -1090,15 +1117,10 @@ TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscriptInBothModes) {
     ExpectSameTranscript(record, transcript(), m + " at the end");
     EXPECT_EQ(router.stats().corrections, 3) << m;
 
-    SessionRouter::Options sync_opts;
-    sync_opts.threads = 1;
-    SessionRouter sync_router(sync_opts);
     QueryOracle sync_truth(target);
-    SessionRouter::SessionId sid = sync_router.Open(6, &sync_truth);
-    sync_router.SubmitLearn(sid);
-    sync_router.Drain();
-    EXPECT_EQ(SessionFingerprint(router.session(id)),
-              SessionFingerprint(sync_router.session(sid)))
+    QuerySession sync(6, &sync_truth);
+    sync.Learn();
+    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
         << "corrected session diverged from the truthful run under " << m;
   }
 }
@@ -1155,11 +1177,12 @@ TEST(ContinuationEdgeTest, OpenRacesDrain) {
   SessionRouter::Options opts;
   opts.threads = 4;
   SessionRouter router(opts);
+  QueryOracle truth(target);
   std::vector<SessionRouter::SessionId> ids;
   std::atomic<bool> done{false};
   std::thread opener([&] {
     for (int i = 0; i < 24; ++i) {
-      SessionRouter::SessionId id = router.OpenSimulated(target);
+      SessionRouter::SessionId id = router.OpenPending(5);
       router.SubmitLearn(id);
       ids.push_back(id);
     }
@@ -1169,7 +1192,9 @@ TEST(ContinuationEdgeTest, OpenRacesDrain) {
     router.Drain();
   }
   opener.join();
-  router.Drain();
+  std::map<SessionRouter::SessionId, QueryOracle*> truths;
+  for (SessionRouter::SessionId id : ids) truths[id] = &truth;
+  AnswerAllPending(router, truths);
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.sessions, 24);
   EXPECT_EQ(stats.learns, 24);

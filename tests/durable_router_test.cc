@@ -553,6 +553,67 @@ TEST(DurableRouterTest, OutOfRangeSchemaSizeIsRefusedBeforeLogging) {
   EXPECT_EQ(report.sessions_recovered, 1);
 }
 
+/// Specs of n = 4 whose one job runs a query of another arity.
+std::vector<SessionSpec> ArityMismatchedSpecs() {
+  std::vector<SessionSpec> specs;
+  for (WorkloadJob job : {WorkloadJob::kVerifyTarget,
+                          WorkloadJob::kVerifyMutant, WorkloadJob::kRevise}) {
+    SessionSpec spec;
+    spec.n = 4;
+    spec.target = Query::Parse("∃x1x2 ∃x3", 4);
+    spec.mutant = Query::Parse("∃x1 ∃x3", 4);
+    spec.jobs = {job};
+    // A default Query (n = 0) where the job reads its query.
+    (job == WorkloadJob::kVerifyTarget ? spec.target : spec.mutant) = Query();
+    specs.push_back(spec);
+  }
+  specs.push_back(specs.back());
+  specs.back().mutant = Query::Parse("∃x1 ∃x5", 5);
+  return specs;
+}
+
+TEST(DurableRouterTest, AnOpenWhoseJobsRunAnotherArityIsRefusedBeforeLogging) {
+  // Logged, such an open would abort a lane when the session reached the
+  // job, and again in every recovery that replayed the record.
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  for (const SessionSpec& bad : ArityMismatchedSpecs()) {
+    EXPECT_EQ(dr->OpenPending(bad), 0);
+  }
+  EXPECT_EQ(dr->records_logged(), 0) << "a refused open must not be logged";
+  EXPECT_EQ(dr->stats().sessions, 0);
+  // Queries no job runs are not checked: a learn-only spec opens.
+  SessionSpec learn_only;
+  learn_only.n = 4;
+  learn_only.jobs = {WorkloadJob::kLearn};
+  EXPECT_EQ(dr->OpenPending(learn_only), 1) << "refusals consume no id";
+  dr.reset();
+
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, 1);
+}
+
+TEST(DurableRouterTest, RecoverRejectsAnOpenWhoseJobsRunAnotherArity) {
+  for (const SessionSpec& bad : ArityMismatchedSpecs()) {
+    MemFs mem;
+    std::string error;
+    {
+      ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(), &error),
+                nullptr);
+    }
+    WriteOpenRecords(&mem, /*shards=*/2, {1}, {bad});
+    RecoveryReport report;
+    EXPECT_EQ(DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error),
+              nullptr);
+    EXPECT_NE(error.find("a job over a query of n = "), std::string::npos)
+        << error;
+  }
+}
+
 TEST(DurableRouterTest, RecoverRejectsAnOpenWithoutVariables) {
   // A record that could never have been acknowledged (n = 0) must not
   // abort every restart: Recover refuses the log with a typed error.

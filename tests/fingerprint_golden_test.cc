@@ -10,10 +10,12 @@
 // seeds 1–8 with speculative batching off and on, and hand-built
 // QuerySessions that run Learn, Verify and Revise, then CorrectAndRelearn
 // at the first, a middle and the last history entry, and at the middle of
-// Learn's questions (plus a second correction on top of that one).
+// Learn's questions (plus a second correction on top of that one). A second
+// table pins RunSynchronous's aggregate counters for the same 16 fleets.
 //
 // Regenerating: when a fingerprint change is intended, the failure message
-// prints the whole computed table in source form; paste it over kGolden.
+// prints the whole computed table in source form; paste it over kGolden
+// (or kGoldenStats).
 
 #include <gtest/gtest.h>
 
@@ -340,6 +342,95 @@ TEST(FingerprintGoldenTest, FingerprintsMatchTheCommittedTable) {
   EXPECT_TRUE(same) << "fingerprints differ from the committed table; "
                        "computed table:\n"
                     << Render(table);
+}
+
+// The reference arm's aggregate counters, per seed: the totals bench_e2e
+// divides into questions_per_session and rounds_per_session. Recorded from
+// the earlier reference arm, which ran every session on a 1-lane router.
+struct GoldenStats {
+  bool speculative;
+  uint64_t seed;
+  int64_t sessions, jobs, learns, verifies, revisions, questions,
+      batched_questions, rounds, cache_hits;
+};
+
+// clang-format off
+constexpr GoldenStats kGoldenStats[] = {
+    {false, 1, 8, 13, 4, 8, 1, 187, 76, 174, 78},
+    {false, 2, 8, 13, 5, 7, 1, 186, 65, 204, 109},
+    {false, 3, 8, 16, 8, 5, 3, 310, 95, 358, 167},
+    {false, 4, 8, 14, 5, 7, 2, 205, 67, 197, 84},
+    {false, 5, 8, 13, 5, 7, 1, 147, 58, 118, 33},
+    {false, 6, 8, 12, 5, 5, 2, 185, 59, 177, 53},
+    {false, 7, 8, 10, 8, 0, 2, 334, 71, 355, 97},
+    {false, 8, 8, 13, 6, 6, 1, 204, 69, 203, 70},
+    {true, 1, 8, 13, 4, 8, 1, 210, 209, 116, 133},
+    {true, 2, 8, 13, 5, 7, 1, 201, 200, 138, 179},
+    {true, 3, 8, 16, 8, 5, 3, 368, 367, 242, 307},
+    {true, 4, 8, 14, 5, 7, 2, 230, 229, 134, 144},
+    {true, 5, 8, 13, 5, 7, 1, 165, 165, 80, 64},
+    {true, 6, 8, 12, 5, 5, 2, 199, 198, 123, 105},
+    {true, 7, 8, 10, 8, 0, 2, 399, 398, 244, 210},
+    {true, 8, 8, 13, 6, 6, 1, 234, 233, 131, 130},
+};
+// clang-format on
+
+GoldenStats ReferenceStats(bool speculative, uint64_t seed) {
+  WorkloadSpec spec;
+  spec.seed = seed;
+  spec.speculative_batching = speculative;
+  const ServiceStats s =
+      FleetDriver(GenerateFleet(spec)).RunSynchronous().stats;
+  return {speculative,  seed,        s.sessions,
+          s.jobs,       s.learns,    s.verifies,
+          s.revisions,  s.questions, s.batched_questions,
+          s.rounds,     s.cache_hits};
+}
+
+std::string Render(const GoldenStats& g) {
+  char line[200];
+  std::snprintf(line, sizeof line,
+                "    {%s, %llu, %lld, %lld, %lld, %lld, %lld, %lld, %lld, "
+                "%lld, %lld},\n",
+                g.speculative ? "true" : "false",
+                static_cast<unsigned long long>(g.seed),
+                static_cast<long long>(g.sessions),
+                static_cast<long long>(g.jobs),
+                static_cast<long long>(g.learns),
+                static_cast<long long>(g.verifies),
+                static_cast<long long>(g.revisions),
+                static_cast<long long>(g.questions),
+                static_cast<long long>(g.batched_questions),
+                static_cast<long long>(g.rounds),
+                static_cast<long long>(g.cache_hits));
+  return line;
+}
+
+bool operator==(const GoldenStats& a, const GoldenStats& b) {
+  return a.speculative == b.speculative && a.seed == b.seed &&
+         a.sessions == b.sessions && a.jobs == b.jobs &&
+         a.learns == b.learns && a.verifies == b.verifies &&
+         a.revisions == b.revisions && a.questions == b.questions &&
+         a.batched_questions == b.batched_questions && a.rounds == b.rounds &&
+         a.cache_hits == b.cache_hits;
+}
+
+TEST(FingerprintGoldenTest, ReferenceArmStatsMatchTheCommittedTable) {
+  std::vector<GoldenStats> table;
+  for (bool speculative : {false, true}) {
+    for (uint64_t seed = 1; seed <= 8; ++seed) {
+      table.push_back(ReferenceStats(speculative, seed));
+    }
+  }
+  bool same = table.size() == std::size(kGoldenStats);
+  for (size_t i = 0; same && i < table.size(); ++i) {
+    same = table[i] == kGoldenStats[i];
+  }
+  std::string rendered;
+  for (const GoldenStats& g : table) rendered += Render(g);
+  EXPECT_TRUE(same) << "reference-arm stats differ from the committed table; "
+                       "computed table:\n"
+                    << rendered;
 }
 
 }  // namespace

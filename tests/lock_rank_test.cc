@@ -52,15 +52,15 @@ TEST(LockRankTest, InOrderAcquisitionIsClean) {
 
 TEST(LockRankDeathTest, OutOfRankAcquisitionDiesNamingBothLocks) {
   SKIP_WITHOUT_RANK_CHECKS();
-  Mutex stripe("cache-stripe-mutex", LockRank::kCacheStripe);
+  Mutex memo("memo-mutex", LockRank::kMemo);
   Mutex shard("router-shard-mutex", LockRank::kRouterShard);
   EXPECT_DEATH(
       {
-        MutexLock outer(&stripe);
+        MutexLock outer(&memo);
         MutexLock inner(&shard);
       },
       "lock-rank violation: acquiring 'router-shard-mutex'.*"
-      "while holding 'cache-stripe-mutex'");
+      "while holding 'memo-mutex'");
 }
 
 TEST(LockRankDeathTest, SameRankAcquisitionDies) {
@@ -98,27 +98,27 @@ TEST(LockRankDeathTest, UnheldReleaseDies) {
 
 TEST(LockRankDeathTest, SharedLockObeysRanksToo) {
   SKIP_WITHOUT_RANK_CHECKS();
-  SharedMutex stripe("stripe", LockRank::kCacheStripe);
+  SharedMutex leaf("shared-leaf", LockRank::kMemo);
   Mutex shard("shard", LockRank::kRouterShard);
   EXPECT_DEATH(
       {
-        ReaderLock outer(&stripe);
+        ReaderLock outer(&leaf);
         MutexLock inner(&shard);
       },
-      "lock-rank violation: acquiring 'shard'.*while holding 'stripe'");
+      "lock-rank violation: acquiring 'shard'.*while holding 'shared-leaf'");
 }
 
 TEST(LockRankDeathTest, RecursiveSharedAcquisitionDies) {
   SKIP_WITHOUT_RANK_CHECKS();
   // A second shared lock from one thread can deadlock against a queued
   // writer, so the checker treats it like any recursive acquisition.
-  SharedMutex mu("reread-stripe", LockRank::kCacheStripe);
+  SharedMutex mu("reread-leaf", LockRank::kMemo);
   EXPECT_DEATH(
       {
         ReaderLock outer(&mu);
         ReaderLock inner(&mu);
       },
-      "lock-rank: recursive acquisition of 'reread-stripe'");
+      "lock-rank: recursive acquisition of 'reread-leaf'");
 }
 
 TEST(LockRankDeathTest, PostingUnderALockDiesAtConcurrencyOne) {
@@ -236,8 +236,7 @@ TEST(LockRankTest, RankCleanChainStress) {
   Mutex outer("stress-outer", LockRank::kExecutor);
   Mutex wal("stress-wal", LockRank::kWalShard);
   Mutex fs("stress-fs", LockRank::kFs);
-  SharedMutex stripe("stress-stripe", LockRank::kCacheStripe);
-  Mutex memo("stress-memo", LockRank::kMemo);
+  SharedMutex memo("stress-memo", LockRank::kMemo);
 
   constexpr int kThreads = 8;
   constexpr int kIters = 2000;
@@ -252,10 +251,9 @@ TEST(LockRankTest, RankCleanChainStress) {
         MutexLock c(&wal);
         MutexLock d(&fs);
         if ((i + t) % 2 == 0) {
-          ReaderLock e(&stripe);
-          MutexLock f(&memo);
+          ReaderLock e(&memo);
         } else {
-          WriterLock e(&stripe);
+          WriterLock e(&memo);
         }
       }
       EXPECT_EQ(LockRankChecker::HeldCount(), 0);

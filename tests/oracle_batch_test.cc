@@ -415,10 +415,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<uint64_t>(0, 7)));
 
 // ---------------------------------------------------------------------------
-// Pipeline composition and the concurrent backend. The OraclePipeline must
-// wire the identical stack the hand-built chains above use, and the
-// AsyncOracle backend's batched rounds must be invisible: same answers in
-// question order, same decorator statistics, same noise draws.
+// Pipeline composition and the batched backend. The OraclePipeline must
+// wire the identical stack the hand-built chains above use, and a backend
+// that answers whole rounds (QueryOracle, through CompiledQuery::
+// EvaluateAll) must be invisible: same answers in question order, same
+// decorator statistics, same noise draws. (The "Async" in the two test
+// names is the batched simulated-user backend these tests once drove.)
 // SequentialOracle is itself a pipeline stage, so the reference arm is one
 // extra Push.
 
@@ -489,7 +491,6 @@ class PipelineDifferentialTest
 TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
   auto [n, seed] = GetParam();
   Query target = RandomRp(n, seed);
-  auto compiled = std::make_shared<const CompiledQuery>(target);
 
   for (const auto& [name, workload] :
        std::vector<std::pair<std::string, Workload>>{
@@ -498,14 +499,14 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
     // Batched arm: whole rounds through CompiledQuery::EvaluateAll.
     // Sequential arm: the identical backend decomposed question for
     // question — the semantics being preserved.
-    AsyncOracle batched_backend(compiled);
+    QueryOracle batched_backend(target);
     RunRecord batched = RunPipelineStack(&batched_backend, workload,
                                          /*force_sequential=*/false);
-    AsyncOracle sequential_backend(compiled);
+    QueryOracle sequential_backend(target);
     RunRecord sequential = RunPipelineStack(&sequential_backend, workload,
                                             /*force_sequential=*/true);
     ExpectRecordsEqual(batched, sequential,
-                       "pipeline+async " + name + " n=" + std::to_string(n) +
+                       "pipeline+batched " + name + " n=" + std::to_string(n) +
                            " seed=" + std::to_string(seed));
   }
 }
@@ -513,7 +514,6 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
 TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
   auto [n, seed] = GetParam();
   Query target = RandomRp(n, seed);
-  auto compiled = std::make_shared<const CompiledQuery>(target);
 
   // The noise stage sits between the backend and the counting decorators:
   // whether the round below it arrives batched or question by question,
@@ -527,8 +527,8 @@ TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
     payload += " answers=" + std::to_string(counting->stats().answers);
     return payload;
   };
-  AsyncOracle batched_backend(compiled);
-  AsyncOracle sequential_backend(compiled);
+  QueryOracle batched_backend(target);
+  QueryOracle sequential_backend(target);
   EXPECT_EQ(run(&batched_backend, false), run(&sequential_backend, true))
       << "n=" << n << " seed=" << seed;
 }

@@ -1,10 +1,10 @@
-// The concurrent session service: Executor, CompiledQueryCache and
-// SessionRouter.
+// The concurrent session service: Executor and SessionRouter.
 //
 // The load-bearing property is determinism under concurrency: a session's
 // transcript depends only on its own job sequence, never on scheduling.
-// The stress tests drive 8–64 concurrent sessions over mixed
-// learn/verify/revise workloads on a multi-lane router and assert every
+// The stress tests drive 8–64 concurrent pending sessions over mixed
+// learn/verify/revise workloads on a multi-lane router, answered
+// in-process from one QueryOracle per session, and assert every
 // per-session observable equals a single-threaded replay of the same jobs.
 // Run under the tsan preset in CI.
 
@@ -12,6 +12,7 @@
 
 #include <atomic>
 #include <cstdlib>
+#include <map>
 #include <memory>
 #include <mutex>
 #include <set>
@@ -22,9 +23,8 @@
 
 #include "src/core/normalize.h"
 #include "src/core/random_query.h"
-#include "src/learn/pac.h"
-#include "src/oracle/pipeline.h"
 #include "src/session/router.h"
+#include "src/util/bit_span.h"
 #include "src/util/executor.h"
 #include "tests/session_fingerprint.h"
 
@@ -145,77 +145,50 @@ TEST(ExecutorTest, QhornThreadsOverridesDefaultConcurrency) {
 }
 
 // ---------------------------------------------------------------------------
-// CompiledQueryCache.
+// SessionRouter: ordering, stats, aggregate behaviour.
 
-TEST(CompiledQueryCacheTest, EquivalentQueriesShareOneCompile) {
-  CompiledQueryCache cache;
-  // R3: ∃x1x3 absorbs the implied head x2, so these two queries share a
-  // canonical form and must share one compiled entry.
-  Query a = Query::Parse("∀x1→x2 ∃x1x3", 3);
-  Query b = Query::Parse("∀x1→x2 ∃x1x2x3", 3);
-  ASSERT_TRUE(Equivalent(a, b));
-  auto ca = cache.Get(a, EvalOptions());
-  auto cb = cache.Get(b, EvalOptions());
-  EXPECT_EQ(ca.get(), cb.get());
-  EXPECT_EQ(cache.hits(), 1);
-  EXPECT_EQ(cache.misses(), 1);
-}
+/// Simulated users over the pending protocol: one QueryOracle per session,
+/// answering every round a poll delivers until no session awaits a user.
+class SimulatedUsers {
+ public:
+  explicit SimulatedUsers(SessionRouter* router) : router_(router) {}
 
-TEST(CompiledQueryCacheTest, GuaranteeModesDoNotAlias) {
-  CompiledQueryCache cache;
-  // Relaxed evaluation ignores guarantee clauses, so the two modes answer
-  // differently for this query ({} is an answer iff guarantees are off) —
-  // they must compile separately.
-  Query q = Query::Parse("∀x1→x2", 2);
-  EvalOptions strict;
-  EvalOptions relaxed;
-  relaxed.require_guarantees = false;
-  auto cs = cache.Get(q, strict);
-  auto cr = cache.Get(q, relaxed);
-  EXPECT_NE(cs.get(), cr.get());
-  TupleSet empty;
-  EXPECT_FALSE(cs->Evaluate(empty));
-  EXPECT_TRUE(cr->Evaluate(empty));
+  /// Opens a pending session whose user holds `target`.
+  SessionRouter::SessionId Open(const Query& target) {
+    SessionRouter::SessionId id = router_->OpenPending(target.n());
+    EXPECT_NE(id, 0);
+    users_[id] = std::make_unique<QueryOracle>(target);
+    return id;
+  }
 
-  // Equal *strict* canonical forms are not enough under relaxed
-  // semantics: ∀x1→x2 and ∀x1→x2 ∃x1x2 are strictly equivalent (the
-  // explicit conjunction is the guarantee clause), yet differ relaxed —
-  // the relaxed key must separate them.
-  Query e = Query::Parse("∀x1→x2 ∃x1x2", 2);
-  ASSERT_TRUE(Equivalent(q, e));  // strict-mode semantic equivalence
-  auto ce = cache.Get(e, relaxed);
-  EXPECT_NE(cr.get(), ce.get());
-  EXPECT_FALSE(ce->Evaluate(empty));
-}
-
-TEST(CompiledQueryCacheTest, CachedCompileAnswersLikeAFreshOne) {
-  CompiledQueryCache cache;
-  Rng rng(5);
-  for (int i = 0; i < 20; ++i) {
-    RpOptions opts;
-    opts.num_heads = 1 + static_cast<int>(rng.Range(0, 1));
-    opts.theta = 2;
-    opts.num_conjunctions = 2;
-    Query q = RandomRolePreserving(8, rng, opts);
-    auto shared = cache.Get(q, EvalOptions());
-    CompiledQuery fresh(q);
-    for (int j = 0; j < 50; ++j) {
-      TupleSet object = RandomObject(8, rng, 6);
-      ASSERT_EQ(shared->Evaluate(object), fresh.Evaluate(object))
-          << q.ToString() << " on " << object.ToString(8);
+  /// The embedding server's loop: drain, poll, answer, until a poll
+  /// delivers nothing.
+  void AnswerAll() {
+    BitVec bits;
+    for (;;) {
+      router_->Drain();
+      std::vector<PendingRound> rounds = router_->PendingRounds();
+      if (rounds.empty()) return;
+      for (const PendingRound& round : rounds) {
+        BitSpan span = bits.Prepare(round.questions.size());
+        users_.at(round.session_id)->IsAnswerBatch(round.questions, span);
+        EXPECT_EQ(
+            router_->ProvideAnswers(round.session_id, round.round_id, span),
+            ProvideOutcome::kResumed);
+      }
     }
   }
-}
 
-// ---------------------------------------------------------------------------
-// SessionRouter: ordering, stats, aggregate behaviour.
+ private:
+  SessionRouter* router_;
+  std::map<SessionRouter::SessionId, std::unique_ptr<QueryOracle>> users_;
+};
 
 TEST(SessionRouterTest, JobsOfOneSessionRunInSubmissionOrder) {
   SessionRouter::Options opts;
   opts.threads = 4;
   SessionRouter router(opts);
-  Query target = Query::Parse("∀x1x2→x4 ∃x3", 4);
-  SessionRouter::SessionId id = router.OpenSimulated(target);
+  SessionRouter::SessionId id = router.OpenPending(4);
   std::vector<int> order;
   std::mutex order_mutex;
   for (int i = 0; i < 16; ++i) {
@@ -234,9 +207,10 @@ TEST(SessionRouterTest, LearnVerifyReviseAcrossSessions) {
   opts.threads = 4;
   SessionRouter router(opts);
   Query target = Query::Parse("∀x1x2→x5 ∃x3x4", 5);
+  SimulatedUsers users(&router);
   std::vector<SessionRouter::SessionId> ids;
   for (int s = 0; s < 12; ++s) {
-    ids.push_back(router.OpenSimulated(target));
+    ids.push_back(users.Open(target));
   }
   for (size_t s = 0; s < ids.size(); ++s) {
     switch (s % 3) {
@@ -251,15 +225,14 @@ TEST(SessionRouterTest, LearnVerifyReviseAcrossSessions) {
         break;
     }
   }
-  router.Drain();
+  users.AnswerAll();
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.sessions, 12);
   EXPECT_EQ(stats.jobs, 12);
   EXPECT_EQ(stats.learns, 4);
   EXPECT_EQ(stats.verifies, 4);
   EXPECT_EQ(stats.revisions, 4);
-  EXPECT_EQ(stats.compiled_misses, 1) << "12 sessions share one compile";
-  EXPECT_EQ(stats.compiled_hits, 11);
+  EXPECT_EQ(stats.awaiting_sessions, 0);
   EXPECT_GT(stats.questions, 0);
   EXPECT_GT(stats.rounds, 0);
   for (SessionRouter::SessionId id : ids) {
@@ -336,15 +309,16 @@ TEST_P(RouterStressTest, TranscriptsEqualSingleThreadedReplay) {
     SessionRouter::Options opts;
     opts.threads = lanes;
     SessionRouter router(opts);
+    SimulatedUsers users(&router);
     std::vector<SessionRouter::SessionId> ids;
     for (int s = 0; s < sessions; ++s) {
-      ids.push_back(router.OpenSimulated(plans[static_cast<size_t>(s)].target));
+      ids.push_back(users.Open(plans[static_cast<size_t>(s)].target));
     }
     for (int s = 0; s < sessions; ++s) {
       SubmitPlan(router, ids[static_cast<size_t>(s)],
                  plans[static_cast<size_t>(s)]);
     }
-    router.Drain();
+    users.AnswerAll();
     for (int s = 0; s < sessions; ++s) {
       fingerprints.push_back(
           SessionFingerprint(router.session(ids[static_cast<size_t>(s)])));

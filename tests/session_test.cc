@@ -98,6 +98,26 @@ TEST(SessionTest, CorrectAndRelearnRecovers) {
   EXPECT_FALSE(session.history().empty());
 }
 
+TEST(SessionTest, AnInconsistentCorrectionYieldsAQueryNotAnAbort) {
+  // Flipping the last Learn answer of this session makes the existential
+  // lattice search discover the empty tuple as a conjunction; the learner
+  // must still return a query.
+  const Query target = Query::Parse("∀x1x2→x4 ∃x3", 4);
+  const Query mutant = Query::Parse("∀x1→x4 ∃x2x3", 4);
+  QueryOracle user(target);
+  QuerySession session(4, &user);
+  session.Learn();
+  ASSERT_EQ(session.history().size(), 26u);
+  session.Verify(target);
+  session.Verify(mutant);
+  session.Revise(mutant);
+  const Query& relearned = session.CorrectAndRelearn(25);
+  EXPECT_EQ(relearned.n(), 4);
+  for (const ExistentialConj& conj : relearned.existential()) {
+    EXPECT_NE(conj.vars, 0u);
+  }
+}
+
 TEST(SessionTest, RandomizedEndToEnd) {
   for (uint64_t seed = 0; seed < 15; ++seed) {
     Rng rng(seed);

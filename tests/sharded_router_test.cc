@@ -1,6 +1,5 @@
-// ShardedRouter — the N-shard facade over SessionRouter — plus the striped
-// CompiledQueryCache every shard shares and the combined pending-round poll.
-// Also covers the parked-fiber cold-stack trim.
+// ShardedRouter — the N-shard facade over SessionRouter — and the combined
+// pending-round poll. Also covers the parked-fiber cold-stack trim.
 //
 // The load-bearing property is the facade contract: a session's
 // observables depend only on its own job and answer sequence, never on
@@ -133,17 +132,15 @@ TEST(ShardedRouterTest, BareRouterOpensAtChosenIdsAndAssignsAroundThem) {
   SessionRouter::Options bopts;
   bopts.threads = 1;
   SessionRouter router(bopts);
-  QueryOracle user(target);
 
   EXPECT_EQ(router.OpenPendingAt(2, 3), 2);
-  EXPECT_EQ(router.OpenAt(5, target.n(), &user), 5);
-  EXPECT_EQ(router.OpenSimulatedAt(6, target), 6);
-  // Refused, opening nothing: ids ≤ 0, ids in use, and (pending) an
-  // out-of-range n.
-  for (int64_t bad : {int64_t{0}, int64_t{-4}, int64_t{2}, int64_t{5}}) {
+  EXPECT_EQ(router.OpenPendingAt(5, target.n()), 5);
+  EXPECT_EQ(router.OpenPendingAt(6, target.n()), 6);
+  // Refused, opening nothing: ids ≤ 0, ids in use, and an out-of-range n.
+  for (int64_t bad : {int64_t{0}, int64_t{-4}, int64_t{2}, int64_t{5},
+                      int64_t{6}}) {
     EXPECT_EQ(router.OpenPendingAt(bad, 3), 0) << bad;
-    EXPECT_EQ(router.OpenAt(bad, target.n(), &user), 0) << bad;
-    EXPECT_EQ(router.OpenSimulatedAt(bad, target), 0) << bad;
+    EXPECT_EQ(router.OpenPendingAt(bad, target.n()), 0) << bad;
   }
   EXPECT_EQ(router.OpenPendingAt(9, 0), 0);
   EXPECT_EQ(router.OpenPendingAt(9, kMaxVars + 1), 0);
@@ -316,24 +313,22 @@ TEST(ShardedRouterTest, OutOfRangeSchemaSizesAreRefusedAtEveryLayer) {
   EXPECT_EQ(facade.OpenPendingAt(6, kMaxVars), 6);
 }
 
-TEST(ShardedRouterTest, StatsSumShardsButCountTheSharedCacheOnce) {
+TEST(ShardedRouterTest, StatsSumShards) {
   const Query target = TestTarget();
   ShardedRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 2;
   ShardedRouter router(sopts);
-  for (int i = 0; i < 8; ++i) {
-    int64_t id = router.OpenSimulated(target);
-    ASSERT_TRUE(router.SubmitVerify(id, target));
-  }
-  router.Drain();
+  DriveVerifyFleet(router, target, 8);
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.sessions, 8);
   EXPECT_EQ(stats.verifies, 8);
-  // All eight simulated opens share one compiled-query cache across the
-  // four shards: one compile, seven hits — not 4× either number.
-  EXPECT_EQ(stats.compiled_misses, 1);
-  EXPECT_EQ(stats.compiled_hits, 7);
+  // Each of the four shards hosts two of the sessions; the facade sums
+  // them, and the summed rounds are the sessions' own.
+  int64_t rounds = 0;
+  for (int64_t id = 1; id <= 8; ++id) rounds += router.session(id).rounds();
+  EXPECT_EQ(stats.rounds, rounds);
+  EXPECT_EQ(stats.awaiting_sessions, 0);
 }
 
 // ---------------------------------------------------------------------------
@@ -404,52 +399,6 @@ TEST(ShardedRouterTest, PollRacesSuspensionsAndResumes) {
   EXPECT_EQ(stats.verifies, 24);
   EXPECT_GE(stats.suspensions, 24);
   EXPECT_EQ(stats.awaiting_sessions, 0);
-}
-
-// ---------------------------------------------------------------------------
-// Striped CompiledQueryCache under concurrent Get.
-
-TEST(CompiledQueryCacheTest, StripedGetIsCoherentUnderConcurrentHammer) {
-  CompiledQueryCache cache;
-  constexpr int kDistinct = 16;
-  constexpr int kThreads = 8;
-  constexpr int kGetsPerThread = 64;
-  std::vector<Query> queries;
-  for (int i = 0; i < kDistinct; ++i) {
-    std::string body = "∃";
-    for (int v = 1; v <= i + 1; ++v) body += "x" + std::to_string(v);
-    queries.push_back(Query::Parse(body, kDistinct));
-  }
-  EvalOptions opts;
-  std::vector<std::vector<std::shared_ptr<const CompiledQuery>>> got(kThreads);
-  std::vector<std::thread> threads;
-  for (int t = 0; t < kThreads; ++t) {
-    threads.emplace_back([&, t] {
-      for (int i = 0; i < kGetsPerThread; ++i) {
-        got[static_cast<size_t>(t)].push_back(
-            cache.Get(queries[static_cast<size_t>((i + t) % kDistinct)], opts));
-      }
-    });
-  }
-  for (auto& th : threads) th.join();
-
-  // Coherence: every thread's Get for one query must have returned the
-  // same shared compiled form (first insert wins; losers adopt it).
-  std::vector<const CompiledQuery*> canonical(kDistinct, nullptr);
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kGetsPerThread; ++i) {
-      size_t q = static_cast<size_t>((i + t) % kDistinct);
-      const CompiledQuery* p = got[static_cast<size_t>(t)][static_cast<size_t>(i)].get();
-      if (canonical[q] == nullptr) canonical[q] = p;
-      EXPECT_EQ(canonical[q], p) << "query " << q << " compiled twice visibly";
-    }
-  }
-  // Counter accounting: every Get was a hit or a miss; racing first-time
-  // compiles may each count a miss, but at least one per distinct key.
-  const int64_t total = int64_t{kThreads} * kGetsPerThread;
-  EXPECT_EQ(cache.hits() + cache.misses(), total);
-  EXPECT_GE(cache.misses(), kDistinct);
-  EXPECT_LE(cache.misses(), int64_t{kDistinct} * kThreads);
 }
 
 // ---------------------------------------------------------------------------
