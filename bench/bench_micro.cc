@@ -21,6 +21,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -44,6 +45,7 @@
 #include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "src/util/executor.h"
+#include "src/util/suspend.h"
 #include "src/verify/verification_set.h"
 #include "src/workload/fleet_driver.h"
 #include "src/workload/workload.h"
@@ -451,8 +453,8 @@ BENCHMARK(BM_ServiceSequential)
 // synchronous in-process users, posted on a 4-lane Executor. The ratio prices the remaining continuation machinery
 // — stack switches, round staging, protocol bookkeeping — against the
 // zero threads it parks; the gate guards the recorded ratio against
-// regressing (BM_SessionResume* below prices the two resume protocols
-// head to head).
+// regressing (BM_SessionResume* below prices a parked resume against
+// unwind-and-replay head to head).
 void BM_ServiceOpenSessions(benchmark::State& state) {
   int sessions = static_cast<int>(state.range(0));
   std::vector<Query> targets = ServiceTargets(8);
@@ -464,7 +466,6 @@ void BM_ServiceOpenSessions(benchmark::State& state) {
   for (auto _ : state) {
     SessionRouter::Options opts;
     opts.threads = 4;
-    opts.resume_mode = ResumeMode::kFiber;
     opts.session.learner.existential.speculative_batching = true;
     opts.session.learner.universal.speculative_batching = true;
     SessionRouter router(opts);
@@ -613,35 +614,40 @@ BENCHMARK(BM_RouterContention)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
-// Session-resume protocol pair: one pending session, R verify jobs against
-// R distinct candidates, every round suspending and resuming on a single
-// lane. Fiber resume (the default) parks the call stack and each resume is
-// one switch back — O(1) compute, zero questions re-served. Full-prefix
-// replay (ResumeMode::kReplay, kept as the differential oracle) rebuilds
-// every resume from job 0 and re-serves the whole answered prefix — O(R²)
-// questions. The gap widens with R, which is why both depths are
-// headline-gated.
-void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
-  int rounds = static_cast<int>(state.range(0));
-  const int n = 6;
+// Session-resume pair: one session, R verify jobs against R distinct
+// candidates, every user round a suspension and a resume on one lane. The
+// router parks the call stack and each resume is one switch back — O(1)
+// compute, zero questions re-served. The baseline is the unwind-and-replay
+// protocol the router no longer runs, priced on a bare QuerySession: each
+// resume rebuilds the pipeline over the answered prefix and re-runs the
+// jobs from the first — O(R²) questions re-served. The gap widens with R,
+// which is why both depths are headline-gated.
+std::vector<Query> ResumeCandidates(int rounds, Query* target) {
   Rng rng(41);
   RpOptions qopts;
   qopts.num_heads = 1;
   qopts.theta = 2;
   qopts.num_conjunctions = 2;
-  QueryOracle truth(RandomRolePreserving(n, rng, qopts));
+  *target = RandomRolePreserving(6, rng, qopts);
   std::vector<Query> candidates;
   candidates.reserve(static_cast<size_t>(rounds));
   for (int r = 0; r < rounds; ++r) {
-    candidates.push_back(RandomRolePreserving(n, rng, qopts));
+    candidates.push_back(RandomRolePreserving(6, rng, qopts));
   }
+  return candidates;
+}
+
+void BM_SessionResumeFiber(benchmark::State& state) {
+  const int rounds = static_cast<int>(state.range(0));
+  Query target;
+  const std::vector<Query> candidates = ResumeCandidates(rounds, &target);
+  QueryOracle truth(target);
   int64_t replayed = 0;
   for (auto _ : state) {
     SessionRouter::Options opts;
     opts.threads = 1;
-    opts.resume_mode = mode;
     SessionRouter router(opts);
-    SessionRouter::SessionId id = router.OpenPending(n);
+    SessionRouter::SessionId id = router.OpenPending(target.n());
     for (const Query& c : candidates) router.SubmitVerify(id, c);
     std::unordered_map<SessionRouter::SessionId, QueryOracle*> truth_of;
     truth_of[id] = &truth;
@@ -650,12 +656,8 @@ void SessionResumeRounds(benchmark::State& state, ResumeMode mode) {
   }
   state.SetItemsProcessed(state.iterations() * rounds);
   // The protocol's footprint, not a timing: questions re-served to the
-  // session's own replaying backends across all resumes of one rep.
+  // session's replaying backends across all resumes of one rep.
   state.counters["replayed_questions"] = static_cast<double>(replayed);
-}
-
-void BM_SessionResumeFiber(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kFiber);
   state.SetLabel("parked-stack switch per resume, nothing re-served");
 }
 BENCHMARK(BM_SessionResumeFiber)
@@ -664,9 +666,66 @@ BENCHMARK(BM_SessionResumeFiber)
     ->Unit(benchmark::kMillisecond)
     ->UseRealTime();
 
+/// The user of an unwinding session: answers the rounds the user has
+/// already given and throws JobSuspended at the next one, which the user
+/// answers before the next attempt (Give). Rounds an attempt replays from
+/// the answered prefix never reach it, so each attempt answers at most the
+/// one round given since the last.
+class GivenRoundsOracle : public MembershipOracle {
+ public:
+  explicit GivenRoundsOracle(MembershipOracle* truth) : truth_(truth) {}
+
+  /// The user answers the round the last attempt suspended on.
+  void Give() { ++given_; }
+
+  bool IsAnswer(const TupleSet& question) override {
+    Admit();
+    return truth_->IsAnswer(question);
+  }
+  void IsAnswerBatch(std::span<const TupleSet> questions,
+                     BitSpan answers) override {
+    if (questions.empty()) return;
+    Admit();
+    truth_->IsAnswerBatch(questions, answers);
+  }
+
+ private:
+  void Admit() {
+    if (answered_ == given_) throw JobSuspended();
+    ++answered_;
+  }
+
+  MembershipOracle* truth_;
+  int64_t given_ = 0;
+  int64_t answered_ = 0;
+};
+
 void BM_SessionResumeReplay(benchmark::State& state) {
-  SessionResumeRounds(state, ResumeMode::kReplay);
-  state.SetLabel("full-prefix replay per resume (retired protocol)");
+  const int rounds = static_cast<int>(state.range(0));
+  Query target;
+  const std::vector<Query> candidates = ResumeCandidates(rounds, &target);
+  QueryOracle truth(target);
+  int64_t replayed = 0;
+  for (auto _ : state) {
+    GivenRoundsOracle user(&truth);
+    QuerySession session(target.n(), &user);
+    for (bool done = false; !done;) {
+      // One resume: rebuild over every answered round replayed at the user
+      // boundary and re-run the jobs from the first.
+      session.ResetWithUserReplay(session.TakeUserTranscript());
+      try {
+        for (const Query& c : candidates) session.Verify(c);
+        done = true;
+      } catch (const JobSuspended&) {
+        user.Give();
+      }
+    }
+    benchmark::DoNotOptimize(session.questions_asked());
+    replayed = session.user_questions_replayed();
+  }
+  state.SetItemsProcessed(state.iterations() * rounds);
+  state.counters["replayed_questions"] = static_cast<double>(replayed);
+  state.SetLabel("full-prefix replay per resume (bare-session baseline)");
 }
 BENCHMARK(BM_SessionResumeReplay)
     ->Arg(8)

@@ -3,18 +3,18 @@
 // The service claim behind the sharded router is lots of *open* sessions,
 // not lots of running ones: a fleet where nearly every session sits
 // suspended on a pending round awaiting its user. This benchmark prices
-// that state per resume protocol. For each mode it opens K pending
-// sessions on a 4-lane router, submits one learn job each, drains until
-// every session is parked on its first user round, and reports
+// that state: it opens K pending sessions on a 4-lane router, submits one
+// learn job each, drains until every session is parked on its first user
+// round, and reports
 //
 //   * the process RSS delta per session (the ground truth: everything —
 //     session object, transcript, parked fiber stack, router
 //     bookkeeping),
 //   * the router's own parked-resume accounting (ServiceStats::
-//     snapshot_bytes) per session — in fiber mode this reflects the
-//     cold-stack trim (madvise(MADV_DONTNEED) of the parked stack below
-//     the suspended frame), which is what makes the fiber protocol's
-//     512 KiB stacks affordable at fleet scale,
+//     snapshot_bytes) per session — this reflects the cold-stack trim
+//     (madvise(MADV_DONTNEED) of the parked stack below the suspended
+//     frame), which is what makes 512 KiB fiber stacks affordable at
+//     fleet scale,
 //   * the extrapolated GiB for one million open sessions.
 //
 // K defaults to 16384 full / 512 smoke (fiber stacks cost two VMAs each —
@@ -27,7 +27,6 @@
 #include <cstdlib>
 #include <iostream>
 #include <memory>
-#include <string>
 #include <vector>
 
 #include "bench/bench_domain.h"
@@ -62,19 +61,17 @@ int OpenSessionCount() {
   return SmokeScaled(16384, 512);
 }
 
-struct ModeResult {
+struct FleetResult {
   size_t rss_delta = 0;
   int64_t accounted = 0;  ///< ServiceStats::snapshot_bytes across the fleet
   int64_t awaiting = 0;
 };
 
-ModeResult ParkFleet(ResumeMode mode, int sessions,
-                     const std::vector<Query>& targets) {
-  ModeResult result;
+FleetResult ParkFleet(int sessions, const std::vector<Query>& targets) {
+  FleetResult result;
   size_t before = ReadRssBytes();
   SessionRouter::Options opts;
   opts.threads = 4;
-  opts.resume_mode = mode;
   SessionRouter router(opts);
   for (int s = 0; s < sessions; ++s) {
     SessionRouter::SessionId id =
@@ -87,14 +84,10 @@ ModeResult ParkFleet(ResumeMode mode, int sessions,
   result.accounted = stats.snapshot_bytes;
   result.rss_delta = ReadRssBytes() - before;
   if (result.awaiting != sessions) {
-    std::printf("BENCH FAILED: only %lld/%d sessions parked in %s mode\n",
-                static_cast<long long>(result.awaiting), sessions,
-                ToString(mode));
+    std::printf("BENCH FAILED: only %lld/%d sessions parked\n",
+                static_cast<long long>(result.awaiting), sessions);
     std::exit(1);
   }
-  // The router (and its parked fleet) dies here; the next mode starts
-  // from a fresh baseline. Freed pages may stay resident in the
-  // allocator, which is why each mode measures its own before/after.
   return result;
 }
 
@@ -104,12 +97,12 @@ int main() {
   const int sessions = OpenSessionCount();
   PrintHeader("E18 | open-session memory",
               "K pending sessions parked on their first user round; "
-              "bytes/session per resume protocol");
-  std::printf("sessions per mode: %d (QHORN_OPEN_SESSIONS to override)\n\n",
+              "bytes/session");
+  std::printf("sessions: %d (QHORN_OPEN_SESSIONS to override)\n\n",
               sessions);
 
-  // A small shared target pool (the compiled-query cache keeps these
-  // deduplicated, as in production fleets).
+  // A small shared target pool: the sessions learn a few distinct queries,
+  // so the parked frames are representative without K distinct targets.
   std::vector<Query> targets;
   for (uint64_t seed = 60; seed < 64; ++seed) {
     Rng rng(seed);
@@ -121,27 +114,23 @@ int main() {
     targets.push_back(RandomRolePreserving(6, rng, opts));
   }
 
-  TextTable table({"mode", "sessions", "rss delta MiB", "rss B/session",
+  TextTable table({"sessions", "rss delta MiB", "rss B/session",
                    "accounted B/session", "GiB @ 1M sessions"});
-  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
-    ModeResult r = ParkFleet(mode, sessions, targets);
-    double per_session =
-        static_cast<double>(r.rss_delta) / static_cast<double>(sessions);
-    table.Row()
-        .Cell(std::string(ToString(mode)))
-        .Cell(sessions)
-        .Cell(static_cast<double>(r.rss_delta) / (1024.0 * 1024.0), 1)
-        .Cell(per_session, 0)
-        .Cell(static_cast<double>(r.accounted) /
-                  static_cast<double>(sessions),
-              0)
-        .Cell(per_session * 1e6 / (1024.0 * 1024.0 * 1024.0), 2);
-  }
+  FleetResult r = ParkFleet(sessions, targets);
+  double per_session =
+      static_cast<double>(r.rss_delta) / static_cast<double>(sessions);
+  table.Row()
+      .Cell(sessions)
+      .Cell(static_cast<double>(r.rss_delta) / (1024.0 * 1024.0), 1)
+      .Cell(per_session, 0)
+      .Cell(static_cast<double>(r.accounted) / static_cast<double>(sessions),
+            0)
+      .Cell(per_session * 1e6 / (1024.0 * 1024.0 * 1024.0), 2);
   table.Print(std::cout);
   std::printf(
       "\nrss B/session is ground truth (includes session, transcript and\n"
       "router bookkeeping); accounted B/session is the router's own parked-\n"
-      "resume number — in fiber mode the gap vs the 512 KiB mapped stack is\n"
-      "the cold-stack trim at work.\n");
+      "resume number — the gap vs the 512 KiB mapped stack is the\n"
+      "cold-stack trim at work.\n");
   return 0;
 }

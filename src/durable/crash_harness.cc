@@ -139,8 +139,7 @@ bool SeededCrashController::OnLogWriteFailed() {
 // ---------------------------------------------------------------------------
 // RunCrashDifferential
 
-CrashOutcome RunCrashDifferential(const WorkloadSpec& spec,
-                                  std::optional<ResumeMode> mode) {
+CrashOutcome RunCrashDifferential(const WorkloadSpec& spec) {
   CrashOutcome outcome;
   Fleet fleet = GenerateFleet(spec);
   FleetDriver driver(fleet);
@@ -153,10 +152,6 @@ CrashOutcome RunCrashDifferential(const WorkloadSpec& spec,
       spec.speculative_batching;
   dopts.router.session.learner.universal.speculative_batching =
       spec.speculative_batching;
-  // Every incarnation of the service — initial, crash-recovered, and the
-  // final from-log-alone replay — runs the same resume protocol.
-  dopts.router.resume_mode = mode.value_or(
-      spec.replay_resume ? ResumeMode::kReplay : ResumeMode::kFiber);
   dopts.log.fsync_policy = FsyncPolicy::kEveryAppend;
   dopts.shards = 1 + static_cast<int>(spec.seed % 4);
   const std::string log_dir = "qlog";

@@ -124,12 +124,7 @@ struct CrashOutcome {
 /// machine, runs the synchronous reference, compares fingerprints — then
 /// crashes the *completed* service one last time and checks that a
 /// recovery from the final log reproduces the same fingerprints.
-/// `mode` selects the router's resume protocol for the durable service
-/// (every recovered incarnation included); nullopt derives it from the
-/// spec (`replay_resume` → kReplay, else kFiber), so the crash
-/// differential covers both protocols across the fuzz seeds.
-CrashOutcome RunCrashDifferential(
-    const WorkloadSpec& spec, std::optional<ResumeMode> mode = std::nullopt);
+CrashOutcome RunCrashDifferential(const WorkloadSpec& spec);
 
 }  // namespace qhorn
 

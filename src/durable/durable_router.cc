@@ -46,13 +46,12 @@ DurableRouter::DurableRouter(Fs* fs, std::string log_dir,
     : fs_(fs), log_dir_(std::move(log_dir)), options_(options) {
   QHORN_CHECK(options_.shards >= 1);
   // One router shard per WAL shard (see DurableRouterOptions::shards);
-  // lanes, session options and resume mode come from the wrapped router
-  // options unchanged.
+  // lanes and session options come from the wrapped router options
+  // unchanged.
   ShardedRouter::Options sharded;
   sharded.shards = options_.shards;
   sharded.threads = options_.router.threads;
   sharded.session = options_.router.session;
-  sharded.resume_mode = options_.router.resume_mode;
   router_ = std::make_unique<ShardedRouter>(sharded);
 }
 

@@ -35,17 +35,17 @@ void PendingOracle::SuspendAndAwait(std::vector<TupleSet> questions,
   pending_.questions = std::move(questions);
   has_pending_ = true;
   ++suspensions_;
-  // Both suspension paths leave this thread: the throw unwinds to the job
-  // runner, the yield parks the whole stack until some (possibly other)
-  // thread resumes it. A checked lock held here would either unlock on
-  // the wrong thread or stay "held" forever — catch it before parking
-  // (defense in depth; Fiber::Yield asserts the same).
+  // The yield parks the whole stack until some (possibly other) thread
+  // resumes it. A checked lock held here would stay "held" forever or
+  // unlock on the wrong thread — catch it before parking (defense in
+  // depth; Fiber::Yield asserts the same).
   LockRankChecker::AssertNoneHeld("a suspending session job");
-  if (yield_ == nullptr) throw JobSuspended();
-  // Parked path: switch back to the runner with the stack alive. The
-  // runner either stages this round's answers and resumes, or requests a
-  // cancel — in which case the throw below unwinds the parked stack
-  // through the ordinary suspension machinery.
+  QHORN_CHECK_MSG(yield_ != nullptr,
+                  "a round reached PendingOracle outside a fiber attempt");
+  // Switch back to the runner with the stack alive. The runner either
+  // stages this round's answers and resumes, or requests a cancel — in
+  // which case the throw below unwinds the parked stack through the
+  // ordinary suspension machinery.
   yield_();
   if (cancel_requested_) throw JobSuspended();
   QHORN_CHECK_MSG(answers_staged_ && staged_answers_.size() == count,
@@ -54,8 +54,8 @@ void PendingOracle::SuspendAndAwait(std::vector<TupleSet> questions,
   answers_staged_ = false;
   staged_answers_.clear();
   // The parked round was answered without re-entering the job, so this
-  // backend advances its own round sequence (the unwind path instead gets
-  // a fresh BeginAttempt with the caught-up id).
+  // backend advances its own round sequence (a correction restart instead
+  // gets a fresh BeginAttempt with the caught-up id).
   ++next_round_id_;
 }
 

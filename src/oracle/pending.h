@@ -5,30 +5,17 @@
 // the embedding server uses. PendingOracle models exactly that: any round
 // reaching it is by definition "not answerable synchronously", so it
 // records the round's questions as a PendingRound{session_id, round_id,
-// questions} and suspends the in-flight job. How it suspends depends on
-// how the runner entered the job:
-//
-//   * Unwind (no yield hook installed): throw JobSuspended
-//     (src/util/suspend.h) — the job unwinds off its executor lane at the
-//     round boundary. Re-entry is by replay (ResumeMode::kReplay): once
-//     the answers arrive (SessionRouter::ProvideAnswers) the job log is
-//     re-run from the start, the answered rounds are served by a
-//     ReplayOracle just above this backend, and the first genuinely new
-//     round reaches this backend again. Learners are deterministic functions of the
-//     transcript, so the re-run asks the identical question sequence and
-//     the completing run's observables are bit-identical to a synchronous
-//     session over the same answers.
-//
-//   * Park (yield hook installed — ResumeMode::kFiber): the job runs on a
-//     Fiber (src/util/fiber.h) and the hook switches back to the runner
-//     with the whole call stack kept alive. Once the answers arrive, the
-//     runner stages them (StageResumeAnswers) and resumes the fiber: the
-//     suspended IsAnswerBatch fills its answer span from the staged bits
-//     and simply returns to the learner — no re-run, no replay, O(1)
-//     compute per resume. RequestCancel() makes the *next* resume throw
-//     JobSuspended from the parked wait-site instead, which is how owners
-//     unwind a parked stack they need to abandon (correction, close,
-//     shutdown).
+// questions} and *parks* the in-flight job: the job runs on a Fiber
+// (src/util/fiber.h), and the runner's yield hook switches back to the
+// runner with the whole call stack kept alive. Once the answers arrive
+// (SessionRouter::ProvideAnswers), the runner stages them
+// (StageResumeAnswers) and resumes the fiber: the suspended IsAnswerBatch
+// fills its answer span from the staged bits and simply returns to the
+// learner — no re-run, no replay, O(1) compute per resume.
+// RequestCancel() makes the *next* resume throw JobSuspended
+// (src/util/suspend.h) from the parked wait-site instead, which is how
+// owners unwind a parked stack they need to abandon (correction, close,
+// shutdown).
 //
 // Round ids count *user-boundary* rounds (each suspension is one round);
 // they are the resumption protocol's sequence numbers, distinct from the
@@ -70,10 +57,11 @@ class PendingOracle : public MembershipOracle {
   /// carry. Clears any stale pending round from an abandoned attempt.
   void BeginAttempt(int64_t next_round_id);
 
-  /// Installs (or clears, with nullptr) the park-instead-of-throw hook.
-  /// The hook must switch back to the runner and return only when answers
-  /// have been staged or a cancel was requested. Installed once per fiber
-  /// attempt by the runner; never changed while a round is in flight.
+  /// Installs (or clears, with nullptr) the park hook. The hook must
+  /// switch back to the runner and return only when answers have been
+  /// staged or a cancel was requested. Installed once per fiber attempt by
+  /// the runner, before any round can reach this backend; never changed
+  /// while a round is in flight.
   void InstallYieldHook(std::function<void()> yield);
 
   /// Stages the answers for the parked round before the runner resumes the
@@ -85,13 +73,13 @@ class PendingOracle : public MembershipOracle {
   /// finishes without touching the learner again.
   void RequestCancel() { cancel_requested_ = true; }
 
-  /// Single-question round: suspends (parks or throws) and, on a parked
-  /// resume, returns the staged answer.
+  /// Single-question round: parks and, on resume, returns the staged
+  /// answer.
   bool IsAnswer(const TupleSet& question) override;
 
-  /// Records the round and suspends. An empty round returns immediately
-  /// (no round, no suspension — nothing to ask a user). On a parked
-  /// resume, fills `answers` from the staged bits.
+  /// Records the round and parks. An empty round returns immediately
+  /// (no round, no suspension — nothing to ask a user). On resume, fills
+  /// `answers` from the staged bits.
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
@@ -100,12 +88,13 @@ class PendingOracle : public MembershipOracle {
   /// Harvests the recorded round after a suspension reaches the runner.
   PendingRound TakePending();
 
-  /// Rounds that suspended (a per-session statistic; replayed rounds never
-  /// reach this backend, so each user round counts exactly once).
+  /// Rounds that suspended (a per-session statistic; rounds a correction
+  /// restart replays never reach this backend, so each user round counts
+  /// exactly once).
   int64_t suspensions() const { return suspensions_; }
 
  private:
-  /// Records the round, suspends, and (parked path only) fills `answers`.
+  /// Records the round, parks, and on resume fills `answers`.
   void SuspendAndAwait(std::vector<TupleSet> questions, BitSpan answers);
 
   int64_t session_id_ = 0;

@@ -6,9 +6,9 @@ namespace qhorn {
 
 bool TranscriptOracle::IsAnswer(const TupleSet& question) {
   // The round id is consumed only after the inner oracle answers: a pending
-  // backend suspends the round by throwing, and the unanswered round must
-  // not burn an id or leave an entry (a session awaiting its user shows
-  // only its answered rounds, in either resume mode).
+  // backend unwinds a cancelled round by throwing, and the unanswered round
+  // must not burn an id or leave an entry (a restarted session shows only
+  // its answered rounds).
   bool response = inner_->IsAnswer(question);
   int64_t round = rounds_++;
   entries_.push_back(TranscriptEntry{question, response, round});

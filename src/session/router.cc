@@ -28,16 +28,6 @@ const char* ToString(ProvideOutcome o) {
   return "?";
 }
 
-const char* ToString(ResumeMode m) {
-  switch (m) {
-    case ResumeMode::kFiber:
-      return "fiber";
-    case ResumeMode::kReplay:
-      return "replay";
-  }
-  return "?";
-}
-
 SessionRouter::SessionRouter() : SessionRouter(Options()) {}
 
 SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
@@ -115,13 +105,6 @@ std::vector<TranscriptEntry> SessionRouter::TakeRestartPrefix(
     prefix.resize(index + 1);
     prefix[index].response = !prefix[index].response;
   }
-  // kReplay's answered round (ReplayOracle reads question and response).
-  for (size_t i = 0; i < state->staged_questions.size(); ++i) {
-    prefix.push_back(TranscriptEntry{std::move(state->staged_questions[i]),
-                                     state->staged_answers[i], 0});
-  }
-  state->staged_questions.clear();
-  state->staged_answers.clear();
   return prefix;
 }
 
@@ -205,107 +188,12 @@ bool SessionRouter::SubmitInternal(SessionId id, Job job, JobKind kind) {
 }
 
 void SessionRouter::RunPendingSession(SessionState* state) {
-  if (options_.resume_mode == ResumeMode::kFiber) {
-    RunPendingSessionFiber(state);
-    return;
-  }
-  // The kReplay attempt loop. One iteration = one *attempt*: rebuild the
-  // pipeline with every answered round replayed at the user boundary and
-  // re-run the job log from job 0. Fresh decorators re-record everything,
-  // so the attempt that finally completes a job leaves observables
-  // bit-identical to a synchronous run. O(prefix) per attempt — the
-  // quadratic path, kept as the differential oracle. The attempt ends by
-  // completing the log or suspending on the first unanswered round.
-  for (;;) {
-    int64_t next_round = 0;
-    {
-      MutexLock lock(&mutex_);
-      if (state->jobs_completed >= state->job_log.size()) {
-        state->running = false;
-        return;
-      }
-      next_round = state->answered_rounds;
-    }
-    // Rebuilding moves the session's log, O(session lifetime), so it
-    // happens outside the router-wide mutex. Safe unlocked: the staged
-    // round and the correction only change in ProvideAnswers/CorrectAnswer,
-    // which require awaiting == true, and this runner owns the session
-    // (awaiting stays false) until it suspends — the lock above orders
-    // this read after the resume's writes.
-    state->session->ResetWithUserReplay(TakeRestartPrefix(state));
-    state->backend.BeginAttempt(next_round);
-    bool suspended = false;
-    try {
-      for (size_t i = 0;; ++i) {
-        JobRecord job;
-        {
-          MutexLock lock(&mutex_);
-          if (i >= state->job_log.size()) break;
-          job = state->job_log[i];  // copy: re-runs reuse the log
-        }
-        job.fn(*state->session);
-        bool idle = false;
-        bool finished = false;
-        {
-          MutexLock lock(&mutex_);
-          // Jobs below jobs_completed are replays of already-counted
-          // completions; only the frontier job completes for the first
-          // time here.
-          if (i == state->jobs_completed) {
-            ++state->jobs_completed;
-            CompleteJob(job.kind);
-            // Release ownership in the same critical section that lets
-            // Drain return, so a drained router reports the session idle.
-            if (state->jobs_completed >= state->job_log.size()) {
-              state->running = false;
-              finished = true;
-            }
-            idle = --runnable_jobs_ == 0;
-          }
-        }
-        if (idle) idle_cv_.NotifyAll();
-        if (finished) return;
-      }
-    } catch (const JobSuspended&) {
-      suspended = true;
-    }
-    if (suspended) {
-      bool idle = false;
-      {
-        MutexLock lock(&mutex_);
-        ++state->suspensions;
-        ++suspensions_;
-        // Everything this session still owes can no longer progress
-        // without the user; Drain must not wait for it.
-        runnable_jobs_ -= static_cast<int64_t>(state->job_log.size() -
-                                               state->jobs_completed);
-        idle = runnable_jobs_ == 0;
-        if (state->closed) {
-          // Closed mid-run: abandon the round; the session never resumes.
-          (void)state->backend.TakePending();
-        } else {
-          state->pending_round = state->backend.TakePending();
-          state->awaiting = true;
-          // Published in the same critical section as runnable_jobs_'s
-          // decrement, so Drain-then-poll observes every parked round.
-          AnnounceRound(state);
-        }
-        state->running = false;
-      }
-      if (idle) idle_cv_.NotifyAll();
-      return;  // ← the lane is free while the user thinks
-    }
-  }
-}
-
-void SessionRouter::RunPendingSessionFiber(SessionState* state) {
-  // The kFiber attempt loop. The job log runs inside a Fiber whose
-  // suspension hook *parks* (switches back here) instead of throwing, so a
-  // resume re-enters the exact frame that asked the question — no rebuild,
-  // no replay, no re-walk. The body only fetches jobs and runs them; every
-  // piece of completion bookkeeping happens on this (host) side of the
-  // switch, after Resume() returns, so counters and the running flag
-  // change under the same locking discipline as the replay runner.
+  // The attempt loop. The job log runs inside a Fiber whose suspension
+  // hook *parks* (switches back here), so a resume re-enters the exact
+  // frame that asked the question — no rebuild, no replay, no re-walk. The
+  // body only fetches jobs and runs them; every piece of completion
+  // bookkeeping happens on this (host) side of the switch, after Resume()
+  // returns, under mutex_.
   for (;;) {
     bool resume_parked = false;
     bool cancel_parked = false;
@@ -435,7 +323,9 @@ void SessionRouter::RunPendingSessionFiber(SessionState* state) {
         state->pending_round = state->backend.TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
-        AnnounceRound(state);  // see the replay runner
+        // Published in the same critical section as runnable_jobs_'s
+        // decrement, so Drain-then-poll observes every parked round.
+        AnnounceRound(state);
       }
       state->pipeline_live = false;
       state->running = false;
@@ -550,15 +440,11 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
       }
     }
     // Accepted: stage the answered round for the runner and make the
-    // session runnable again. Under kFiber the runner hands the bits to the
-    // parked wait-site, and the parked cache logs them with its questions;
-    // under kReplay the runner replays the session's log plus this round.
+    // session runnable again. The runner hands the bits to the parked
+    // wait-site, and the parked cache logs them with its questions.
     state->staged_answers.assign(answers.size(), false);
     for (size_t i = 0; i < answers.size(); ++i) {
       state->staged_answers[i] = answers.Get(i);
-    }
-    if (options_.resume_mode == ResumeMode::kReplay) {
-      state->staged_questions = std::move(round.questions);
     }
     state->answered_questions += answers.size();
     ++state->answered_rounds;
@@ -587,18 +473,17 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
     // Record the correction; the runner applies it to the session's log
-    // (TakeRestartPrefix) once it owns the session — and, under kFiber,
-    // once it has unwound the parked stack, whose cache still holds the
-    // in-flight round.
+    // (TakeRestartPrefix) once it owns the session and has unwound the
+    // parked stack, whose cache still holds the in-flight round.
     state->correction = entry_index;
     state->answered_questions = entry_index + 1;
     // The parked stack and job cursor describe a run over the old
-    // answers; restart the whole job log through the ordinary resume path
-    // (a full-prefix replay attempt, whatever the resume mode). The
-    // abandoned round's id is retired — answered_rounds advances past it —
-    // so the restarted session's next round gets a fresh id and a stale
-    // ProvideAnswers against the abandoned round reports kStaleRound,
-    // never folds old answers into the new question stream.
+    // answers; restart the whole job log on a fresh fiber (a full-prefix
+    // replay attempt). The abandoned round's id is retired —
+    // answered_rounds advances past it — so the restarted session's next
+    // round gets a fresh id and a stale ProvideAnswers against the
+    // abandoned round reports kStaleRound, never folds old answers into
+    // the new question stream.
     ++state->answered_rounds;
     state->pipeline_live = false;
     state->jobs_completed = 0;

@@ -17,42 +17,28 @@
 //
 // Every session is a pending session: a user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
-// lane. Each session runs over a PendingOracle backend: the first round
-// that needs the user records a PendingRound and takes the job off its
-// lane (parking its fiber, or unwinding it with
-// JobSuspended, src/util/suspend.h) — the lane is released the moment
-// control is back in the runner, so 256 sessions all blocked on users
-// occupy zero threads. The embedding server polls PendingRounds() for the
-// rounds announced since its last poll, collects the user's labels, and
-// calls ProvideAnswers(id, round_id, answers); the router then resumes the
-// session's jobs. How it resumes is the ResumeMode:
+// lane. Each session's jobs run on a Fiber (src/util/fiber.h) over a
+// PendingOracle backend: the first round that needs the user records a
+// PendingRound and *parks* the fiber — the whole call stack stays alive
+// on its own mmap'd stack and the lane is released by a context switch,
+// so 256 sessions all blocked on users occupy zero threads. The embedding
+// server polls PendingRounds() for the rounds announced since its last
+// poll, collects the user's labels, and calls
+// ProvideAnswers(id, round_id, answers); the router stages the answered
+// round's bits and switches back into the exact frame that asked: O(1)
+// compute per resume, O(rounds) per session, nothing re-run and nothing
+// replayed. The memory traded for that compute is the parked stack
+// (reported as the session's snapshot_bytes while it awaits). The parked
+// cache writes the staged bits into its log when the frame returns.
 //
-//   * kFiber (default): the job runs on a Fiber (src/util/fiber.h) and a
-//     suspension *parks* instead of unwinding — the whole call stack stays
-//     alive on its own mmap'd stack and the lane is released by a context
-//     switch. A resume stages the answered round's bits and switches back
-//     into the exact frame that asked: O(1) compute per resume, O(rounds)
-//     per session, nothing re-run and nothing replayed. The memory traded
-//     for that compute is the parked stack (reported as the session's
-//     snapshot_bytes while it awaits). ProvideAnswers only stages the
-//     bits; the parked cache writes them into its log when the frame
-//     returns. A correction cannot resume a parked stack built over the
-//     old answer, so the runner unwinds the stack (cancel + one last
-//     resume), takes the session's log, truncates it at the corrected
-//     entry, flips that answer and restarts through the full-prefix replay
-//     attempt below.
-//   * kReplay: the full-prefix protocol — rebuild fresh decorators,
-//     replay *every* answered round at the user boundary and re-run the
-//     job log from the start, O(prefix) per resume and O(rounds²) per
-//     session. ProvideAnswers moves the answered round into the session
-//     state; the runner takes the session's log and replays it plus that
-//     round. Kept as the differential oracle: both modes are bit-identical
-//     in every observable (the continuation, workload fuzz and durable
-//     crash suites assert fingerprint equality across modes), and as the
-//     resume path that needs no parked stack.
-//
-// Learners are deterministic functions of the transcript, so either resume
-// reaches the next live round without asking anything twice.
+// A correction cannot resume a parked stack built over the old answer, so
+// the runner unwinds it (cancel + one last resume, which throws
+// JobSuspended from the parked wait-site, src/util/suspend.h), takes the
+// session's log, truncates it at the corrected entry, flips that answer
+// and starts a fresh fiber over a pipeline rebuilt with that prefix
+// replayed at the user boundary. Learners are deterministic functions of
+// the transcript, so the restart reaches the next live round without
+// asking anything twice.
 //
 // Determinism contract (unchanged by continuations): a session's
 // observable history depends only on its own job sequence and answer
@@ -101,28 +87,24 @@ struct ServiceStats {
   int64_t cache_hits = 0;      ///< per-session question-cache hits
   int64_t suspensions = 0;     ///< pending rounds that yielded a lane
   int64_t awaiting_sessions = 0;  ///< sessions currently blocked on a user
-  /// Questions served by user-boundary replay stages across all resume
-  /// attempts. Fiber resume replays nothing (answers feed the parked
-  /// frame directly; only a correction restart replays); full-prefix
-  /// replay resume re-serves the whole prefix per resume (quadratic). The
-  /// resume-depth stress test gates on this split.
+  /// Questions served by user-boundary replay stages. A resume replays
+  /// nothing (the answers feed the parked frame directly); only a
+  /// correction restart re-serves its surviving prefix. The resume-depth
+  /// stress test gates on this.
   int64_t replayed_questions = 0;
-  /// Parked-stack bytes across sessions currently awaiting a user under
-  /// fiber resume — the memory it trades for the replay compute: each
-  /// stack's resident-able size after the cold-stack trim. Replay resume
-  /// parks nothing and reports 0.
+  /// Parked-stack bytes across sessions currently awaiting a user — the
+  /// memory a parked resume trades for replay compute: each stack's
+  /// resident-able size after the cold-stack trim.
   int64_t snapshot_bytes = 0;
   int64_t corrections = 0;  ///< CorrectAnswer calls accepted
 };
 
-/// How a suspended pending session resumes after ProvideAnswers. See the
-/// file comment.
+/// The one resume protocol (see the file comment). Read by nothing; kept
+/// only because the frozen end-to-end benchmark assigns
+/// SessionRouter::Options::resume_mode, and goes with that field.
 enum class ResumeMode {
-  kFiber,   ///< park the live call stack; O(1) switch back per resume
-  kReplay,  ///< rebuild from scratch; replay the full answered prefix
+  kFiber,  ///< park the live call stack; O(1) switch back per resume
 };
-
-const char* ToString(ResumeMode m);
 
 /// Where a session is in its lifecycle, as seen between router calls.
 enum class SessionStatus {
@@ -150,11 +132,9 @@ class SessionRouter {
  public:
   using SessionId = int64_t;
   /// A unit of session work, run on an executor lane with exclusive
-  /// access to the session. A job may be run *multiple times* (under
-  /// kReplay each resume re-runs the job sequence from the start; under
-  /// either mode a CorrectAnswer restarts it from job 0), so raw Submit
-  /// jobs must be idempotent in their external effects; the typed
-  /// submits are.
+  /// access to the session. A job may be run *multiple times* (a
+  /// CorrectAnswer restarts the job log from job 0), so raw Submit jobs
+  /// must be idempotent in their external effects; the typed submits are.
   using Job = std::function<void(QuerySession&)>;
 
   struct Options {
@@ -164,7 +144,9 @@ class SessionRouter {
     /// the differential baseline. Ignored when `executor` is set.
     int threads = 0;
     QuerySession::Options session;
-    /// Resume protocol for pending sessions.
+    /// Unread: fiber resume is the only protocol. Kept only because the
+    /// frozen end-to-end benchmark (bench_e2e/e2e_bench.cc) assigns it;
+    /// the next change to that benchmark drops this field and ResumeMode.
     ResumeMode resume_mode = ResumeMode::kFiber;
     /// Borrowed executor (how ShardedRouter shares one pool across its
     /// shards). Non-null: the router posts to it instead of owning a pool,
@@ -236,9 +218,9 @@ class SessionRouter {
   /// be the id carried by the session's current PendingRound and
   /// `answers.size()` must equal its question count; anything else is
   /// rejected without touching the session (the transcript cannot be
-  /// corrupted by a stale or malformed reply). On kResumed the session
-  /// resumes under the router's ResumeMode; answers are consumed by value,
-  /// so the caller's storage is free immediately.
+  /// corrupted by a stale or malformed reply). On kResumed the session's
+  /// parked fiber resumes with the answers; they are copied, so the
+  /// caller's storage is free immediately.
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers);
 
@@ -279,13 +261,10 @@ class SessionRouter {
   /// This supersedes the old blanket refusal of mid-suspension corrections
   /// (QuerySession::CorrectAndRelearn still refuses in continuation mode —
   /// it relearns synchronously inside the call, which a pending backend
-  /// would immediately suspend out of). Works in both resume modes; the
-  /// restart attempt is a full-prefix replay even under kFiber (the
-  /// parked stack was built over the old answer and is unwound first).
+  /// would immediately suspend out of). The restart is a full-prefix
+  /// replay on a fresh fiber: the parked stack was built over the old
+  /// answer and is unwound first.
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
-
-  /// The resume protocol this router runs.
-  ResumeMode resume_mode() const { return options_.resume_mode; }
 
   /// The round the session is blocked on, if any — nullopt for unknown,
   /// closed, or not-awaiting sessions. A copy, so the recovery replay can
@@ -351,7 +330,7 @@ class SessionRouter {
   // Locking protocol: the map shape, job log, counters, the
   // awaiting/running/closed flags and the announcement slot are guarded by
   // the router's mutex_.
-  // The resume-state fields (staged_*, correction, fiber*)
+  // The resume-state fields (staged_answers, correction, fiber*)
   // follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
   // without the lock — a protocol thread-safety analysis cannot express
@@ -364,8 +343,8 @@ class SessionRouter {
     // Declared before the session, whose pipeline points at it.
     PendingOracle backend;
     std::unique_ptr<QuerySession> session;
-    // The full job log (resumes re-run it from the start) plus the
-    // completed count.
+    // The full job log (a correction restart re-runs it from the start)
+    // plus the completed count.
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
     // The answered user-boundary questions live once, in the session's
@@ -375,19 +354,17 @@ class SessionRouter {
     size_t answered_questions = 0;
     int64_t answered_rounds = 0;
     std::optional<PendingRound> pending_round;  // set while awaiting
-    // The answered round, from ProvideAnswers to the resuming runner: its
-    // bits (both modes) and, under kReplay, its questions, which the
-    // runner appends to the replayed log. (Under kFiber the parked cache
-    // still holds the questions; it logs them with the bits on resume.)
+    // The answered round's bits, from ProvideAnswers to the resuming
+    // runner. (The parked cache still holds the questions; it logs them
+    // with the bits on resume.)
     std::vector<bool> staged_answers;
-    std::vector<TupleSet> staged_questions;
     // Set by CorrectAnswer: the runner restarts from the log truncated
     // after this entry, with the entry's answer flipped.
     std::optional<size_t> correction;
-    // Fiber-resume state (kFiber). `pipeline_live` records that the last
-    // attempt exited by *completing* the job log, so the session's live
-    // pipeline is current and jobs submitted later run directly on it —
-    // no rebuild, no replay. `snapshot_bytes` is the parked stack's
+    // Fiber state. `pipeline_live` records that the last attempt exited
+    // by *completing* the job log, so the session's live pipeline is
+    // current and jobs submitted later run directly on it — no rebuild,
+    // no replay. `snapshot_bytes` is the parked stack's
     // resident-able size while awaiting (ServiceStats.snapshot_bytes).
     // `fiber` is the parked continuation — the suspended job's live call
     // stack; a pending `correction` makes the runner unwind it (cancel +
@@ -418,16 +395,11 @@ class SessionRouter {
   /// commit unconditionally (FunctionRef itself is non-nullable).
   ProvideOutcome ProvideAnswersInternal(SessionId id, int64_t round_id,
                                         BitSpan answers, CommitHook* commit);
-  /// Executor task: the kReplay attempt loop for a session —
-  /// rebuild the pipeline with the answered prefix replayed, re-run the
-  /// job log from job 0, and either finish (log complete) or catch the
-  /// suspension, publish the pending round and release the lane.
-  /// Dispatches to the fiber runner under ResumeMode::kFiber.
+  /// Executor task: resumes the session's parked continuation (or starts
+  /// a fresh attempt on a new fiber), then either publishes the round it
+  /// parked on and releases the lane, or folds the completed jobs into
+  /// the service counters.
   void RunPendingSession(SessionState* state);
-  /// The kFiber runner: resumes the parked continuation (or starts a fresh
-  /// attempt on a new fiber), then either publishes the round it parked on
-  /// or folds the completed jobs into the service counters.
-  void RunPendingSessionFiber(SessionState* state);
   /// Cancels and unwinds a parked fiber (correction restart, closed
   /// session teardown): the parked wait-site throws, the stack unwinds to
   /// the fiber body's boundary, and the fiber is destroyed. Must be
@@ -439,8 +411,7 @@ class SessionRouter {
   /// runnable count Close took for it.
   void UnwindClosedSession(SessionState* state);
   /// The restart prefix of a fresh attempt: the session's user
-  /// transcript, moved out, with what came since the last attempt applied
-  /// — a pending correction, or kReplay's answered round.
+  /// transcript, moved out, with a pending correction applied.
   std::vector<TranscriptEntry> TakeRestartPrefix(SessionState* state);
   /// Bumps jobs_done_ and the per-kind counter.
   void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);

@@ -121,11 +121,10 @@ class QuerySession {
   void ResetWithUserReplay(std::vector<TranscriptEntry> user_prefix);
 
   /// Cumulative questions served by user-boundary replay stages across
-  /// every resume attempt of this session's lifetime. Under fiber resume
-  /// nothing is replayed (only a correction restart re-serves its
-  /// prefix); under full-prefix replay resume the whole answered prefix is
-  /// replayed per resume (O(rounds²) total). The resume-depth stress test
-  /// asserts exactly this split.
+  /// every ResetWithUserReplay of this session's lifetime. A router
+  /// session replays only on a correction restart (a parked resume
+  /// re-serves nothing); the resume-depth stress test asserts exactly
+  /// that.
   int64_t user_questions_replayed() const {
     return user_replayed_total_ + (user_replay_ ? user_replay_->replayed() : 0);
   }

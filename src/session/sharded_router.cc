@@ -18,7 +18,6 @@ ShardedRouter::ShardedRouter(Options options) {
   for (int i = 0; i < options.shards; ++i) {
     SessionRouter::Options shard;
     shard.session = options.session;
-    shard.resume_mode = options.resume_mode;
     shard.executor = executor_.get();
     shards_.push_back(std::make_unique<SessionRouter>(std::move(shard)));
   }

@@ -66,17 +66,14 @@ class ShardedRouter {
 
   struct Options {
     /// Router shards. 1 is the differential baseline (bit-identical to a
-    /// bare SessionRouter, identity id encoding); production wants a
-    /// small multiple of the lane count.
+    /// bare SessionRouter); production wants a small multiple of the lane
+    /// count.
     int shards = 4;
     /// TOTAL concurrent session lanes across all shards; ≤ 0 means
     /// Executor::DefaultConcurrency() (honours QHORN_THREADS). 1 degrades
     /// to synchronous in-caller execution — the differential baseline.
     int threads = 0;
     QuerySession::Options session;
-    /// Resume protocol, shared by every shard (see
-    /// SessionRouter::Options::resume_mode).
-    ResumeMode resume_mode = ResumeMode::kFiber;
   };
 
   ShardedRouter() : ShardedRouter(Options()) {}
@@ -137,7 +134,6 @@ class ShardedRouter {
   /// like SessionRouter::stats().
   ServiceStats stats();
 
-  ResumeMode resume_mode() const { return shards_.front()->resume_mode(); }
   int shards() const { return static_cast<int>(shards_.size()); }
   int ShardOf(SessionId id) const {
     return static_cast<int>(id % static_cast<SessionId>(shards_.size()));

@@ -1,14 +1,13 @@
 // Fiber — a stackful continuation for parked session jobs.
 //
 // The pending-round protocol suspends a job at a user-boundary round and
-// resumes it when the answers arrive. Unwind-based suspension (JobSuspended
-// + replay, src/util/suspend.h) keeps learners untouched but makes every
-// resume re-execute the suspended job's question prefix: O(prefix) compute
-// per resume, O(rounds²) per session even when the replayed questions are
-// all cache hits. A fiber removes the re-execution entirely: the suspended
-// job's call stack stays alive on its own mmap'd stack, and a resume is one
-// context switch back into the exact frame that asked the question —
-// O(1) compute per resume, O(rounds) per session.
+// resumes it when the answers arrive. On a fiber the suspended job's call
+// stack stays alive on its own mmap'd stack, and a resume is one context
+// switch back into the exact frame that asked the question — O(1) compute
+// per resume, O(rounds) per session, with learners left untouched. (The
+// alternative, unwinding at the round and re-running the job over the
+// answered prefix replayed, costs O(prefix) per resume and O(rounds²) per
+// session.)
 //
 // This is the minimal fiber for that one job: cooperatively scheduled,
 // one-shot (runs its body to completion once), switched only by its owner

@@ -3,9 +3,8 @@
 // Clang thread-safety analysis (src/util/thread_annotations.h) proves
 // *which* lock guards each field; it cannot prove locks are acquired in a
 // deadlock-free *order*. That is the rank checker's job: every
-// qhorn::Mutex / qhorn::SharedMutex is constructed with a name and a rank
-// from this enum, and in debug/sanitizer builds a thread-local held-lock
-// stack CHECK-fails on any same-or-lower-rank acquisition
+// qhorn::Mutex is constructed with a name and a rank from this enum, and
+// in debug/sanitizer builds a thread-local held-lock stack CHECK-fails on any same-or-lower-rank acquisition
 // (src/util/checked_mutex.h). The rule is strict: a thread may only
 // acquire a lock of strictly greater rank than every lock it already
 // holds.

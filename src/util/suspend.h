@@ -1,23 +1,20 @@
-// The suspension signal for continuation-style session jobs.
+// The cancel-unwind signal for parked session jobs.
 //
 // The paper's protocol is interactive: each oracle round may be a real
-// user answering membership questions with seconds-to-minutes latency. A
-// job that blocks a thread for that long pins an executor lane per open
-// session — the opposite of thousands of sessions sharing a small pool.
-// Instead, an oracle backend that cannot answer a round synchronously
+// user answering membership questions with seconds-to-minutes latency, so
+// an oracle backend that cannot answer a round synchronously
 // (PendingOracle, src/oracle/pending.h) records the round's questions and
-// either parks the job's fiber (the default fiber resume) or throws
-// JobSuspended. A throw unwinds the in-flight job off its lane at the
-// round boundary, the lane is free the moment the unwind reaches the job
-// runner, and the session re-enters later by re-running the job with the
-// answered prefix replayed (ReplayOracle) — continuations by replay, so
-// learners need no restructuring. A parked fiber that must be abandoned
-// (correction, close, shutdown) is unwound by the same throw.
+// parks the job's fiber (src/util/fiber.h) until the answers arrive. A
+// parked fiber that must be abandoned instead (correction, close,
+// shutdown) is resumed once more with a cancel requested: the parked
+// wait-site throws JobSuspended, which unwinds the job's frames through
+// the ordinary exception machinery — the oracle decorators roll back the
+// abandoned round on the way — up to the fiber body's boundary.
 //
 // JobSuspended is a control-flow signal, not an error: it deliberately
 // does not derive from std::exception so generic catch (const
 // std::exception&) handlers cannot swallow it. It must be caught at the
-// job boundary (SessionRouter's runner). The Executor treats a suspension
+// job boundary (SessionRouter's fiber body). The Executor treats a suspension
 // escaping onto one of its lanes as a programming error and aborts with a
 // diagnostic — a lost suspension would silently leak the session.
 
@@ -26,9 +23,8 @@
 
 namespace qhorn {
 
-/// Thrown by a pending-capable oracle backend to unwind the current job at
-/// a round boundary. Carries no payload: the suspending backend retains
-/// the pending round; the catcher harvests it from there.
+/// Thrown by a cancelled parked wait-site (PendingOracle) to unwind the
+/// job at its round boundary. Carries no payload.
 struct JobSuspended {};
 
 }  // namespace qhorn

@@ -300,13 +300,9 @@ FleetResult FleetDriver::RunHostile(ServiceEndpoint& endpoint,
   return result;
 }
 
-FleetResult FleetDriver::RunPending(int lanes_override,
-                                    std::optional<ResumeMode> mode,
-                                    int shards_override) {
+FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
   const int threads =
       lanes_override > 0 ? lanes_override : fleet_.spec.lanes;
-  const ResumeMode resume = mode.value_or(
-      fleet_.spec.replay_resume ? ResumeMode::kReplay : ResumeMode::kFiber);
   QuerySession::Options sopts;
   sopts.learner.existential.speculative_batching =
       fleet_.spec.speculative_batching;
@@ -319,7 +315,6 @@ FleetResult FleetDriver::RunPending(int lanes_override,
     SessionRouter::Options ropts;
     ropts.threads = threads;
     ropts.session = sopts;
-    ropts.resume_mode = resume;
     SessionRouter router(ropts);
     RouterEndpoint endpoint(&router);
     return RunHostile(endpoint);
@@ -328,7 +323,6 @@ FleetResult FleetDriver::RunPending(int lanes_override,
   ropts.shards = shards;
   ropts.threads = threads;
   ropts.session = sopts;
-  ropts.resume_mode = resume;
   ShardedRouter router(ropts);
   ShardedRouterEndpoint endpoint(&router);
   return RunHostile(endpoint);

@@ -157,16 +157,11 @@ class FleetDriver {
 
   /// RunHostile over a fleet-owned in-memory router on
   /// `fleet.spec.lanes` lanes (overridable for the benchmarks' lane
-  /// sweeps; <= 0 uses the spec). `mode` picks the resume protocol;
-  /// nullopt derives it from the spec (`replay_resume` → kReplay,
-  /// otherwise kFiber) so a fuzz seed pins the protocol too.
-  /// `shards_override` picks the router shard count (<= 0 uses the
+  /// sweeps; <= 0 uses the spec). `shards_override` picks the router shard count (<= 0 uses the
   /// spec's `router_shards`); 1 runs the classic bare SessionRouter,
   /// anything higher runs the ShardedRouter facade — observables must
   /// not notice, which is exactly what the sharded differentials pin.
-  FleetResult RunPending(int lanes_override = 0,
-                         std::optional<ResumeMode> mode = std::nullopt,
-                         int shards_override = 0);
+  FleetResult RunPending(int lanes_override = 0, int shards_override = 0);
 
   /// Reference arm: each session as a bare QuerySession, in fleet order.
   /// `stats` folds sessions, jobs, learns, verifies, revisions, questions,

@@ -140,7 +140,7 @@ WorkloadSpec WorkloadSpec::FromSeed(uint64_t seed) {
   // PR 8 knobs, drawn last so every earlier field (and hence every fleet
   // generated from the same seed before these existed) is unchanged.
   spec.speculative_batching = rng.Chance(0.5);
-  spec.replay_resume = rng.Chance(0.25);
+  (void)rng.Chance(0.25);  // retired resume-mode draw: later draws stay put
   // PR 9 knob, drawn after the PR 8 pair for the same stability reason.
   spec.router_shards = 1 << static_cast<int>(rng.Range(0, 3));
   return spec;

@@ -113,15 +113,9 @@ struct WorkloadSpec {
   /// walk's speculative extraction sweep and cross-head bodyless round
   /// (RpUniversalOptions::speculative_batching).
   bool speculative_batching = false;
-  /// Drive the concurrent arm's router in full-prefix replay resume mode
-  /// instead of the default fiber mode (the fuzz sweep draws this so both
-  /// resume protocols see hostile traffic; the differential tests also pin
-  /// each protocol explicitly on fixed seeds).
-  bool replay_resume = false;
-
   /// Router shards the hostile arm runs behind (PR 9): 1 is the classic
   /// bare SessionRouter, anything higher drives the ShardedRouter facade.
-  /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises the id encoding
+  /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises shard placement
   /// and per-shard announcement queues on every seed mix; observables
   /// must not depend on it (that is the differential).
   int router_shards = 1;

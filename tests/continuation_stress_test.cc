@@ -18,6 +18,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <set>
 #include <string>
 #include <thread>
@@ -299,10 +300,10 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
   // sessions on 4 lanes, every answered round a separate suspension: under
   // fiber resume the answers feed the parked frame directly, so *nothing*
   // crosses the user-boundary replay stage over a session's whole
-  // lifetime — replayed == 0, per session, however deep it goes. The
-  // full-prefix protocol re-serves the whole prefix on every resume; a
-  // small replay-mode control group certifies the quadratic blowup is real
-  // (so this test would actually catch a silent fallback to it).
+  // lifetime — replayed == 0, per session, however deep it goes. A
+  // control session that corrects an answer certifies the counter really
+  // moves when a pipeline is rebuilt over a replayed prefix (so this test
+  // would actually catch a silent fallback to replaying resumes).
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 8;
@@ -319,27 +320,14 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
     targets.push_back(RandomRolePreserving(n, rng, qopts));
   }
 
-  // Drives `count` pending learn sessions to completion, answering every
-  // pending round each sweep, and returns {answered questions, replayed
-  // questions, suspensions} summed per session.
-  struct DepthResult {
-    std::vector<int64_t> answered;
-    std::vector<int64_t> replayed;
-    std::vector<int64_t> suspensions;
-  };
-  auto run_fleet = [&](int count, ResumeMode mode) {
+  {
     SessionRouter::Options opts;
     opts.threads = kLanes;
-    opts.resume_mode = mode;
     SessionRouter router(opts);
     std::vector<std::unique_ptr<QueryOracle>> truths;
     std::vector<SessionRouter::SessionId> ids;
     std::map<SessionRouter::SessionId, size_t> index_of;
-    DepthResult result;
-    result.answered.assign(static_cast<size_t>(count), 0);
-    result.replayed.assign(static_cast<size_t>(count), 0);
-    result.suspensions.assign(static_cast<size_t>(count), 0);
-    for (int s = 0; s < count; ++s) {
+    for (int s = 0; s < kSessions; ++s) {
       truths.push_back(
           std::make_unique<QueryOracle>(targets[static_cast<size_t>(s)]));
       SessionRouter::SessionId id = router.OpenPending(n);
@@ -356,53 +344,67 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
         BitVec bits;
         BitSpan span = bits.Prepare(round.questions.size());
         truths[idx]->IsAnswerBatch(round.questions, span);
-        result.answered[idx] += static_cast<int64_t>(round.questions.size());
         EXPECT_EQ(router.ProvideAnswers(round.session_id, round.round_id, span),
                   ProvideOutcome::kResumed);
       }
     }
-    for (int s = 0; s < count; ++s) {
+    int64_t total_suspensions = 0;
+    for (int s = 0; s < kSessions; ++s) {
       size_t idx = static_cast<size_t>(s);
-      result.replayed[idx] =
-          router.session(ids[idx]).user_questions_replayed();
-      result.suspensions[idx] = router.suspensions(ids[idx]);
       EXPECT_EQ(router.status(ids[idx]), SessionStatus::kIdle);
       EXPECT_TRUE(Equivalent(*router.session(ids[idx]).current_query(),
                              targets[idx]));
+      ASSERT_EQ(router.session(ids[idx]).user_questions_replayed(), 0)
+          << "session " << s << " replayed questions despite a parked stack";
+      const int64_t suspensions = router.suspensions(ids[idx]);
+      EXPECT_GE(suspensions, 8)
+          << "session " << s << " must suspend per user round, many times";
+      total_suspensions += suspensions;
     }
-    return result;
-  };
-
-  DepthResult fiber = run_fleet(kSessions, ResumeMode::kFiber);
-  int64_t total_suspensions = 0;
-  for (int s = 0; s < kSessions; ++s) {
-    size_t idx = static_cast<size_t>(s);
-    ASSERT_EQ(fiber.replayed[idx], 0)
-        << "session " << s << " replayed questions despite a parked stack";
-    EXPECT_GE(fiber.suspensions[idx], 8)
-        << "session " << s << " must suspend per user round, many times";
-    total_suspensions += fiber.suspensions[idx];
+    // Deep sessions on average: the fleet's resume depth is what makes the
+    // zero-replay bound interesting (≥ 64 rounds mean, so a quadratic
+    // replaying resume would replay ≥ ~32× what the user answered).
+    EXPECT_GE(total_suspensions, 64 * kSessions);
   }
-  // Deep sessions on average: the fleet's resume depth is what makes the
-  // zero-replay bound interesting (≥ 64 rounds mean, so the quadratic
-  // protocol would replay ≥ ~32× what the user answered).
-  EXPECT_GE(total_suspensions, 64 * kSessions);
 
-  // Control group: the same first sessions under the full-prefix protocol
-  // ask the user the identical questions in the identical rounds, but
-  // really do replay quadratically (identical observables — the
-  // differential suites pin that — but a prefix re-serve per resume).
-  constexpr int kControlSessions = 8;
-  DepthResult replay = run_fleet(kControlSessions, ResumeMode::kReplay);
-  for (int s = 0; s < kControlSessions; ++s) {
-    size_t idx = static_cast<size_t>(s);
-    EXPECT_EQ(replay.answered[idx], fiber.answered[idx])
-        << "both modes must ask the user the exact same questions";
-    EXPECT_EQ(replay.suspensions[idx], fiber.suspensions[idx])
-        << "both modes must suspend on the exact same rounds";
-    EXPECT_GE(replay.replayed[idx], 5 * replay.answered[idx])
-        << "full-prefix resume should dwarf what was answered at this depth";
+  // Control: a correction restart is the one path that still replays —
+  // the runner rebuilds the pipeline with the corrected prefix served at
+  // the user boundary — so a session that answers its first round with a
+  // lie and then corrects it must report replayed questions, through the
+  // same counter the gate above reads.
+  SessionRouter::Options opts;
+  opts.threads = kLanes;
+  SessionRouter router(opts);
+  QueryOracle truth(targets[0]);
+  SessionRouter::SessionId id = router.OpenPending(n);
+  ASSERT_TRUE(router.SubmitLearn(id));
+  router.Drain();
+  std::optional<PendingRound> round0 = router.pending_round(id);
+  ASSERT_TRUE(round0.has_value());
+  BitVec bits;
+  BitSpan span = bits.Prepare(round0->questions.size());
+  truth.IsAnswerBatch(round0->questions, span);
+  const size_t last = round0->questions.size() - 1;
+  span.Set(last, !span.Get(last));
+  ASSERT_EQ(router.ProvideAnswers(id, round0->round_id, span),
+            ProvideOutcome::kResumed);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  ASSERT_EQ(router.CorrectAnswer(id, last), ProvideOutcome::kResumed);
+  for (;;) {
+    router.Drain();
+    std::optional<PendingRound> round = router.pending_round(id);
+    if (!round.has_value()) break;
+    span = bits.Prepare(round->questions.size());
+    truth.IsAnswerBatch(round->questions, span);
+    ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
+              ProvideOutcome::kResumed);
   }
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  EXPECT_TRUE(Equivalent(*router.session(id).current_query(), targets[0]));
+  EXPECT_GT(router.session(id).user_questions_replayed(), 0)
+      << "a correction restart replayed nothing: the zero-replay gate "
+         "above could not fail";
 }
 
 }  // namespace

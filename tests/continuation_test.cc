@@ -1,14 +1,14 @@
 // Pending-round session continuations: the PendingOracle backend, the
 // router's kIdle/kRunning/kAwaitingUser state machine, the
 // PendingRounds()/ProvideAnswers embedding-server protocol, and the
-// resumption-by-replay determinism contract.
+// determinism contract of parked-fiber resumption.
 //
 // The load-bearing properties:
 //   * a session blocked on a real user holds no lane (another session can
 //     run on a one-lane router while the first waits),
-//   * resumption replays the answered prefix, so after the final resume
-//     every observable is bit-identical to a synchronous run over the
-//     same answers,
+//   * a resume switches back into the parked frame, so after the final
+//     resume every observable is bit-identical to a synchronous run over
+//     the same answers,
 //   * malformed ProvideAnswers calls (stale round id, wrong answer count,
 //     unknown/closed session) are rejected without touching the session.
 //
@@ -46,6 +46,9 @@ namespace {
 TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
   PendingOracle oracle;
   oracle.set_session_id(42);
+  // A park hook that cancels at once: each round records, parks, and
+  // unwinds with JobSuspended, as a cancelled parked fiber does.
+  oracle.InstallYieldHook([&oracle] { oracle.RequestCancel(); });
   oracle.BeginAttempt(/*next_round_id=*/3);
   Rng rng(1);
   std::vector<TupleSet> questions = {RandomObject(4, rng, 3),
@@ -559,76 +562,71 @@ TEST(ContinuationEdgeTest, CorrectAnswerRewindsASuspendedSession) {
   // on the mislearned path, then corrects the flipped entry: the session
   // must restart, replay the corrected prefix without re-asking it, and
   // converge to the exact observables of a user who answered truthfully
-  // from the start. Both resume modes take the same correction path
-  // (fiber mode additionally exercises the cancel/unwind of the parked
-  // stack before the fresh full-prefix attempt).
+  // from the start. The correction unwinds the parked stack (cancel + one
+  // last resume) before the fresh full-prefix attempt.
   Query target = SmallTarget(5, 97);
-  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
-    SessionRouter::Options opts;
-    opts.threads = 1;  // inline: each resume runs to its next suspension
-    opts.resume_mode = mode;
-    SessionRouter router(opts);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(5);
-    router.SubmitLearn(id);
-    router.Drain();
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-    std::vector<PendingRound> rounds = router.PendingRounds();
-    ASSERT_EQ(rounds.size(), 1u);
-    const PendingRound round0 = rounds[0];
+  SessionRouter::Options opts;
+  opts.threads = 1;  // inline: each resume runs to its next suspension
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(5);
+  router.SubmitLearn(id);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  std::vector<PendingRound> rounds = router.PendingRounds();
+  ASSERT_EQ(rounds.size(), 1u);
+  const PendingRound round0 = rounds[0];
 
-    // Round 0 goes back with its first answer flipped.
-    BitVec bits;
-    BitSpan span = bits.Prepare(round0.questions.size());
-    truth.IsAnswerBatch(round0.questions, span);
-    span.Set(0, !span.Get(0));
-    ASSERT_EQ(router.ProvideAnswers(id, round0.round_id, span),
-              ProvideOutcome::kResumed);
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser)
-        << "one flipped bit cannot complete a learn at n=5";
-    std::vector<PendingRound> mislearned = router.PendingRounds();
-    ASSERT_EQ(mislearned.size(), 1u);
-    const PendingRound abandoned = mislearned[0];
+  // Round 0 goes back with its first answer flipped.
+  BitVec bits;
+  BitSpan span = bits.Prepare(round0.questions.size());
+  truth.IsAnswerBatch(round0.questions, span);
+  span.Set(0, !span.Get(0));
+  ASSERT_EQ(router.ProvideAnswers(id, round0.round_id, span),
+            ProvideOutcome::kResumed);
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser)
+      << "one flipped bit cannot complete a learn at n=5";
+  std::vector<PendingRound> mislearned = router.PendingRounds();
+  ASSERT_EQ(mislearned.size(), 1u);
+  const PendingRound abandoned = mislearned[0];
 
-    // Garbage corrections first: they must reject without touching state.
-    EXPECT_EQ(router.CorrectAnswer(id + 999, 0),
-              ProvideOutcome::kUnknownSession);
-    EXPECT_EQ(router.CorrectAnswer(id, round0.questions.size() + 50),
-              ProvideOutcome::kAnswerCountMismatch);
-    EXPECT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  // Garbage corrections first: they must reject without touching state.
+  EXPECT_EQ(router.CorrectAnswer(id + 999, 0),
+            ProvideOutcome::kUnknownSession);
+  EXPECT_EQ(router.CorrectAnswer(id, round0.questions.size() + 50),
+            ProvideOutcome::kAnswerCountMismatch);
+  EXPECT_EQ(router.status(id), SessionStatus::kAwaitingUser);
 
-    // The real correction: flip entry 0 back to the truthful answer. The
-    // session restarts its job log; the corrected prefix is replayed (the
-    // user is not re-asked), and the session re-suspends on the question
-    // stream a truthful round 0 produces.
-    ASSERT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kResumed);
-    router.Drain();
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-    // The abandoned round's id was retired: a stale reply to it bounces.
-    EXPECT_EQ(router.ProvideAnswers(id, abandoned.round_id,
-                                    bits.Prepare(abandoned.questions.size())),
-              ProvideOutcome::kStaleRound);
+  // The real correction: flip entry 0 back to the truthful answer. The
+  // session restarts its job log; the corrected prefix is replayed (the
+  // user is not re-asked), and the session re-suspends on the question
+  // stream a truthful round 0 produces.
+  ASSERT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kResumed);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  // The abandoned round's id was retired: a stale reply to it bounces.
+  EXPECT_EQ(router.ProvideAnswers(id, abandoned.round_id,
+                                  bits.Prepare(abandoned.questions.size())),
+            ProvideOutcome::kStaleRound);
 
-    // Answer truthfully to completion; every observable must equal a
-    // clean synchronous run over the truthful answer stream.
-    AnswerAllPending(router, {{id, &truth}});
-    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
-    EXPECT_EQ(router.stats().corrections, 1);
-    EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
+  // Answer truthfully to completion; every observable must equal a
+  // clean synchronous run over the truthful answer stream.
+  AnswerAllPending(router, {{id, &truth}});
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  EXPECT_EQ(router.stats().corrections, 1);
+  EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
 
-    QueryOracle sync_truth(target);
-    QuerySession sync(5, &sync_truth);
-    sync.Learn();
-    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
-        << "corrected session diverged from the truthful run under "
-        << ToString(mode) << " resume";
+  QueryOracle sync_truth(target);
+  QuerySession sync(5, &sync_truth);
+  sync.Learn();
+  EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
+      << "corrected session diverged from the truthful run";
 
-    // Corrections require a parked round: an idle session reports
-    // kNotAwaiting, a closed one kSessionClosed.
-    EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kNotAwaiting);
-    EXPECT_TRUE(router.Close(id));
-    EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
-  }
+  // Corrections require a parked round: an idle session reports
+  // kNotAwaiting, a closed one kSessionClosed.
+  EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kNotAwaiting);
+  EXPECT_TRUE(router.Close(id));
+  EXPECT_EQ(router.CorrectAnswer(id, 0), ProvideOutcome::kSessionClosed);
 }
 
 TEST(ContinuationEdgeTest, OneFlippedAnswerNeverAbortsTheService) {
@@ -950,79 +948,57 @@ void ExpectSameTranscript(const AnswerRecord& record,
   }
 }
 
-TEST(ContinuationTest, FiberAndReplayResumesAreBitIdentical) {
-  // The two resume protocols must be observationally indistinguishable —
-  // same fingerprints, same question/round/cache counters, and both equal
-  // to a synchronous run — while their *replay* counters split exactly as
-  // advertised: fiber resume replays nothing (the parked frame consumes
-  // the answers in place), full-prefix replay re-serves the whole prefix
-  // per resume. The session's user transcript — the question cache's log,
-  // the one record of what the user answered — equals every answered
-  // round, question for question, while awaiting and at the end.
+TEST(ContinuationTest, FiberResumeMatchesTheSynchronousSession) {
+  // A pending session resumed round by round must be observationally
+  // indistinguishable from a bare synchronous QuerySession over the same
+  // answers — same fingerprint, same question count — while replaying
+  // nothing: the parked frame consumes the answers in place. The session's
+  // user transcript — the question cache's log, the one record of what the
+  // user answered — equals every answered round, question for question,
+  // while awaiting and at the end.
   Query target = SmallTarget(6, 13);
-  std::string fingerprints[2];
-  int64_t replayed[2] = {0, 0};
-  int64_t answered_questions[2] = {0, 0};
-  int64_t resumes[2] = {0, 0};
-  const ResumeMode modes[2] = {ResumeMode::kFiber, ResumeMode::kReplay};
-  for (int m = 0; m < 2; ++m) {
-    SessionRouter::Options opts;
-    opts.threads = 1;
-    opts.resume_mode = modes[m];
-    SessionRouter router(opts);
-    EXPECT_EQ(router.resume_mode(), modes[m]);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(6);
-    router.SubmitLearn(id);
-    router.SubmitVerify(id, target);
-    const std::string mode = ToString(modes[m]);
-    AnswerRecord record;
-    for (;;) {
-      router.Drain();
-      ExpectSameTranscript(record, router.session(id).user_transcript(),
-                           mode + " while awaiting");
-      std::vector<PendingRound> rounds = router.PendingRounds();
-      if (rounds.empty()) break;
-      ASSERT_EQ(rounds.size(), 1u);
-      BitVec bits;
-      BitSpan span = bits.Prepare(rounds[0].questions.size());
-      truth.IsAnswerBatch(rounds[0].questions, span);
-      record.Answer(rounds[0], span);
-      answered_questions[m] +=
-          static_cast<int64_t>(rounds[0].questions.size());
-      ++resumes[m];
-      ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
-                ProvideOutcome::kResumed);
-    }
-    EXPECT_EQ(static_cast<int64_t>(record.entries.size()),
-              router.session(id).questions_asked())
-        << mode;
-    fingerprints[m] = SessionFingerprint(router.session(id));
-    replayed[m] = router.stats().replayed_questions;
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(6);
+  router.SubmitLearn(id);
+  router.SubmitVerify(id, target);
+  AnswerRecord record;
+  int64_t resumes = 0;
+  for (;;) {
+    router.Drain();
+    ExpectSameTranscript(record, router.session(id).user_transcript(),
+                         "while awaiting");
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    ASSERT_EQ(rounds.size(), 1u);
+    BitVec bits;
+    BitSpan span = bits.Prepare(rounds[0].questions.size());
+    truth.IsAnswerBatch(rounds[0].questions, span);
+    record.Answer(rounds[0], span);
+    ++resumes;
+    ASSERT_EQ(router.ProvideAnswers(id, rounds[0].round_id, span),
+              ProvideOutcome::kResumed);
   }
+  EXPECT_EQ(static_cast<int64_t>(record.entries.size()),
+            router.session(id).questions_asked());
+  EXPECT_GT(resumes, 1);
 
   QueryOracle sync_truth(target);
   QuerySession sync(6, &sync_truth);
   sync.Learn();
   sync.Verify(target);
-
-  EXPECT_EQ(fingerprints[0], fingerprints[1])
-      << "fiber and replay resume diverged on the same answer stream";
-  EXPECT_EQ(fingerprints[0], SessionFingerprint(sync))
-      << "pending sessions diverged from the synchronous run";
-  EXPECT_EQ(answered_questions[0], answered_questions[1]);
-  EXPECT_EQ(resumes[0], resumes[1]);
-  EXPECT_GT(resumes[0], 1);
-  // O(1) vs O(rounds²): fiber resume replays nothing at all; full-prefix
-  // replay re-serves prefixes on every resume of a multi-round session.
-  EXPECT_EQ(replayed[0], 0)
+  EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
+      << "the pending session diverged from the synchronous run";
+  EXPECT_EQ(static_cast<int64_t>(record.entries.size()),
+            sync.questions_asked());
+  // O(1) per resume: nothing crosses a user-boundary replay stage.
+  EXPECT_EQ(router.stats().replayed_questions, 0)
       << "fiber resume re-served questions despite the parked stack";
-  EXPECT_GT(replayed[1], answered_questions[1])
-      << "full-prefix replay should re-serve more than it was answered "
-         "on a multi-round session";
 }
 
-TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscriptInBothModes) {
+TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscript) {
   // Corrections at the last answered entry, at entry 0 (the restart then
   // re-asks the rest of round 0 — a round that begins inside the replayed
   // prefix) and at entry 0 again while that round is pending, bracketed by
@@ -1032,125 +1008,107 @@ TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscriptInBothModes) {
   // head is not logged yet: a prefix), and the final session must equal a
   // truthful synchronous run.
   Query target = SmallTarget(6, 13);
-  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
-    const std::string m = ToString(mode);
-    SessionRouter::Options opts;
-    opts.threads = 1;
-    opts.resume_mode = mode;
-    SessionRouter router(opts);
-    QueryOracle truth(target);
-    SessionRouter::SessionId id = router.OpenPending(6);
-    router.SubmitLearn(id);
-    router.Drain();
-    AnswerRecord record;
-    auto transcript = [&] { return router.session(id).user_transcript(); };
-    auto answer = [&](bool flip_last) {
-      std::optional<PendingRound> round = router.pending_round(id);
-      ASSERT_TRUE(round.has_value());
-      BitVec bits;
-      BitSpan span = bits.Prepare(round->questions.size());
-      truth.IsAnswerBatch(round->questions, span);
-      const size_t last = round->questions.size() - 1;
-      if (flip_last) span.Set(last, !span.Get(last));
-      record.Answer(*round, span);
-      ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
-                ProvideOutcome::kResumed);
-      router.Drain();
-    };
-    auto correct = [&](size_t index, bool mid_round) {
-      ASSERT_EQ(router.CorrectAnswer(id, index), ProvideOutcome::kResumed);
-      record.Correct(index);
-      router.Drain();
-      ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser) << m;
-      ExpectSameTranscript(record, transcript(),
-                           m + " after correcting " + std::to_string(index),
-                           mid_round);
-    };
-
-    // Round 0 with its last answer flipped; the session parks on round 1.
-    router.PendingRounds();
-    std::optional<PendingRound> round0 = router.pending_round(id);
-    ASSERT_TRUE(round0.has_value());
-    ASSERT_GE(round0->questions.size(), 2u);
-    answer(/*flip_last=*/true);
-    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser) << m;
-    ExpectSameTranscript(record, transcript(), m + " after round 0");
-    const size_t answered = record.entries.size();
-    ASSERT_EQ(answered, round0->questions.size());
-
-    // A refused reply leaves the transcript unchanged.
-    std::optional<PendingRound> pending = router.pending_round(id);
-    ASSERT_TRUE(pending.has_value());
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  SessionRouter::SessionId id = router.OpenPending(6);
+  router.SubmitLearn(id);
+  router.Drain();
+  AnswerRecord record;
+  auto transcript = [&] { return router.session(id).user_transcript(); };
+  auto answer = [&](bool flip_last) {
+    std::optional<PendingRound> round = router.pending_round(id);
+    ASSERT_TRUE(round.has_value());
     BitVec bits;
-    EXPECT_EQ(router.ProvideAnswers(id, pending->round_id,
-                                    bits.Prepare(pending->questions.size() + 1)),
-              ProvideOutcome::kAnswerCountMismatch);
-    EXPECT_EQ(router.ProvideAnswers(id, pending->round_id + 1,
-                                    bits.Prepare(pending->questions.size())),
-              ProvideOutcome::kStaleRound);
-    ExpectSameTranscript(record, transcript(), m + " after refused replies");
+    BitSpan span = bits.Prepare(round->questions.size());
+    truth.IsAnswerBatch(round->questions, span);
+    const size_t last = round->questions.size() - 1;
+    if (flip_last) span.Set(last, !span.Get(last));
+    record.Answer(*round, span);
+    ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
+              ProvideOutcome::kResumed);
+    router.Drain();
+  };
+  auto correct = [&](size_t index, bool mid_round) {
+    ASSERT_EQ(router.CorrectAnswer(id, index), ProvideOutcome::kResumed);
+    record.Correct(index);
+    router.Drain();
+    ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+    ExpectSameTranscript(record, transcript(),
+                         "after correcting " + std::to_string(index),
+                         mid_round);
+  };
 
-    // The answered count itself is out of range.
-    EXPECT_EQ(router.CorrectAnswer(id, answered),
-              ProvideOutcome::kAnswerCountMismatch);
-    ExpectSameTranscript(record, transcript(), m + " after a refused fix");
+  // Round 0 with its last answer flipped; the session parks on round 1.
+  router.PendingRounds();
+  std::optional<PendingRound> round0 = router.pending_round(id);
+  ASSERT_TRUE(round0.has_value());
+  ASSERT_GE(round0->questions.size(), 2u);
+  answer(/*flip_last=*/true);
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  ExpectSameTranscript(record, transcript(), "after round 0");
+  const size_t answered = record.entries.size();
+  ASSERT_EQ(answered, round0->questions.size());
 
-    // Back to the truth: round 0 replays whole, round 1 pends again.
-    correct(answered - 1, /*mid_round=*/false);
-    // Entry 0 now lies; the rest of round 0 is re-asked, nothing else.
-    correct(0, /*mid_round=*/true);
-    std::optional<PendingRound> rest = router.pending_round(id);
-    ASSERT_TRUE(rest.has_value());
-    EXPECT_EQ(rest->questions,
-              std::vector<TupleSet>(round0->questions.begin() + 1,
-                                    round0->questions.end()))
-        << m;
-    // And back, while that re-asked round pends.
-    correct(0, /*mid_round=*/true);
-    EXPECT_EQ(router.CorrectAnswer(id, 1),
-              ProvideOutcome::kAnswerCountMismatch)
-        << "only entry 0 survives a correction at entry 0";
+  // A refused reply leaves the transcript unchanged.
+  std::optional<PendingRound> pending = router.pending_round(id);
+  ASSERT_TRUE(pending.has_value());
+  BitVec bits;
+  EXPECT_EQ(router.ProvideAnswers(id, pending->round_id,
+                                  bits.Prepare(pending->questions.size() + 1)),
+            ProvideOutcome::kAnswerCountMismatch);
+  EXPECT_EQ(router.ProvideAnswers(id, pending->round_id + 1,
+                                  bits.Prepare(pending->questions.size())),
+            ProvideOutcome::kStaleRound);
+  ExpectSameTranscript(record, transcript(), "after refused replies");
 
-    // Answer truthfully to completion.
-    while (router.pending_round(id).has_value()) answer(/*flip_last=*/false);
-    EXPECT_EQ(router.status(id), SessionStatus::kIdle) << m;
-    ExpectSameTranscript(record, transcript(), m + " at the end");
-    EXPECT_EQ(router.stats().corrections, 3) << m;
+  // The answered count itself is out of range.
+  EXPECT_EQ(router.CorrectAnswer(id, answered),
+            ProvideOutcome::kAnswerCountMismatch);
+  ExpectSameTranscript(record, transcript(), "after a refused fix");
 
-    QueryOracle sync_truth(target);
-    QuerySession sync(6, &sync_truth);
-    sync.Learn();
-    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
-        << "corrected session diverged from the truthful run under " << m;
-  }
+  // Back to the truth: round 0 replays whole, round 1 pends again.
+  correct(answered - 1, /*mid_round=*/false);
+  // Entry 0 now lies; the rest of round 0 is re-asked, nothing else.
+  correct(0, /*mid_round=*/true);
+  std::optional<PendingRound> rest = router.pending_round(id);
+  ASSERT_TRUE(rest.has_value());
+  EXPECT_EQ(rest->questions,
+            std::vector<TupleSet>(round0->questions.begin() + 1,
+                                  round0->questions.end()));
+  // And back, while that re-asked round pends.
+  correct(0, /*mid_round=*/true);
+  EXPECT_EQ(router.CorrectAnswer(id, 1),
+            ProvideOutcome::kAnswerCountMismatch)
+      << "only entry 0 survives a correction at entry 0";
+
+  // Answer truthfully to completion.
+  while (router.pending_round(id).has_value()) answer(/*flip_last=*/false);
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  ExpectSameTranscript(record, transcript(), "at the end");
+  EXPECT_EQ(router.stats().corrections, 3);
+
+  QueryOracle sync_truth(target);
+  QuerySession sync(6, &sync_truth);
+  sync.Learn();
+  EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
+      << "corrected session diverged from the truthful run";
 }
 
 TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
   // The service surfaces each parked session's resume residency
-  // (ServiceStats.snapshot_bytes) so operators can budget memory.
-  // Replay mode parks nothing — the memory column must read zero.
-  SessionRouter::Options ropts;
-  ropts.threads = 1;
-  ropts.resume_mode = ResumeMode::kReplay;
-  SessionRouter replay_router(ropts);
-  SessionRouter::SessionId rid = replay_router.OpenPending(5);
-  replay_router.SubmitLearn(rid);
-  replay_router.Drain();
-  ASSERT_EQ(replay_router.status(rid), SessionStatus::kAwaitingUser);
-  EXPECT_EQ(replay_router.stats().awaiting_sessions, 1);
-  EXPECT_EQ(replay_router.stats().snapshot_bytes, 0);
-
-  // Fiber mode parks a live stack; its mapped size is the session's
-  // memory residency and must show up in the same column.
-  SessionRouter::Options fopts;
-  fopts.threads = 1;
-  fopts.resume_mode = ResumeMode::kFiber;
-  SessionRouter fiber_router(fopts);
-  SessionRouter::SessionId fid = fiber_router.OpenPending(5);
-  fiber_router.SubmitLearn(fid);
-  fiber_router.Drain();
-  ASSERT_EQ(fiber_router.status(fid), SessionStatus::kAwaitingUser);
-  EXPECT_GT(fiber_router.stats().snapshot_bytes, 0)
+  // (ServiceStats.snapshot_bytes) so operators can budget memory: a
+  // parked session keeps a live stack, and its size must show up there.
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  SessionRouter::SessionId id = router.OpenPending(5);
+  router.SubmitLearn(id);
+  router.Drain();
+  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
+  EXPECT_EQ(router.stats().awaiting_sessions, 1);
+  EXPECT_GT(router.stats().snapshot_bytes, 0)
       << "a parked fiber must account for its mapped stack";
 }
 

@@ -73,27 +73,17 @@ TEST(DurableCrashTest, SeedRangeParsing) {
   EXPECT_EQ(ParseSeedRange("1337:0").count, 1u);
 }
 
-TEST(DurableCrashTest, BothResumeProtocolsSurviveCrashesIdentically) {
-  // The crash differential under each resume protocol explicitly (the
-  // sweep below draws the protocol per seed): the same fleet, the same
-  // crash schedule, once with fiber resume and once with full-prefix
-  // replay. Both must recover bit-identical to the synchronous reference
-  // — and to *each other* — so the fiber path cannot hide behind
-  // replay's coverage, or vice versa.
+TEST(DurableCrashTest, PinnedSeedsRecoverBitIdentical) {
+  // The crash differential on fixed seeds, whatever range the sweep below
+  // is given: every parked fiber dies with each crash, and each recovered
+  // incarnation re-parks its sessions from the log alone. The hostile arm
+  // must still match the bare-session reference, and so must the final
+  // from-log recovery.
   for (uint64_t seed : {5u, 17u, 23u}) {
     WorkloadSpec spec = WorkloadSpec::FromSeed(seed);
-    CrashOutcome fiber = RunCrashDifferential(spec, ResumeMode::kFiber);
-    ASSERT_TRUE(fiber.ok) << "fiber resume: " << fiber.failure;
-    CrashOutcome replay = RunCrashDifferential(spec, ResumeMode::kReplay);
-    ASSERT_TRUE(replay.ok) << "full-prefix replay: " << replay.failure;
-    ASSERT_EQ(fiber.hostile.fingerprints.size(),
-              replay.hostile.fingerprints.size());
-    for (size_t i = 0; i < fiber.hostile.fingerprints.size(); ++i) {
-      ASSERT_EQ(fiber.hostile.fingerprints[i],
-                replay.hostile.fingerprints[i])
-          << "resume protocols diverged across crashes on session " << i
-          << " (" << spec.ReproLine() << ")";
-    }
+    CrashOutcome out = RunCrashDifferential(spec);
+    ASSERT_TRUE(out.ok) << out.failure;
+    EXPECT_GT(out.crashes, 0) << spec.ReproLine();
   }
 }
 

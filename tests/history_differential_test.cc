@@ -272,68 +272,64 @@ TEST(HistoryDifferentialTest, RouterSessionsMatchTheRecorderAroundCorrections) {
   const int n = 6;
   const Query target = Query::Parse("∀x1→x5 ∀x2x3→x6 ∃x1x4 ∃x2x6", n);
   const Query mutant = Query::Parse("∀x1→x5 ∃x1x4x2", n);
-  for (ResumeMode mode : {ResumeMode::kFiber, ResumeMode::kReplay}) {
-    const std::string m = ToString(mode);
-    SessionRouter::Options opts;
-    opts.threads = 1;
-    opts.resume_mode = mode;
-    SessionRouter router(opts);
-    QueryOracle truth(target);
-    const SessionRouter::SessionId id = router.OpenPending(n);
-    ASSERT_TRUE(router.SubmitLearn(id));
-    ASSERT_TRUE(router.SubmitVerify(id, mutant));
+  SessionRouter::Options opts;
+  opts.threads = 1;
+  SessionRouter router(opts);
+  QueryOracle truth(target);
+  const SessionRouter::SessionId id = router.OpenPending(n);
+  ASSERT_TRUE(router.SubmitLearn(id));
+  ASSERT_TRUE(router.SubmitVerify(id, mutant));
+  router.Drain();
+
+  std::vector<TranscriptEntry> given;  // the user-boundary answers
+  auto check = [&](const std::string& when, bool awaiting) {
+    QueryOracle ref_truth(target);
+    Reference ref(&ref_truth, given);
+    LearnRolePreserving(n, ref.top());
+    VerifyQuery(mutant, ref.top());
+    ExpectSameHistory(router.session(id), ref.transcript->entries(),
+                      when, awaiting);
+    EXPECT_EQ(router.status(id), awaiting ? SessionStatus::kAwaitingUser
+                                          : SessionStatus::kIdle)
+        << when;
+  };
+  auto answer = [&](bool flip_last) {
+    std::optional<PendingRound> round = router.pending_round(id);
+    ASSERT_TRUE(round.has_value());
+    BitVec bits;
+    BitSpan span = bits.Prepare(round->questions.size());
+    truth.IsAnswerBatch(round->questions, span);
+    const size_t last = round->questions.size() - 1;
+    if (flip_last) span.Set(last, !span.Get(last));
+    for (size_t i = 0; i < round->questions.size(); ++i) {
+      given.push_back(TranscriptEntry{round->questions[i], span.Get(i), 0});
+    }
+    ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
+              ProvideOutcome::kResumed);
     router.Drain();
+  };
+  auto correct = [&](size_t index) {
+    ASSERT_EQ(router.CorrectAnswer(id, index), ProvideOutcome::kResumed);
+    given.resize(index + 1);
+    given[index].response = !given[index].response;
+    router.Drain();
+  };
 
-    std::vector<TranscriptEntry> given;  // the user-boundary answers
-    auto check = [&](const std::string& when, bool awaiting) {
-      QueryOracle ref_truth(target);
-      Reference ref(&ref_truth, given);
-      LearnRolePreserving(n, ref.top());
-      VerifyQuery(mutant, ref.top());
-      ExpectSameHistory(router.session(id), ref.transcript->entries(),
-                        m + " " + when, awaiting);
-      EXPECT_EQ(router.status(id), awaiting ? SessionStatus::kAwaitingUser
-                                            : SessionStatus::kIdle)
-          << m << " " << when;
-    };
-    auto answer = [&](bool flip_last) {
-      std::optional<PendingRound> round = router.pending_round(id);
-      ASSERT_TRUE(round.has_value());
-      BitVec bits;
-      BitSpan span = bits.Prepare(round->questions.size());
-      truth.IsAnswerBatch(round->questions, span);
-      const size_t last = round->questions.size() - 1;
-      if (flip_last) span.Set(last, !span.Get(last));
-      for (size_t i = 0; i < round->questions.size(); ++i) {
-        given.push_back(TranscriptEntry{round->questions[i], span.Get(i), 0});
-      }
-      ASSERT_EQ(router.ProvideAnswers(id, round->round_id, span),
-                ProvideOutcome::kResumed);
-      router.Drain();
-    };
-    auto correct = [&](size_t index) {
-      ASSERT_EQ(router.CorrectAnswer(id, index), ProvideOutcome::kResumed);
-      given.resize(index + 1);
-      given[index].response = !given[index].response;
-      router.Drain();
-    };
-
-    check("before any answer", true);
-    answer(/*flip_last=*/true);
-    const size_t round0 = given.size();
-    ASSERT_GE(round0, 2u);
-    answer(/*flip_last=*/false);
-    check("after two rounds", true);
-    correct(round0 - 1);
-    check("after correcting the end of round 0", true);
-    correct(0);
-    check("after correcting entry 0", true);
-    correct(0);
-    check("after correcting entry 0 back", true);
-    while (router.pending_round(id).has_value()) answer(/*flip_last=*/false);
-    check("at the end", false);
-    EXPECT_EQ(router.stats().corrections, 3) << m;
-  }
+  check("before any answer", true);
+  answer(/*flip_last=*/true);
+  const size_t round0 = given.size();
+  ASSERT_GE(round0, 2u);
+  answer(/*flip_last=*/false);
+  check("after two rounds", true);
+  correct(round0 - 1);
+  check("after correcting the end of round 0", true);
+  correct(0);
+  check("after correcting entry 0", true);
+  correct(0);
+  check("after correcting entry 0 back", true);
+  while (router.pending_round(id).has_value()) answer(/*flip_last=*/false);
+  check("at the end", false);
+  EXPECT_EQ(router.stats().corrections, 3);
 }
 
 }  // namespace

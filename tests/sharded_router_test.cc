@@ -448,7 +448,6 @@ TEST(FiberTrimTest, RouterReportsTrimmedResidencyForParkedSessions) {
   const Query target = TestTarget();
   SessionRouter::Options ropts;
   ropts.threads = 1;
-  ropts.resume_mode = ResumeMode::kFiber;
   SessionRouter router(ropts);
   int64_t id = router.OpenPending(target.n());
   ASSERT_TRUE(router.SubmitVerify(id, target));

@@ -26,7 +26,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <iostream>
-#include <optional>
 #include <string>
 
 #include "src/workload/fleet_driver.h"
@@ -75,46 +74,29 @@ TEST(WorkloadFuzzTest, SeedRangeParsing) {
   EXPECT_EQ(ParseSeedRange("1337:0").count, 1u);
 }
 
-TEST(WorkloadFuzzTest, FiberAndReplayResumeArmsAreBitIdentical) {
-  // The resume-protocol differential, run explicitly on both protocols
-  // (the big sweep below draws the mode per seed; this pins seed-for-seed
-  // that fiber resume and full-prefix replay produce bit-identical
-  // fingerprints under the same hostile delivery, and both match the
-  // synchronous reference). Each seed runs at a pinned shard count, and
-  // together they cover every count the sweep draws. Also pins the accounting split between the protocols:
-  // fiber resume re-serves nothing, replay re-serves its answered
-  // prefixes.
+TEST(WorkloadFuzzTest, FiberResumeReplaysNothingUnderHostileDelivery) {
+  // The resume-protocol differential on fixed seeds: under hostile
+  // delivery the pending arm's fingerprints match the bare-session
+  // reference, and no resume re-serves a question (the parked frame
+  // consumes the answers in place). Each seed runs at a pinned shard
+  // count, and together they cover every count the sweep draws.
   const struct {
     uint64_t seed;
     int shards;
   } cases[] = {{3, 1}, {11, 2}, {29, 4}, {41, 8}, {57, 1}};
-  int64_t replay_replayed = 0;
   for (const auto& [seed, shards] : cases) {
     WorkloadSpec spec = WorkloadSpec::FromSeed(seed);
     Fleet fleet = GenerateFleet(spec);
     FleetDriver driver(fleet);
-    FleetResult fiber = driver.RunPending(0, ResumeMode::kFiber, shards);
-    FleetResult replay = driver.RunPending(0, ResumeMode::kReplay, shards);
+    FleetResult fiber = driver.RunPending(0, shards);
     FleetResult synchronous = driver.RunSynchronous();
     ASSERT_TRUE(fiber.ok) << fiber.failure;
-    ASSERT_TRUE(replay.ok) << replay.failure;
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
-    for (size_t i = 0; i < fleet.sessions.size(); ++i) {
-      ASSERT_EQ(fiber.fingerprints[i], replay.fingerprints[i])
-          << "resume protocols diverged on session " << i << " at "
-          << shards << " shards (" << spec.ReproLine() << ")";
-    }
     ASSERT_EQ(CompareArmFingerprints(fleet, fiber, synchronous),
-              std::string());
-    ASSERT_EQ(CompareArmFingerprints(fleet, replay, synchronous),
               std::string());
     EXPECT_EQ(fiber.stats.replayed_questions, 0)
         << "fiber resume re-served questions (" << spec.ReproLine() << ")";
-    replay_replayed += replay.stats.replayed_questions;
   }
-  EXPECT_GT(replay_replayed, 0)
-      << "full-prefix replay must re-serve strictly more than fiber "
-         "resume across the sample fleets";
 }
 
 TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
@@ -131,8 +113,7 @@ TEST(WorkloadFuzzTest, ShardedHostileArmsAreBitIdenticalAcrossShardCounts) {
     FleetResult synchronous = driver.RunSynchronous();
     ASSERT_TRUE(synchronous.ok) << synchronous.failure;
     for (int shards : {1, 2, 8}) {
-      FleetResult hostile =
-          driver.RunPending(0, std::nullopt, shards);
+      FleetResult hostile = driver.RunPending(0, shards);
       ASSERT_TRUE(hostile.ok)
           << hostile.failure << " (shards=" << shards << ")";
       ASSERT_EQ(CompareArmFingerprints(fleet, hostile, synchronous),

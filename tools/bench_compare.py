@@ -65,12 +65,12 @@ HEADLINE_PAIRS = [
     # guards it against regressing further.
     ("BM_ServiceOpenSessions/64/real_time",
      "BM_ServiceOpenSessionsDirect/64/real_time"),
-    # Resume-protocol pair: fiber resume switches into the parked frame
-    # (O(1) compute per resume, nothing re-served) vs full-prefix replay
-    # (O(rounds²) questions re-served). Both run one session on one lane,
-    # so the ratio is machine-independent; it widens with depth, hence both
-    # arms. Not concurrency-dependent: a single lane is a single lane
-    # everywhere.
+    # Resume pair: the router's fiber resume switches into the parked frame
+    # (O(1) compute per resume, nothing re-served) vs unwind-and-replay on
+    # a bare QuerySession, which rebuilds over the answered prefix and
+    # re-runs the jobs per resume (O(rounds²) questions re-served). Both
+    # run one session on one thread, so the ratio is machine-independent;
+    # it widens with depth, hence both arms. Not concurrency-dependent.
     ("BM_SessionResumeFiber/8/real_time",
      "BM_SessionResumeReplay/8/real_time"),
     ("BM_SessionResumeFiber/64/real_time",

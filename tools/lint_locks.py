@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
 """Lock-discipline lint: forbid raw standard-library lock primitives.
 
-Every mutex in the tree must be a qhorn::Mutex / qhorn::SharedMutex from
-src/util/checked_mutex.h — those carry the Clang thread-safety capability
+Every mutex in the tree must be a qhorn::Mutex from
+src/util/checked_mutex.h — it carries the Clang thread-safety capability
 attributes (so -Wthread-safety sees through them) and the runtime
 lock-rank checker (so out-of-order acquisition aborts with both lock
 names). A raw std::mutex is invisible to both layers, which is exactly
@@ -34,9 +34,9 @@ FORBIDDEN = [
     (re.compile(r"\bstd::recursive_timed_mutex\b"),
      "no replacement: recursive locking is forbidden by the rank checker"),
     (re.compile(r"\bstd::shared_timed_mutex\b"),
-     "qhorn::SharedMutex (src/util/checked_mutex.h)"),
+     "qhorn::Mutex (src/util/checked_mutex.h)"),
     (re.compile(r"\bstd::shared_mutex\b"),
-     "qhorn::SharedMutex (src/util/checked_mutex.h)"),
+     "qhorn::Mutex (src/util/checked_mutex.h)"),
     (re.compile(r"\bstd::timed_mutex\b"),
      "qhorn::Mutex (src/util/checked_mutex.h)"),
     (re.compile(r"\bstd::mutex\b"),
@@ -46,7 +46,7 @@ FORBIDDEN = [
     (re.compile(r"\bstd::unique_lock\b"),
      "qhorn::MutexLock, or qhorn::CondVar::Wait for condition waits"),
     (re.compile(r"\bstd::shared_lock\b"),
-     "qhorn::ReaderLock (src/util/checked_mutex.h)"),
+     "qhorn::MutexLock (src/util/checked_mutex.h)"),
     (re.compile(r"\bstd::scoped_lock\b"),
      "qhorn::MutexLock — one lock per scope; multi-lock acquisition must "
      "be explicit and rank-ordered"),
@@ -147,6 +147,8 @@ def self_test():
             "#include <mutex>\n"
             "std::mutex mu;\n"
             "void f() { std::lock_guard<std::mutex> lock(mu); }\n"
+            "std::shared_mutex smu;\n"
+            "void g() { std::shared_lock<std::shared_mutex> lock(smu); }\n"
             "// std::mutex in a comment must NOT be flagged\n",
             encoding="utf-8")
         clean = root / "src" / "clean.cc"
@@ -160,14 +162,14 @@ def self_test():
         dirty_lines = sorted(lineno for rel, lineno, _, _ in findings
                              if rel == "src/dirty.cc")
         clean_findings = [f for f in findings if f[0] == "src/clean.cc"]
-        ok = dirty_lines == [1, 2, 3] and not clean_findings
+        ok = dirty_lines == [1, 2, 3, 4, 5] and not clean_findings
         if ok:
             print("lint_locks self-test: ok "
-                  "(3 seeded findings flagged, clean file passed)")
+                  "(5 seeded findings flagged, clean file passed)")
             return 0
         print("lint_locks self-test FAILED:", file=sys.stderr)
         print(f"  dirty.cc findings on lines {dirty_lines} "
-              "(expected [1, 2, 3])", file=sys.stderr)
+              "(expected [1, 2, 3, 4, 5])", file=sys.stderr)
         print(f"  clean.cc findings: {clean_findings} (expected none)",
               file=sys.stderr)
         return 1
