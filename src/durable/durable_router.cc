@@ -39,21 +39,22 @@ std::string UnhostableReason(const SessionSpec& spec) {
   return std::string();
 }
 
+/// The wrapped router's options, with one router lock shard per WAL shard
+/// (see DurableRouterOptions::shards).
+SessionRouter::Options RouterOptions(const DurableRouterOptions& options) {
+  SessionRouter::Options router = options.router;
+  router.shards = options.shards;
+  return router;
+}
+
 }  // namespace
 
 DurableRouter::DurableRouter(Fs* fs, std::string log_dir,
                              DurableRouterOptions options)
-    : fs_(fs), log_dir_(std::move(log_dir)), options_(options) {
-  QHORN_CHECK(options_.shards >= 1);
-  // One router shard per WAL shard (see DurableRouterOptions::shards);
-  // lanes and session options come from the wrapped router options
-  // unchanged.
-  ShardedRouter::Options sharded;
-  sharded.shards = options_.shards;
-  sharded.threads = options_.router.threads;
-  sharded.session = options_.router.session;
-  router_ = std::make_unique<ShardedRouter>(sharded);
-}
+    : fs_(fs),
+      log_dir_(std::move(log_dir)),
+      options_(options),
+      router_(RouterOptions(options_)) {}
 
 DurableRouter::~DurableRouter() = default;
 
@@ -68,8 +69,7 @@ bool DurableRouter::OpenLogs(std::string* error) {
   }
   shards_.reserve(options_.shards);
   for (int i = 0; i < options_.shards; ++i) {
-    auto log = SessionLog::Open(fs_, ShardPath(log_dir_, i), options_.log,
-                                error);
+    auto log = SessionLog::Open(fs_, ShardPath(log_dir_, i), error);
     if (log == nullptr) return false;
     shards_.push_back(std::move(log));
   }
@@ -113,9 +113,9 @@ DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
     return 0;
   }
   // Only this wrapper opens sessions on router_, and never twice at an id.
-  const SessionId opened = router_->OpenPendingAt(id, spec.n);
+  const SessionId opened = router_.OpenPendingAt(id, spec.n);
   QHORN_CHECK_MSG(opened == id, "router refused durable session " << id);
-  SubmitSpecJobs(*router_, id, spec);
+  SubmitSpecJobs(router_, id, spec);
   return id;
 }
 
@@ -127,8 +127,8 @@ ProvideOutcome DurableRouter::ProvideAnswers(SessionId id, int64_t round_id,
   auto commit = [&]() -> bool {
     return ShardFor(id)->AppendRoundAnswered(id, round_id, answers);
   };
-  return router_->ProvideAnswers(id, round_id, answers,
-                                 SessionRouter::CommitHook(commit));
+  return router_.ProvideAnswers(id, round_id, answers,
+                                SessionRouter::CommitHook(commit));
 }
 
 bool DurableRouter::Close(SessionId id) {
@@ -137,28 +137,28 @@ bool DurableRouter::Close(SessionId id) {
   // leaves a SessionClosed that Recover would reject). A caller retry
   // after a sync failure appends a duplicate, which Recover skips.
   auto commit = [&]() -> bool { return ShardFor(id)->AppendSessionClosed(id); };
-  return router_->Close(id, SessionRouter::CommitHook(commit));
+  return router_.Close(id, SessionRouter::CommitHook(commit));
 }
 
 std::vector<PendingRound> DurableRouter::PendingRounds() {
-  return router_->PendingRounds();
+  return router_.PendingRounds();
 }
 
 std::optional<PendingRound> DurableRouter::pending_round(SessionId id) {
-  return router_->pending_round(id);
+  return router_.pending_round(id);
 }
 
-void DurableRouter::Drain() { router_->Drain(); }
+void DurableRouter::Drain() { router_.Drain(); }
 
 std::optional<SessionStatus> DurableRouter::status(SessionId id) {
-  return router_->status(id);
+  return router_.status(id);
 }
 
 QuerySession& DurableRouter::session(SessionId id) {
-  return router_->session(id);
+  return router_.session(id);
 }
 
-ServiceStats DurableRouter::stats() { return router_->stats(); }
+ServiceStats DurableRouter::stats() { return router_.stats(); }
 
 int64_t DurableRouter::records_logged() const {
   int64_t total = 0;
@@ -186,6 +186,18 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     RecoveryReport* report, std::string* error) {
   *report = RecoveryReport();
   error->clear();
+
+  // A log written with more shards keeps sessions in files past
+  // options.shards; recovering without them would drop those sessions and
+  // hand their ids out again. Refused before anything is read or
+  // truncated.
+  if (const std::string extra = ShardPath(log_dir, options.shards);
+      fs->FileExists(extra)) {
+    *error = "recovery rejected: " + extra + " exists, so the log was " +
+             "written with more than " + std::to_string(options.shards) +
+             " shard(s); recover with the shard count it was written with";
+    return nullptr;
+  }
 
   // Phase 1 — scan: CRC-check every shard, truncate torn tails loudly,
   // reject anything typed-bad before touching any state.
@@ -285,9 +297,9 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       new DurableRouter(fs, log_dir, options));
   if (!durable->OpenLogs(error)) return nullptr;
   for (const auto& [id, image] : images) {
-    const SessionId opened = durable->router_->OpenPendingAt(id, image.spec.n);
+    const SessionId opened = durable->router_.OpenPendingAt(id, image.spec.n);
     QHORN_CHECK_MSG(opened == id, "router refused logged session " << id);
-    SubmitSpecJobs(*durable->router_, id, image.spec);
+    SubmitSpecJobs(durable->router_, id, image.spec);
     ++report->sessions_recovered;
   }
   if (!images.empty()) durable->next_id_ = images.rbegin()->first + 1;
@@ -300,12 +312,12 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   std::map<SessionId, size_t> fed;
   BitVec bits;
   for (;;) {
-    durable->router_->Drain();
+    durable->router_.Drain();
     bool progress = false;
     for (const auto& [id, image] : images) {
       size_t& next = fed[id];
       if (next >= image.rounds.size()) continue;
-      std::optional<PendingRound> round = durable->router_->pending_round(id);
+      std::optional<PendingRound> round = durable->router_.pending_round(id);
       if (!round.has_value()) continue;  // checked after the fixpoint
       const std::vector<bool>& answers = image.rounds[next];
       if (round->round_id != static_cast<int64_t>(next)) {
@@ -328,7 +340,7 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       // The three-argument overload: replay must not re-log what the log
       // just said.
       ProvideOutcome out =
-          durable->router_->ProvideAnswers(id, round->round_id, span);
+          durable->router_.ProvideAnswers(id, round->round_id, span);
       if (out != ProvideOutcome::kResumed) {
         std::ostringstream os;
         os << "session " << id << ": replay of round " << next
@@ -356,10 +368,10 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   // session closed mid-round abandons the same round it abandoned then).
   for (const auto& [id, image] : images) {
     if (!image.closed) continue;
-    durable->router_->Close(id);
+    durable->router_.Close(id);
     ++report->sessions_closed;
   }
-  durable->router_->Drain();
+  durable->router_.Drain();
   return durable;
 }
 

@@ -9,9 +9,10 @@
 //                              inside the router's commit hook — after
 //                              every validation has passed, before any
 //                              state mutates, atomically with the fold
-//                              under the router lock. A refused append
-//                              surfaces as kLogWriteFailed with the
-//                              session untouched;
+//                              under the session's router shard lock.
+//                              A refused append surfaces as
+//                              kLogWriteFailed with the session
+//                              untouched;
 //   Close(id)                → SessionClosed{id} appended from inside
 //                              the router's commit hook, once the
 //                              router has checked the session is open:
@@ -28,15 +29,16 @@
 //
 // Session ids: one number at every layer. The wrapper hands out ids from
 // an atomic counter counting up from 1, logs session `id` to WAL shard
-// `id mod shards`, and opens it under that same id on router shard
-// `id mod shards` (ShardedRouter::OpenPendingAt). Recovery re-opens each
-// logged session at its logged id, so ids survive crashes with nothing
-// to map — users outlive server crashes, and so must their session
-// handles. The log is sharded so concurrent sessions do not serialize on
-// one append mutex; a session's records stay in one WAL shard, totally
-// ordered by round id, so recovery never needs an order across shards.
+// `id mod shards`, and opens it under that same id in router lock shard
+// `id mod shards` (SessionRouter::OpenPendingAt on a router built with
+// the same shard count). Recovery re-opens each logged session at its
+// logged id, so ids survive crashes with nothing to map — users outlive
+// server crashes, and so must their session handles. The log is sharded
+// so concurrent sessions do not serialize on one append mutex; a
+// session's records stay in one WAL shard, totally ordered by round id,
+// so recovery never needs an order across shards.
 //
-// Everything but opening is a pass-through to the facade, whose poll
+// Everything but opening is a pass-through to the router, whose poll
 // already comes back in id order and delivers each round once
 // (pending_round(id) re-reads one). A recovered router announces every
 // round its replay left awaiting, so the first poll after Recover
@@ -55,18 +57,21 @@
 
 #include "src/durable/fs.h"
 #include "src/durable/session_log.h"
-#include "src/session/sharded_router.h"
+#include "src/session/router.h"
 #include "src/workload/workload.h"
 
 namespace qhorn {
 
 struct DurableRouterOptions {
+  /// The wrapped router's options; its `shards` is ignored (see below).
   SessionRouter::Options router;
-  SessionLogOptions log;  ///< kEveryAppend: full log-before-ack durability
-  /// WAL shards *and* router shards: the in-memory service is a
-  /// ShardedRouter with the same count, and session `id` lives on router
-  /// shard and WAL shard `id mod shards` alike, so a commit hook on one
-  /// WAL only ever holds that one router shard's mutex.
+  /// Unread: log-before-ack is the only policy. Kept only for the frozen
+  /// end-to-end benchmark, like FsyncPolicy.
+  SessionLogOptions log;
+  /// WAL shards *and* router lock shards: the wrapped SessionRouter runs
+  /// with this many shards, and session `id` lives in router shard and
+  /// WAL shard `id mod shards` alike, so a commit hook on one WAL only
+  /// ever holds that one router shard's mutex.
   int shards = 4;
 };
 
@@ -99,7 +104,10 @@ class DurableRouter {
   /// [1, kMaxVars] — with a typed error, re-opens every logged
   /// session and replays its answered rounds through the ordinary pending
   /// protocol. nullptr + `*error` on any typed failure — a log Recover
-  /// cannot vouch for is never half-replayed.
+  /// cannot vouch for is never half-replayed. A log written with more
+  /// shards than `options.shards` (shard file `options.shards` exists)
+  /// is refused before anything is read or truncated: the sessions in
+  /// the files past the count would otherwise vanish.
   static std::unique_ptr<DurableRouter> Recover(
       Fs* fs, const std::string& log_dir, const DurableRouterOptions& options,
       RecoveryReport* report, std::string* error);
@@ -153,8 +161,6 @@ class DurableRouter {
   /// Records appended across all shards (tests assert log growth).
   int64_t records_logged() const;
 
-  ShardedRouter& router() { return *router_; }
-
   static std::string ShardPath(const std::string& log_dir, int shard);
 
  private:
@@ -166,7 +172,7 @@ class DurableRouter {
   Fs* fs_;
   std::string log_dir_;
   DurableRouterOptions options_;
-  std::unique_ptr<ShardedRouter> router_;
+  SessionRouter router_;
   std::vector<std::unique_ptr<SessionLog>> shards_;
   // The id the next open takes; a refused open hands its id back by
   // compare-and-swap unless a concurrent open has taken a later one.

@@ -96,12 +96,10 @@ bool DecodeRecordPayload(std::string_view payload, LogRecord* out) {
 // ---------------------------------------------------------------------------
 // SessionLog (append side)
 
-SessionLog::SessionLog(std::unique_ptr<WritableFile> file, std::string path,
-                       SessionLogOptions options)
-    : file_(std::move(file)), path_(std::move(path)), options_(options) {}
+SessionLog::SessionLog(std::unique_ptr<WritableFile> file, std::string path)
+    : file_(std::move(file)), path_(std::move(path)) {}
 
 std::unique_ptr<SessionLog> SessionLog::Open(Fs* fs, const std::string& path,
-                                             const SessionLogOptions& options,
                                              std::string* error) {
   bool needs_header = true;
   if (fs->FileExists(path)) {
@@ -135,7 +133,7 @@ std::unique_ptr<SessionLog> SessionLog::Open(Fs* fs, const std::string& path,
     return nullptr;
   }
   auto log = std::unique_ptr<SessionLog>(
-      new SessionLog(std::move(file), path, options));
+      new SessionLog(std::move(file), path));
   if (needs_header) {
     // The header is synced unconditionally: a crash between creation and
     // the first record must leave a recognizable (empty) log, not a

@@ -68,12 +68,15 @@ struct LogRecord {
 
 /// When appended records become durable: after every record, so an
 /// acknowledged call survives any crash (log-before-ack). It is the only
-/// policy; the enum stays because callers name it when they build their
-/// options (the end-to-end benchmark among them).
+/// policy, and nothing reads it. Kept only because the frozen end-to-end
+/// benchmark (bench_e2e/e2e_bench.cc) assigns
+/// DurableRouterOptions::log.fsync_policy; the next change to that
+/// benchmark drops this enum and SessionLogOptions.
 enum class FsyncPolicy {
   kEveryAppend,  ///< sync after every record
 };
 
+/// Unread; see FsyncPolicy.
 struct SessionLogOptions {
   FsyncPolicy fsync_policy = FsyncPolicy::kEveryAppend;
 };
@@ -88,7 +91,6 @@ class SessionLog {
   /// reads back more than the header. Returns nullptr with `*error` set on
   /// I/O failure or a foreign header.
   static std::unique_ptr<SessionLog> Open(Fs* fs, const std::string& path,
-                                          const SessionLogOptions& options,
                                           std::string* error);
 
   /// Appends one record; true iff the record is written and synced. A
@@ -116,14 +118,12 @@ class SessionLog {
   static constexpr uint64_t kHeaderSize = 8;
 
  private:
-  SessionLog(std::unique_ptr<WritableFile> file, std::string path,
-             SessionLogOptions options);
+  SessionLog(std::unique_ptr<WritableFile> file, std::string path);
 
   bool AppendRecord(std::string_view payload);
 
   std::unique_ptr<WritableFile> file_;
   std::string path_;
-  SessionLogOptions options_;
 
   // Held across the file Append/Sync (LockRank::kWalShard < kFaultFs/kFs:
   // the filesystem locks nest inside). Acquired from DurableRouter commit

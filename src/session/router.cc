@@ -1,6 +1,7 @@
 #include "src/session/router.h"
 
 #include <algorithm>
+#include <iterator>
 #include <utility>
 
 #include "src/util/check.h"
@@ -30,14 +31,16 @@ const char* ToString(ProvideOutcome o) {
 
 SessionRouter::SessionRouter() : SessionRouter(Options()) {}
 
-SessionRouter::SessionRouter(Options options) : options_(std::move(options)) {
-  // Options.threads counts session lanes; threads == 1 stays the
-  // synchronous inline executor (the differential baseline).
-  if (options_.executor != nullptr) {
-    exec_ = options_.executor;
-  } else {
-    owned_executor_ = std::make_unique<Executor>(options_.threads);
-    exec_ = owned_executor_.get();
+SessionRouter::SessionRouter(Options options)
+    : options_(std::move(options)),
+      // Options.threads counts session lanes across every shard;
+      // threads == 1 stays the synchronous inline executor (the
+      // differential baseline).
+      exec_(std::make_unique<Executor>(options_.threads)) {
+  QHORN_CHECK_MSG(options_.shards >= 1, "SessionRouter needs >= 1 shard");
+  shards_.reserve(static_cast<size_t>(options_.shards));
+  for (int i = 0; i < options_.shards; ++i) {
+    shards_.push_back(std::make_unique<Shard>());
   }
 }
 
@@ -46,24 +49,22 @@ SessionRouter::~SessionRouter() {
   // Join the executor before any member is destroyed: Drain() returning
   // only proves the last runnable job *completed* — its runner task may
   // still be between the completion bookkeeping and its final job-log
-  // check, touching session state, mutex_ and idle_cv_. ~Executor joins
-  // the workers, so after this line no runner code is in flight. With a
-  // *borrowed* executor this reset is a no-op and the owner is responsible
-  // for the same guarantee: it must have destroyed (joined) the shared
-  // pool before destroying this router (ShardedRouter's teardown order).
-  owned_executor_.reset();
+  // check, touching session state and its shard's mutex and condvar.
+  // ~Executor joins the workers, so after this line no runner code is in
+  // flight.
+  exec_.reset();
   // Unwind continuations still parked on rounds no user answered (a
   // session closed while parked was unwound at its close): the parked
   // stacks hold live learner frames whose destructors must run.
   // Safe on this thread — the workers are joined, so no runner owns any
-  // session anymore. Collect under the lock (the locks are uncontended
-  // now, but they keep the guarded-field discipline uniform), unwind
-  // outside it: UnwindFiber switches into the parked stack, and the rank
-  // checker forbids holding a lock across that.
+  // session anymore. Collect under the locks (uncontended now, but they
+  // keep the guarded-field discipline uniform), unwind outside them:
+  // UnwindFiber switches into the parked stack, and the rank checker
+  // forbids holding a lock across that.
   std::vector<SessionState*> parked;
-  {
-    MutexLock lock(&mutex_);
-    for (auto& [id, state] : sessions_) {
+  for (auto& shard : shards_) {
+    MutexLock lock(&shard->mutex);
+    for (auto& [id, state] : shard->sessions) {
       if (state->fiber != nullptr) parked.push_back(state.get());
     }
   }
@@ -80,13 +81,14 @@ void SessionRouter::UnwindFiber(SessionState* state) {
 
 void SessionRouter::UnwindClosedSession(SessionState* state) {
   UnwindFiber(state);
+  Shard& shard = *state->shard;
   bool idle = false;
   {
-    MutexLock lock(&mutex_);
+    MutexLock lock(&shard.mutex);
     state->running = false;
-    idle = --runnable_jobs_ == 0;
+    idle = --shard.runnable_jobs == 0;
   }
-  if (idle) idle_cv_.NotifyAll();
+  if (idle) shard.idle_cv.NotifyAll();
 }
 
 std::vector<TranscriptEntry> SessionRouter::TakeRestartPrefix(
@@ -117,39 +119,44 @@ SessionRouter::SessionId SessionRouter::OpenPendingAt(SessionId id, int n) {
 }
 
 SessionRouter::SessionId SessionRouter::OpenInternal(SessionId id, int n) {
+  // Refused before taking an id, so a refusal consumes none.
   if (n < 1 || n > kMaxVars) return 0;
   auto state = std::make_unique<SessionState>();
   state->session =
       std::make_unique<QuerySession>(n, &state->backend, options_.session);
-  MutexLock lock(&mutex_);
-  if (id == 0) {
-    while (sessions_.contains(next_id_)) ++next_id_;
-    id = next_id_++;
-  } else if (sessions_.contains(id)) {
-    return 0;
+  const bool assign = id == 0;
+  for (;;) {
+    if (assign) id = next_id_.fetch_add(1, std::memory_order_relaxed);
+    Shard& shard = ShardFor(id);
+    MutexLock lock(&shard.mutex);
+    if (!shard.sessions.contains(id)) {
+      state->shard = &shard;
+      state->backend.set_session_id(id);
+      shard.sessions.emplace(id, std::move(state));
+      return id;
+    }
+    // A caller-chosen open holds this id: refuse it, or skip it.
+    if (!assign) return 0;
   }
-  state->backend.set_session_id(id);
-  sessions_.emplace(id, std::move(state));
-  return id;
 }
 
-SessionRouter::SessionState* SessionRouter::FindSession(SessionId id) {
-  auto it = sessions_.find(id);
-  QHORN_CHECK_MSG(it != sessions_.end(), "no session " << id);
+SessionRouter::SessionState* SessionRouter::Shard::Find(SessionId id) {
+  auto it = sessions.find(id);
+  QHORN_CHECK_MSG(it != sessions.end(), "no session " << id);
   return it->second.get();
 }
 
-void SessionRouter::CompleteJob(JobKind kind) {
-  ++jobs_done_;
+void SessionRouter::Shard::CompleteJob(JobKind kind) {
+  ++jobs_done;
   switch (kind) {
     case JobKind::kLearn:
-      ++learns_;
+      ++learns;
       break;
     case JobKind::kVerify:
-      ++verifies_;
+      ++verifies;
       break;
     case JobKind::kRevise:
-      ++revisions_;
+      ++revisions;
       break;
     case JobKind::kOther:
       break;
@@ -162,19 +169,20 @@ bool SessionRouter::Submit(SessionId id, Job job) {
 
 bool SessionRouter::SubmitInternal(SessionId id, Job job, JobKind kind) {
   QHORN_CHECK(job != nullptr);
+  Shard& shard = ShardFor(id);
   SessionState* state = nullptr;
   bool start_runner = false;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return false;
+    MutexLock lock(&shard.mutex);
+    auto it = shard.sessions.find(id);
+    if (it == shard.sessions.end()) return false;
     state = it->second.get();
     if (state->closed) return false;
     state->job_log.push_back(JobRecord{std::move(job), kind});
     // A session blocked on its user cannot progress: the job waits in the
     // log, uncounted, until ProvideAnswers makes it runnable.
     if (!state->awaiting) {
-      ++runnable_jobs_;
+      ++shard.runnable_jobs;
       if (!state->running) {
         state->running = true;
         start_runner = true;
@@ -193,7 +201,8 @@ void SessionRouter::RunPendingSession(SessionState* state) {
   // frame that asked the question — no rebuild, no replay, no re-walk. The
   // body only fetches jobs and runs them; every piece of completion
   // bookkeeping happens on this (host) side of the switch, after Resume()
-  // returns, under mutex_.
+  // returns, under the shard's mutex.
+  Shard& shard = *state->shard;
   for (;;) {
     bool resume_parked = false;
     bool cancel_parked = false;
@@ -201,7 +210,7 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     int64_t next_round = 0;
     size_t start_job = 0;
     {
-      MutexLock lock(&mutex_);
+      MutexLock lock(&shard.mutex);
       resume_parked = state->fiber != nullptr;
       cancel_parked = resume_parked && state->correction.has_value();
       if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
@@ -239,18 +248,21 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       }
       state->backend.BeginAttempt(next_round);
       state->fiber_jobs_run = start_job;
-      auto fiber = std::make_unique<Fiber>([this, state, start_job] {
+      // The body outlives this call (it parks, and a later runner resumes
+      // it), so it captures nothing from this frame by reference.
+      auto fiber = std::make_unique<Fiber>([state, start_job] {
         try {
           for (size_t i = start_job;; ++i) {
             JobRecord job;
             {
-              MutexLock lock(&mutex_);
+              MutexLock lock(&state->shard->mutex);
               if (i >= state->job_log.size()) return;
               job = state->job_log[i];  // copy: the log outlives the run
             }
             job.fn(*state->session);
             // Runner-owned cursor, read by the host after the switch back
-            // (same-thread, or ordered through mutex_ on a lane handoff).
+            // (same-thread, or ordered through the shard mutex on a lane
+            // handoff).
             state->fiber_jobs_run = i + 1;
           }
         } catch (const JobSuspended&) {
@@ -273,11 +285,11 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       bool idle = false;
       bool done = false;
       {
-        MutexLock lock(&mutex_);
+        MutexLock lock(&shard.mutex);
         while (state->jobs_completed < jobs_run) {
-          CompleteJob(state->job_log[state->jobs_completed].kind);
+          shard.CompleteJob(state->job_log[state->jobs_completed].kind);
           ++state->jobs_completed;
-          --runnable_jobs_;
+          --shard.runnable_jobs;
         }
         // The pipeline now reflects every completed job; later jobs run
         // on it directly.
@@ -285,10 +297,10 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         if (state->jobs_completed >= state->job_log.size()) {
           state->running = false;
           done = true;
-          idle = runnable_jobs_ == 0;
+          idle = shard.runnable_jobs == 0;
         }
       }
-      if (idle) idle_cv_.NotifyAll();
+      if (idle) shard.idle_cv.NotifyAll();
       if (done) return;
       continue;  // jobs arrived while the body was finishing
     }
@@ -302,19 +314,19 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     bool idle = false;
     bool abandoned = false;
     {
-      MutexLock lock(&mutex_);
+      MutexLock lock(&shard.mutex);
       while (state->jobs_completed < jobs_run) {
-        CompleteJob(state->job_log[state->jobs_completed].kind);
+        shard.CompleteJob(state->job_log[state->jobs_completed].kind);
         ++state->jobs_completed;
-        --runnable_jobs_;
+        --shard.runnable_jobs;
       }
       ++state->suspensions;
-      ++suspensions_;
+      ++shard.suspensions;
       // Everything this session still owes can no longer progress
       // without the user; Drain must not wait for it.
-      runnable_jobs_ -= static_cast<int64_t>(state->job_log.size() -
-                                             state->jobs_completed);
-      idle = runnable_jobs_ == 0;
+      shard.runnable_jobs -= static_cast<int64_t>(state->job_log.size() -
+                                                  state->jobs_completed);
+      idle = shard.runnable_jobs == 0;
       if (state->closed) {
         // Closed mid-run: abandon the round; the session never resumes.
         (void)state->backend.TakePending();
@@ -323,14 +335,14 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         state->pending_round = state->backend.TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
-        // Published in the same critical section as runnable_jobs_'s
+        // Published in the same critical section as runnable_jobs's
         // decrement, so Drain-then-poll observes every parked round.
-        AnnounceRound(state);
+        shard.AnnounceRound(state);
       }
       state->pipeline_live = false;
       state->running = false;
     }
-    if (idle) idle_cv_.NotifyAll();
+    if (idle) shard.idle_cv.NotifyAll();
     // A closed session's parked stack unwinds right here — no resume can
     // ever come. Safe after releasing ownership: closed sessions reject
     // Submit/ProvideAnswers, so no other runner can be posted.
@@ -362,30 +374,39 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
       JobKind::kRevise);
 }
 
-void SessionRouter::AnnounceRound(SessionState* state) {
-  state->announced_slot = announced_rounds_.size();
-  state->announced_batch = announce_batch_;
-  announced_rounds_.push_back(*state->pending_round);
+void SessionRouter::Shard::AnnounceRound(SessionState* state) {
+  state->announced_slot = announced_rounds.size();
+  state->announced_batch = announce_batch;
+  announced_rounds.push_back(*state->pending_round);
 }
 
-void SessionRouter::RetireRound(SessionState* state) {
+void SessionRouter::Shard::RetireRound(SessionState* state) {
   // A round some poll already took is the caller's to drop.
-  if (state->announced_batch != announce_batch_) return;
+  if (state->announced_batch != announce_batch) return;
   state->announced_batch = 0;
   const size_t slot = state->announced_slot;
-  if (slot + 1 != announced_rounds_.size()) {
-    announced_rounds_[slot] = std::move(announced_rounds_.back());
-    FindSession(announced_rounds_[slot].session_id)->announced_slot = slot;
+  if (slot + 1 != announced_rounds.size()) {
+    announced_rounds[slot] = std::move(announced_rounds.back());
+    Find(announced_rounds[slot].session_id)->announced_slot = slot;
   }
-  announced_rounds_.pop_back();
+  announced_rounds.pop_back();
 }
 
 std::vector<PendingRound> SessionRouter::PendingRounds() {
   std::vector<PendingRound> rounds;
-  {
-    MutexLock lock(&mutex_);
-    rounds.swap(announced_rounds_);
-    ++announce_batch_;  // every slot into the taken vector is now stale
+  for (auto& shard : shards_) {
+    std::vector<PendingRound> batch;
+    {
+      MutexLock lock(&shard->mutex);
+      batch.swap(shard->announced_rounds);
+      ++shard->announce_batch;  // every slot into the taken vector is stale
+    }
+    if (rounds.empty()) {
+      rounds.swap(batch);
+    } else {
+      rounds.insert(rounds.end(), std::make_move_iterator(batch.begin()),
+                    std::make_move_iterator(batch.end()));
+    }
   }
   std::sort(rounds.begin(), rounds.end(),
             [](const PendingRound& a, const PendingRound& b) {
@@ -409,12 +430,13 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
                                                      int64_t round_id,
                                                      BitSpan answers,
                                                      CommitHook* commit) {
+  Shard& shard = ShardFor(id);
   SessionState* state = nullptr;
   std::optional<PendingRound> answered;  // freed after the lock is dropped
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
+    MutexLock lock(&shard.mutex);
+    auto it = shard.sessions.find(id);
+    if (it == shard.sessions.end()) return ProvideOutcome::kUnknownSession;
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
@@ -429,9 +451,9 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
     // session exactly as it was (the round stays pending, the same call
     // can be retried once the log is healthy). The sharding invariant —
     // a DurableRouter commit hook runs under exactly one shard's mutex —
-    // is what lets the hook append to this shard's WAL without
-    // cross-shard ordering concerns; the rank checker enforces it (a hook
-    // reaching into a second shard dies on the same-rank check).
+    // is what lets the hook append to the WAL file paired with this shard
+    // without cross-shard ordering concerns; the rank checker enforces it
+    // (a hook reaching into a second shard dies on the same-rank check).
     if (commit != nullptr) {
       LockRankChecker::AssertHeldCountAtRank(LockRank::kRouterShard, 1,
                                              "a DurableRouter commit hook");
@@ -448,12 +470,12 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
     }
     state->answered_questions += answers.size();
     ++state->answered_rounds;
-    RetireRound(state);
+    shard.RetireRound(state);
     answered = std::move(state->pending_round);
     state->pending_round.reset();
     state->awaiting = false;
-    runnable_jobs_ += static_cast<int64_t>(state->job_log.size() -
-                                           state->jobs_completed);
+    shard.runnable_jobs += static_cast<int64_t>(state->job_log.size() -
+                                                state->jobs_completed);
     state->running = true;
   }
   exec_->Post([this, state] { RunPendingSession(state); });
@@ -461,11 +483,12 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
 }
 
 ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
+  Shard& shard = ShardFor(id);
   SessionState* state = nullptr;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return ProvideOutcome::kUnknownSession;
+    MutexLock lock(&shard.mutex);
+    auto it = shard.sessions.find(id);
+    if (it == shard.sessions.end()) return ProvideOutcome::kUnknownSession;
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
@@ -491,21 +514,22 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // correction tells the runner to unwind it before the restart attempt
     // (the unwind runs learner destructors, so it happens on a lane, never
     // under this lock).
-    RetireRound(state);  // the abandoned round is never delivered
+    shard.RetireRound(state);  // the abandoned round is never delivered
     state->pending_round.reset();
     state->awaiting = false;
-    runnable_jobs_ += static_cast<int64_t>(state->job_log.size());
+    shard.runnable_jobs += static_cast<int64_t>(state->job_log.size());
     state->running = true;
-    ++corrections_;
+    ++shard.corrections;
   }
   exec_->Post([this, state] { RunPendingSession(state); });
   return ProvideOutcome::kResumed;
 }
 
 std::optional<PendingRound> SessionRouter::pending_round(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return std::nullopt;
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mutex);
+  auto it = shard.sessions.find(id);
+  if (it == shard.sessions.end()) return std::nullopt;
   const SessionState* state = it->second.get();
   if (!state->awaiting) return std::nullopt;
   return state->pending_round;
@@ -516,11 +540,12 @@ bool SessionRouter::Close(SessionId id) {
 }
 
 bool SessionRouter::Close(SessionId id, CommitHook commit) {
+  Shard& shard = ShardFor(id);
   SessionState* parked = nullptr;
   {
-    MutexLock lock(&mutex_);
-    auto it = sessions_.find(id);
-    if (it == sessions_.end()) return false;
+    MutexLock lock(&shard.mutex);
+    auto it = shard.sessions.find(id);
+    if (it == shard.sessions.end()) return false;
     SessionState* state = it->second.get();
     if (state->closed) return false;
     // The write-ahead barrier, as in ProvideAnswersInternal: only a close
@@ -530,7 +555,7 @@ bool SessionRouter::Close(SessionId id, CommitHook commit) {
     if (state->awaiting) {
       // The user will never answer; abandon the round. The session's
       // uncompleted jobs were uncounted at suspension.
-      RetireRound(state);
+      shard.RetireRound(state);
       state->pending_round.reset();
       state->awaiting = false;
       if (state->fiber != nullptr) {
@@ -538,7 +563,7 @@ bool SessionRouter::Close(SessionId id, CommitHook commit) {
         // ownership as a runner would and count the unwind, so Drain
         // waits for it. Closed, the session never starts another attempt.
         state->running = true;
-        ++runnable_jobs_;
+        ++shard.runnable_jobs;
         parked = state;
       }
     }
@@ -552,9 +577,10 @@ bool SessionRouter::Close(SessionId id, CommitHook commit) {
 }
 
 std::optional<SessionStatus> SessionRouter::status(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  if (it == sessions_.end()) return std::nullopt;
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mutex);
+  auto it = shard.sessions.find(id);
+  if (it == shard.sessions.end()) return std::nullopt;
   const SessionState* state = it->second.get();
   if (state->awaiting) return SessionStatus::kAwaitingUser;
   if (state->running) return SessionStatus::kRunning;
@@ -562,47 +588,54 @@ std::optional<SessionStatus> SessionRouter::status(SessionId id) {
 }
 
 int64_t SessionRouter::suspensions(SessionId id) {
-  MutexLock lock(&mutex_);
-  auto it = sessions_.find(id);
-  return it == sessions_.end() ? -1 : it->second->suspensions;
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mutex);
+  auto it = shard.sessions.find(id);
+  return it == shard.sessions.end() ? -1 : it->second->suspensions;
 }
 
 void SessionRouter::Drain() {
-  MutexLock lock(&mutex_);
-  // Explicit predicate loop (not a wait(pred) lambda) so the guarded read
-  // of runnable_jobs_ happens in a scope thread-safety analysis can see
-  // holds mutex_.
-  while (runnable_jobs_ != 0) {
-    idle_cv_.Wait(&mutex_);
+  for (auto& shard : shards_) {
+    MutexLock lock(&shard->mutex);
+    // Explicit predicate loop (not a wait(pred) lambda) so the guarded
+    // read of runnable_jobs happens in a scope thread-safety analysis can
+    // see holds the shard mutex.
+    while (shard->runnable_jobs != 0) {
+      shard->idle_cv.Wait(&shard->mutex);
+    }
   }
 }
 
 QuerySession& SessionRouter::session(SessionId id) {
-  MutexLock lock(&mutex_);
-  return *FindSession(id)->session;
+  Shard& shard = ShardFor(id);
+  MutexLock lock(&shard.mutex);
+  return *shard.Find(id)->session;
 }
 
 ServiceStats SessionRouter::stats() {
-  MutexLock lock(&mutex_);
-  QHORN_CHECK_MSG(runnable_jobs_ == 0, "stats() requires an idle router");
   ServiceStats stats;
-  stats.sessions = static_cast<int64_t>(sessions_.size());
-  stats.jobs = jobs_done_;
-  stats.learns = learns_;
-  stats.verifies = verifies_;
-  stats.revisions = revisions_;
-  stats.suspensions = suspensions_;
-  stats.corrections = corrections_;
-  for (const auto& [id, state] : sessions_) {
-    const OracleStats& os = state->session->oracle_stats();
-    stats.questions += os.questions;
-    stats.batched_questions += os.batched_questions;
-    stats.rounds += state->session->rounds();
-    stats.cache_hits += state->session->cache_hits();
-    stats.replayed_questions += state->session->user_questions_replayed();
-    if (state->awaiting) {
-      ++stats.awaiting_sessions;
-      stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+  for (auto& shard : shards_) {
+    MutexLock lock(&shard->mutex);
+    QHORN_CHECK_MSG(shard->runnable_jobs == 0,
+                    "stats() requires an idle router");
+    stats.sessions += static_cast<int64_t>(shard->sessions.size());
+    stats.jobs += shard->jobs_done;
+    stats.learns += shard->learns;
+    stats.verifies += shard->verifies;
+    stats.revisions += shard->revisions;
+    stats.suspensions += shard->suspensions;
+    stats.corrections += shard->corrections;
+    for (const auto& [id, state] : shard->sessions) {
+      const OracleStats& os = state->session->oracle_stats();
+      stats.questions += os.questions;
+      stats.batched_questions += os.batched_questions;
+      stats.rounds += state->session->rounds();
+      stats.cache_hits += state->session->cache_hits();
+      stats.replayed_questions += state->session->user_questions_replayed();
+      if (state->awaiting) {
+        ++stats.awaiting_sessions;
+        stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+      }
     }
   }
   return stats;

@@ -48,16 +48,33 @@
 // same jobs over the same answers (tests/service_router_test.cc and
 // tests/continuation_stress_test.cc stress this with up to 256 sessions).
 //
+// Lock shards: the session space is split across Options.shards shards,
+// each with its own mutex, idle condvar, session map, announced-round
+// vector and counters. Session `id` lives in shard `id mod shards`, so
+// every id-taking call locks exactly one shard and protocol calls against
+// different shards never touch a shared line. Router-wide there is only
+// the executor (lanes are a machine-wide resource: Options.threads is the
+// total lane count) and one atomic id counter. Sessions are independent,
+// so a session's observables never depend on the shard count; at
+// shards == 1 the router is one mutex over every session.
+//
 // An embedding server plugs a user in through OpenPending and the
 // PendingRounds()/ProvideAnswers protocol above; a simulated user is just
 // an answerer of that protocol in the caller's process (FleetDriver's
 // hostile arm is one). Code that wants a synchronous user drives a bare
 // QuerySession instead, which is also the service's differential
 // reference.
+//
+// Lock order (enforced at runtime by the rank checker, src/util/
+// lock_ranks.h): one shard mutex (kRouterShard) → that shard's WAL
+// (kWalShard, DurableRouter's commit hooks) → the filesystem
+// (kFaultFs/kFs). Same-rank nesting is forbidden, so no call path holds
+// two shard mutexes at once, and a commit hook runs under exactly one.
 
 #ifndef QHORN_SESSION_ROUTER_H_
 #define QHORN_SESSION_ROUTER_H_
 
+#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -141,20 +158,17 @@ class SessionRouter {
     /// Concurrent session lanes (worker threads running session jobs);
     /// ≤ 0 means Executor::DefaultConcurrency() (which honours
     /// QHORN_THREADS). 1 degrades to synchronous in-caller execution —
-    /// the differential baseline. Ignored when `executor` is set.
+    /// the differential baseline.
     int threads = 0;
+    /// Lock shards (see the file comment); ≥ 1. Session `id` lives in
+    /// shard `id mod shards`. Changes which mutexes exist, never what a
+    /// session observes.
+    int shards = 1;
     QuerySession::Options session;
     /// Unread: fiber resume is the only protocol. Kept only because the
     /// frozen end-to-end benchmark (bench_e2e/e2e_bench.cc) assigns it;
     /// the next change to that benchmark drops this field and ResumeMode.
     ResumeMode resume_mode = ResumeMode::kFiber;
-    /// Borrowed executor (how ShardedRouter shares one pool across its
-    /// shards). Non-null: the router posts to it instead of owning a pool,
-    /// `threads` is ignored, and the *owner* must keep the executor alive
-    /// — and joined — past this router's destruction (drain every sharing
-    /// router, destroy the executor, then the routers; see
-    /// ShardedRouter::~ShardedRouter for the canonical order).
-    Executor* executor = nullptr;
   };
 
   SessionRouter();
@@ -170,15 +184,17 @@ class SessionRouter {
   /// Opens a session over a pending (asynchronous) user: every round
   /// suspends the job and surfaces through PendingRounds() until
   /// ProvideAnswers feeds the labels back. The router owns the backend.
-  /// Returns 0 (never a valid id) and opens nothing when `n` is outside
-  /// [1, kMaxVars] — the typed refusal for a hostile open.
+  /// The id is the counter's next one (1, 2, 3, … at any shard count),
+  /// skipping ids a caller-chosen open already holds. Returns 0 (never a
+  /// valid id) and opens nothing, consuming no id, when `n` is outside
+  /// [1, kMaxVars] — the typed refusal for a hostile open. Safe to call
+  /// from several threads.
   SessionId OpenPending(int n);
 
-  /// OpenPending under an id the caller picks — how ShardedRouter places
-  /// a session on the shard its id names. Returns `id`, or 0 and opens
-  /// nothing when `id` ≤ 0, `id` is already in use or `n` is out of range
-  /// as above. The ids the router assigns itself skip every id in use, so
-  /// the two kinds never collide.
+  /// OpenPending under an id the caller picks — how DurableRouter opens a
+  /// session at its logged id, in the shard that pairs with its WAL file.
+  /// Returns `id`, or 0 and opens nothing when `id` ≤ 0, `id` is already
+  /// in use or `n` is out of range as above.
   SessionId OpenPendingAt(SessionId id, int n);
 
   /// Enqueues a job for the session. Jobs of one session run in
@@ -200,11 +216,12 @@ class SessionRouter {
   /// Edge-triggered (like epoll's EPOLLET): each announced round is
   /// delivered by exactly one poll, and a round answered, corrected or
   /// closed before that poll is never delivered. A suspending runner
-  /// appends its round to a plain vector under the router mutex it already
-  /// holds; the poll swaps that vector out in one short critical section,
-  /// then sorts and returns it outside the lock — O(new rounds) per poll,
-  /// whatever the number of parked sessions. Retiring a round that no poll
-  /// has taken yet removes it from the vector in place (see RetireRound).
+  /// appends its round to a plain vector under the shard mutex it already
+  /// holds; the poll swaps each shard's vector out in one short critical
+  /// section per shard, then concatenates and sorts the batches once
+  /// outside every lock — O(new rounds) per poll, whatever the number of
+  /// parked sessions. Retiring a round that no poll has taken yet removes
+  /// it from the vector in place (see Shard::RetireRound).
   /// The poll keeps no state between calls, so concurrent pollers get
   /// disjoint batches whose union is every announced round. To re-read a
   /// round already delivered, use pending_round(id). After Drain() and one
@@ -226,8 +243,8 @@ class SessionRouter {
 
   /// A durable wrapper's write-ahead barrier: invoked once, after every
   /// validation has passed and before any state mutates, while the call
-  /// still holds the router lock (so no concurrent call can interleave
-  /// between the hook and the fold). Return false to veto: the call
+  /// still holds the session's shard lock (so no concurrent call can
+  /// interleave between the hook and the fold). Return false to veto: the call
   /// reports kLogWriteFailed and the session — pending round included —
   /// is exactly as it was, so the caller may retry the identical call
   /// once its log is healthy again.
@@ -283,7 +300,8 @@ class SessionRouter {
 
   /// Close with a durable commit barrier, run like ProvideAnswers': after
   /// the id is known to name an open session, before it closes, under
-  /// the router lock. A veto returns false with the session still open.
+  /// the session's shard lock. A veto returns false with the session
+  /// still open.
   bool Close(SessionId id, CommitHook commit);
 
   /// The session's lifecycle state, for the embedding server's dashboard
@@ -296,8 +314,9 @@ class SessionRouter {
   int64_t suspensions(SessionId id);
 
   /// Blocks until no session can make progress without more input: every
-  /// session is idle or awaiting user answers. With pending sessions in
-  /// play the idiom is a poll loop —
+  /// session is idle or awaiting user answers. Drains shard by shard; one
+  /// pass suffices, since a job never creates work in another shard. With
+  /// pending sessions in play the idiom is a poll loop —
   ///   for (;;) { router.Drain();
   ///              auto rounds = router.PendingRounds();
   ///              if (rounds.empty()) break;
@@ -314,11 +333,11 @@ class SessionRouter {
   /// synchronous run's.
   QuerySession& session(SessionId id);
 
-  /// Aggregate counters. Requires no runnable job (call after Drain;
-  /// sessions awaiting user answers are fine).
+  /// Aggregate counters, summed over the shards. Requires no runnable job
+  /// (call after Drain; sessions awaiting user answers are fine).
   ServiceStats stats();
 
-  Executor* executor() { return exec_; }
+  Executor* executor() { return exec_.get(); }
 
  private:
   enum class JobKind { kOther, kLearn, kVerify, kRevise };
@@ -327,19 +346,21 @@ class SessionRouter {
     JobKind kind = JobKind::kOther;
   };
 
-  // Locking protocol: the map shape, job log, counters, the
-  // awaiting/running/closed flags and the announcement slot are guarded by
-  // the router's mutex_.
-  // The resume-state fields (staged_answers, correction, fiber*)
+  struct Shard;
+
+  // Locking protocol: the job log, the awaiting/running/closed flags and
+  // the announcement slot are guarded by the mutex of the session's
+  // shard. The resume-state fields (staged_answers, correction, fiber*)
   // follow an ownership handoff instead: while `running` is true
   // they belong exclusively to the runner task and are read/written
   // without the lock — a protocol thread-safety analysis cannot express
-  // (TSA has no "guarded by mutex_ OR owned by the runner"), and a
-  // nested struct cannot name the enclosing router's mutex_ in a
-  // QHORN_GUARDED_BY anyway. The per-field comments say which regime
-  // each field is under; the cross-thread edges are TSan-covered by the
-  // continuation stress suites.
+  // (TSA has no "guarded by the shard mutex OR owned by the runner"), and
+  // a session cannot name its shard's mutex in a QHORN_GUARDED_BY anyway.
+  // The per-field comments say which regime each field is under; the
+  // cross-thread edges are TSan-covered by the continuation stress suites.
   struct SessionState {
+    // The shard hosting this session (`id mod shards`); set at open.
+    Shard* shard = nullptr;
     // Declared before the session, whose pipeline points at it.
     PendingOracle backend;
     std::unique_ptr<QuerySession> session;
@@ -380,15 +401,66 @@ class SessionRouter {
     bool awaiting = false;  // suspended; ProvideAnswers will resume
     bool running = false;   // a runner task currently owns this session
     bool closed = false;
-    // Where this session's undelivered round sits in announced_rounds_.
-    // Valid only while announced_batch equals the router's announce_batch_:
-    // a poll bumps that counter as it takes the vector, which invalidates
-    // every slot at once.
+    // Where this session's undelivered round sits in its shard's
+    // announced_rounds. Valid only while announced_batch equals the
+    // shard's announce_batch: a poll bumps that counter as it takes the
+    // vector, which invalidates every slot at once.
     size_t announced_slot = 0;
     uint64_t announced_batch = 0;
   };
 
-  /// Opens under `id`, or under the next free id when `id` is 0.
+  // One lock shard. Its mutex guards the map shape, the per-session
+  // bookkeeping of the sessions it hosts (SessionState fields — see the
+  // struct comments for the runner-owned exceptions), the announced
+  // rounds and the counters. A DurableRouter commit hook (ProvideAnswers
+  // or Close) runs while exactly one shard mutex is held
+  // (LockRank::kRouterShard — the rank checker forbids nesting two, and
+  // ProvideAnswersInternal asserts it before running its hook). Aligned
+  // to two cache lines (the adjacent-line prefetcher pulls pairs), so
+  // two shards' mutexes and counters never share a line.
+  struct alignas(128) Shard {
+    /// Bumps jobs_done and the per-kind counter.
+    void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
+    /// Publishes the session's freshly set pending_round to the next poll.
+    void AnnounceRound(SessionState* state) QHORN_REQUIRES(mutex);
+    /// The session's round stops being answerable: if no poll has taken
+    /// it yet, remove it from announced_rounds (the last entry moves into
+    /// its slot), so it is never delivered.
+    void RetireRound(SessionState* state) QHORN_REQUIRES(mutex);
+    /// The hosted session `id`; CHECK-fails if there is none.
+    SessionState* Find(SessionId id) QHORN_REQUIRES(mutex);
+
+    Mutex mutex{"router-shard", LockRank::kRouterShard};
+    CondVar idle_cv;
+    // Rounds announced since the last poll, at most one per session, in
+    // no particular order. PendingRounds swaps the vector out and bumps
+    // announce_batch, which starts at 1 so a fresh session's batch (0)
+    // never matches.
+    std::vector<PendingRound> announced_rounds QHORN_GUARDED_BY(mutex);
+    uint64_t announce_batch QHORN_GUARDED_BY(mutex) = 1;
+    std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions
+        QHORN_GUARDED_BY(mutex);
+    // Jobs that can make progress right now: uncompleted jobs of hosted
+    // sessions that are not blocked on a user. A suspension subtracts its
+    // session's uncompleted jobs; ProvideAnswers adds them back. Drain
+    // waits for 0.
+    int64_t runnable_jobs QHORN_GUARDED_BY(mutex) = 0;
+    // Counters bumped at job completion (stats() folds in session
+    // counters).
+    int64_t jobs_done QHORN_GUARDED_BY(mutex) = 0;
+    int64_t learns QHORN_GUARDED_BY(mutex) = 0;
+    int64_t verifies QHORN_GUARDED_BY(mutex) = 0;
+    int64_t revisions QHORN_GUARDED_BY(mutex) = 0;
+    int64_t suspensions QHORN_GUARDED_BY(mutex) = 0;
+    int64_t corrections QHORN_GUARDED_BY(mutex) = 0;
+  };
+
+  /// The shard that hosts `id` if any session does. Total over garbage
+  /// ids: an id ≤ 0 maps to some shard, which hosts no such session.
+  Shard& ShardFor(SessionId id) {
+    return *shards_[static_cast<uint64_t>(id) % shards_.size()];
+  }
+  /// Opens under `id`, or under the counter's next free id when `id` is 0.
   SessionId OpenInternal(SessionId id, int n);
   bool SubmitInternal(SessionId id, Job job, JobKind kind);
   /// Shared body of both ProvideAnswers overloads; `commit` null means
@@ -398,7 +470,7 @@ class SessionRouter {
   /// Executor task: resumes the session's parked continuation (or starts
   /// a fresh attempt on a new fiber), then either publishes the round it
   /// parked on and releases the lane, or folds the completed jobs into
-  /// the service counters.
+  /// the shard's counters.
   void RunPendingSession(SessionState* state);
   /// Cancels and unwinds a parked fiber (correction restart, closed
   /// session teardown): the parked wait-site throws, the stack unwinds to
@@ -413,51 +485,14 @@ class SessionRouter {
   /// The restart prefix of a fresh attempt: the session's user
   /// transcript, moved out, with a pending correction applied.
   std::vector<TranscriptEntry> TakeRestartPrefix(SessionState* state);
-  /// Bumps jobs_done_ and the per-kind counter.
-  void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex_);
-  /// Publishes the session's freshly set pending_round to the next poll.
-  void AnnounceRound(SessionState* state) QHORN_REQUIRES(mutex_);
-  /// The session's round stops being answerable: if no poll has taken it
-  /// yet, remove it from announced_rounds_ (the last entry moves into its
-  /// slot), so it is never delivered.
-  void RetireRound(SessionState* state) QHORN_REQUIRES(mutex_);
-  SessionState* FindSession(SessionId id) QHORN_REQUIRES(mutex_);
 
   Options options_;
-  std::unique_ptr<Executor> owned_executor_;  // null when Options.executor set
-  Executor* exec_ = nullptr;                  // owned or borrowed, never null
-
-  // Guards the sessions_ map shape, the per-session bookkeeping
-  // (SessionState fields — see the struct comments for the runner-owned
-  // exceptions), the announced rounds and the service counters. A
-  // ShardedRouter has one router, hence one of these, per shard; a
-  // DurableRouter commit hook (ProvideAnswers or Close) runs while
-  // exactly one of them is held (LockRank::kRouterShard — the rank
-  // checker forbids nesting two, and ProvideAnswersInternal asserts it
-  // before running its hook).
-  Mutex mutex_{"router-shard", LockRank::kRouterShard};
-  CondVar idle_cv_;
-  // Rounds announced since the last poll, at most one per session, in no
-  // particular order. PendingRounds swaps the vector out and bumps
-  // announce_batch_, which starts at 1 so a fresh session's batch (0)
-  // never matches.
-  std::vector<PendingRound> announced_rounds_ QHORN_GUARDED_BY(mutex_);
-  uint64_t announce_batch_ QHORN_GUARDED_BY(mutex_) = 1;
-  std::unordered_map<SessionId, std::unique_ptr<SessionState>> sessions_
-      QHORN_GUARDED_BY(mutex_);
+  std::vector<std::unique_ptr<Shard>> shards_;
   // Where an assigning open starts looking for a free id.
-  SessionId next_id_ QHORN_GUARDED_BY(mutex_) = 1;
-  // Jobs that can make progress right now: uncompleted jobs of sessions
-  // that are not blocked on a user. A suspension subtracts its session's
-  // uncompleted jobs; ProvideAnswers adds them back. Drain waits for 0.
-  int64_t runnable_jobs_ QHORN_GUARDED_BY(mutex_) = 0;
-  // Counters bumped at job completion (stats() folds in session counters).
-  int64_t jobs_done_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t learns_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t verifies_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t revisions_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t suspensions_ QHORN_GUARDED_BY(mutex_) = 0;
-  int64_t corrections_ QHORN_GUARDED_BY(mutex_) = 0;
+  std::atomic<SessionId> next_id_{1};
+  // Declared after the shards its lanes' runners touch, so it is joined
+  // first (the destructor also joins it explicitly, before unwinding).
+  std::unique_ptr<Executor> exec_;
 };
 
 }  // namespace qhorn

@@ -1,7 +1,7 @@
 // A plain lane pool shared by the concurrent layers.
 //
-// The SessionRouter (and the ShardedRouter over it) multiplexes many
-// sessions' jobs across one pool with Post. Oracle rounds are evaluated
+// The SessionRouter multiplexes many sessions' jobs, across all of its
+// lock shards, over one pool with Post. Oracle rounds are evaluated
 // inline on the lane that asks them: learner rounds are a few dozen
 // questions wide, far below where sharding one round pays.
 //

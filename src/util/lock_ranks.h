@@ -16,14 +16,15 @@
 //   kRouterShard < kWalShard < kFaultFs / kFs
 //     The durability chain: DurableRouter holds no mutex of its own,
 //     SessionRouter's ProvideAnswers and Close invoke the commit hook
-//     while holding exactly one shard mutex, the hook appends to that
-//     shard's WAL (SessionLog::AppendRecord holds the log mutex across
+//     while holding exactly one of the router's lock-shard mutexes, the
+//     hook appends to the WAL file paired with that shard
+//     (SessionLog::AppendRecord holds the log mutex across
 //     WritableFile::Append/Sync), and MemFs/FaultFs lock their own mutex
 //     inside the file operations. FaultFs releases its mutex before
 //     delegating to the base file, but it ranks below kFs so holding it
-//     across the call would also be legal. The pending-round poll takes a
-//     shard mutex only to swap out the rounds announced since the last
-//     poll, and calls nothing while holding it.
+//     across the call would also be legal. The pending-round poll takes
+//     each shard mutex in turn, only to swap out the rounds announced
+//     since the last poll, and calls nothing while holding it.
 //
 // Everything else is a leaf — nothing is acquired while holding it:
 //
@@ -50,7 +51,7 @@ namespace qhorn {
 
 enum class LockRank : int {
   kExecutor = 10,       // Executor::mutex_ (leaf)
-  kRouterShard = 40,    // SessionRouter::mutex_ (one per shard)
+  kRouterShard = 40,    // SessionRouter::Shard::mutex (one per shard)
   kWalShard = 50,       // SessionLog::mutex_ (one per WAL shard)
   kFaultFs = 55,        // FaultFs fault-schedule mutex
   kFs = 60,             // MemFs file-table mutex

@@ -50,6 +50,28 @@ int64_t DrawLatency(const WorkloadSpec& spec, Rng& rng) {
 
 }  // namespace
 
+void SubmitSpecJobs(SessionRouter& router, SessionRouter::SessionId id,
+                    const SessionSpec& spec) {
+  for (WorkloadJob job : spec.jobs) {
+    bool accepted = false;
+    switch (job) {
+      case WorkloadJob::kLearn:
+        accepted = router.SubmitLearn(id);
+        break;
+      case WorkloadJob::kVerifyTarget:
+        accepted = router.SubmitVerify(id, spec.target);
+        break;
+      case WorkloadJob::kVerifyMutant:
+        accepted = router.SubmitVerify(id, spec.mutant);
+        break;
+      case WorkloadJob::kRevise:
+        accepted = router.SubmitRevise(id, spec.mutant);
+        break;
+    }
+    QHORN_CHECK_MSG(accepted, "submit rejected on a live session");
+  }
+}
+
 // ---------------------------------------------------------------------------
 // The hostile arm
 
@@ -308,23 +330,13 @@ FleetResult FleetDriver::RunPending(int lanes_override, int shards_override) {
       fleet_.spec.speculative_batching;
   sopts.learner.universal.speculative_batching =
       fleet_.spec.speculative_batching;
-  const int shards =
-      shards_override > 0 ? shards_override : fleet_.spec.router_shards;
-  if (shards <= 1) {
-    // The classic arm: a bare SessionRouter, exactly as before sharding.
-    SessionRouter::Options ropts;
-    ropts.threads = threads;
-    ropts.session = sopts;
-    SessionRouter router(ropts);
-    RouterEndpoint endpoint(&router);
-    return RunHostile(endpoint);
-  }
-  ShardedRouter::Options ropts;
-  ropts.shards = shards;
+  SessionRouter::Options ropts;
   ropts.threads = threads;
+  ropts.shards =
+      shards_override > 0 ? shards_override : fleet_.spec.router_shards;
   ropts.session = sopts;
-  ShardedRouter router(ropts);
-  ShardedRouterEndpoint endpoint(&router);
+  SessionRouter router(ropts);
+  RouterEndpoint endpoint(&router);
   return RunHostile(endpoint);
 }
 

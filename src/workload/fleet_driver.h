@@ -47,8 +47,7 @@
 #include <string>
 #include <vector>
 
-#include "src/session/sharded_router.h"
-#include "src/util/check.h"
+#include "src/session/router.h"
 #include "src/workload/service_endpoint.h"
 #include "src/workload/workload.h"
 
@@ -82,40 +81,15 @@ struct DifferentialOutcome {
 
 /// Submits the spec's whole job plan to an already-open session, aborting
 /// if the router refuses. Shared by the endpoints and durable recovery
-/// (which must rebuild the identical job log); templated so it drives a
-/// bare SessionRouter and the ShardedRouter facade identically.
-template <typename RouterT>
-void SubmitSpecJobs(RouterT& router, typename RouterT::SessionId id,
-                    const SessionSpec& spec) {
-  for (WorkloadJob job : spec.jobs) {
-    bool accepted = false;
-    switch (job) {
-      case WorkloadJob::kLearn:
-        accepted = router.SubmitLearn(id);
-        break;
-      case WorkloadJob::kVerifyTarget:
-        accepted = router.SubmitVerify(id, spec.target);
-        break;
-      case WorkloadJob::kVerifyMutant:
-        accepted = router.SubmitVerify(id, spec.mutant);
-        break;
-      case WorkloadJob::kRevise:
-        accepted = router.SubmitRevise(id, spec.mutant);
-        break;
-    }
-    QHORN_CHECK_MSG(accepted, "submit rejected on a live session");
-  }
-}
+/// (which must rebuild the identical job log).
+void SubmitSpecJobs(SessionRouter& router, SessionRouter::SessionId id,
+                    const SessionSpec& spec);
 
-/// ServiceEndpoint over an in-memory router — the identity instantiation
-/// the classic differential arm runs against, and the shape durable
-/// endpoints mimic. RouterT is SessionRouter (the 1-shard classic) or
-/// ShardedRouter (the facade the sharded differentials drive); both speak
-/// the identical protocol surface.
-template <typename RouterT>
-class BasicRouterEndpoint : public ServiceEndpoint {
+/// ServiceEndpoint over an in-memory router — what the classic
+/// differential arm runs against, and the shape durable endpoints mimic.
+class RouterEndpoint : public ServiceEndpoint {
  public:
-  explicit BasicRouterEndpoint(RouterT* router) : router_(router) {}
+  explicit RouterEndpoint(SessionRouter* router) : router_(router) {}
 
   SessionId OpenPending(const SessionSpec& spec) override {
     SessionId id = router_->OpenPending(spec.n);
@@ -140,11 +114,8 @@ class BasicRouterEndpoint : public ServiceEndpoint {
   ServiceStats stats() override { return router_->stats(); }
 
  private:
-  RouterT* router_;
+  SessionRouter* router_;
 };
-
-using RouterEndpoint = BasicRouterEndpoint<SessionRouter>;
-using ShardedRouterEndpoint = BasicRouterEndpoint<ShardedRouter>;
 
 class FleetDriver {
  public:
@@ -157,10 +128,9 @@ class FleetDriver {
 
   /// RunHostile over a fleet-owned in-memory router on
   /// `fleet.spec.lanes` lanes (overridable for the benchmarks' lane
-  /// sweeps; <= 0 uses the spec). `shards_override` picks the router shard count (<= 0 uses the
-  /// spec's `router_shards`); 1 runs the classic bare SessionRouter,
-  /// anything higher runs the ShardedRouter facade — observables must
-  /// not notice, which is exactly what the sharded differentials pin.
+  /// sweeps; <= 0 uses the spec). `shards_override` picks the router's
+  /// lock shard count (<= 0 uses the spec's `router_shards`) — observables
+  /// must not notice, which is exactly what the sharded differentials pin.
   FleetResult RunPending(int lanes_override = 0, int shards_override = 0);
 
   /// Reference arm: each session as a bare QuerySession, in fleet order.

@@ -113,8 +113,8 @@ struct WorkloadSpec {
   /// walk's speculative extraction sweep and cross-head bodyless round
   /// (RpUniversalOptions::speculative_batching).
   bool speculative_batching = false;
-  /// Router shards the hostile arm runs behind (PR 9): 1 is the classic
-  /// bare SessionRouter, anything higher drives the ShardedRouter facade.
+  /// Lock shards of the router the hostile arm runs behind
+  /// (SessionRouter::Options::shards; 1 is one mutex over every session).
   /// Drawn from {1, 2, 4, 8} so the fuzz sweep exercises shard placement
   /// and per-shard announcement queues on every seed mix; observables
   /// must not depend on it (that is the differential).

@@ -5,8 +5,8 @@
 // router's executor is the only thread pool: ≤ 5 threads total), and
 // every per-session observable is bit-identical to a single-threaded
 // synchronous replay of the same jobs over the same answers. The sharded
-// variant drives the same fleet through the ShardedRouter facade at 1, 2
-// and 8 shards and pins its fingerprints to the synchronous arm too.
+// variant drives the same fleet through routers with 1, 2 and 8 lock
+// shards and pins its fingerprints to the synchronous arm too.
 //
 // Runs under the tsan preset with QHORN_THREADS=8 in CI (the router's
 // lane count is pinned to 4 explicitly; QHORN_THREADS exercises the
@@ -27,7 +27,6 @@
 #include "src/core/normalize.h"
 #include "src/core/random_query.h"
 #include "src/session/router.h"
-#include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "tests/session_fingerprint.h"
 
@@ -56,8 +55,7 @@ SessionPlan MakePlan(int n, uint64_t seed) {
   return plan;
 }
 
-template <typename RouterT>
-void SubmitPlan(RouterT& router, typename RouterT::SessionId id,
+void SubmitPlan(SessionRouter& router, SessionRouter::SessionId id,
                 const SessionPlan& plan) {
   for (int job : plan.jobs) {
     switch (job) {
@@ -208,11 +206,11 @@ TEST(ContinuationStressTest, TwoHundredFiftySixSessionsOnFourLanes) {
   }
 }
 
-TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
+TEST(ContinuationStressTest, RouterShardsMatchSynchronousAcrossShardCounts) {
   // The same 256-session plan fleet, adversarially scheduled, driven
-  // through the ShardedRouter facade at 1, 2 and 8 shards — ids and the
-  // combined poll cross the shard placement and the per-shard
-  // announcement queues. Every arm's per-session fingerprints must be
+  // through routers with 1, 2 and 8 lock shards — ids and the combined
+  // poll cross the shard placement and the per-shard announcement
+  // queues. Every arm's per-session fingerprints must be
   // bit-identical to a single-threaded synchronous replay: shard count is
   // a throughput knob, never an observable.
   constexpr int kSessions = 256;
@@ -232,18 +230,18 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
   }
 
   for (int shards : {1, 2, 8}) {
-    ShardedRouter::Options opts;
+    SessionRouter::Options opts;
     opts.shards = shards;
     opts.threads = kLanes;
-    ShardedRouter router(opts);
+    SessionRouter router(opts);
 
     std::vector<std::unique_ptr<QueryOracle>> truths;
-    std::map<ShardedRouter::SessionId, size_t> plan_of;
-    std::vector<ShardedRouter::SessionId> ids;
+    std::map<SessionRouter::SessionId, size_t> plan_of;
+    std::vector<SessionRouter::SessionId> ids;
     for (int s = 0; s < kSessions; ++s) {
       const SessionPlan& plan = plans[static_cast<size_t>(s)];
       truths.push_back(std::make_unique<QueryOracle>(plan.target));
-      ShardedRouter::SessionId id = router.OpenPending(n);
+      SessionRouter::SessionId id = router.OpenPending(n);
       plan_of[id] = static_cast<size_t>(s);
       ids.push_back(id);
       SubmitPlan(router, id, plan);
@@ -253,11 +251,11 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
     // only ~2/3 answered per sweep, resumes racing still-parked sessions.
     // Delivered rounds a sweep leaves unanswered are kept, as above.
     Rng sched(131 + static_cast<uint64_t>(shards));
-    std::map<ShardedRouter::SessionId, PendingRound> outstanding;
+    std::map<SessionRouter::SessionId, PendingRound> outstanding;
     for (;;) {
       router.Drain();
       for (PendingRound& round : router.PendingRounds()) {
-        const ShardedRouter::SessionId id = round.session_id;
+        const SessionRouter::SessionId id = round.session_id;
         ASSERT_TRUE(outstanding.try_emplace(id, std::move(round)).second)
             << "session " << id << " was delivered a second round";
       }
@@ -272,7 +270,7 @@ TEST(ContinuationStressTest, ShardedRouterMatchesSynchronousAcrossShardCounts) {
       size_t take = std::max<size_t>(1, (rounds.size() * 2) / 3);
       for (size_t i = 0; i < take; ++i) {
         PendingRound& round = *rounds[i];
-        const ShardedRouter::SessionId id = round.session_id;
+        const SessionRouter::SessionId id = round.session_id;
         QueryOracle* truth = truths[plan_of.at(id)].get();
         BitVec bits;
         BitSpan span = bits.Prepare(round.questions.size());

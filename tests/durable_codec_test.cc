@@ -65,7 +65,7 @@ TEST(DurableCodecTest, DecoderRefusesTruncation) {
   std::string bytes;
   // Length prefix claims 16 bytes but only 3 follow (explicit-length view:
   // the encoding contains NUL bytes).
-  Decoder in2(std::string_view("\x10\x00\x00\x00abc", 7));
+  Decoder in2(std::string_view("\x10\x00\x00\x00" "abc", 7));
   EXPECT_FALSE(in2.GetBytes(&bytes));
 }
 

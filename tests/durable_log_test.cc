@@ -53,10 +53,9 @@ SessionSpec SampleSpec(size_t index = 0) {
   return fleet.sessions[index];
 }
 
-std::unique_ptr<SessionLog> MustOpen(Fs* fs,
-                                     SessionLogOptions options = {}) {
+std::unique_ptr<SessionLog> MustOpen(Fs* fs) {
   std::string error;
-  auto log = SessionLog::Open(fs, kPath, options, &error);
+  auto log = SessionLog::Open(fs, kPath, &error);
   EXPECT_NE(log, nullptr) << error;
   return log;
 }
@@ -202,7 +201,7 @@ TEST(SessionLogTest, ForeignHeaderIsRejected) {
   EXPECT_EQ(r.status, LogReadStatus::kBadHeader);
 
   std::string error;
-  auto log = SessionLog::Open(&mem, kPath, {}, &error);
+  auto log = SessionLog::Open(&mem, kPath, &error);
   EXPECT_EQ(log, nullptr);
   EXPECT_FALSE(error.empty());
 }
@@ -275,7 +274,7 @@ TEST(SessionLogTest, FailedAppendPoisonsTheLog) {
 TEST(SessionLogTest, FailedSyncIsRetryableNotPoison) {
   MemFs mem;
   FaultFs faults(&mem, /*seed=*/12);
-  auto log = MustOpen(&faults);  // kEveryAppend
+  auto log = MustOpen(&faults);
   ASSERT_NE(log, nullptr);
 
   faults.ArmSyncFailure(/*after=*/1);

@@ -376,6 +376,46 @@ TEST(DurableRouterTest, TornShardTailIsTruncatedLoudly) {
   EXPECT_EQ(again.torn_tails_truncated, 0);
 }
 
+TEST(DurableRouterTest, RecoverRefusesALogWrittenWithMoreShards) {
+  MemFs mem;
+  std::string error;
+  auto dr = DurableRouter::Create(&mem, kLogDir, Opts(4), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  std::vector<SessionSpec> specs = CleanSpecs(4);
+  for (const SessionSpec& spec : specs) ASSERT_NE(dr->OpenPending(spec), 0);
+  dr->Drain();
+  dr.reset();
+  // A torn tail on shard 0: a recovery that went ahead would truncate it.
+  const std::string shard0 = DurableRouter::ShardPath(kLogDir, 0);
+  auto f = mem.OpenAppend(shard0);
+  ASSERT_TRUE(f->Append(std::string_view("\x09\x00\x00", 3)));
+  ASSERT_TRUE(f->Sync());
+  f.reset();
+  mem.CrashAll();
+  std::string before;
+  ASSERT_TRUE(mem.ReadFile(shard0, &before));
+
+  // Sessions 2 and 3 live in shard files 2 and 3, which a 2-shard
+  // recovery never reads: it must refuse, not drop them.
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(2), &report, &error);
+  EXPECT_EQ(rec, nullptr);
+  EXPECT_NE(error.find(DurableRouter::ShardPath(kLogDir, 2)),
+            std::string::npos)
+      << error;
+  EXPECT_EQ(report.records_read, 0);
+  EXPECT_EQ(report.torn_tails_truncated, 0);
+  std::string after;
+  ASSERT_TRUE(mem.ReadFile(shard0, &after));
+  EXPECT_EQ(after, before) << "a refused recovery touches nothing";
+
+  // At the shard count it was written with, the log recovers whole.
+  rec = DurableRouter::Recover(&mem, kLogDir, Opts(4), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, 4);
+  EXPECT_EQ(report.torn_tails_truncated, 1);
+}
+
 TEST(DurableRouterTest, BitRotMakesRecoveryRefuseTheLog) {
   MemFs mem;
   std::string error;
@@ -520,8 +560,8 @@ void WriteOpenRecords(MemFs* mem, int shards,
   std::string error;
   std::vector<std::unique_ptr<SessionLog>> logs;
   for (int s = 0; s < shards; ++s) {
-    logs.push_back(SessionLog::Open(mem, DurableRouter::ShardPath(kLogDir, s),
-                                    SessionLogOptions(), &error));
+    logs.push_back(
+        SessionLog::Open(mem, DurableRouter::ShardPath(kLogDir, s), &error));
     ASSERT_NE(logs.back(), nullptr) << error;
   }
   for (size_t i = 0; i < ids.size(); ++i) {

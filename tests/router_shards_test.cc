@@ -1,12 +1,11 @@
-// ShardedRouter — the N-shard facade over SessionRouter — and the combined
+// SessionRouter's lock shards (Options::shards) and the combined
 // pending-round poll. Also covers the parked-fiber cold-stack trim.
 //
-// The load-bearing property is the facade contract: a session's
+// The load-bearing property is the sharding contract: a session's
 // observables depend only on its own job and answer sequence, never on
-// the shard count — a 1-shard facade is bit-identical (ids included) to a
-// bare SessionRouter, and 2/8-shard runs produce fingerprints equal to
-// the 1-shard run session for session. The poll is raced against live
-// suspensions/resumes under TSan.
+// the shard count — 2- and 8-shard runs hand out the 1-shard run's ids
+// and produce its fingerprints, session for session. The poll is raced
+// against live suspensions/resumes under TSan.
 //
 // Runs under the tsan preset in CI (ctest label: continuation).
 
@@ -27,7 +26,6 @@
 #include "src/core/normalize.h"
 #include "src/oracle/oracle.h"
 #include "src/session/router.h"
-#include "src/session/sharded_router.h"
 #include "src/util/bit_span.h"
 #include "src/util/fiber.h"
 #include "tests/session_fingerprint.h"
@@ -40,11 +38,9 @@ namespace {
 
 /// Opens `count` pending sessions, submits one verification of `target`
 /// to each, answers every surfaced round from ground truth, and returns
-/// the per-session fingerprints in open order. Templated so the same
-/// driver runs a bare SessionRouter and the facade.
-template <typename RouterT>
+/// the per-session fingerprints in open order.
 std::vector<std::string> DriveVerifyFleet(
-    RouterT& router, const Query& target, int count,
+    SessionRouter& router, const Query& target, int count,
     std::vector<int64_t>* ids_out = nullptr) {
   QueryOracle truth(target);
   std::vector<int64_t> ids;
@@ -77,45 +73,31 @@ std::vector<std::string> DriveVerifyFleet(
 Query TestTarget() { return Query::Parse("∀x1x2→x4 ∃x3", 4); }
 
 // ---------------------------------------------------------------------------
-// Facade equivalence.
+// Shard-count equivalence.
 
-TEST(ShardedRouterTest, OneShardIsBitIdenticalToBareRouterIdsIncluded) {
+TEST(RouterShardsTest, FingerprintsBitIdenticalAcrossShardCounts) {
   const Query target = TestTarget();
-  SessionRouter::Options bopts;
-  bopts.threads = 1;
-  SessionRouter bare(bopts);
-  std::vector<int64_t> bare_ids;
-  std::vector<std::string> bare_prints =
-      DriveVerifyFleet(bare, target, 12, &bare_ids);
-
-  ShardedRouter::Options sopts;
-  sopts.shards = 1;
-  sopts.threads = 1;
-  ShardedRouter facade(sopts);
-  std::vector<int64_t> facade_ids;
-  std::vector<std::string> facade_prints =
-      DriveVerifyFleet(facade, target, 12, &facade_ids);
-
-  // At shards == 1 the id encoding is the identity: same ids, same
-  // rounds, same fingerprints — a drop-in replacement, byte for byte.
-  EXPECT_EQ(facade_ids, bare_ids);
-  EXPECT_EQ(facade_prints, bare_prints);
-}
-
-TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
-  const Query target = TestTarget();
-  ShardedRouter::Options base;
-  base.shards = 1;
+  SessionRouter::Options base;
   base.threads = 1;
-  ShardedRouter one(base);
-  std::vector<std::string> reference = DriveVerifyFleet(one, target, 16);
+  SessionRouter one(base);
+  ASSERT_EQ(base.shards, 1) << "one shard is the default";
+  std::vector<int64_t> reference_ids;
+  std::vector<std::string> reference =
+      DriveVerifyFleet(one, target, 16, &reference_ids);
+  EXPECT_EQ(reference_ids.front(), 1);
+  EXPECT_EQ(reference_ids.back(), 16) << "opens count up from 1";
 
   for (int shards : {2, 8}) {
-    ShardedRouter::Options sopts;
+    SessionRouter::Options sopts;
     sopts.shards = shards;
     sopts.threads = 4;
-    ShardedRouter router(sopts);
-    std::vector<std::string> prints = DriveVerifyFleet(router, target, 16);
+    SessionRouter router(sopts);
+    std::vector<int64_t> ids;
+    std::vector<std::string> prints =
+        DriveVerifyFleet(router, target, 16, &ids);
+    // One id counter for the whole router: the shard count changes which
+    // mutex guards a session, never its id.
+    EXPECT_EQ(ids, reference_ids) << shards << " shards";
     ASSERT_EQ(prints.size(), reference.size());
     for (size_t i = 0; i < prints.size(); ++i) {
       EXPECT_EQ(prints[i], reference[i])
@@ -127,7 +109,7 @@ TEST(ShardedRouterTest, FingerprintsBitIdenticalAcrossShardCounts) {
 // ---------------------------------------------------------------------------
 // Caller-chosen ids and garbage tolerance.
 
-TEST(ShardedRouterTest, BareRouterOpensAtChosenIdsAndAssignsAroundThem) {
+TEST(RouterShardsTest, OneShardOpensAtChosenIdsAndAssignsAroundThem) {
   const Query target = TestTarget();
   SessionRouter::Options bopts;
   bopts.threads = 1;
@@ -154,17 +136,16 @@ TEST(ShardedRouterTest, BareRouterOpensAtChosenIdsAndAssignsAroundThem) {
   EXPECT_EQ(router.stats().sessions, 7);
 }
 
-TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
-  ShardedRouter::Options sopts;
+TEST(RouterShardsTest, PinnedOpensAssignAroundThemAndGarbageIdsBounce) {
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 1;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
 
-  // Session e lives on shard e mod 4, under the id e itself.
+  // Session e lives in shard e mod 4, under the id e itself.
   const std::vector<int64_t> chosen = {5, 6, 7, 8, 13, 22};
   for (int64_t id : chosen) {
     EXPECT_EQ(router.OpenPendingAt(id, 3), id);
-    EXPECT_EQ(router.ShardOf(id), id % 4);
     EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   }
   for (int64_t bad : {int64_t{0}, int64_t{-4}, int64_t{5}, int64_t{22}}) {
@@ -172,7 +153,7 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   }
   EXPECT_EQ(router.stats().sessions, static_cast<int64_t>(chosen.size()));
 
-  // The facade's own opens skip every chosen id.
+  // The router's own opens skip every chosen id, whichever shard holds it.
   std::set<int64_t> seen(chosen.begin(), chosen.end());
   std::set<int64_t> assigned;
   for (int i = 0; i < 8; ++i) {
@@ -184,7 +165,7 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   EXPECT_EQ(assigned, (std::set<int64_t>{1, 2, 3, 4, 9, 10, 11, 12}));
 
   // Garbage ids: zero, negative, and ids nobody opened. All rejected
-  // without a crash.
+  // without a crash, whichever shard they map to.
   for (int64_t garbage :
        {int64_t{0}, int64_t{-7}, int64_t{14}, int64_t{4004}}) {
     EXPECT_EQ(router.status(garbage), std::nullopt) << garbage;
@@ -198,12 +179,12 @@ TEST(ShardedRouterTest, PinnedOpensLandOnTheirShardAndGarbageIdsBounce) {
   }
 }
 
-TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
+TEST(RouterShardsTest, PendingRoundsMergeShardsSortedById) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 2;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
 
   std::vector<int64_t> ids;
   for (int i = 0; i < 12; ++i) {
@@ -230,20 +211,20 @@ TEST(ShardedRouterTest, PendingRoundsMergeCarriesExternalIdsSorted) {
   for (int64_t id : ids) router.Close(id);
 }
 
-TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
-  // The facade concatenates the per-shard lists and sorts them once; each
-  // poll must come back in session-id order, and the rounds delivered so far and not
-  // yet answered must equal every awaiting round gathered session by
-  // session in id order — across shard counts, and across polls that
-  // deliver only the rounds announced since the last one.
+TEST(RouterShardsTest, MergedPollEqualsTheSortedConcatenation) {
+  // The poll concatenates the per-shard vectors and sorts them once; each
+  // poll must come back in session-id order, and the rounds delivered so
+  // far and not yet answered must equal every awaiting round gathered
+  // session by session in id order — across shard counts, and across
+  // polls that deliver only the rounds announced since the last one.
   const Query target = TestTarget();
   QueryOracle truth(target);
   for (int shards : {1, 2, 4, 8}) {
     SCOPED_TRACE(testing::Message() << shards << " shards");
-    ShardedRouter::Options sopts;
+    SessionRouter::Options sopts;
     sopts.shards = shards;
     sopts.threads = 2;
-    ShardedRouter router(sopts);
+    SessionRouter router(sopts);
     std::vector<int64_t> ids;
     for (int i = 0; i < 21; ++i) {
       int64_t id = router.OpenPending(target.n());
@@ -293,37 +274,34 @@ TEST(ShardedRouterTest, MergedPollEqualsTheSortedConcatenation) {
   }
 }
 
-TEST(ShardedRouterTest, OutOfRangeSchemaSizesAreRefusedAtEveryLayer) {
-  SessionRouter::Options bopts;
-  bopts.threads = 1;
-  SessionRouter bare(bopts);
-  ShardedRouter::Options sopts;
-  sopts.shards = 4;
-  sopts.threads = 1;
-  ShardedRouter facade(sopts);
-  for (int n : {0, -3, kMaxVars + 1}) {
-    EXPECT_EQ(bare.OpenPending(n), 0) << n;
-    EXPECT_EQ(facade.OpenPending(n), 0) << n;
-    EXPECT_EQ(facade.OpenPendingAt(6, n), 0) << n;
+TEST(RouterShardsTest, OutOfRangeSchemaSizesAreRefusedAtEveryShardCount) {
+  for (int shards : {1, 4}) {
+    SCOPED_TRACE(testing::Message() << shards << " shards");
+    SessionRouter::Options sopts;
+    sopts.shards = shards;
+    sopts.threads = 1;
+    SessionRouter router(sopts);
+    for (int n : {0, -3, kMaxVars + 1}) {
+      EXPECT_EQ(router.OpenPending(n), 0) << n;
+      EXPECT_EQ(router.OpenPendingAt(6, n), 0) << n;
+    }
+    EXPECT_EQ(router.stats().sessions, 0) << "a refused open opens nothing";
+    EXPECT_EQ(router.OpenPending(1), 1) << "refusals consume no id";
+    EXPECT_EQ(router.OpenPendingAt(6, kMaxVars), 6);
   }
-  EXPECT_EQ(bare.stats().sessions, 0) << "a refused open opens nothing";
-  EXPECT_EQ(facade.stats().sessions, 0);
-  EXPECT_EQ(bare.OpenPending(1), 1) << "refusals consume no id";
-  EXPECT_EQ(facade.OpenPending(1), 1);
-  EXPECT_EQ(facade.OpenPendingAt(6, kMaxVars), 6);
 }
 
-TEST(ShardedRouterTest, StatsSumShards) {
+TEST(RouterShardsTest, StatsSumShards) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 4;
   sopts.threads = 2;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
   DriveVerifyFleet(router, target, 8);
   ServiceStats stats = router.stats();
   EXPECT_EQ(stats.sessions, 8);
   EXPECT_EQ(stats.verifies, 8);
-  // Each of the four shards hosts two of the sessions; the facade sums
+  // Each of the four shards hosts two of the sessions; stats() sums
   // them, and the summed rounds are the sessions' own.
   int64_t rounds = 0;
   for (int64_t id = 1; id <= 8; ++id) rounds += router.session(id).rounds();
@@ -334,12 +312,12 @@ TEST(ShardedRouterTest, StatsSumShards) {
 // ---------------------------------------------------------------------------
 // The poll, raced against live suspensions and resumes (TSan).
 
-TEST(ShardedRouterTest, PollRacesSuspensionsAndResumes) {
+TEST(RouterShardsTest, PollRacesSuspensionsAndResumes) {
   const Query target = TestTarget();
-  ShardedRouter::Options sopts;
+  SessionRouter::Options sopts;
   sopts.shards = 2;
   sopts.threads = 4;
-  ShardedRouter router(sopts);
+  SessionRouter router(sopts);
   std::vector<int64_t> ids;
   for (int i = 0; i < 24; ++i) {
     int64_t id = router.OpenPending(target.n());

@@ -77,10 +77,9 @@ HEADLINE_PAIRS = [
      "BM_SessionResumeReplay/64/real_time"),
     # Canonical-form dedup: hashed CanonicalForm keys vs ToString() keys.
     ("BM_CanonicalDedup/64", "BM_CanonicalDedupLegacy/64"),
-    # Router sharding: four driver threads hammering a mixed
-    # open/provide/poll workload over 4096 sessions behind an 8-shard
-    # facade vs the identical workload behind the 1-shard (global-mutex)
-    # facade. The upside needs real cores — on a 1-cpu runner the ratio
+    # Router lock shards: four driver threads hammering a mixed
+    # open/provide/poll workload over 4096 sessions on an 8-shard router
+    # vs the identical workload on a 1-shard (global-mutex) router. The upside needs real cores — on a 1-cpu runner the ratio
     # sits near 1.0× and the gate only pins it there.
     ("BM_RouterContention/4096/8/real_time",
      "BM_RouterContention/4096/1/real_time"),
