@@ -199,8 +199,18 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     return nullptr;
   }
 
-  // Phase 1 — scan: CRC-check every shard, truncate torn tails loudly,
-  // reject anything typed-bad before touching any state.
+  // Phase 1 — scan: CRC-check every shard and fold its records into
+  // per-session images, rejecting anything typed-bad. Nothing is written
+  // before every file has passed, so a refused recovery leaves the log as
+  // it found it. Round ids totally order a session's answers, so
+  // duplicates (retry echoes) are recognizable as already-seen ids and
+  // gaps are recognizable as impossible futures.
+  struct TornTail {
+    std::string path;
+    uint64_t valid_bytes = 0;
+    uint64_t dropped_bytes = 0;
+  };
+  std::vector<TornTail> torn;
   std::map<SessionId, SessionImage> images;
   for (int i = 0; i < options.shards; ++i) {
     const std::string path = ShardPath(log_dir, i);
@@ -211,21 +221,26 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
       return nullptr;
     }
     if (read.existed && read.torn_tail) {
-      if (!fs->Truncate(path, read.valid_bytes)) {
-        *error = "cannot truncate torn tail of " + path;
-        return nullptr;
-      }
-      ++report->torn_tails_truncated;
-      report->torn_bytes_dropped += static_cast<int64_t>(read.dropped_bytes);
+      torn.push_back({path, read.valid_bytes, read.dropped_bytes});
     }
-    // Phase 2 — fold: build per-session images. Round ids totally order a
-    // session's answers, so duplicates (retry echoes) are recognizable as
-    // already-seen ids and gaps are recognizable as impossible futures.
     for (LogRecord& rec : read.records) {
       ++report->records_read;
       if (rec.session_id <= 0) {
         *error = "shard " + std::to_string(i) + ": record for session id " +
                  std::to_string(rec.session_id) + ", which is never issued";
+        return nullptr;
+      }
+      // A log written with fewer shards keeps a session outside file
+      // `id mod shards`, where its next record would land — possibly ahead
+      // of its open in this scan's order, so no later recovery could read
+      // the log again.
+      const auto home = static_cast<int>(rec.session_id % options.shards);
+      if (home != i) {
+        *error = "recovery rejected: " + path + " holds session " +
+                 std::to_string(rec.session_id) + ", which belongs in " +
+                 ShardPath(log_dir, home) + " at " +
+                 std::to_string(options.shards) + " shard(s); recover with " +
+                 "the shard count the log was written with";
         return nullptr;
       }
       SessionImage& image = images[rec.session_id];
@@ -290,6 +305,16 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     }
   }
 
+  // Phase 2 — repair: every file passed, so truncate the torn tails, loudly.
+  for (const TornTail& tail : torn) {
+    if (!fs->Truncate(tail.path, tail.valid_bytes)) {
+      *error = "cannot truncate torn tail of " + tail.path;
+      return nullptr;
+    }
+    ++report->torn_tails_truncated;
+    report->torn_bytes_dropped += static_cast<int64_t>(tail.dropped_bytes);
+  }
+
   // Phase 3 — rebuild: fresh router, every session re-opened at its
   // logged id with its job plan resubmitted; new opens continue past the
   // highest one.
@@ -307,8 +332,11 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
   // Phase 4 — replay: feed the logged answers back through the ordinary
   // pending protocol, in round order per session. Determinism does the
   // rest — the re-run learners ask the identical questions, so each
-  // logged round must surface with exactly its logged id; anything else
-  // is a divergence the recovery refuses to paper over.
+  // logged round must be the round its session awaits, under its logged
+  // id and with one question per logged answer. ProvideAnswers' typed
+  // outcomes are those checks: anything but kResumed is a divergence the
+  // recovery refuses to paper over, except kNotAwaiting, which means the
+  // session has not asked the round yet (checked after the fixpoint).
   std::map<SessionId, size_t> fed;
   BitVec bits;
   for (;;) {
@@ -317,30 +345,14 @@ std::unique_ptr<DurableRouter> DurableRouter::Recover(
     for (const auto& [id, image] : images) {
       size_t& next = fed[id];
       if (next >= image.rounds.size()) continue;
-      std::optional<PendingRound> round = durable->router_.pending_round(id);
-      if (!round.has_value()) continue;  // checked after the fixpoint
       const std::vector<bool>& answers = image.rounds[next];
-      if (round->round_id != static_cast<int64_t>(next)) {
-        std::ostringstream os;
-        os << "session " << id << ": replay surfaced round "
-           << round->round_id << " where the log expects round " << next;
-        *error = os.str();
-        return nullptr;
-      }
-      if (round->questions.size() != answers.size()) {
-        std::ostringstream os;
-        os << "session " << id << ": replay round " << next << " asks "
-           << round->questions.size() << " question(s) but the log recorded "
-           << answers.size() << " answer(s)";
-        *error = os.str();
-        return nullptr;
-      }
       BitSpan span = bits.Prepare(answers.size());
       for (size_t q = 0; q < answers.size(); ++q) span.Set(q, answers[q]);
       // The three-argument overload: replay must not re-log what the log
       // just said.
-      ProvideOutcome out =
-          durable->router_.ProvideAnswers(id, round->round_id, span);
+      const ProvideOutcome out = durable->router_.ProvideAnswers(
+          id, static_cast<int64_t>(next), span);
+      if (out == ProvideOutcome::kNotAwaiting) continue;
       if (out != ProvideOutcome::kResumed) {
         std::ostringstream os;
         os << "session " << id << ": replay of round " << next

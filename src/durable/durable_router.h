@@ -21,7 +21,9 @@
 // Sessions are deterministic functions of (spec, answer sequence)
 // (router.h's determinism contract), so the log needs no checkpoints:
 // Recover() re-opens every logged session, resubmits its job plan, and
-// feeds the logged answers back through the ordinary pending protocol.
+// feeds the logged answers back through ProvideAnswers alone — its typed
+// outcomes (kStaleRound, kAnswerCountMismatch, and kNotAwaiting for a
+// round the replay never reaches) are the replay's divergence checks.
 // After recovery the service is *observably identical* to one that never
 // crashed — same pending rounds, same round ids, same transcripts — which
 // the crash harness (crash_harness.h) enforces differentially against a
@@ -99,15 +101,18 @@ class DurableRouter {
       std::string* error);
 
   /// Rebuilds the service from `log_dir` after a crash: scans every
-  /// shard, truncates torn tails (loudly, via `report`), rejects corrupt
-  /// or undecodable records — and a session opened with `n` outside
-  /// [1, kMaxVars] — with a typed error, re-opens every logged
-  /// session and replays its answered rounds through the ordinary pending
-  /// protocol. nullptr + `*error` on any typed failure — a log Recover
-  /// cannot vouch for is never half-replayed. A log written with more
-  /// shards than `options.shards` (shard file `options.shards` exists)
-  /// is refused before anything is read or truncated: the sessions in
-  /// the files past the count would otherwise vanish.
+  /// shard, rejects corrupt or undecodable records — a session opened
+  /// with `n` outside [1, kMaxVars], and a record outside file
+  /// `session_id mod options.shards` — with a typed error, then truncates
+  /// torn tails (loudly, via `report`), re-opens every logged session and
+  /// replays its answered rounds through ProvideAnswers. nullptr +
+  /// `*error` on any typed failure — a log Recover cannot vouch for is
+  /// never half-replayed, and a refusal in the scan writes nothing. A log
+  /// written with more shards than `options.shards` (shard file
+  /// `options.shards` exists) is refused before anything is read: the
+  /// sessions in the files past the count would otherwise vanish. One
+  /// written with fewer shards holds a session outside its paired file,
+  /// which the scan refuses.
   static std::unique_ptr<DurableRouter> Recover(
       Fs* fs, const std::string& log_dir, const DurableRouterOptions& options,
       RecoveryReport* report, std::string* error);

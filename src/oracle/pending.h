@@ -4,21 +4,24 @@
 // their answers arrive seconds to minutes later, over whatever transport
 // the embedding server uses. PendingOracle models exactly that: any round
 // reaching it is by definition "not answerable synchronously", so it
-// records the round's questions as a PendingRound{session_id, round_id,
-// questions} and *parks* the in-flight job: the job runs on a Fiber
+// *parks* the in-flight job on the round: the job runs on a Fiber
 // (src/util/fiber.h), and the runner's yield hook switches back to the
-// runner with the whole call stack kept alive. Once the answers arrive
-// (SessionRouter::ProvideAnswers), the runner stages them
-// (StageResumeAnswers) and resumes the fiber: the suspended IsAnswerBatch
-// fills its answer span from the staged bits and simply returns to the
-// learner — no re-run, no replay, O(1) compute per resume.
-// RequestCancel() makes the *next* resume throw JobSuspended
-// (src/util/suspend.h) from the parked wait-site instead, which is how
-// owners unwind a parked stack they need to abandon (correction, close,
-// shutdown).
+// runner with the whole call stack kept alive. The parked frame is the one
+// place the round lives: the backend keeps a view of the caller's
+// question span and answer span and copies neither. Once the answers
+// arrive (SessionRouter::ProvideAnswers), Answer() writes the bits
+// straight into the parked answer span and the runner resumes the fiber:
+// the suspended IsAnswerBatch simply returns to the learner — no re-run,
+// no replay, O(1) compute per resume. RequestCancel() makes the *next*
+// resume throw JobSuspended (src/util/suspend.h) from the parked wait-site
+// instead, which is how owners unwind a parked stack they need to abandon
+// (correction, close, shutdown).
 //
-// Round ids count *user-boundary* rounds (each suspension is one round);
-// they are the resumption protocol's sequence numbers, distinct from the
+// The backend knows no session or round ids: the router names a parked
+// round by its session and by its count of answered rounds, and builds the
+// by-value PendingRound its poll hands out from parked_questions(). Round
+// ids count *user-boundary* rounds (each suspension is one round); they
+// are the resumption protocol's sequence numbers, distinct from the
 // learner round ids of the session's history (QuerySession::history() and
 // rounds(), which also count rounds the cache answered whole). An empty
 // round is a no-op, not a suspension — sequential equivalence says zero
@@ -36,7 +39,8 @@
 
 namespace qhorn {
 
-/// One round of membership questions awaiting a real user's answers.
+/// One round of membership questions awaiting a real user's answers, by
+/// value: what SessionRouter's poll and pending_round(id) hand out.
 struct PendingRound {
   int64_t session_id = 0;  ///< the SessionRouter session that suspended
   int64_t round_id = 0;    ///< user-boundary round sequence number
@@ -48,63 +52,41 @@ class PendingOracle : public MembershipOracle {
  public:
   PendingOracle() = default;
 
-  /// The router stamps the id after Open assigns it (no jobs can run
-  /// before Open returns, so this never races a suspension).
-  void set_session_id(int64_t id) { session_id_ = id; }
-
-  /// Called by the job runner before each (re-)run: `next_round_id` is the
-  /// number of rounds already answered — the id the next suspension will
-  /// carry. Clears any stale pending round from an abandoned attempt.
-  void BeginAttempt(int64_t next_round_id);
-
   /// Installs (or clears, with nullptr) the park hook. The hook must
-  /// switch back to the runner and return only when answers have been
-  /// staged or a cancel was requested. Installed once per fiber attempt by
-  /// the runner, before any round can reach this backend; never changed
-  /// while a round is in flight.
+  /// switch back to the runner and return only once Answer() has filled
+  /// the parked round or a cancel was requested. Installed once per fiber
+  /// attempt by the runner, before any round can reach this backend;
+  /// never changed while a round is in flight.
   void InstallYieldHook(std::function<void()> yield);
 
-  /// Stages the answers for the parked round before the runner resumes the
-  /// fiber. Size must equal the parked round's question count.
-  void StageResumeAnswers(std::vector<bool> answers);
+  /// The parked round's questions: the asking frame's own span, valid from
+  /// the park to the resume, and empty while nothing is parked.
+  std::span<const TupleSet> parked_questions() const { return questions_; }
+
+  /// Writes the user's answers into the parked frame's answer span, for
+  /// the next resume to return. Size must equal parked_questions()'s.
+  void Answer(BitSpan answers);
 
   /// Makes the parked wait-site throw JobSuspended on its next resume:
   /// the fiber unwinds through the ordinary exception machinery and
   /// finishes without touching the learner again.
   void RequestCancel() { cancel_requested_ = true; }
 
-  /// Single-question round: parks and, on resume, returns the staged
-  /// answer.
+  /// Single-question round: parks on a one-question view of `question`.
   bool IsAnswer(const TupleSet& question) override;
 
-  /// Records the round and parks. An empty round returns immediately
-  /// (no round, no suspension — nothing to ask a user). On resume, fills
-  /// `answers` from the staged bits.
+  /// Parks on the round. An empty round returns immediately (no round, no
+  /// suspension — nothing to ask a user). On resume, `answers` holds what
+  /// Answer() wrote.
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
-  bool has_pending() const { return has_pending_; }
-
-  /// Harvests the recorded round after a suspension reaches the runner.
-  PendingRound TakePending();
-
-  /// Rounds that suspended (a per-session statistic; rounds a correction
-  /// restart replays never reach this backend, so each user round counts
-  /// exactly once).
-  int64_t suspensions() const { return suspensions_; }
-
  private:
-  /// Records the round, parks, and on resume fills `answers`.
-  void SuspendAndAwait(std::vector<TupleSet> questions, BitSpan answers);
-
-  int64_t session_id_ = 0;
-  int64_t next_round_id_ = 0;
-  int64_t suspensions_ = 0;
-  bool has_pending_ = false;
-  PendingRound pending_;
   std::function<void()> yield_;
-  std::vector<bool> staged_answers_;
-  bool answers_staged_ = false;
+  // The parked round, in the asking frame; set only while it is parked.
+  std::span<const TupleSet> questions_;
+  BitSpan answers_;
+  bool answered_ = false;
   bool cancel_requested_ = false;
 };
 

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <iterator>
+#include <span>
 #include <utility>
 
 #include "src/util/check.h"
@@ -130,8 +131,8 @@ SessionRouter::SessionId SessionRouter::OpenInternal(SessionId id, int n) {
     Shard& shard = ShardFor(id);
     MutexLock lock(&shard.mutex);
     if (!shard.sessions.contains(id)) {
+      state->id = id;
       state->shard = &shard;
-      state->backend.set_session_id(id);
       shard.sessions.emplace(id, std::move(state));
       return id;
     }
@@ -207,7 +208,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     bool resume_parked = false;
     bool cancel_parked = false;
     bool live = false;
-    int64_t next_round = 0;
     size_t start_job = 0;
     {
       MutexLock lock(&shard.mutex);
@@ -219,7 +219,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       }
       live = state->pipeline_live;
       if (live) start_job = state->jobs_completed;
-      next_round = state->answered_rounds;
     }
     if (cancel_parked) {
       // A correction abandoned this parked stack (it was built over the
@@ -230,11 +229,8 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       continue;
     }
     if (resume_parked) {
-      // O(1) resume: hand the answered round's bits to the parked
-      // wait-site and switch back in. staged_answers was written by
-      // ProvideAnswers under the lock taken above.
-      state->backend.StageResumeAnswers(
-          std::exchange(state->staged_answers, {}));
+      // O(1) resume: ProvideAnswers wrote the answered round's bits into
+      // the parked frame under the lock taken above; switch back in.
       state->fiber->Resume();
     } else {
       // Fresh attempt: over the live pipeline when the previous attempt
@@ -246,7 +242,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         state->session->ResetWithUserReplay(TakeRestartPrefix(state));
         start_job = 0;
       }
-      state->backend.BeginAttempt(next_round);
       state->fiber_jobs_run = start_job;
       // The body outlives this call (it parks, and a later runner resumes
       // it), so it captures nothing from this frame by reference.
@@ -307,10 +302,14 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     // Parked on a user round: publish it and free the lane. The parked
     // stack is the session's resume state; trim the cold region below the
     // parked frame back to the kernel (madvise) and report what actually
-    // stays resident-able while the user thinks. Safe before the lock:
-    // this runner still owns the session and nothing else touches a
-    // parked fiber.
+    // stays resident-able while the user thinks. The announced copy of the
+    // round's questions is made here too, outside the lock. Both are safe
+    // before the lock: this runner still owns the session and nothing else
+    // touches a parked fiber.
     const size_t resident = state->fiber->TrimColdStack();
+    const std::span<const TupleSet> questions =
+        state->backend.parked_questions();
+    PendingRound round{state->id, 0, {questions.begin(), questions.end()}};
     bool idle = false;
     bool abandoned = false;
     {
@@ -329,15 +328,14 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       idle = shard.runnable_jobs == 0;
       if (state->closed) {
         // Closed mid-run: abandon the round; the session never resumes.
-        (void)state->backend.TakePending();
         abandoned = true;
       } else {
-        state->pending_round = state->backend.TakePending();
         state->awaiting = true;
         state->snapshot_bytes = resident;
         // Published in the same critical section as runnable_jobs's
         // decrement, so Drain-then-poll observes every parked round.
-        shard.AnnounceRound(state);
+        round.round_id = state->answered_rounds;
+        shard.AnnounceRound(state, std::move(round));
       }
       state->pipeline_live = false;
       state->running = false;
@@ -374,10 +372,11 @@ bool SessionRouter::SubmitRevise(SessionId id, Query candidate) {
       JobKind::kRevise);
 }
 
-void SessionRouter::Shard::AnnounceRound(SessionState* state) {
+void SessionRouter::Shard::AnnounceRound(SessionState* state,
+                                         PendingRound round) {
   state->announced_slot = announced_rounds.size();
   state->announced_batch = announce_batch;
-  announced_rounds.push_back(*state->pending_round);
+  announced_rounds.push_back(std::move(round));
 }
 
 void SessionRouter::Shard::RetireRound(SessionState* state) {
@@ -432,7 +431,6 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
                                                      CommitHook* commit) {
   Shard& shard = ShardFor(id);
   SessionState* state = nullptr;
-  std::optional<PendingRound> answered;  // freed after the lock is dropped
   {
     MutexLock lock(&shard.mutex);
     auto it = shard.sessions.find(id);
@@ -440,9 +438,10 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
-    PendingRound& round = *state->pending_round;
-    if (round_id != round.round_id) return ProvideOutcome::kStaleRound;
-    if (answers.size() != round.questions.size()) {
+    if (round_id != state->answered_rounds) {
+      return ProvideOutcome::kStaleRound;
+    }
+    if (answers.size() != state->backend.parked_questions().size()) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
     // Validations passed — the write-ahead barrier runs here, under the
@@ -461,18 +460,14 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
         return ProvideOutcome::kLogWriteFailed;
       }
     }
-    // Accepted: stage the answered round for the runner and make the
-    // session runnable again. The runner hands the bits to the parked
-    // wait-site, and the parked cache logs them with its questions.
-    state->staged_answers.assign(answers.size(), false);
-    for (size_t i = 0; i < answers.size(); ++i) {
-      state->staged_answers[i] = answers.Get(i);
-    }
+    // Accepted: write the bits into the parked frame and make the session
+    // runnable again. The runner that resumes it takes this lock first,
+    // which orders the bits before the frame reads them; the parked cache
+    // logs them with its questions.
+    state->backend.Answer(answers);
     state->answered_questions += answers.size();
     ++state->answered_rounds;
     shard.RetireRound(state);
-    answered = std::move(state->pending_round);
-    state->pending_round.reset();
     state->awaiting = false;
     shard.runnable_jobs += static_cast<int64_t>(state->job_log.size() -
                                                 state->jobs_completed);
@@ -515,7 +510,6 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // (the unwind runs learner destructors, so it happens on a lane, never
     // under this lock).
     shard.RetireRound(state);  // the abandoned round is never delivered
-    state->pending_round.reset();
     state->awaiting = false;
     shard.runnable_jobs += static_cast<int64_t>(state->job_log.size());
     state->running = true;
@@ -532,7 +526,10 @@ std::optional<PendingRound> SessionRouter::pending_round(SessionId id) {
   if (it == shard.sessions.end()) return std::nullopt;
   const SessionState* state = it->second.get();
   if (!state->awaiting) return std::nullopt;
-  return state->pending_round;
+  const std::span<const TupleSet> questions =
+      state->backend.parked_questions();
+  return PendingRound{id, state->answered_rounds,
+                      {questions.begin(), questions.end()}};
 }
 
 bool SessionRouter::Close(SessionId id) {
@@ -556,7 +553,6 @@ bool SessionRouter::Close(SessionId id, CommitHook commit) {
       // The user will never answer; abandon the round. The session's
       // uncompleted jobs were uncounted at suspension.
       shard.RetireRound(state);
-      state->pending_round.reset();
       state->awaiting = false;
       if (state->fiber != nullptr) {
         // Its parked stack goes now, on a lane, not with the router: take

@@ -18,18 +18,22 @@
 // Every session is a pending session: a user answers with
 // seconds-to-minutes latency, so a session blocked on one must not pin a
 // lane. Each session's jobs run on a Fiber (src/util/fiber.h) over a
-// PendingOracle backend: the first round that needs the user records a
-// PendingRound and *parks* the fiber — the whole call stack stays alive
-// on its own mmap'd stack and the lane is released by a context switch,
-// so 256 sessions all blocked on users occupy zero threads. The embedding
-// server polls PendingRounds() for the rounds announced since its last
-// poll, collects the user's labels, and calls
-// ProvideAnswers(id, round_id, answers); the router stages the answered
-// round's bits and switches back into the exact frame that asked: O(1)
-// compute per resume, O(rounds) per session, nothing re-run and nothing
-// replayed. The memory traded for that compute is the parked stack
-// (reported as the session's snapshot_bytes while it awaits). The parked
-// cache writes the staged bits into its log when the frame returns.
+// PendingOracle backend: the first round that needs the user *parks* the
+// fiber on that round — the whole call stack stays alive on its own
+// mmap'd stack and the lane is released by a context switch, so 256
+// sessions all blocked on users occupy zero threads. The parked
+// frame is the one place a parked round lives: its questions and its
+// answer storage stay in the frame that asked, and the router keeps only
+// the session's count of answered rounds, which is the round's id. The
+// runner copies the questions once, on the lane, into the PendingRound
+// it announces. The embedding server polls PendingRounds() for the rounds
+// announced since its last poll, collects the user's labels, and calls
+// ProvideAnswers(id, round_id, answers); the router writes the bits into
+// the parked frame and switches back into it: O(1) compute per resume,
+// O(rounds) per session, nothing re-run and nothing replayed. The memory
+// traded for that compute is the parked stack (reported as the session's
+// snapshot_bytes while it awaits). The parked cache logs the answered
+// bits when the frame returns.
 //
 // A correction cannot resume a parked stack built over the old answer, so
 // the runner unwinds it (cancel + one last resume, which throws
@@ -157,8 +161,7 @@ class SessionRouter {
   struct Options {
     /// Concurrent session lanes (worker threads running session jobs);
     /// ≤ 0 means Executor::DefaultConcurrency() (which honours
-    /// QHORN_THREADS). 1 degrades to synchronous in-caller execution —
-    /// the differential baseline.
+    /// QHORN_THREADS). 1 runs every job inline in the calling thread.
     int threads = 0;
     /// Lock shards (see the file comment); ≥ 1. Session `id` lives in
     /// shard `id mod shards`. Changes which mutexes exist, never what a
@@ -216,12 +219,14 @@ class SessionRouter {
   /// Edge-triggered (like epoll's EPOLLET): each announced round is
   /// delivered by exactly one poll, and a round answered, corrected or
   /// closed before that poll is never delivered. A suspending runner
-  /// appends its round to a plain vector under the shard mutex it already
-  /// holds; the poll swaps each shard's vector out in one short critical
-  /// section per shard, then concatenates and sorts the batches once
-  /// outside every lock — O(new rounds) per poll, whatever the number of
-  /// parked sessions. Retiring a round that no poll has taken yet removes
-  /// it from the vector in place (see Shard::RetireRound).
+  /// copies its round's questions out of the parked frame on its lane,
+  /// outside every lock, and appends the copy to a plain vector under the
+  /// shard mutex it takes anyway; the poll swaps each shard's vector out
+  /// in one short critical section per shard, then concatenates and sorts
+  /// the batches once outside every lock — O(new rounds) per poll,
+  /// whatever the number of parked sessions. Retiring a round that no
+  /// poll has taken yet removes it from the vector in place (see
+  /// Shard::RetireRound).
   /// The poll keeps no state between calls, so concurrent pollers get
   /// disjoint batches whose union is every announced round. To re-read a
   /// round already delivered, use pending_round(id). After Drain() and one
@@ -235,9 +240,10 @@ class SessionRouter {
   /// be the id carried by the session's current PendingRound and
   /// `answers.size()` must equal its question count; anything else is
   /// rejected without touching the session (the transcript cannot be
-  /// corrupted by a stale or malformed reply). On kResumed the session's
-  /// parked fiber resumes with the answers; they are copied, so the
-  /// caller's storage is free immediately.
+  /// corrupted by a stale or malformed reply). On kResumed the answers
+  /// are copied into the parked frame, under the shard lock, so the
+  /// caller's storage is free immediately, and the session's parked fiber
+  /// resumes with them.
   ProvideOutcome ProvideAnswers(SessionId id, int64_t round_id,
                                 BitSpan answers);
 
@@ -284,10 +290,9 @@ class SessionRouter {
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
   /// The round the session is blocked on, if any — nullopt for unknown,
-  /// closed, or not-awaiting sessions. A copy, so the recovery replay can
-  /// match surfaced rounds against logged answers without racing the
-  /// runner. The one way to re-read a round PendingRounds() already
-  /// delivered.
+  /// closed, or not-awaiting sessions. A copy of the parked frame's
+  /// questions, made under the shard lock: the one way to re-read a round
+  /// PendingRounds() already delivered.
   std::optional<PendingRound> pending_round(SessionId id);
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are
@@ -350,18 +355,22 @@ class SessionRouter {
 
   // Locking protocol: the job log, the awaiting/running/closed flags and
   // the announcement slot are guarded by the mutex of the session's
-  // shard. The resume-state fields (staged_answers, correction, fiber*)
-  // follow an ownership handoff instead: while `running` is true
-  // they belong exclusively to the runner task and are read/written
-  // without the lock — a protocol thread-safety analysis cannot express
-  // (TSA has no "guarded by the shard mutex OR owned by the runner"), and
-  // a session cannot name its shard's mutex in a QHORN_GUARDED_BY anyway.
+  // shard, and so is the backend's parked round while the session awaits.
+  // The resume-state fields (correction, fiber*) follow an ownership
+  // handoff instead: while `running` is true they belong exclusively to
+  // the runner task and are read/written without the lock — a protocol
+  // thread-safety analysis cannot express (TSA has no "guarded by the
+  // shard mutex OR owned by the runner"), and a session cannot name its
+  // shard's mutex in a QHORN_GUARDED_BY anyway.
   // The per-field comments say which regime each field is under; the
   // cross-thread edges are TSan-covered by the continuation stress suites.
   struct SessionState {
-    // The shard hosting this session (`id mod shards`); set at open.
+    // This session's id, and the shard hosting it (`id mod shards`); set
+    // at open.
+    SessionId id = 0;
     Shard* shard = nullptr;
-    // Declared before the session, whose pipeline points at it.
+    // Declared before the session, whose pipeline points at it. While the
+    // session awaits, its parked_questions() are the pending round.
     PendingOracle backend;
     std::unique_ptr<QuerySession> session;
     // The full job log (a correction restart re-runs it from the start)
@@ -371,14 +380,9 @@ class SessionRouter {
     // The answered user-boundary questions live once, in the session's
     // cache log (QuerySession::user_transcript); the router keeps their
     // count, for CorrectAnswer's range check, and the count of answered
-    // rounds, the next round's id.
+    // rounds, the id of the round the session parks on next (or awaits).
     size_t answered_questions = 0;
     int64_t answered_rounds = 0;
-    std::optional<PendingRound> pending_round;  // set while awaiting
-    // The answered round's bits, from ProvideAnswers to the resuming
-    // runner. (The parked cache still holds the questions; it logs them
-    // with the bits on resume.)
-    std::vector<bool> staged_answers;
     // Set by CorrectAnswer: the runner restarts from the log truncated
     // after this entry, with the entry's answer flipped.
     std::optional<size_t> correction;
@@ -421,8 +425,9 @@ class SessionRouter {
   struct alignas(128) Shard {
     /// Bumps jobs_done and the per-kind counter.
     void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
-    /// Publishes the session's freshly set pending_round to the next poll.
-    void AnnounceRound(SessionState* state) QHORN_REQUIRES(mutex);
+    /// Publishes the session's freshly parked round to the next poll.
+    void AnnounceRound(SessionState* state, PendingRound round)
+        QHORN_REQUIRES(mutex);
     /// The session's round stops being answerable: if no poll has taken
     /// it yet, remove it from announced_rounds (the last entry moves into
     /// its slot), so it is never delivered.

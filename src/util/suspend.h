@@ -3,8 +3,8 @@
 // The paper's protocol is interactive: each oracle round may be a real
 // user answering membership questions with seconds-to-minutes latency, so
 // an oracle backend that cannot answer a round synchronously
-// (PendingOracle, src/oracle/pending.h) records the round's questions and
-// parks the job's fiber (src/util/fiber.h) until the answers arrive. A
+// (PendingOracle, src/oracle/pending.h) parks the job's fiber
+// (src/util/fiber.h) on the round until the answers arrive. A
 // parked fiber that must be abandoned instead (correction, close,
 // shutdown) is resumed once more with a cancel requested: the parked
 // wait-site throws JobSuspended, which unwinds the job's frames through

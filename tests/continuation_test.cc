@@ -45,41 +45,81 @@ namespace {
 
 TEST(PendingOracleTest, NonEmptyRoundRecordsQuestionsAndSuspends) {
   PendingOracle oracle;
-  oracle.set_session_id(42);
-  // A park hook that cancels at once: each round records, parks, and
-  // unwinds with JobSuspended, as a cancelled parked fiber does.
-  oracle.InstallYieldHook([&oracle] { oracle.RequestCancel(); });
-  oracle.BeginAttempt(/*next_round_id=*/3);
   Rng rng(1);
   std::vector<TupleSet> questions = {RandomObject(4, rng, 3),
                                      RandomObject(4, rng, 3)};
+  // A park hook that cancels at once: each round parks on the caller's
+  // questions and unwinds with JobSuspended, as a cancelled parked fiber
+  // does.
+  std::vector<std::span<const TupleSet>> parked;
+  oracle.InstallYieldHook([&] {
+    parked.push_back(oracle.parked_questions());
+    oracle.RequestCancel();
+  });
   BitVec bits;
   EXPECT_THROW(oracle.IsAnswerBatch(questions, bits.Prepare(2)), JobSuspended);
-  ASSERT_TRUE(oracle.has_pending());
-  PendingRound round = oracle.TakePending();
-  EXPECT_EQ(round.session_id, 42);
-  EXPECT_EQ(round.round_id, 3);
-  ASSERT_EQ(round.questions.size(), 2u);
-  EXPECT_EQ(round.questions[0], questions[0]);
-  EXPECT_EQ(round.questions[1], questions[1]);
-  EXPECT_FALSE(oracle.has_pending());
-  EXPECT_EQ(oracle.suspensions(), 1);
+  EXPECT_TRUE(oracle.parked_questions().empty()) << "the frame is gone";
 
-  // The single-question path is a one-question round.
-  oracle.BeginAttempt(4);
-  EXPECT_THROW(oracle.IsAnswer(questions[0]), JobSuspended);
-  round = oracle.TakePending();
-  EXPECT_EQ(round.round_id, 4);
-  ASSERT_EQ(round.questions.size(), 1u);
+  // The single-question path is a one-question round over the caller's
+  // object.
+  EXPECT_THROW(oracle.IsAnswer(questions[1]), JobSuspended);
+  ASSERT_EQ(parked.size(), 2u);
+  EXPECT_EQ(parked[0].data(), questions.data()) << "parked without a copy";
+  EXPECT_EQ(parked[0].size(), 2u);
+  EXPECT_EQ(parked[1].data(), &questions[1]);
+  EXPECT_EQ(parked[1].size(), 1u);
+}
+
+TEST(PendingOracleTest, AnswersAreWrittenIntoTheCallersBitSpan) {
+  PendingOracle oracle;
+  Rng rng(2);
+  std::vector<TupleSet> questions = {RandomObject(4, rng, 3),
+                                     RandomObject(4, rng, 3),
+                                     RandomObject(4, rng, 3)};
+  const std::vector<bool> labels = {true, false, true};
+  // The user labels the parked round's i-th question with labels[i].
+  oracle.InstallYieldHook([&] {
+    BitVec user;
+    BitSpan span = user.Prepare(oracle.parked_questions().size());
+    for (size_t i = 0; i < span.size(); ++i) span.Set(i, labels[i]);
+    oracle.Answer(span);
+  });
+  // The caller's span sits at an offset inside its words, pre-filled with
+  // the opposite labels: every bit must come from the answer.
+  BitVec caller;
+  BitSpan whole = caller.Prepare(labels.size() + 5);
+  for (size_t i = 0; i < whole.size(); ++i) whole.Set(i, true);
+  BitSpan answers = whole.Subspan(5);
+  for (size_t i = 0; i < labels.size(); ++i) answers.Set(i, !labels[i]);
+  oracle.IsAnswerBatch(questions, answers);
+  for (size_t i = 0; i < labels.size(); ++i) {
+    EXPECT_EQ(answers.Get(i), labels[i]) << i;
+  }
+  for (size_t i = 0; i < 5; ++i) EXPECT_TRUE(whole.Get(i)) << i;
+  EXPECT_TRUE(oracle.parked_questions().empty());
+
+  // And through the single-question path.
+  EXPECT_TRUE(oracle.IsAnswer(questions[1]));
 }
 
 TEST(PendingOracleTest, EmptyRoundIsANoOpNotASuspension) {
   PendingOracle oracle;
-  oracle.BeginAttempt(0);
+  int parks = 0;
+  oracle.InstallYieldHook([&parks] { ++parks; });
   BitVec bits;
   EXPECT_NO_THROW(oracle.IsAnswerBatch({}, bits.Prepare(0)));
-  EXPECT_FALSE(oracle.has_pending());
-  EXPECT_EQ(oracle.suspensions(), 0);
+  EXPECT_EQ(parks, 0);
+  EXPECT_TRUE(oracle.parked_questions().empty());
+}
+
+TEST(PendingOracleDeathTest, AResumeWithoutAnswersOrCancelFails) {
+  PendingOracle oracle;
+  oracle.InstallYieldHook([] {});  // resumes with neither
+  Rng rng(3);
+  std::vector<TupleSet> questions = {RandomObject(4, rng, 3)};
+  BitVec bits;
+  EXPECT_DEATH(oracle.IsAnswerBatch(questions, bits.Prepare(1)),
+               "without answers");
 }
 
 // ---------------------------------------------------------------------------

@@ -680,6 +680,124 @@ TEST(DurableRouterTest, RecoverRejectsAnOpenWithoutVariables) {
   EXPECT_NE(error.find("never issued"), std::string::npos) << error;
 }
 
+TEST(DurableRouterTest, RecoverRefusesALogWrittenWithFewerShards) {
+  // A 3-shard log keeps session 5 in file 2. At 4 shards session 5 belongs
+  // in file 1, so a recovery that went ahead would log its next round
+  // there, ahead of its open in file-index order, and the log after that
+  // append could never be recovered again. Sessions 1 and 2 sit in the
+  // same file at either count.
+  MemFs mem;
+  std::string error;
+  {
+    ASSERT_NE(DurableRouter::Create(&mem, kLogDir, Opts(3), &error), nullptr);
+  }
+  WriteOpenRecords(&mem, /*shards=*/3, {1, 2, 5}, CleanSpecs(3));
+  // A torn tail on shard 0, which the refusal must leave in place.
+  const std::string shard0 = DurableRouter::ShardPath(kLogDir, 0);
+  {
+    auto f = mem.OpenAppend(shard0);
+    ASSERT_TRUE(f->Append(std::string_view("\x09\x00\x00", 3)));
+    ASSERT_TRUE(f->Sync());
+  }
+  mem.CrashAll();
+  std::vector<std::string> before(3);
+  for (int s = 0; s < 3; ++s) {
+    ASSERT_TRUE(mem.ReadFile(DurableRouter::ShardPath(kLogDir, s),
+                             &before[static_cast<size_t>(s)]));
+  }
+
+  RecoveryReport report;
+  auto rec = DurableRouter::Recover(&mem, kLogDir, Opts(4), &report, &error);
+  EXPECT_EQ(rec, nullptr);
+  EXPECT_NE(error.find(DurableRouter::ShardPath(kLogDir, 2)),
+            std::string::npos)
+      << error;
+  EXPECT_NE(error.find("session 5"), std::string::npos) << error;
+  EXPECT_EQ(report.torn_tails_truncated, 0);
+  for (int s = 0; s < 3; ++s) {
+    std::string after;
+    ASSERT_TRUE(mem.ReadFile(DurableRouter::ShardPath(kLogDir, s), &after));
+    EXPECT_EQ(after, before[static_cast<size_t>(s)])
+        << "a refused recovery touches nothing (file " << s << ")";
+  }
+  EXPECT_FALSE(mem.FileExists(DurableRouter::ShardPath(kLogDir, 3)));
+
+  // At the shard count it was written with, the log recovers whole.
+  rec = DurableRouter::Recover(&mem, kLogDir, Opts(3), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.sessions_recovered, 3);
+  EXPECT_EQ(report.torn_tails_truncated, 1);
+}
+
+/// Appends RoundAnswered{id, round_id, answers} to the session's shard file
+/// (id mod shards), bypassing the router.
+void AppendRoundRecord(MemFs* mem, int shards, DurableRouter::SessionId id,
+                       int64_t round_id, const std::vector<bool>& answers) {
+  std::string error;
+  auto log = SessionLog::Open(
+      mem, DurableRouter::ShardPath(kLogDir, static_cast<int>(id % shards)),
+      &error);
+  ASSERT_NE(log, nullptr) << error;
+  BitVec bits;
+  BitSpan span = bits.Prepare(answers.size());
+  for (size_t i = 0; i < answers.size(); ++i) span.Set(i, answers[i]);
+  ASSERT_TRUE(log->AppendRoundAnswered(id, round_id, span));
+}
+
+TEST(DurableRouterTest, RecoverRefusesARoundWithOneAnswerTooMany) {
+  // The replayed session asks its first round again, and the log answers
+  // it with one bit more than it has questions: a divergence Recover
+  // refuses with a typed error instead of aborting.
+  MemFs mem;
+  std::string error;
+  size_t asked = 0;
+  {
+    auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+    ASSERT_NE(dr, nullptr) << error;
+    ASSERT_EQ(dr->OpenPending(CleanSpecs(1)[0]), 1);
+    dr->Drain();
+    std::optional<PendingRound> round = dr->pending_round(1);
+    ASSERT_TRUE(round.has_value());
+    asked = round->questions.size();
+  }
+  AppendRoundRecord(&mem, /*shards=*/2, 1, 0,
+                    std::vector<bool>(asked + 1, true));
+  mem.CrashAll();
+  RecoveryReport report;
+  EXPECT_EQ(DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error),
+            nullptr);
+  EXPECT_NE(error.find("session 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("round 0"), std::string::npos) << error;
+  EXPECT_NE(error.find("answer"), std::string::npos)
+      << "refused for its answer count: " << error;
+  EXPECT_EQ(report.rounds_replayed, 0);
+}
+
+TEST(DurableRouterTest, RecoverRefusesARoundTheReplayedSessionNeverAsks) {
+  // The session ran out of jobs after `asked` rounds; a logged answer to
+  // round `asked` names a round the replay never reaches.
+  const SessionSpec spec = CleanSpecs(1)[0];
+  MemFs mem;
+  std::string error;
+  int64_t asked = 0;
+  {
+    auto dr = DurableRouter::Create(&mem, kLogDir, Opts(), &error);
+    ASSERT_NE(dr, nullptr) << error;
+    ASSERT_EQ(dr->OpenPending(spec), 1);
+    asked = DriveToCompletion(*dr, 1, spec);
+    ASSERT_EQ(dr->status(1), SessionStatus::kIdle);
+  }
+  ASSERT_GT(asked, 0);
+  AppendRoundRecord(&mem, /*shards=*/2, 1, asked, {true});
+  mem.CrashAll();
+  RecoveryReport report;
+  EXPECT_EQ(DurableRouter::Recover(&mem, kLogDir, Opts(), &report, &error),
+            nullptr);
+  EXPECT_NE(error.find("session 1"), std::string::npos) << error;
+  EXPECT_NE(error.find("never asked"), std::string::npos) << error;
+  EXPECT_EQ(report.rounds_replayed, asked);
+}
+
 TEST(DurableRouterTest, RecoveredPollIsInExternalIdOrder) {
   constexpr int kShards = 4;
   std::vector<SessionSpec> specs = CleanSpecs(9);
