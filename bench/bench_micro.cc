@@ -39,7 +39,7 @@
 #include "src/learn/qhorn1_learner.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/oracle.h"
-#include "src/oracle/pipeline.h"
+#include "src/oracle/transcript.h"
 #include "src/relation/chocolate.h"
 #include "src/session/router.h"
 #include "src/util/bit_span.h"
@@ -616,9 +616,10 @@ BENCHMARK(BM_RouterContention)
 // candidates, every user round a suspension and a resume on one lane. The
 // router parks the call stack and each resume is one switch back — O(1)
 // compute, zero questions re-served. The baseline is the unwind-and-replay
-// protocol the router no longer runs, priced on a bare QuerySession: each
-// resume rebuilds the pipeline over the answered prefix and re-runs the
-// jobs from the first — O(R²) questions re-served. The gap widens with R,
+// protocol the router no longer runs, priced on bare QuerySessions: each
+// resume builds a fresh session over the answered prefix replayed at the
+// user boundary (what the router's correction restart still does) and
+// re-runs the jobs from the first — O(R²) questions re-served. The gap widens with R,
 // which is why both depths are headline-gated.
 std::vector<Query> ResumeCandidates(int rounds, Query* target) {
   Rng rng(41);
@@ -706,20 +707,29 @@ void BM_SessionResumeReplay(benchmark::State& state) {
   int64_t replayed = 0;
   for (auto _ : state) {
     GivenRoundsOracle user(&truth);
-    QuerySession session(target.n(), &user);
+    std::unique_ptr<ReplayOracle> replay;
+    std::unique_ptr<QuerySession> session;
+    replayed = 0;
     for (bool done = false; !done;) {
-      // One resume: rebuild over every answered round replayed at the user
-      // boundary and re-run the jobs from the first.
-      session.ResetWithUserReplay(session.TakeUserTranscript());
+      // One resume: a fresh session over every answered round replayed at
+      // the user boundary, re-running the jobs from the first.
+      std::vector<TranscriptEntry> prefix;
+      if (session != nullptr) {
+        prefix = session->TakeUserTranscript();
+        replayed += replay->replayed();
+        session.reset();
+      }
+      replay = std::make_unique<ReplayOracle>(std::move(prefix), &user);
+      session = std::make_unique<QuerySession>(target.n(), replay.get());
       try {
-        for (const Query& c : candidates) session.Verify(c);
+        for (const Query& c : candidates) session->Verify(c);
         done = true;
       } catch (const JobSuspended&) {
         user.Give();
       }
     }
-    benchmark::DoNotOptimize(session.questions_asked());
-    replayed = session.user_questions_replayed();
+    benchmark::DoNotOptimize(session->questions_asked());
+    replayed += replay->replayed();
   }
   state.SetItemsProcessed(state.iterations() * rounds);
   state.counters["replayed_questions"] = static_cast<double>(replayed);

@@ -102,14 +102,10 @@ DurableRouter::SessionId DurableRouter::OpenPending(const SessionSpec& spec) {
   // acknowledged, so nothing is owed.
   SessionLog* log = ShardFor(id);
   if (!log->AppendSessionOpened(id, spec)) {
-    // A failed sync leaves the record whole in the buffer, where a later
-    // sync can still make it durable, so its id stays spent. A poisoned
-    // log's torn tail is truncated by Recover: that id can go back to the
-    // next open, unless a concurrent open has taken a later one.
-    if (log->poisoned()) {
-      SessionId next = id + 1;
-      next_id_.compare_exchange_strong(next, id, std::memory_order_relaxed);
-    }
+    // The id stays spent. A failed sync leaves the record whole in the
+    // buffer, where a later sync can still make it durable. A poisoned
+    // log refuses every append until recovery, so handing its id back
+    // would send the next open to the same shard, to be refused again.
     return 0;
   }
   // Only this wrapper opens sessions on router_, and never twice at an id.

@@ -127,11 +127,11 @@ class DurableRouter {
   /// or a job's query (`target` for kVerifyTarget, `mutant` for
   /// kVerifyMutant and kRevise) has another arity — refused before
   /// anything is logged — or if the log refused the record
-  /// — the call is retryable. After a failed write the id goes back to
-  /// the next open unless a concurrent open has already reserved a later
-  /// one; after a failed sync it stays spent, since the buffered record
-  /// may still become durable. Safe to call from several threads; each
-  /// gets its own id.
+  /// — the call is retryable. A refused open's id stays spent: after a
+  /// failed sync the buffered record may still become durable, and after
+  /// a torn write that shard refuses every open until recovery, so the
+  /// next open draws the next id, which lives on the next shard. Safe to
+  /// call from several threads; each gets its own id.
   SessionId OpenPending(const SessionSpec& spec);
 
   /// SessionRouter::ProvideAnswers semantics plus kLogWriteFailed when
@@ -179,8 +179,7 @@ class DurableRouter {
   DurableRouterOptions options_;
   SessionRouter router_;
   std::vector<std::unique_ptr<SessionLog>> shards_;
-  // The id the next open takes; a refused open hands its id back by
-  // compare-and-swap unless a concurrent open has taken a later one.
+  // The id the next open takes; a refused open's id stays spent.
   std::atomic<SessionId> next_id_{1};
 };
 

@@ -8,6 +8,13 @@
 // and falls through to the ground-truth oracle afterwards — exactly the
 // restart-from-the-point-of-error workflow.
 //
+// A replay stage sits in one of two places. QuerySession::CorrectAndRelearn
+// puts it above the session's question cache, so the replayed prefix is
+// not re-counted. SessionRouter's correction restart builds a fresh
+// session over one at the user boundary, directly above the pending
+// backend, so every replayed question passes cache and counting exactly
+// as when the user first answered it.
+//
 // Both decorators are batch-aware: a batched round records (or replays)
 // its questions in order, and each transcript entry remembers which round
 // it arrived in, so a UI can render "round 7 asked these 12 questions
@@ -67,11 +74,6 @@ class ReplayOracle : public MembershipOracle {
   ReplayOracle(std::vector<TranscriptEntry> transcript,
                MembershipOracle* fallback)
       : owned_(std::move(transcript)), prefix_(owned_), fallback_(fallback) {}
-
-  /// Stage-order constructor (inner first) for OraclePipeline::Push.
-  ReplayOracle(MembershipOracle* fallback,
-               std::vector<TranscriptEntry> transcript)
-      : ReplayOracle(std::move(transcript), fallback) {}
 
   /// Replays a prefix the caller keeps alive, and records each round it
   /// answers into `history`: a served question as its prefix index tagged

@@ -92,23 +92,37 @@ void SessionRouter::UnwindClosedSession(SessionState* state) {
   if (idle) shard.idle_cv.NotifyAll();
 }
 
-std::vector<TranscriptEntry> SessionRouter::TakeRestartPrefix(
-    SessionState* state) {
+void SessionRouter::RestartCorrected(SessionState* state) {
   std::vector<TranscriptEntry> prefix = state->session->TakeUserTranscript();
-  if (state->correction.has_value()) {
-    // Flip the corrected answer and drop everything after it: the later
-    // entries answered a question stream computed from the bad answer.
-    // The surviving prefix re-aligns on the restart (questions up to the
-    // flipped entry depend only on the unchanged answers before it), so
-    // the user re-answers nothing they already answered correctly.
-    const size_t index = *state->correction;
-    state->correction.reset();
-    QHORN_CHECK_MSG(index < prefix.size(),
-                    "correction " << index << " past the user transcript");
-    prefix.resize(index + 1);
-    prefix[index].response = !prefix[index].response;
+  if (state->replay != nullptr) {
+    // A round that the last restart re-served from its prefix and then
+    // parked on was rolled back out of the cache's log, but the replay
+    // stage still holds it: the longer of the two is the answered prefix.
+    // (Once the restarted run gets past that round, the head it re-served
+    // joins the log together with the re-asked rest.)
+    std::vector<TranscriptEntry> held = state->replay->TakeTranscript();
+    if (held.size() > prefix.size()) prefix = std::move(held);
+    state->retired_replayed += state->replay->replayed();
   }
-  return prefix;
+  // Flip the corrected answer and drop everything after it: the later
+  // entries answered a question stream computed from the bad answer. The
+  // surviving prefix re-aligns on the restart (questions up to the flipped
+  // entry depend only on the unchanged answers before it), so the user
+  // re-answers nothing they already answered correctly.
+  const size_t index = *state->correction;
+  state->correction.reset();
+  QHORN_CHECK_MSG(index < prefix.size(),
+                  "correction " << index << " past the user transcript");
+  prefix.resize(index + 1);
+  prefix[index].response = !prefix[index].response;
+  // The new chain is cache → counting → replay → backend: the replayed
+  // questions pass every stage exactly as when first asked.
+  const int n = state->session->n();
+  state->session.reset();
+  state->replay =
+      std::make_unique<ReplayOracle>(std::move(prefix), &state->backend);
+  state->session = std::make_unique<QuerySession>(n, state->replay.get(),
+                                                  options_.session);
 }
 
 SessionRouter::SessionId SessionRouter::OpenPending(int n) {
@@ -147,20 +161,24 @@ SessionRouter::SessionState* SessionRouter::Shard::Find(SessionId id) {
   return it->second.get();
 }
 
-void SessionRouter::Shard::CompleteJob(JobKind kind) {
-  ++jobs_done;
-  switch (kind) {
-    case JobKind::kLearn:
-      ++learns;
-      break;
-    case JobKind::kVerify:
-      ++verifies;
-      break;
-    case JobKind::kRevise:
-      ++revisions;
-      break;
-    case JobKind::kOther:
-      break;
+void SessionRouter::Shard::CompleteJobs(SessionState* state,
+                                        size_t jobs_run) {
+  for (; state->jobs_completed < jobs_run; ++state->jobs_completed) {
+    ++jobs_done;
+    --runnable_jobs;
+    switch (state->job_log[state->jobs_completed].kind) {
+      case JobKind::kLearn:
+        ++learns;
+        break;
+      case JobKind::kVerify:
+        ++verifies;
+        break;
+      case JobKind::kRevise:
+        ++revisions;
+        break;
+      case JobKind::kOther:
+        break;
+    }
   }
 }
 
@@ -206,21 +224,19 @@ void SessionRouter::RunPendingSession(SessionState* state) {
   Shard& shard = *state->shard;
   for (;;) {
     bool resume_parked = false;
-    bool cancel_parked = false;
-    bool live = false;
+    bool restart = false;
     size_t start_job = 0;
     {
       MutexLock lock(&shard.mutex);
       resume_parked = state->fiber != nullptr;
-      cancel_parked = resume_parked && state->correction.has_value();
+      restart = state->correction.has_value();
       if (!resume_parked && state->jobs_completed >= state->job_log.size()) {
         state->running = false;
         return;
       }
-      live = state->pipeline_live;
-      if (live) start_job = state->jobs_completed;
+      start_job = state->jobs_completed;
     }
-    if (cancel_parked) {
+    if (resume_parked && restart) {
       // A correction abandoned this parked stack (it was built over the
       // flipped answer); unwind it — the cache's rollback leaves its log
       // at the answered prefix — and fall through to a fresh attempt that
@@ -233,15 +249,12 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       // the parked frame under the lock taken above; switch back in.
       state->fiber->Resume();
     } else {
-      // Fresh attempt: over the live pipeline when the previous attempt
-      // completed the job log (new jobs run directly), otherwise from a
-      // rebuilt pipeline with the full answered prefix replayed (first
-      // run, or a correction restart — the only quadratic path left, paid
-      // once per correction rather than once per round).
-      if (!live) {
-        state->session->ResetWithUserReplay(TakeRestartPrefix(state));
-        start_job = 0;
-      }
+      // Fresh attempt: the uncompleted jobs run on the live session — or,
+      // after a correction (which reset jobs_completed to 0), the whole
+      // job log runs on a session rebuilt over the corrected prefix: the
+      // only quadratic path left, paid once per correction rather than
+      // once per round.
+      if (restart) RestartCorrected(state);
       state->fiber_jobs_run = start_job;
       // The body outlives this call (it parks, and a later runner resumes
       // it), so it captures nothing from this frame by reference.
@@ -281,14 +294,7 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       bool done = false;
       {
         MutexLock lock(&shard.mutex);
-        while (state->jobs_completed < jobs_run) {
-          shard.CompleteJob(state->job_log[state->jobs_completed].kind);
-          ++state->jobs_completed;
-          --shard.runnable_jobs;
-        }
-        // The pipeline now reflects every completed job; later jobs run
-        // on it directly.
-        state->pipeline_live = true;
+        shard.CompleteJobs(state, jobs_run);
         if (state->jobs_completed >= state->job_log.size()) {
           state->running = false;
           done = true;
@@ -314,11 +320,7 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     bool abandoned = false;
     {
       MutexLock lock(&shard.mutex);
-      while (state->jobs_completed < jobs_run) {
-        shard.CompleteJob(state->job_log[state->jobs_completed].kind);
-        ++state->jobs_completed;
-        --shard.runnable_jobs;
-      }
+      shard.CompleteJobs(state, jobs_run);
       ++state->suspensions;
       ++shard.suspensions;
       // Everything this session still owes can no longer progress
@@ -337,7 +339,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         round.round_id = state->answered_rounds;
         shard.AnnounceRound(state, std::move(round));
       }
-      state->pipeline_live = false;
       state->running = false;
     }
     if (idle) shard.idle_cv.NotifyAll();
@@ -491,7 +492,7 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
     // Record the correction; the runner applies it to the session's log
-    // (TakeRestartPrefix) once it owns the session and has unwound the
+    // (RestartCorrected) once it owns the session and has unwound the
     // parked stack, whose cache still holds the in-flight round.
     state->correction = entry_index;
     state->answered_questions = entry_index + 1;
@@ -503,7 +504,6 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     // abandoned round reports kStaleRound, never folds old answers into
     // the new question stream.
     ++state->answered_rounds;
-    state->pipeline_live = false;
     state->jobs_completed = 0;
     // A parked continuation was built over the old answer; the pending
     // correction tells the runner to unwind it before the restart attempt
@@ -627,7 +627,9 @@ ServiceStats SessionRouter::stats() {
       stats.batched_questions += os.batched_questions;
       stats.rounds += state->session->rounds();
       stats.cache_hits += state->session->cache_hits();
-      stats.replayed_questions += state->session->user_questions_replayed();
+      stats.replayed_questions +=
+          state->retired_replayed +
+          (state->replay != nullptr ? state->replay->replayed() : 0);
       if (state->awaiting) {
         ++stats.awaiting_sessions;
         stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);

@@ -4,12 +4,13 @@
 // target is heavy traffic from many concurrent users. The router owns the
 // executor and multiplexes N live sessions across it:
 //
-//   * Each session keeps its own oracle pipeline (cache → counting →
-//     PendingOracle), so per-user state never crosses threads. The
-//     cache's ask-ordered log is the session's user-boundary transcript —
-//     every question that reached the user, once, with its answer — and
-//     the one place the router restarts a session from: the router keeps
-//     no copy of answered questions, only their count.
+//   * Each session keeps its own oracle chain (cache → counting →
+//     PendingOracle, with a correction's replay stage above the backend),
+//     so per-user state never crosses threads. The cache's ask-ordered
+//     log is the session's user-boundary transcript — every question that
+//     reached the user, once, with its answer — and the one place the
+//     router restarts a session from: the router keeps no copy of
+//     answered questions, only their count.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is
 //     inherently sequential per user); jobs of different sessions run in
@@ -35,14 +36,16 @@
 // snapshot_bytes while it awaits). The parked cache logs the answered
 // bits when the frame returns.
 //
-// A correction cannot resume a parked stack built over the old answer, so
-// the runner unwinds it (cancel + one last resume, which throws
-// JobSuspended from the parked wait-site, src/util/suspend.h), takes the
-// session's log, truncates it at the corrected entry, flips that answer
-// and starts a fresh fiber over a pipeline rebuilt with that prefix
-// replayed at the user boundary. Learners are deterministic functions of
-// the transcript, so the restart reaches the next live round without
-// asking anything twice.
+// A correction is the one reason a session restarts, and the router owns
+// the whole restart. A parked stack built over the old answer cannot be
+// resumed, so the runner unwinds it (cancel + one last resume, which
+// throws JobSuspended from the parked wait-site, src/util/suspend.h),
+// takes the session's log, truncates it at the corrected entry and flips
+// that answer. It then destroys the session and builds a fresh one over a
+// ReplayOracle that serves that prefix directly above the backend, and
+// re-runs the job log on a fresh fiber. Learners are deterministic
+// functions of the transcript, so the restart reaches the next live round
+// without asking anything twice.
 //
 // Determinism contract (unchanged by continuations): a session's
 // observable history depends only on its own job sequence and answer
@@ -87,6 +90,7 @@
 #include <vector>
 
 #include "src/oracle/pending.h"
+#include "src/oracle/transcript.h"
 #include "src/session/session.h"
 #include "src/util/checked_mutex.h"
 #include "src/util/executor.h"
@@ -281,12 +285,11 @@ class SessionRouter {
   /// the re-run recounts every re-completed job in ServiceStats.jobs (the
   /// counters count completions, not distinct jobs).
   ///
-  /// This supersedes the old blanket refusal of mid-suspension corrections
-  /// (QuerySession::CorrectAndRelearn still refuses in continuation mode —
-  /// it relearns synchronously inside the call, which a pending backend
-  /// would immediately suspend out of). The restart is a full-prefix
-  /// replay on a fresh fiber: the parked stack was built over the old
-  /// answer and is unwound first.
+  /// The restart is a full-prefix replay into a fresh session on a fresh
+  /// fiber: the parked stack was built over the old answer and is unwound
+  /// first. (A job that calls QuerySession::CorrectAndRelearn is another
+  /// matter: it corrects the session's own history, inside the job, and
+  /// parks and resumes like any other job.)
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
   /// The round the session is blocked on, if any — nullopt for unknown,
@@ -335,7 +338,8 @@ class SessionRouter {
   /// job is running (e.g. after Drain); the router does not lock it. A
   /// session awaiting answers exposes its partially re-run state — only
   /// after its final job completes do its observables equal the
-  /// synchronous run's.
+  /// synchronous run's. A correction restart replaces the session, so a
+  /// reference taken before a CorrectAnswer must not be used after it.
   QuerySession& session(SessionId id);
 
   /// Aggregate counters, summed over the shards. Requires no runnable job
@@ -356,12 +360,12 @@ class SessionRouter {
   // Locking protocol: the job log, the awaiting/running/closed flags and
   // the announcement slot are guarded by the mutex of the session's
   // shard, and so is the backend's parked round while the session awaits.
-  // The resume-state fields (correction, fiber*) follow an ownership
-  // handoff instead: while `running` is true they belong exclusively to
-  // the runner task and are read/written without the lock — a protocol
-  // thread-safety analysis cannot express (TSA has no "guarded by the
-  // shard mutex OR owned by the runner"), and a session cannot name its
-  // shard's mutex in a QHORN_GUARDED_BY anyway.
+  // The resume-state fields (correction, replay, session, fiber*) follow
+  // an ownership handoff instead: while `running` is true they belong
+  // exclusively to the runner task and are read/written without the
+  // lock — a protocol thread-safety analysis cannot express (TSA has no
+  // "guarded by the shard mutex OR owned by the runner"), and a session
+  // cannot name its shard's mutex in a QHORN_GUARDED_BY anyway.
   // The per-field comments say which regime each field is under; the
   // cross-thread edges are TSan-covered by the continuation stress suites.
   struct SessionState {
@@ -369,9 +373,16 @@ class SessionRouter {
     // at open.
     SessionId id = 0;
     Shard* shard = nullptr;
-    // Declared before the session, whose pipeline points at it. While the
+    // Declared before the session, whose chain points at it. While the
     // session awaits, its parked_questions() are the pending round.
     PendingOracle backend;
+    // The last correction restart's replay stage, between the backend and
+    // the session (null before the first correction); declared before the
+    // session, which is built over it. `retired_replayed` sums the
+    // questions served by the stages earlier restarts replaced
+    // (ServiceStats.replayed_questions).
+    std::unique_ptr<ReplayOracle> replay;
+    int64_t retired_replayed = 0;
     std::unique_ptr<QuerySession> session;
     // The full job log (a correction restart re-runs it from the start)
     // plus the completed count.
@@ -383,13 +394,12 @@ class SessionRouter {
     // rounds, the id of the round the session parks on next (or awaits).
     size_t answered_questions = 0;
     int64_t answered_rounds = 0;
-    // Set by CorrectAnswer: the runner restarts from the log truncated
-    // after this entry, with the entry's answer flipped.
+    // Set by CorrectAnswer: the runner rebuilds the session over the log
+    // truncated after this entry, with the entry's answer flipped, and
+    // re-runs the job log from job 0. Without it a fresh attempt runs the
+    // uncompleted jobs on the live session.
     std::optional<size_t> correction;
-    // Fiber state. `pipeline_live` records that the last attempt exited
-    // by *completing* the job log, so the session's live pipeline is
-    // current and jobs submitted later run directly on it — no rebuild,
-    // no replay. `snapshot_bytes` is the parked stack's
+    // Fiber state. `snapshot_bytes` is the parked stack's
     // resident-able size while awaiting (ServiceStats.snapshot_bytes).
     // `fiber` is the parked continuation — the suspended job's live call
     // stack; a pending `correction` makes the runner unwind it (cancel +
@@ -397,7 +407,6 @@ class SessionRouter {
     // body's progress cursor — jobs fully run this attempt — read by the
     // host after each switch back, so all completion bookkeeping stays on
     // the host side of the switch.
-    bool pipeline_live = false;
     size_t snapshot_bytes = 0;
     std::unique_ptr<Fiber> fiber;
     size_t fiber_jobs_run = 0;
@@ -423,8 +432,11 @@ class SessionRouter {
   // to two cache lines (the adjacent-line prefetcher pulls pairs), so
   // two shards' mutexes and counters never share a line.
   struct alignas(128) Shard {
-    /// Bumps jobs_done and the per-kind counter.
-    void CompleteJob(JobKind kind) QHORN_REQUIRES(mutex);
+    /// Folds the session's jobs the last attempt ran up to `jobs_run`
+    /// into its completed count, jobs_done and the per-kind counters, and
+    /// takes them off runnable_jobs.
+    void CompleteJobs(SessionState* state, size_t jobs_run)
+        QHORN_REQUIRES(mutex);
     /// Publishes the session's freshly parked round to the next poll.
     void AnnounceRound(SessionState* state, PendingRound round)
         QHORN_REQUIRES(mutex);
@@ -487,9 +499,12 @@ class SessionRouter {
   /// abandoned: unwinds the stack, then releases ownership and the
   /// runnable count Close took for it.
   void UnwindClosedSession(SessionState* state);
-  /// The restart prefix of a fresh attempt: the session's user
-  /// transcript, moved out, with a pending correction applied.
-  std::vector<TranscriptEntry> TakeRestartPrefix(SessionState* state);
+  /// Applies a pending correction before a fresh attempt: takes the
+  /// session's answered prefix, truncates it at the corrected entry and
+  /// flips that answer, then replaces the session with a fresh one built
+  /// over a new replay stage that serves the prefix above the backend.
+  /// Runner-side, with no lock held.
+  void RestartCorrected(SessionState* state);
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

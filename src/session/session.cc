@@ -11,32 +11,22 @@ QuerySession::QuerySession(int n, MembershipOracle* user, Options options)
     : n_(n), user_(user), options_(options) {
   QHORN_CHECK(user != nullptr);
   QHORN_CHECK(n >= 1 && n <= kMaxVars);
-  BuildPipeline({}, {});
+  BuildPipeline({});
 }
 
-void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
-                                 std::vector<TranscriptEntry> user_prefix) {
-  // The live user-boundary replay stage dies with the old pipeline; bank
-  // its served-question count first so user_questions_replayed() stays
-  // cumulative across resume attempts.
-  if (user_replay_ != nullptr) user_replayed_total_ += user_replay_->replayed();
-  user_replay_ = nullptr;
+void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix) {
+  replay_.reset();
   history_.clear();
   corrected_prefix_ = std::move(replay_prefix);
-  OraclePipeline pipeline(user_);
-  if (!user_prefix.empty()) {
-    user_replay_ = pipeline.Push<ReplayOracle>(std::move(user_prefix));
-  }
-  counting_ = pipeline.Push<CountingOracle>();
-  cache_ = pipeline.Push<CachingOracle>();
+  counting_.emplace(user_);
+  cache_.emplace(&*counting_);
   cache_->RecordHistory(&history_, corrected_prefix_.empty());
+  top_ = &*cache_;
   if (!corrected_prefix_.empty()) {
-    pipeline.Push<ReplayOracle>(std::span<const TranscriptEntry>(
-                                    corrected_prefix_),
-                                &history_);
+    top_ = &replay_.emplace(
+        &*cache_, std::span<const TranscriptEntry>(corrected_prefix_),
+        &history_);
   }
-  pipeline_ = std::move(pipeline);
-  top_ = pipeline_.top();
 }
 
 HistoryView QuerySession::history() const {
@@ -44,22 +34,8 @@ HistoryView QuerySession::history() const {
 }
 
 std::vector<TranscriptEntry> QuerySession::TakeUserTranscript() {
-  // The history indexes the log about to move out; the rebuild that must
-  // follow re-records it.
   history_.clear();
-  std::vector<TranscriptEntry> log = cache_->TakeLog();
-  if (user_replay_ != nullptr) {
-    std::vector<TranscriptEntry> prefix = user_replay_->TakeTranscript();
-    if (prefix.size() > log.size()) return prefix;
-  }
-  return log;
-}
-
-void QuerySession::ResetWithUserReplay(
-    std::vector<TranscriptEntry> user_prefix) {
-  continuation_mode_ = true;
-  BuildPipeline({}, std::move(user_prefix));
-  current_.reset();
+  return cache_->TakeLog();
 }
 
 const Query& QuerySession::Learn() {
@@ -83,13 +59,6 @@ RevisionResult QuerySession::Revise(const Query& candidate) {
 }
 
 const Query& QuerySession::CorrectAndRelearn(size_t index) {
-  // A correction invalidates the suffix of the answered user rounds a
-  // continuation resume replays; the re-run's question stream could never
-  // re-align with the stored prefix and the session would re-suspend on
-  // the same question forever. Fail loudly instead of looping.
-  QHORN_CHECK_MSG(!continuation_mode_,
-                  "CorrectAndRelearn is not supported on pending-round "
-                  "continuation sessions; close the session and re-learn");
   // The corrected prefix: the history up to `index`, resolved, with that
   // answer flipped. Later entries were computed from the bad answer and
   // must be re-asked.
@@ -106,7 +75,7 @@ const Query& QuerySession::CorrectAndRelearn(size_t index) {
   // fresh questions flow to the user through a fresh cache (the old cache
   // holds the wrong answer) and the new history re-records the whole
   // corrected run.
-  BuildPipeline(std::move(prefix), {});
+  BuildPipeline(std::move(prefix));
   RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
   current_ = std::move(result.query);
   return *current_;

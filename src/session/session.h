@@ -9,7 +9,7 @@
 //
 // The question cache's log doubles as the *user-boundary transcript*:
 // every question that reached the user, once, with its answer, in ask
-// order. The service layer restarts a pending session from it (see
+// order. The service layer restarts a corrected session from it (see
 // TakeUserTranscript) rather than keeping a copy of its own. The
 // learner-facing history indexes the same log: a position per learner
 // question and a start per learner round, resolved on read (history()).
@@ -18,7 +18,6 @@
 #define QHORN_SESSION_SESSION_H_
 
 #include <cstddef>
-#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
@@ -26,7 +25,6 @@
 #include "src/learn/revision.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/history.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/verify/verifier.h"
 
@@ -43,7 +41,7 @@ class QuerySession {
   QuerySession(int n, MembershipOracle* user);
   QuerySession(int n, MembershipOracle* user, Options options);
 
-  // The pipeline's stages point at the session's history.
+  // The stages point at each other and at the session's history.
   QuerySession(const QuerySession&) = delete;
   QuerySession& operator=(const QuerySession&) = delete;
 
@@ -71,63 +69,22 @@ class QuerySession {
   HistoryView history() const;
 
   /// The user-boundary transcript: the questions that reached the user
-  /// backend (cache misses, replayed ones included), each once, with its
-  /// answer, in ask order — the cache's log. A round still awaiting its
-  /// answers is not in it. That includes, after a correction in mid-round,
-  /// the head of the corrected round that the restart re-served up to the
-  /// corrected entry: it joins the log together with the re-asked rest.
+  /// backend (cache misses), each once, with its answer, in ask order —
+  /// the cache's log. A round still awaiting its answers is not in it.
   std::span<const TranscriptEntry> user_transcript() const {
     return cache_->log();
   }
 
-  /// Moves every answered user-boundary exchange out, for a
-  /// ResetWithUserReplay that must follow before the session is used
-  /// again: the cache's log, or the replay stage's prefix when that is
-  /// longer — a round re-served from the prefix and then suspended (the
-  /// mid-round head above) leaves the log a prefix of it. Empties the
-  /// history too, since it indexes that log.
+  /// Moves the user-boundary transcript out (the cache's log) and empties
+  /// the history, which indexes it. What the service layer restarts a
+  /// corrected session from; the session is fit only to be destroyed
+  /// after.
   std::vector<TranscriptEntry> TakeUserTranscript();
 
   /// The §5 workflow: the user flips their answer to history entry
   /// `index`; learning restarts from that point, replaying the unchanged
   /// prefix so the user only answers genuinely new questions.
-  ///
-  /// Not supported on pending-round continuation sessions (aborts with a
-  /// diagnostic): this entry point relearns *synchronously inside the
-  /// call*, so on a pending backend the relearn would immediately suspend
-  /// and unwind out of the correction with the session half-rebuilt. The
-  /// router owns the suspend/resume protocol, so mid-suspension corrections
-  /// go through `SessionRouter::CorrectAnswer` instead — it truncates the
-  /// user transcript at the flipped entry and restarts the job log through
-  /// the ordinary resume path, which is allowed to suspend. The invariant
-  /// that made the old blanket refusal load-bearing (never touch a
-  /// mid-replay pipeline) still holds here: the refusal is an always-on
-  /// QHORN_CHECK evaluated before any session state is touched. (Pinned by
-  /// ContinuationEdgeTest.CorrectAndRelearnIsRefusedInContinuationMode.)
   const Query& CorrectAndRelearn(size_t index);
-
-  /// Pending-round continuation support (SessionRouter): rebuilds the
-  /// whole middleware chain from scratch with `user_prefix` replayed
-  /// *at the user boundary* — a ReplayOracle directly above the user
-  /// backend, below cache and counting — and forgets the current query.
-  ///
-  /// This is the re-entry point of the suspend/resume protocol: jobs are
-  /// deterministic functions of the user's answers, so re-running them
-  /// over fresh decorators with the answered rounds replayed reproduces
-  /// the exact state a synchronous run would have reached — transcript,
-  /// question counts and cache traffic included — without asking the user
-  /// anything twice. (Contrast CorrectAndRelearn, whose replay sits above
-  /// the cache precisely so re-asked questions are *not* re-counted.)
-  void ResetWithUserReplay(std::vector<TranscriptEntry> user_prefix);
-
-  /// Cumulative questions served by user-boundary replay stages across
-  /// every ResetWithUserReplay of this session's lifetime. A router
-  /// session replays only on a correction restart (a parked resume
-  /// re-serves nothing); the resume-depth stress test asserts exactly
-  /// that.
-  int64_t user_questions_replayed() const {
-    return user_replayed_total_ + (user_replay_ ? user_replay_->replayed() : 0);
-  }
 
   /// Questions that actually reached the user (cache misses).
   int64_t questions_asked() const { return counting_->stats().questions; }
@@ -149,37 +106,30 @@ class QuerySession {
 
  private:
   /// (Re)builds the middleware chain over the user backend, outermost
-  /// first: [replay] → cache → counting → [user replay] → user, and
-  /// empties the history. The cache records the history: each learner
-  /// question's log position and each round's start. A non-empty
-  /// `replay_prefix` becomes corrected_prefix_ and puts a ReplayOracle over
-  /// it above the cache for the §5 correction workflow (served questions
-  /// are not re-counted); that stage records the served questions and the
-  /// round starts. A non-empty `user_prefix` inserts a ReplayOracle
-  /// directly above the user for continuation re-entry (served questions
-  /// pass through every decorator, exactly as when first asked).
-  void BuildPipeline(std::vector<TranscriptEntry> replay_prefix,
-                     std::vector<TranscriptEntry> user_prefix);
+  /// first: [replay] → cache → counting → user, and empties the history.
+  /// The cache records the history: each learner question's log position
+  /// and each round's start. A non-empty `replay_prefix` becomes
+  /// corrected_prefix_ and puts a ReplayOracle over it above the cache
+  /// for the §5 correction workflow (served questions are not
+  /// re-counted); that stage records the served questions and the round
+  /// starts.
+  void BuildPipeline(std::vector<TranscriptEntry> replay_prefix);
 
   int n_;
   MembershipOracle* user_;
   Options options_;
-  bool continuation_mode_ = false;  // ResetWithUserReplay has been used
-  // Owning middleware chain; the typed pointers below alias its stages.
-  OraclePipeline pipeline_;
-  CountingOracle* counting_ = nullptr;
-  CachingOracle* cache_ = nullptr;
-  ReplayOracle* user_replay_ = nullptr;  // user-boundary stage, if armed
+  // The middleware chain, innermost first; each stage points at the one
+  // below it, so a rebuild replaces them all.
+  std::optional<CountingOracle> counting_;
+  std::optional<CachingOracle> cache_;
+  std::optional<ReplayOracle> replay_;
   MembershipOracle* top_ = nullptr;
   std::optional<Query> current_;
   // The learner-facing history, by position: into cache_'s log, or with
   // QuestionHistory::kPrefixTag into corrected_prefix_ (the input of the
-  // correction replay stage, kept for the pipeline's life).
+  // correction replay stage, kept for the stage's life).
   QuestionHistory history_;
   std::vector<TranscriptEntry> corrected_prefix_;
-  // Replayed-question count harvested from retired user-boundary replay
-  // stages (each pipeline rebuild discards the live stage).
-  int64_t user_replayed_total_ = 0;
 };
 
 }  // namespace qhorn

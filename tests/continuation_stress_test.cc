@@ -297,11 +297,12 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
   // The resume-depth gate of the default protocol. 256 pending learn
   // sessions on 4 lanes, every answered round a separate suspension: under
   // fiber resume the answers feed the parked frame directly, so *nothing*
-  // crosses the user-boundary replay stage over a session's whole
-  // lifetime — replayed == 0, per session, however deep it goes. A
-  // control session that corrects an answer certifies the counter really
-  // moves when a pipeline is rebuilt over a replayed prefix (so this test
-  // would actually catch a silent fallback to replaying resumes).
+  // crosses a user-boundary replay stage over any session's whole
+  // lifetime — ServiceStats.replayed_questions == 0, however deep the
+  // sessions go. A control session that corrects an answer certifies the
+  // counter really moves when a session is rebuilt over a replayed prefix
+  // (so this test would actually catch a silent fallback to replaying
+  // resumes).
   constexpr int kSessions = 256;
   constexpr int kLanes = 4;
   const int n = 8;
@@ -352,13 +353,13 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
       EXPECT_EQ(router.status(ids[idx]), SessionStatus::kIdle);
       EXPECT_TRUE(Equivalent(*router.session(ids[idx]).current_query(),
                              targets[idx]));
-      ASSERT_EQ(router.session(ids[idx]).user_questions_replayed(), 0)
-          << "session " << s << " replayed questions despite a parked stack";
       const int64_t suspensions = router.suspensions(ids[idx]);
       EXPECT_GE(suspensions, 8)
           << "session " << s << " must suspend per user round, many times";
       total_suspensions += suspensions;
     }
+    ASSERT_EQ(router.stats().replayed_questions, 0)
+        << "sessions replayed questions despite their parked stacks";
     // Deep sessions on average: the fleet's resume depth is what makes the
     // zero-replay bound interesting (≥ 64 rounds mean, so a quadratic
     // replaying resume would replay ≥ ~32× what the user answered).
@@ -366,7 +367,7 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
   }
 
   // Control: a correction restart is the one path that still replays —
-  // the runner rebuilds the pipeline with the corrected prefix served at
+  // the runner rebuilds the session over the corrected prefix served at
   // the user boundary — so a session that answers its first round with a
   // lie and then corrects it must report replayed questions, through the
   // same counter the gate above reads.
@@ -400,7 +401,7 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
   }
   EXPECT_EQ(router.status(id), SessionStatus::kIdle);
   EXPECT_TRUE(Equivalent(*router.session(id).current_query(), targets[0]));
-  EXPECT_GT(router.session(id).user_questions_replayed(), 0)
+  EXPECT_GT(router.stats().replayed_questions, 0)
       << "a correction restart replayed nothing: the zero-replay gate "
          "above could not fail";
 }

@@ -1152,18 +1152,35 @@ TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
       << "a parked fiber must account for its mapped stack";
 }
 
-TEST(ContinuationEdgeTest, CorrectAndRelearnIsRefusedInContinuationMode) {
-  // A §5 correction invalidates the suffix of the answered rounds the
-  // resume protocol replays — the session could only re-suspend on the
-  // same question forever. The precondition fails loudly instead.
-  // (Thread-free: a plain QuerySession, no router.)
-  Query target = SmallTarget(4, 51);
-  QueryOracle truth(target);
-  QuerySession session(4, &truth);
-  session.Learn();
-  session.ResetWithUserReplay({});
-  EXPECT_DEATH(session.CorrectAndRelearn(0),
-               "not supported on pending-round");
+TEST(ContinuationEdgeTest, CorrectAndRelearnJobParksAndResumesLikeAnyOther) {
+  // The §5 library correction inside a router job: CorrectAndRelearn
+  // rebuilds the session's own chain over the corrected prefix and
+  // relearns, and every fresh question it asks parks the job on the user
+  // like any other round. Answered from the truth, the session ends
+  // bit-identical to a bare session that learns and then corrects.
+  Query target = SmallTarget(5, 51);
+  QueryOracle sync_truth(target);
+  QuerySession sync(5, &sync_truth);
+  sync.Learn();
+  const size_t k = sync.history().size() / 2;
+  sync.CorrectAndRelearn(k);
+  for (int lanes : {1, 4}) {
+    SessionRouter::Options opts;
+    opts.threads = lanes;
+    SessionRouter router(opts);
+    SessionRouter::SessionId id = router.OpenPending(5);
+    ASSERT_TRUE(router.SubmitLearn(id));
+    ASSERT_TRUE(router.Submit(
+        id, [k](QuerySession& session) { session.CorrectAndRelearn(k); }));
+    QueryOracle truth(target);
+    const int64_t rounds = AnswerAllPending(router, {{id, &truth}});
+    EXPECT_GT(router.suspensions(id), 0);
+    EXPECT_EQ(router.suspensions(id), rounds);
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+    EXPECT_EQ(router.stats().jobs, 2);
+    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
+        << "at " << lanes << " lanes";
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -193,7 +193,7 @@ TEST(DurableRouterTest, GarbageIdsAreRefusedNotLogged) {
   ASSERT_NE(dr, nullptr) << error;
 
   // Session 1 opens and closes; the open of session 2 tears its append,
-  // which hands id 2 back without opening anything.
+  // which opens nothing and leaves id 2 spent.
   std::vector<SessionSpec> specs = CleanSpecs(2);
   ASSERT_EQ(dr->OpenPending(specs[0]), 1);
   ASSERT_TRUE(dr->Close(1));
@@ -549,6 +549,46 @@ TEST(DurableRouterTest, PoisonedLogKeepsRefusingUntilRecovery) {
   EXPECT_EQ(dr->ProvideAnswers(id, rounds[0].round_id, span),
             ProvideOutcome::kLogWriteFailed);
   EXPECT_EQ(dr->status(id), SessionStatus::kAwaitingUser);
+}
+
+TEST(DurableRouterTest, APoisonedShardDoesNotBlockOpensOnTheOthers) {
+  // A torn append poisons the WAL shard of the open that tore it, and
+  // that shard refuses every append until recovery. The refused open's id
+  // stays spent, so the next opens draw the next ids and land on the
+  // healthy shards instead of returning to the poisoned one.
+  constexpr int kShards = 4;
+  MemFs mem;
+  FaultFs faults(&mem, /*seed=*/25);
+  std::string error;
+  auto dr = DurableRouter::Create(&faults, kLogDir, Opts(kShards), &error);
+  ASSERT_NE(dr, nullptr) << error;
+  std::vector<SessionSpec> specs = CleanSpecs(4);
+  faults.ArmTornAppend(/*after=*/1);
+  EXPECT_EQ(dr->OpenPending(specs[0]), 0) << "id 1's open tears shard 1";
+  EXPECT_EQ(dr->OpenPending(specs[1]), 2);
+  EXPECT_EQ(dr->OpenPending(specs[2]), 3);
+  EXPECT_EQ(dr->OpenPending(specs[3]), 4);
+  std::vector<std::string> prints;
+  for (DurableRouter::SessionId id : {2, 3, 4}) {
+    DriveToCompletion(*dr, id, specs[static_cast<size_t>(id - 1)]);
+    prints.push_back(SessionFingerprint(dr->session(id)));
+  }
+  dr.reset();
+  mem.CrashAll();
+
+  // Recovery drops the torn open and restores the three that were acked.
+  RecoveryReport report;
+  auto rec =
+      DurableRouter::Recover(&mem, kLogDir, Opts(kShards), &report, &error);
+  ASSERT_NE(rec, nullptr) << error;
+  EXPECT_EQ(report.torn_tails_truncated, 1);
+  EXPECT_EQ(report.sessions_recovered, 3);
+  rec->Drain();
+  for (DurableRouter::SessionId id : {2, 3, 4}) {
+    EXPECT_EQ(SessionFingerprint(rec->session(id)),
+              prints[static_cast<size_t>(id - 2)])
+        << "session " << id;
+  }
 }
 
 /// Writes a SessionOpened record for each of `ids` straight into the log

@@ -17,7 +17,6 @@
 #include "src/core/query.h"
 #include "src/learn/revision.h"
 #include "src/learn/rp_learner.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/session/router.h"
 #include "src/session/session.h"
@@ -33,24 +32,31 @@ namespace {
 /// correction's restart).
 struct Reference {
   Reference(MembershipOracle* user, std::vector<TranscriptEntry> user_prefix,
-            std::vector<TranscriptEntry> replay_prefix = {})
-      : pipeline(user) {
+            std::vector<TranscriptEntry> replay_prefix = {}) {
+    MembershipOracle* below_counting = user;
     if (!user_prefix.empty()) {
-      pipeline.Push<ReplayOracle>(std::move(user_prefix));
+      user_replay =
+          std::make_unique<ReplayOracle>(std::move(user_prefix), user);
+      below_counting = user_replay.get();
     }
-    counting = pipeline.Push<CountingOracle>();
-    pipeline.Push<CachingOracle>();
+    counting = std::make_unique<CountingOracle>(below_counting);
+    cache = std::make_unique<CachingOracle>(counting.get());
+    MembershipOracle* below_transcript = cache.get();
     if (!replay_prefix.empty()) {
-      pipeline.Push<ReplayOracle>(std::move(replay_prefix));
+      replay =
+          std::make_unique<ReplayOracle>(std::move(replay_prefix), cache.get());
+      below_transcript = replay.get();
     }
-    transcript = pipeline.Push<TranscriptOracle>();
+    transcript = std::make_unique<TranscriptOracle>(below_transcript);
   }
 
-  MembershipOracle* top() const { return pipeline.top(); }
+  MembershipOracle* top() const { return transcript.get(); }
 
-  OraclePipeline pipeline;
-  CountingOracle* counting = nullptr;
-  TranscriptOracle* transcript = nullptr;
+  std::unique_ptr<ReplayOracle> user_replay;
+  std::unique_ptr<CountingOracle> counting;
+  std::unique_ptr<CachingOracle> cache;
+  std::unique_ptr<ReplayOracle> replay;
+  std::unique_ptr<TranscriptOracle> transcript;
 };
 
 /// `session.history()` equals `expected` entry for entry — or, with

@@ -27,7 +27,6 @@
 #include "src/learn/qhorn1_learner.h"
 #include "src/learn/rp_learner.h"
 #include "src/oracle/adversary.h"
-#include "src/oracle/pipeline.h"
 #include "src/oracle/transcript.h"
 #include "src/session/session.h"
 #include "src/verify/verifier.h"
@@ -415,32 +414,12 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Range<uint64_t>(0, 7)));
 
 // ---------------------------------------------------------------------------
-// Pipeline composition and the batched backend. The OraclePipeline must
-// wire the identical stack the hand-built chains above use, and a backend
-// that answers whole rounds (QueryOracle, through CompiledQuery::
-// EvaluateAll) must be invisible: same answers in question order, same
-// decorator statistics, same noise draws. (The "Async" in the two test
-// names is the batched simulated-user backend these tests once drove.)
-// SequentialOracle is itself a pipeline stage, so the reference arm is one
-// extra Push.
-
-RunRecord RunPipelineStack(MembershipOracle* backend, const Workload& drive,
-                           bool force_sequential) {
-  OraclePipeline pipeline(backend);
-  CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>();
-  if (force_sequential) pipeline.Push<SequentialOracle>();
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>();
-  RunRecord record;
-  record.payload = drive(pipeline.top());
-  for (const TranscriptEntry& e : transcript->entries()) {
-    record.transcript.emplace_back(e.question, e.response);
-  }
-  record.stats = counting->stats();
-  record.cache_hits = caching->hits();
-  record.cache_misses = caching->misses();
-  return record;
-}
+// Stack composition and the batched backend. A QuerySession must wire the
+// identical stack the hand-built chains above use, and a backend that
+// answers whole rounds (QueryOracle, through CompiledQuery::EvaluateAll)
+// must be invisible: same answers in question order, same decorator
+// statistics, same noise draws. (The "Async" in the two test names is the
+// batched simulated-user backend these tests once drove.)
 
 void ExpectRecordsEqual(const RunRecord& batched, const RunRecord& sequential,
                         const std::string& context) {
@@ -499,12 +478,13 @@ TEST_P(PipelineDifferentialTest, AsyncBackendEqualsSequential) {
     // Batched arm: whole rounds through CompiledQuery::EvaluateAll.
     // Sequential arm: the identical backend decomposed question for
     // question — the semantics being preserved.
-    QueryOracle batched_backend(target);
-    RunRecord batched = RunPipelineStack(&batched_backend, workload,
-                                         /*force_sequential=*/false);
-    QueryOracle sequential_backend(target);
-    RunRecord sequential = RunPipelineStack(&sequential_backend, workload,
-                                            /*force_sequential=*/true);
+    const BaseFactory backend = [&] {
+      return std::make_unique<QueryOracle>(target);
+    };
+    RunRecord batched = RunStack(backend, workload,
+                                 /*force_sequential=*/false);
+    RunRecord sequential = RunStack(backend, workload,
+                                    /*force_sequential=*/true);
     ExpectRecordsEqual(batched, sequential,
                        "pipeline+batched " + name + " n=" + std::to_string(n) +
                            " seed=" + std::to_string(seed));
@@ -519,12 +499,13 @@ TEST_P(PipelineDifferentialTest, NoisyOverAsyncDrawsFlipsInQuestionOrder) {
   // whether the round below it arrives batched or question by question,
   // the flip draws must consume the seed in question order.
   auto run = [&](MembershipOracle* backend, bool force_sequential) {
-    OraclePipeline pipeline(backend);
-    pipeline.Push<NoisyOracle>(0.25, /*seed=*/seed ^ 0xf1f5ULL);
-    CountingOracle* counting = pipeline.Push<CountingOracle>();
-    if (force_sequential) pipeline.Push<SequentialOracle>();
-    std::string payload = WideRoundWorkload(n, seed)(pipeline.top());
-    payload += " answers=" + std::to_string(counting->stats().answers);
+    NoisyOracle noisy(backend, 0.25, /*seed=*/seed ^ 0xf1f5ULL);
+    CountingOracle counting(&noisy);
+    SequentialOracle sequential(&counting);
+    std::string payload = WideRoundWorkload(n, seed)(
+        force_sequential ? static_cast<MembershipOracle*>(&sequential)
+                         : &counting);
+    payload += " answers=" + std::to_string(counting.stats().answers);
     return payload;
   };
   QueryOracle batched_backend(target);
@@ -538,18 +519,28 @@ INSTANTIATE_TEST_SUITE_P(
     ::testing::Combine(::testing::Values(8, 16, 64),
                        ::testing::Range<uint64_t>(0, 5)));
 
-// The pipeline must compose the same stack QuerySession used to hand-wire:
-// same stats, hits and transcript as the legacy harness RunStack above.
+// QuerySession composes its own stack (cache → counting → user): its
+// learned query, history, question count and cache hits must equal the
+// legacy harness RunStack's over the same learner.
 TEST(PipelineCompositionTest, MatchesHandWiredStack) {
   Query target = RandomRp(8, 21);
-  Workload workload = RpWorkload(8);
   RunRecord hand = RunStack(
-      [&] { return std::make_unique<QueryOracle>(target); }, workload,
+      [&] { return std::make_unique<QueryOracle>(target); }, RpWorkload(8),
       /*force_sequential=*/false);
   QueryOracle backend(target);
-  RunRecord piped = RunPipelineStack(&backend, workload,
-                                     /*force_sequential=*/false);
-  ExpectRecordsEqual(piped, hand, "pipeline vs hand-wired");
+  QuerySession session(8, &backend);
+  const Query learned = session.Learn();
+  EXPECT_EQ(hand.payload.substr(0, hand.payload.find(" | ")),
+            learned.ToString());
+  std::vector<std::pair<TupleSet, bool>> history;
+  for (HistoryEntry e : session.history()) {
+    history.emplace_back(e.question, e.response);
+  }
+  EXPECT_EQ(history, hand.transcript);
+  EXPECT_EQ(session.questions_asked(), hand.stats.questions);
+  EXPECT_EQ(session.oracle_stats().batched_questions,
+            hand.stats.batched_questions);
+  EXPECT_EQ(session.cache_hits(), hand.cache_hits);
 }
 
 // ---------------------------------------------------------------------------
@@ -610,37 +601,36 @@ TEST(ReplayBatchTest, BatchSpanningPrefixBoundaryMatchesSequential) {
 TEST(EmptyRoundTest, EmptyBatchIsANoOpThroughTheWholeStack) {
   Query target = Query::Parse("∀x1→x2 ∃x3", 3);
   QueryOracle truth(target);
-  OraclePipeline pipeline(&truth);
-  NoisyOracle* noisy = pipeline.Push<NoisyOracle>(0.5, /*seed=*/7);
-  CountingOracle* counting = pipeline.Push<CountingOracle>();
-  CachingOracle* caching = pipeline.Push<CachingOracle>();
-  TranscriptOracle* transcript = pipeline.Push<TranscriptOracle>();
+  NoisyOracle noisy(&truth, 0.5, /*seed=*/7);
+  CountingOracle counting(&noisy);
+  CachingOracle caching(&counting);
+  TranscriptOracle transcript(&caching);
 
   BitVec bits;
-  pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
-  EXPECT_EQ(transcript->rounds(), 0);
-  EXPECT_TRUE(transcript->entries().empty());
-  EXPECT_EQ(caching->hits(), 0);
-  EXPECT_EQ(caching->misses(), 0);
-  EXPECT_EQ(counting->stats().rounds, 0);
-  EXPECT_EQ(counting->stats().questions, 0);
-  EXPECT_EQ(counting->stats().batched_questions, 0);
-  EXPECT_EQ(noisy->flips(), 0);
+  transcript.IsAnswerBatch({}, bits.Prepare(0));
+  EXPECT_EQ(transcript.rounds(), 0);
+  EXPECT_TRUE(transcript.entries().empty());
+  EXPECT_EQ(caching.hits(), 0);
+  EXPECT_EQ(caching.misses(), 0);
+  EXPECT_EQ(counting.stats().rounds, 0);
+  EXPECT_EQ(counting.stats().questions, 0);
+  EXPECT_EQ(counting.stats().batched_questions, 0);
+  EXPECT_EQ(noisy.flips(), 0);
 
   // Interleaved with real rounds, the empty batch consumes no round id
   // and no noise draw: the round sequence is exactly as if it never
   // happened.
   Rng rng(3);
   std::vector<TupleSet> round = {RandomObject(3, rng, 3)};
-  pipeline.top()->IsAnswerBatch(round, bits.Prepare(1));
-  pipeline.top()->IsAnswerBatch({}, bits.Prepare(0));
+  transcript.IsAnswerBatch(round, bits.Prepare(1));
+  transcript.IsAnswerBatch({}, bits.Prepare(0));
   std::vector<TupleSet> round2 = {RandomObject(3, rng, 3)};
-  pipeline.top()->IsAnswerBatch(round2, bits.Prepare(1));
-  EXPECT_EQ(transcript->rounds(), 2);
-  ASSERT_EQ(transcript->entries().size(), 2u);
-  EXPECT_EQ(transcript->entries()[0].round, 0);
-  EXPECT_EQ(transcript->entries()[1].round, 1);
-  EXPECT_EQ(counting->stats().rounds, 2);
+  transcript.IsAnswerBatch(round2, bits.Prepare(1));
+  EXPECT_EQ(transcript.rounds(), 2);
+  ASSERT_EQ(transcript.entries().size(), 2u);
+  EXPECT_EQ(transcript.entries()[0].round, 0);
+  EXPECT_EQ(transcript.entries()[1].round, 1);
+  EXPECT_EQ(counting.stats().rounds, 2);
 }
 
 TEST(EmptyRoundTest, AdversaryAndReplayIgnoreEmptyRounds) {
