@@ -11,10 +11,10 @@
 //     session object, transcript, parked fiber stack, router
 //     bookkeeping),
 //   * the router's own parked-resume accounting (ServiceStats::
-//     snapshot_bytes) per session — this reflects the cold-stack trim
-//     (madvise(MADV_DONTNEED) of the parked stack below the suspended
-//     frame), which is what makes 512 KiB fiber stacks affordable at
-//     fleet scale,
+//     snapshot_bytes) per session — the resident pages of each parked
+//     fiber stack (Fiber::ResidentBytes). Stacks are committed lazily,
+//     so a 512 KiB mapping costs only the pages the job touched, which
+//     is what makes 512 KiB fiber stacks affordable at fleet scale,
 //   * the extrapolated GiB for one million open sessions.
 //
 // K defaults to 16384 full / 512 smoke (fiber stacks cost two VMAs each —
@@ -130,7 +130,8 @@ int main() {
   std::printf(
       "\nrss B/session is ground truth (includes session, transcript and\n"
       "router bookkeeping); accounted B/session is the router's own parked-\n"
-      "resume number — the gap vs the 512 KiB mapped stack is the\n"
-      "cold-stack trim at work.\n");
+      "resume number, the resident pages of its parked stack — the gap\n"
+      "vs the 512 KiB mapped stack is lazy commit: pages the job never\n"
+      "touched are never resident.\n");
   return 0;
 }

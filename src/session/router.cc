@@ -306,13 +306,9 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       continue;  // jobs arrived while the body was finishing
     }
     // Parked on a user round: publish it and free the lane. The parked
-    // stack is the session's resume state; trim the cold region below the
-    // parked frame back to the kernel (madvise) and report what actually
-    // stays resident-able while the user thinks. The announced copy of the
-    // round's questions is made here too, outside the lock. Both are safe
-    // before the lock: this runner still owns the session and nothing else
-    // touches a parked fiber.
-    const size_t resident = state->fiber->TrimColdStack();
+    // stack is the session's resume state. The announced copy of the
+    // round's questions is made here, outside the lock: this runner still
+    // owns the session and nothing else touches a parked fiber.
     const std::span<const TupleSet> questions =
         state->backend.parked_questions();
     PendingRound round{state->id, 0, {questions.begin(), questions.end()}};
@@ -333,7 +329,6 @@ void SessionRouter::RunPendingSession(SessionState* state) {
         abandoned = true;
       } else {
         state->awaiting = true;
-        state->snapshot_bytes = resident;
         // Published in the same critical section as runnable_jobs's
         // decrement, so Drain-then-poll observes every parked round.
         round.round_id = state->answered_rounds;
@@ -632,7 +627,10 @@ ServiceStats SessionRouter::stats() {
           (state->replay != nullptr ? state->replay->replayed() : 0);
       if (state->awaiting) {
         ++stats.awaiting_sessions;
-        stats.snapshot_bytes += static_cast<int64_t>(state->snapshot_bytes);
+        // Quiesced and awaiting: no runner can resume this fiber while
+        // the shard lock is held.
+        stats.snapshot_bytes +=
+            static_cast<int64_t>(state->fiber->ResidentBytes());
       }
     }
   }

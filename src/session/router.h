@@ -32,9 +32,10 @@
 // ProvideAnswers(id, round_id, answers); the router writes the bits into
 // the parked frame and switches back into it: O(1) compute per resume,
 // O(rounds) per session, nothing re-run and nothing replayed. The memory
-// traded for that compute is the parked stack (reported as the session's
-// snapshot_bytes while it awaits). The parked cache logs the answered
-// bits when the frame returns.
+// traded for that compute is the parked stack: its resident pages, which
+// stats() measures as the session's snapshot_bytes while it awaits. A
+// park and a resume are each one register-only stack switch, no syscall.
+// The parked cache logs the answered bits when the frame returns.
 //
 // A correction is the one reason a session restarts, and the router owns
 // the whole restart. A parked stack built over the old answer cannot be
@@ -119,7 +120,8 @@ struct ServiceStats {
   int64_t replayed_questions = 0;
   /// Parked-stack bytes across sessions currently awaiting a user — the
   /// memory a parked resume trades for replay compute: each stack's
-  /// resident-able size after the cold-stack trim.
+  /// resident pages, measured when stats() is called
+  /// (Fiber::ResidentBytes).
   int64_t snapshot_bytes = 0;
   int64_t corrections = 0;  ///< CorrectAnswer calls accepted
 };
@@ -399,15 +401,12 @@ class SessionRouter {
     // re-runs the job log from job 0. Without it a fresh attempt runs the
     // uncompleted jobs on the live session.
     std::optional<size_t> correction;
-    // Fiber state. `snapshot_bytes` is the parked stack's
-    // resident-able size while awaiting (ServiceStats.snapshot_bytes).
-    // `fiber` is the parked continuation — the suspended job's live call
-    // stack; a pending `correction` makes the runner unwind it (cancel +
-    // one last resume) before the restart attempt. `fiber_jobs_run` is the
-    // body's progress cursor — jobs fully run this attempt — read by the
-    // host after each switch back, so all completion bookkeeping stays on
-    // the host side of the switch.
-    size_t snapshot_bytes = 0;
+    // Fiber state. `fiber` is the parked continuation — the suspended
+    // job's live call stack; a pending `correction` makes the runner
+    // unwind it (cancel + one last resume) before the restart attempt.
+    // `fiber_jobs_run` is the body's progress cursor — jobs fully run this
+    // attempt — read by the host after each switch back, so all completion
+    // bookkeeping stays on the host side of the switch.
     std::unique_ptr<Fiber> fiber;
     size_t fiber_jobs_run = 0;
     int64_t suspensions = 0;

@@ -5,6 +5,7 @@
 
 #include <cstdint>
 #include <utility>
+#include <vector>
 
 #include "src/util/check.h"
 #include "src/util/checked_mutex.h"
@@ -48,6 +49,69 @@ void __tsan_switch_to_fiber(void* fiber, unsigned flags);
 }
 #endif
 
+#if defined(QHORN_FIBER_ASM_SWITCH)
+extern "C" {
+// Pushes the callee-saved state (layout below), stores rsp in *save_sp,
+// loads load_sp into rsp, pops the same layout from there and returns into
+// whatever frame that stack parked — or, on a fiber's first switch-in,
+// into qhorn_fiber_entry.
+//
+//   load_sp + 0:  MXCSR (4 bytes), x87 control word (2 bytes), 2 spare
+//   load_sp + 8:  r15, r14, r13, r12, rbx, rbp
+//   load_sp + 56: return address
+void qhorn_fiber_switch(void** save_sp, void* load_sp);
+// A new fiber's first instruction: calls r13(r12), that is
+// Fiber::Entry(fiber). Never returns; `.cfi_undefined rip` ends every
+// unwind and backtrace here, as the outermost frame of the fiber stack.
+void qhorn_fiber_entry();
+}
+
+asm(R"(
+  .pushsection .text
+  .globl qhorn_fiber_switch
+  .hidden qhorn_fiber_switch
+  .type qhorn_fiber_switch, @function
+  .p2align 4
+qhorn_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size qhorn_fiber_switch, .-qhorn_fiber_switch
+
+  .globl qhorn_fiber_entry
+  .hidden qhorn_fiber_entry
+  .type qhorn_fiber_entry, @function
+  .p2align 4
+qhorn_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size qhorn_fiber_entry, .-qhorn_fiber_entry
+  .popsection
+)");
+#endif
+
 namespace qhorn {
 
 Fiber::Fiber(std::function<void()> body, size_t stack_bytes)
@@ -81,11 +145,32 @@ Fiber::~Fiber() {
   if (alloc_ != nullptr) munmap(alloc_, alloc_bytes_);
 }
 
+namespace {
+
+#if defined(QHORN_FIBER_ASM_SWITCH)
+void Switch(void** save, void* const* load) {
+  qhorn_fiber_switch(save, *load);
+}
+#else
+void Switch(ucontext_t* save, const ucontext_t* load) {
+  swapcontext(save, load);
+}
+#endif
+
+}  // namespace
+
+#if defined(QHORN_FIBER_ASM_SWITCH)
+void Fiber::Entry(Fiber* self) {
+  self->Run();
+  // Unreachable: Run() ends in a final switch out and is never re-entered.
+}
+#else
 void Fiber::Trampoline(unsigned hi, unsigned lo) {
   auto ptr = (static_cast<uintptr_t>(hi) << 32) | static_cast<uintptr_t>(lo);
   reinterpret_cast<Fiber*>(ptr)->Run();
   // Unreachable: Run() ends in a final switch out and is never re-entered.
 }
+#endif
 
 void Fiber::Run() {
 #if defined(QHORN_FIBER_ASAN)
@@ -104,40 +189,46 @@ void Fiber::Run() {
 #if defined(QHORN_FIBER_TSAN)
   __tsan_switch_to_fiber(tsan_host_, 0);
 #endif
-  swapcontext(&fiber_ctx_, &host_ctx_);
+  Switch(&fiber_ctx_, &host_ctx_);
   QHORN_CHECK_MSG(false, "finished fiber resumed");
 }
 
-size_t Fiber::TrimColdStack() {
-  trimmed_bytes_ = 0;
-#if defined(__linux__) && defined(__x86_64__)
-  if (!started_ || finished_) return alloc_bytes_;
-  // swapcontext saved the parked frame's stack pointer into fiber_ctx_.
-  // Everything in [stack_base_, sp) is dead — frames the continuation
-  // popped before parking, reusable only by deeper future calls. Round
-  // the boundary down to a page and keep one slack page below the parked
-  // frame (x86-64 red zone plus resume spill room stay untouched).
-  const auto page = static_cast<uintptr_t>(sysconf(_SC_PAGESIZE));
-  const auto sp =
-      static_cast<uintptr_t>(fiber_ctx_.uc_mcontext.gregs[REG_RSP]);
-  const auto base = reinterpret_cast<uintptr_t>(stack_base_);
-  uintptr_t cold_end = sp & ~(page - 1);
-  if (cold_end < page) return alloc_bytes_;
-  cold_end -= page;  // slack page
-  if (sp < base || sp >= base + stack_size_ || cold_end <= base) {
-    return alloc_bytes_;
-  }
-  const size_t cold = static_cast<size_t>(cold_end - base);
-  if (madvise(stack_base_, cold, MADV_DONTNEED) == 0) trimmed_bytes_ = cold;
-#endif
-  return alloc_bytes_ - trimmed_bytes_;
+size_t Fiber::ResidentBytes() const {
+  const auto page = static_cast<size_t>(sysconf(_SC_PAGESIZE));
+  std::vector<unsigned char> resident(stack_size_ / page);
+  QHORN_CHECK_MSG(mincore(stack_base_, stack_size_, resident.data()) == 0,
+                  "fiber stack mincore failed");
+  size_t pages = 0;
+  for (unsigned char r : resident) pages += r & 1u;
+  return pages * page;
 }
 
 void Fiber::Resume() {
   QHORN_CHECK_MSG(!finished_, "Resume() on a finished fiber");
-  trimmed_bytes_ = 0;  // resumed frames refault trimmed pages on touch
   if (!started_) {
     started_ = true;
+#if defined(QHORN_FIBER_ASM_SWITCH)
+    // The frame qhorn_fiber_switch pops on the first switch in: the
+    // host's floating-point control state (as getcontext would inherit
+    // it), r12 = this and r13 = Entry for the entry stub, rbp = 0 to end
+    // frame-pointer walks, and the stub as the return address. The stack
+    // top is page-aligned, so the stub's call leaves Entry's frame
+    // ABI-aligned.
+    uint32_t mxcsr = 0;
+    uint16_t fpu_cw = 0;
+    asm volatile("stmxcsr %0" : "=m"(mxcsr));
+    asm volatile("fnstcw %0" : "=m"(fpu_cw));
+    auto* frame = reinterpret_cast<uint64_t*>(stack_base_ + stack_size_) - 8;
+    frame[0] = mxcsr | (static_cast<uint64_t>(fpu_cw) << 32);
+    frame[1] = 0;                                      // r15
+    frame[2] = 0;                                      // r14
+    frame[3] = reinterpret_cast<uint64_t>(&Entry);     // r13
+    frame[4] = reinterpret_cast<uint64_t>(this);       // r12
+    frame[5] = 0;                                      // rbx
+    frame[6] = 0;                                      // rbp
+    frame[7] = reinterpret_cast<uint64_t>(&qhorn_fiber_entry);
+    fiber_ctx_ = frame;
+#else
     QHORN_CHECK_MSG(getcontext(&fiber_ctx_) == 0, "getcontext failed");
     fiber_ctx_.uc_stack.ss_sp = stack_base_;
     fiber_ctx_.uc_stack.ss_size = stack_size_;
@@ -146,6 +237,7 @@ void Fiber::Resume() {
     makecontext(&fiber_ctx_, reinterpret_cast<void (*)()>(&Trampoline), 2,
                 static_cast<unsigned>(ptr >> 32),
                 static_cast<unsigned>(ptr & 0xffffffffu));
+#endif
   }
 #if defined(QHORN_FIBER_TSAN)
   tsan_host_ = __tsan_get_current_fiber();
@@ -154,7 +246,7 @@ void Fiber::Resume() {
 #if defined(QHORN_FIBER_ASAN)
   __sanitizer_start_switch_fiber(&asan_host_fake_, stack_base_, stack_size_);
 #endif
-  swapcontext(&host_ctx_, &fiber_ctx_);
+  Switch(&host_ctx_, &fiber_ctx_);
   // Back on the host stack — either the fiber yielded or it finished (the
   // finished path already released its fake stack via the nullptr save).
 #if defined(QHORN_FIBER_ASAN)
@@ -175,7 +267,7 @@ void Fiber::Yield() {
 #if defined(QHORN_FIBER_TSAN)
   __tsan_switch_to_fiber(tsan_host_, 0);
 #endif
-  swapcontext(&fiber_ctx_, &host_ctx_);
+  Switch(&fiber_ctx_, &host_ctx_);
   // Resumed — possibly on a different OS thread, whose host-stack bounds
   // the finish call below records for the next Yield().
 #if defined(QHORN_FIBER_ASAN)

@@ -14,7 +14,27 @@
 // (the session runner, which already serializes per-session work), never
 // migrated while running. Resume() may be called from a different OS thread
 // than the previous Resume() — executor lanes hand sessions around — which
-// is safe for ucontext and annotated for the sanitizers.
+// is safe because a switch carries no per-thread state, and is annotated
+// for the sanitizers.
+//
+// The switch (x86-64 Linux): a parked side is one saved stack pointer.
+// Switching pushes what the System V ABI makes callee-saved — rbx, rbp,
+// r12–r15, MXCSR and the x87 control word — onto the current stack,
+// stores rsp, loads the other side's rsp and pops the same set. No
+// syscall, no signal-mask save, nothing else the compiler does not
+// already expect a call to clobber. A floating-point mode set on one
+// side stays on that side. Other targets switch with ucontext, which
+// also saves the signal mask (one syscall per switch).
+//
+// The switch does not maintain a CET shadow stack: it returns into the
+// other side's frame by a `ret` that no `call` pushed, which a hardware
+// shadow stack would reject. So src/util/CMakeLists.txt compiles this file
+// with -fcf-protection=branch: its object never claims shadow-stack
+// compatibility, no binary that links it is marked, and no loader turns a
+// shadow stack on for one. (Checked with gcc 12.2: under
+// -fcf-protection=full the object's GNU property note reads "IBT, SHSTK",
+// with the flag "IBT". Without either flag, as on Debian's gcc, and on
+// glibc 2.36, which predates user shadow stacks, nothing is marked.)
 //
 // Sanitizer support: stack switches confuse AddressSanitizer (stack bounds)
 // and ThreadSanitizer (per-stack shadow state) unless annotated. Both
@@ -35,10 +55,14 @@
 #ifndef QHORN_UTIL_FIBER_H_
 #define QHORN_UTIL_FIBER_H_
 
-#include <ucontext.h>
-
 #include <cstddef>
 #include <functional>
+
+#if defined(__linux__) && defined(__x86_64__)
+#define QHORN_FIBER_ASM_SWITCH 1
+#else
+#include <ucontext.h>
+#endif
 
 namespace qhorn {
 
@@ -74,28 +98,25 @@ class Fiber {
   /// no live frames and may be destroyed.
   bool finished() const { return finished_; }
 
-  /// Total mapped stack bytes (guard page included) — the memory a parked
-  /// continuation keeps resident-able, reported as the session's
-  /// parked-state footprint.
-  size_t stack_bytes() const { return alloc_bytes_; }
-
-  /// Returns the dead region of a *parked* stack to the kernel. Stacks
-  /// grow down, so everything below the parked frame's stack pointer is
-  /// space only deeper future calls would reuse; madvise(MADV_DONTNEED)
-  /// releases those pages (minus one slack page of red-zone headroom)
-  /// while keeping the mapping — they refault zero-filled if the resumed
-  /// continuation ever recurses that deep again. Returns the mapped bytes
-  /// still backing the fiber afterwards (alloc minus trimmed); on a fiber
-  /// that never started, already finished, or a platform without the
-  /// trim, returns stack_bytes() untrimmed. Owner-only, like Resume().
-  size_t TrimColdStack();
-
-  /// Bytes the last TrimColdStack() released (0 after a Resume(): the
-  /// pages fault back in as the continuation touches them).
-  size_t trimmed_bytes() const { return trimmed_bytes_; }
+  /// Bytes of the usable stack that are resident now: one mincore over
+  /// it, counting whole pages. Untouched pages and the PROT_NONE guard
+  /// page below the stack never count; pages a deeper excursion dirtied
+  /// keep counting after it returns (nothing trims a parked stack). Safe
+  /// on a parked or never-started fiber, from any thread that excludes
+  /// Resume() — the owner's lock, or a quiesced router.
+  size_t ResidentBytes() const;
 
  private:
+#if defined(QHORN_FIBER_ASM_SWITCH)
+  // A parked side is the stack pointer its switch saved (see the file
+  // comment); a fiber that never ran starts at an entry stub that calls
+  // Entry(this).
+  using Context = void*;
+  static void Entry(Fiber* self);
+#else
+  using Context = ucontext_t;
   static void Trampoline(unsigned hi, unsigned lo);
+#endif
   void Run();
 
   std::function<void()> body_;
@@ -103,11 +124,10 @@ class Fiber {
   char* stack_base_ = nullptr;   // usable stack bottom (above the guard)
   size_t alloc_bytes_ = 0;
   size_t stack_size_ = 0;        // usable bytes
-  ucontext_t fiber_ctx_;
-  ucontext_t host_ctx_;
+  Context fiber_ctx_{};
+  Context host_ctx_{};
   bool started_ = false;
   bool finished_ = false;
-  size_t trimmed_bytes_ = 0;
 
   // Sanitizer bookkeeping (unused members cost nothing when the build has
   // no sanitizer; keeping them unconditional keeps the ABI stable across

@@ -1,5 +1,7 @@
 // SessionRouter's lock shards (Options::shards) and the combined
-// pending-round poll. Also covers the parked-fiber cold-stack trim.
+// pending-round poll. Also covers the fiber switch (registers and
+// floating-point modes across a resume on another thread) and the parked
+// stack's resident bytes behind ServiceStats::snapshot_bytes.
 //
 // The load-bearing property is the sharding contract: a session's
 // observables depend only on its own job and answer sequence, never on
@@ -10,6 +12,7 @@
 // Runs under the tsan preset in CI (ctest label: continuation).
 
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <atomic>
@@ -380,9 +383,9 @@ TEST(RouterShardsTest, PollRacesSuspensionsAndResumes) {
 }
 
 // ---------------------------------------------------------------------------
-// Parked-fiber cold-stack trim.
+// The fiber switch and the parked stack's residency.
 
-#if defined(__linux__) && defined(__x86_64__)
+size_t PageBytes() { return static_cast<size_t>(sysconf(_SC_PAGESIZE)); }
 
 __attribute__((noinline)) int DeepTouch(int depth) {
   volatile char buf[4096];
@@ -392,55 +395,211 @@ __attribute__((noinline)) int DeepTouch(int depth) {
   return DeepTouch(depth - 1) + buf[sizeof(buf) - 1];
 }
 
-TEST(FiberTrimTest, TrimReleasesColdPagesAndTheFiberStillResumes) {
+#if defined(QHORN_FIBER_ASM_SWITCH)
+
+}  // namespace
+}  // namespace qhorn
+
+// Loads rbx, rbp, r12-r15 with pattern + 0..5, calls fn(arg), and stores
+// what those six registers hold when fn returns into out[0..5]; restores
+// the caller's values before returning. Only assembly can pin the
+// registers across a call, which is what the switch must preserve.
+extern "C" void qhorn_test_call_with_callee_saved(void (*fn)(void*),
+                                                  void* arg,
+                                                  uint64_t pattern,
+                                                  uint64_t* out);
+asm(R"(
+  .pushsection .text
+  .type qhorn_test_call_with_callee_saved, @function
+  .p2align 4
+qhorn_test_call_with_callee_saved:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  pushq %rcx
+  movq %rdi, %rax
+  movq %rsi, %rdi
+  movq %rdx, %rbx
+  leaq 1(%rdx), %rbp
+  leaq 2(%rdx), %r12
+  leaq 3(%rdx), %r13
+  leaq 4(%rdx), %r14
+  leaq 5(%rdx), %r15
+  callq *%rax
+  popq %rcx
+  movq %rbx, 0(%rcx)
+  movq %rbp, 8(%rcx)
+  movq %r12, 16(%rcx)
+  movq %r13, 24(%rcx)
+  movq %r14, 32(%rcx)
+  movq %r15, 40(%rcx)
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size qhorn_test_call_with_callee_saved, .-qhorn_test_call_with_callee_saved
+  .popsection
+)");
+
+namespace qhorn {
+namespace {
+
+// Rounding-control fields, with the sticky exception flags (which any
+// arithmetic may set) masked out of the MXCSR.
+uint32_t Mxcsr() {
+  uint32_t v = 0;
+  asm volatile("stmxcsr %0" : "=m"(v));
+  return v & ~0x3Fu;
+}
+void SetMxcsr(uint32_t v) { asm volatile("ldmxcsr %0" : : "m"(v)); }
+uint16_t FpuCw() {
+  uint16_t v = 0;
+  asm volatile("fnstcw %0" : "=m"(v));
+  return v;
+}
+void SetFpuCw(uint16_t v) { asm volatile("fldcw %0" : : "m"(v)); }
+
+constexpr uint32_t kMxcsrTowardZero = 0x1F80 | 0x6000;
+constexpr uint32_t kMxcsrUpward = 0x1F80 | 0x4000;
+constexpr uint16_t kFpuCwTowardZero = 0x037F | 0x0C00;
+constexpr uint16_t kFpuCwUpward = 0x037F | 0x0800;
+
+void ExpectPattern(const uint64_t* out, uint64_t pattern, const char* who) {
+  for (uint64_t i = 0; i < 6; ++i) {
+    EXPECT_EQ(out[i], pattern + i) << who << ": callee-saved register " << i;
+  }
+}
+
+TEST(FiberSwitchTest, CalleeSavedStateSurvivesAResumeOnAnotherThread) {
+  constexpr uint64_t kFiberPattern = 0x5a5a000000000010;
+  constexpr uint64_t kHostPattern = 0x3c3c000000000020;
+  constexpr uint64_t kOtherHostPattern = 0x7e7e000000000030;
+  const uint32_t host_mxcsr = Mxcsr();
+  const uint16_t host_cw = FpuCw();
+  ASSERT_NE(host_mxcsr, kMxcsrTowardZero);
+  ASSERT_NE(host_cw, kFpuCwTowardZero);
+
+  Fiber* self = nullptr;
+  bool finished_body = false;
+  Fiber fiber([&] {
+    // A floating-point mode set inside the fiber is the fiber's own.
+    SetMxcsr(kMxcsrTowardZero);
+    SetFpuCw(kFpuCwTowardZero);
+    uint64_t out[6] = {};
+    qhorn_test_call_with_callee_saved(
+        [](void* f) { static_cast<Fiber*>(f)->Yield(); }, self,
+        kFiberPattern, out);
+    // Resumed on the other thread, whose registers and modes differ.
+    ExpectPattern(out, kFiberPattern, "fiber");
+    EXPECT_EQ(Mxcsr(), kMxcsrTowardZero);
+    EXPECT_EQ(FpuCw(), kFpuCwTowardZero);
+    finished_body = true;
+  });
+  self = &fiber;
+  auto resume = [](void* f) { static_cast<Fiber*>(f)->Resume(); };
+
+  uint64_t host_out[6] = {};
+  qhorn_test_call_with_callee_saved(resume, &fiber, kHostPattern, host_out);
+  ASSERT_FALSE(fiber.finished());
+  ExpectPattern(host_out, kHostPattern, "host");
+  EXPECT_EQ(Mxcsr(), host_mxcsr) << "the fiber's rounding mode leaked";
+  EXPECT_EQ(FpuCw(), host_cw) << "the fiber's rounding mode leaked";
+
+  std::thread other([&] {
+    SetMxcsr(kMxcsrUpward);
+    SetFpuCw(kFpuCwUpward);
+    uint64_t out[6] = {};
+    qhorn_test_call_with_callee_saved(resume, &fiber, kOtherHostPattern, out);
+    ExpectPattern(out, kOtherHostPattern, "other host");
+    EXPECT_EQ(Mxcsr(), kMxcsrUpward);
+    EXPECT_EQ(FpuCw(), kFpuCwUpward);
+  });
+  other.join();
+  EXPECT_TRUE(fiber.finished());
+  EXPECT_TRUE(finished_body);
+}
+
+#endif  // QHORN_FIBER_ASM_SWITCH
+
+TEST(FiberSwitchTest, ResidentBytesCountsTouchedStackPagesOnly) {
+  Fiber* self = nullptr;
+  Fiber fiber([&] { self->Yield(); });
+  self = &fiber;
+  EXPECT_EQ(fiber.ResidentBytes(), 0u) << "nothing has touched the stack";
+  fiber.Resume();
+  ASSERT_FALSE(fiber.finished());
+  const size_t resident = fiber.ResidentBytes();
+  EXPECT_GT(resident, 0u);
+  EXPECT_EQ(resident % PageBytes(), 0u);
+  // A shallow park touches a few pages of the 512 KiB usable stack.
+  EXPECT_LT(resident, Fiber::kDefaultStackBytes / 8);
+  fiber.Resume();
+  EXPECT_TRUE(fiber.finished());
+}
+
+TEST(FiberSwitchTest, DeepExcursionStaysResidentAfterAShallowPark) {
+  // Nothing trims a parked stack: pages a deep call dirtied and popped
+  // before the park stay resident, and counted, until the fiber is freed.
   int deep_sum = 0;
-  bool finished_cleanly = false;
   Fiber* self = nullptr;
   Fiber fiber([&] {
     deep_sum += DeepTouch(40);  // dirty ~160 KiB of stack, then pop it all
     self->Yield();              // park shallow
-    deep_sum += DeepTouch(40);  // re-dirty the trimmed region after resume
-    finished_cleanly = true;
+    deep_sum += DeepTouch(40);
   });
   self = &fiber;
-  fiber.Resume();  // runs to the Yield
+  fiber.Resume();
   ASSERT_FALSE(fiber.finished());
-
-  size_t resident = fiber.TrimColdStack();
-  // Parked at shallow depth, nearly the whole 512 KiB stack below the
-  // parked frame is cold; the trim must reclaim at least the ~160 KiB the
-  // deep recursion dirtied.
-  EXPECT_GT(fiber.trimmed_bytes(), size_t{160} * 1024);
-  EXPECT_EQ(resident, fiber.stack_bytes() - fiber.trimmed_bytes());
-  EXPECT_LT(resident, fiber.stack_bytes());
-
-  // The proof that the trim was safe: the resumed continuation recurses
-  // straight back through the madvised region and completes.
+  EXPECT_GE(fiber.ResidentBytes(), size_t{40} * 4096);
+  EXPECT_LE(fiber.ResidentBytes(), Fiber::kDefaultStackBytes);
   fiber.Resume();
   EXPECT_TRUE(fiber.finished());
-  EXPECT_TRUE(finished_cleanly);
-  EXPECT_EQ(fiber.trimmed_bytes(), 0u);  // reset on resume
+  EXPECT_EQ(deep_sum, 2 * DeepTouch(40));
 }
 
-TEST(FiberTrimTest, RouterReportsTrimmedResidencyForParkedSessions) {
+TEST(FiberSwitchTest, SnapshotBytesSumTheParkedStacksResidentPages) {
   const Query target = TestTarget();
   SessionRouter::Options ropts;
   ropts.threads = 1;
   SessionRouter router(ropts);
-  int64_t id = router.OpenPending(target.n());
-  ASSERT_TRUE(router.SubmitVerify(id, target));
+  const int64_t first = router.OpenPending(target.n());
+  ASSERT_TRUE(router.SubmitVerify(first, target));
   router.Drain();
-  ASSERT_EQ(router.status(id), SessionStatus::kAwaitingUser);
-  ServiceStats stats = router.stats();
-  EXPECT_EQ(stats.awaiting_sessions, 1);
-  // Resident, not mapped: more than zero (the parked frame itself) but
-  // well under the 512 KiB the pre-trim accounting used to report.
-  EXPECT_GT(stats.snapshot_bytes, 0);
-  EXPECT_LT(stats.snapshot_bytes, 256 * 1024);
-  router.Close(id);
-}
+  ASSERT_EQ(router.status(first), SessionStatus::kAwaitingUser);
+  const int64_t one = router.stats().snapshot_bytes;
+  // Whole resident pages of the usable stack: the guard page below it
+  // and the untouched rest of the mapping do not count.
+  EXPECT_GT(one, 0);
+  EXPECT_EQ(one % static_cast<int64_t>(PageBytes()), 0);
+  EXPECT_LT(one, static_cast<int64_t>(Fiber::kDefaultStackBytes / 8));
 
-#endif  // __linux__ && __x86_64__
+  // The figure is a sum over the awaiting sessions' stacks, and a parked
+  // stack's residency holds still while it waits.
+  const int64_t second = router.OpenPending(target.n());
+  ASSERT_TRUE(router.SubmitVerify(second, target));
+  router.Drain();
+  ServiceStats stats = router.stats();
+  EXPECT_EQ(stats.awaiting_sessions, 2);
+  const int64_t both = stats.snapshot_bytes;
+  router.Close(first);
+  router.Drain();
+  stats = router.stats();
+  EXPECT_EQ(stats.awaiting_sessions, 1);
+  EXPECT_GT(stats.snapshot_bytes, 0);
+  EXPECT_EQ(both, one + stats.snapshot_bytes);
+
+  router.Close(second);
+  router.Drain();
+  stats = router.stats();
+  EXPECT_EQ(stats.awaiting_sessions, 0);
+  EXPECT_EQ(stats.snapshot_bytes, 0);
+}
 
 }  // namespace
 }  // namespace qhorn
