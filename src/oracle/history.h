@@ -2,12 +2,11 @@
 //
 // A session's history lists every question its learners asked, cache hits
 // included, with the answer they got and the round it arrived in. Each
-// such question is already stored once, in the question cache's log (or,
-// after a library correction, in the corrected prefix the session keeps
-// for its replay stage), so the history records only where: one 32-bit
-// position per learner question, plus where each learner round starts.
-// CachingOracle and ReplayOracle record into a QuestionHistory; a
-// HistoryView resolves it back to (question, response, round) entries.
+// such question is already stored once, in the question cache's log, so
+// the history records only where: one 32-bit log position per learner
+// question, plus where each learner round starts. CachingOracle records
+// into a QuestionHistory; a HistoryView resolves it back to (question,
+// response, round) entries.
 //
 // The recording rules are TranscriptOracle's: an empty round records
 // nothing and uses no round id; a round that suspends by throwing records
@@ -29,10 +28,6 @@ namespace qhorn {
 
 /// Where each learner question is stored, and where each round starts.
 struct QuestionHistory {
-  /// Set on a position that indexes the prefix a replay stage serves, not
-  /// the cache log.
-  static constexpr uint32_t kPrefixTag = uint32_t{1} << 31;
-
   std::vector<uint32_t> positions;
   std::vector<uint32_t> round_starts;
 
@@ -49,14 +44,13 @@ struct HistoryEntry {
   int64_t round;
 };
 
-/// Read-only view of a QuestionHistory over the storage its positions
-/// index. Valid until that storage or the history changes.
+/// Read-only view of a QuestionHistory over the log its positions index.
+/// Valid until the log or the history changes.
 class HistoryView {
  public:
   HistoryView(const QuestionHistory& history,
-              std::span<const TranscriptEntry> log,
-              std::span<const TranscriptEntry> prefix)
-      : history_(&history), log_(log), prefix_(prefix) {}
+              std::span<const TranscriptEntry> log)
+      : history_(&history), log_(log) {}
 
   size_t size() const { return history_->positions.size(); }
   bool empty() const { return history_->positions.empty(); }
@@ -68,18 +62,13 @@ class HistoryView {
 
  private:
   HistoryEntry Resolve(size_t i, size_t round) const {
-    const uint32_t pos = history_->positions[i];
-    const TranscriptEntry& entry =
-        (pos & QuestionHistory::kPrefixTag) != 0
-            ? prefix_[pos & ~QuestionHistory::kPrefixTag]
-            : log_[pos];
+    const TranscriptEntry& entry = log_[history_->positions[i]];
     return HistoryEntry{entry.question, entry.response,
                         static_cast<int64_t>(round)};
   }
 
   const QuestionHistory* history_;
   std::span<const TranscriptEntry> log_;
-  std::span<const TranscriptEntry> prefix_;
 };
 
 /// Holds a copy of its view, so it may outlive the view it came from.

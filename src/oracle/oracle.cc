@@ -49,7 +49,7 @@ void CountingOracle::IsAnswerBatch(std::span<const TupleSet> questions,
 
 size_t CachingOracle::Append(const TupleSet& question, size_t slot) {
   const size_t pos = log_.size();
-  QHORN_CHECK_MSG(pos < QuestionHistory::kPrefixTag, "question log full");
+  QHORN_CHECK_MSG(pos < UINT32_MAX, "question log full");
   if ((pos + 1) * 4 > slots_.size() * 3) {
     Grow();
     Find(question, &slot);
@@ -86,9 +86,7 @@ void CachingOracle::Record(std::span<const size_t> positions) {
   std::vector<uint32_t>& recorded = history_->positions;
   QHORN_CHECK_MSG(recorded.size() < UINT32_MAX - positions.size(),
                   "question history full");
-  if (history_rounds_) {
-    history_->round_starts.push_back(static_cast<uint32_t>(recorded.size()));
-  }
+  history_->round_starts.push_back(static_cast<uint32_t>(recorded.size()));
   for (size_t pos : positions) recorded.push_back(static_cast<uint32_t>(pos));
 }
 

@@ -204,14 +204,10 @@ class CachingOracle : public MembershipOracle {
   /// round is in flight.
   std::vector<TranscriptEntry> TakeLog();
 
-  /// From now on, records each question of every round this stage answers
-  /// into `history`: its log position, once the round's forward has
-  /// returned. With `rounds` it also records where each round starts; pass
-  /// false when a recording stage above opens the rounds.
-  void RecordHistory(QuestionHistory* history, bool rounds) {
-    history_ = history;
-    history_rounds_ = rounds;
-  }
+  /// From now on, records every round this stage answers into `history`:
+  /// where the round starts and each question's log position, once the
+  /// round's forward has returned.
+  void RecordHistory(QuestionHistory* history) { history_ = history; }
 
  private:
   static constexpr size_t kAbsent = SIZE_MAX;
@@ -246,7 +242,6 @@ class CachingOracle : public MembershipOracle {
   int64_t hits_ = 0;
   int64_t misses_ = 0;
   QuestionHistory* history_ = nullptr;
-  bool history_rounds_ = false;
   // Round-local scratch, members so a steady-state round allocates
   // nothing. Never read across calls; safe because the inner round runs on
   // a *different* oracle object (the stack is a chain, not a cycle).

@@ -53,10 +53,6 @@ bool ReplayOracle::TryReplay(const TupleSet& question, bool* response) {
     diverged_ = true;
     return false;
   }
-  if (history_ != nullptr) {
-    history_->positions.push_back(static_cast<uint32_t>(next_) |
-                                  QuestionHistory::kPrefixTag);
-  }
   ++next_;
   ++replayed_;
   *response = entry.response;
@@ -65,21 +61,16 @@ bool ReplayOracle::TryReplay(const TupleSet& question, bool* response) {
 
 void ReplayOracle::ReleaseIfUsedUp() {
   if (prefix_.empty() || !(diverged_ || next_ >= prefix_.size())) return;
-  prefix_ = {};
-  owned_ = std::vector<TranscriptEntry>();
+  prefix_ = std::vector<TranscriptEntry>();
 }
 
 bool ReplayOracle::IsAnswer(const TupleSet& question) {
-  const size_t start = history_ != nullptr ? history_->positions.size() : 0;
   bool response = false;
   if (!TryReplay(question, &response)) {
     // Counted after the fallback answers, so a suspended question (pending
     // backend throwing JobSuspended) is not recorded as asked.
     response = fallback_->IsAnswer(question);
     ++asked_;
-  }
-  if (history_ != nullptr) {
-    history_->round_starts.push_back(static_cast<uint32_t>(start));
   }
   ReleaseIfUsedUp();
   return response;
@@ -91,9 +82,7 @@ void ReplayOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   // the fallback in one round. Once any question needs the fallback, every
   // later one does too (a mismatch diverges the replay; an exhausted
   // transcript stays exhausted), so the remainder is a contiguous tail.
-  // The served head is recorded first; a suspended tail takes it back out.
   if (questions.empty()) return;
-  const size_t start = history_ != nullptr ? history_->positions.size() : 0;
   size_t served = 0;
   for (; served < questions.size(); ++served) {
     bool response = false;
@@ -102,16 +91,8 @@ void ReplayOracle::IsAnswerBatch(std::span<const TupleSet> questions,
   }
   if (served != questions.size()) {
     std::span<const TupleSet> rest = questions.subspan(served);
-    try {
-      fallback_->IsAnswerBatch(rest, answers.Subspan(served));
-    } catch (...) {
-      if (history_ != nullptr) history_->positions.resize(start);
-      throw;
-    }
+    fallback_->IsAnswerBatch(rest, answers.Subspan(served));
     asked_ += static_cast<int64_t>(rest.size());
-  }
-  if (history_ != nullptr) {
-    history_->round_starts.push_back(static_cast<uint32_t>(start));
   }
   ReleaseIfUsedUp();
 }

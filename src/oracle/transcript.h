@@ -8,12 +8,11 @@
 // and falls through to the ground-truth oracle afterwards — exactly the
 // restart-from-the-point-of-error workflow.
 //
-// A replay stage sits in one of two places. QuerySession::CorrectAndRelearn
-// puts it above the session's question cache, so the replayed prefix is
-// not re-counted. SessionRouter's correction restart builds a fresh
-// session over one at the user boundary, directly above the pending
-// backend, so every replayed question passes cache and counting exactly
-// as when the user first answered it.
+// In a session a replay stage sits in one place: at the user boundary,
+// below the question cache and counting (QuerySession::Restart), so every
+// replayed question passes cache and counting exactly as when the user
+// first answered it, and a question the prefix answered is never asked
+// again.
 //
 // Both decorators are batch-aware: a batched round records (or replays)
 // its questions in order, and each transcript entry remembers which round
@@ -28,7 +27,6 @@
 #include <utility>
 #include <vector>
 
-#include "src/oracle/history.h"
 #include "src/oracle/oracle.h"
 
 namespace qhorn {
@@ -73,28 +71,20 @@ class ReplayOracle : public MembershipOracle {
  public:
   ReplayOracle(std::vector<TranscriptEntry> transcript,
                MembershipOracle* fallback)
-      : owned_(std::move(transcript)), prefix_(owned_), fallback_(fallback) {}
-
-  /// Replays a prefix the caller keeps alive, and records each round it
-  /// answers into `history`: a served question as its prefix index tagged
-  /// QuestionHistory::kPrefixTag, and the round's start. The fallback
-  /// records the positions of the questions it answers, without rounds.
-  ReplayOracle(MembershipOracle* fallback,
-               std::span<const TranscriptEntry> prefix,
-               QuestionHistory* history)
-      : prefix_(prefix), fallback_(fallback), history_(history) {}
+      : prefix_(std::move(transcript)), fallback_(fallback) {}
 
   bool IsAnswer(const TupleSet& question) override;
   void IsAnswerBatch(std::span<const TupleSet> questions,
                      BitSpan answers) override;
 
-  /// Moves the owned transcript out (empty once released); nothing is
-  /// replayed after.
+  /// Moves the transcript out (empty once released); nothing is replayed
+  /// after.
   std::vector<TranscriptEntry> TakeTranscript() {
-    diverged_ = true;
-    prefix_ = {};
-    return std::move(owned_);
+    return std::exchange(prefix_, {});
   }
+
+  /// Length of the transcript still held (0 once released).
+  size_t held() const { return prefix_.size(); }
 
   /// Questions served from the recorded transcript.
   int64_t replayed() const { return replayed_; }
@@ -108,10 +98,8 @@ class ReplayOracle : public MembershipOracle {
   /// After a call returns: drops the prefix once nothing is left to serve.
   void ReleaseIfUsedUp();
 
-  std::vector<TranscriptEntry> owned_;
-  std::span<const TranscriptEntry> prefix_;  // owned_, or the caller's
+  std::vector<TranscriptEntry> prefix_;
   MembershipOracle* fallback_;
-  QuestionHistory* history_ = nullptr;
   size_t next_ = 0;
   bool diverged_ = false;
   int64_t replayed_ = 0;

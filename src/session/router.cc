@@ -92,39 +92,6 @@ void SessionRouter::UnwindClosedSession(SessionState* state) {
   if (idle) shard.idle_cv.NotifyAll();
 }
 
-void SessionRouter::RestartCorrected(SessionState* state) {
-  std::vector<TranscriptEntry> prefix = state->session->TakeUserTranscript();
-  if (state->replay != nullptr) {
-    // A round that the last restart re-served from its prefix and then
-    // parked on was rolled back out of the cache's log, but the replay
-    // stage still holds it: the longer of the two is the answered prefix.
-    // (Once the restarted run gets past that round, the head it re-served
-    // joins the log together with the re-asked rest.)
-    std::vector<TranscriptEntry> held = state->replay->TakeTranscript();
-    if (held.size() > prefix.size()) prefix = std::move(held);
-    state->retired_replayed += state->replay->replayed();
-  }
-  // Flip the corrected answer and drop everything after it: the later
-  // entries answered a question stream computed from the bad answer. The
-  // surviving prefix re-aligns on the restart (questions up to the flipped
-  // entry depend only on the unchanged answers before it), so the user
-  // re-answers nothing they already answered correctly.
-  const size_t index = *state->correction;
-  state->correction.reset();
-  QHORN_CHECK_MSG(index < prefix.size(),
-                  "correction " << index << " past the user transcript");
-  prefix.resize(index + 1);
-  prefix[index].response = !prefix[index].response;
-  // The new chain is cache → counting → replay → backend: the replayed
-  // questions pass every stage exactly as when first asked.
-  const int n = state->session->n();
-  state->session.reset();
-  state->replay =
-      std::make_unique<ReplayOracle>(std::move(prefix), &state->backend);
-  state->session = std::make_unique<QuerySession>(n, state->replay.get(),
-                                                  options_.session);
-}
-
 SessionRouter::SessionId SessionRouter::OpenPending(int n) {
   return OpenInternal(0, n);
 }
@@ -251,10 +218,13 @@ void SessionRouter::RunPendingSession(SessionState* state) {
     } else {
       // Fresh attempt: the uncompleted jobs run on the live session — or,
       // after a correction (which reset jobs_completed to 0), the whole
-      // job log runs on a session rebuilt over the corrected prefix: the
-      // only quadratic path left, paid once per correction rather than
-      // once per round.
-      if (restart) RestartCorrected(state);
+      // job log runs on the session restarted over its corrected prefix
+      // (QuerySession::Restart): the only quadratic path left, paid once
+      // per correction rather than once per round.
+      if (restart) {
+        state->session->Restart(*state->correction);
+        state->correction.reset();
+      }
       state->fiber_jobs_run = start_job;
       // The body outlives this call (it parks, and a later runner resumes
       // it), so it captures nothing from this frame by reference.
@@ -461,7 +431,6 @@ ProvideOutcome SessionRouter::ProvideAnswersInternal(SessionId id,
     // which orders the bits before the frame reads them; the parked cache
     // logs them with its questions.
     state->backend.Answer(answers);
-    state->answered_questions += answers.size();
     ++state->answered_rounds;
     shard.RetireRound(state);
     state->awaiting = false;
@@ -483,14 +452,15 @@ ProvideOutcome SessionRouter::CorrectAnswer(SessionId id, size_t entry_index) {
     state = it->second.get();
     if (state->closed) return ProvideOutcome::kSessionClosed;
     if (!state->awaiting) return ProvideOutcome::kNotAwaiting;
-    if (entry_index >= state->answered_questions) {
+    // Parked, the session is nobody's to run: its answered prefix is
+    // stable under the lock, as its parked round is.
+    if (entry_index >= state->session->answered_questions()) {
       return ProvideOutcome::kAnswerCountMismatch;
     }
-    // Record the correction; the runner applies it to the session's log
-    // (RestartCorrected) once it owns the session and has unwound the
-    // parked stack, whose cache still holds the in-flight round.
+    // Record the correction; the runner applies it (QuerySession::Restart)
+    // once it owns the session and has unwound the parked stack, whose
+    // cache still holds the in-flight round.
     state->correction = entry_index;
-    state->answered_questions = entry_index + 1;
     // The parked stack and job cursor describe a run over the old
     // answers; restart the whole job log on a fresh fiber (a full-prefix
     // replay attempt). The abandoned round's id is retired —
@@ -622,9 +592,7 @@ ServiceStats SessionRouter::stats() {
       stats.batched_questions += os.batched_questions;
       stats.rounds += state->session->rounds();
       stats.cache_hits += state->session->cache_hits();
-      stats.replayed_questions +=
-          state->retired_replayed +
-          (state->replay != nullptr ? state->replay->replayed() : 0);
+      stats.replayed_questions += state->session->replayed_questions();
       if (state->awaiting) {
         ++stats.awaiting_sessions;
         // Quiesced and awaiting: no runner can resume this fiber while

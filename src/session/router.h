@@ -8,9 +8,9 @@
 //     PendingOracle, with a correction's replay stage above the backend),
 //     so per-user state never crosses threads. The cache's ask-ordered
 //     log is the session's user-boundary transcript — every question that
-//     reached the user, once, with its answer — and the one place the
-//     router restarts a session from: the router keeps no copy of
-//     answered questions, only their count.
+//     reached the user, once, with its answer — and the one place a
+//     correction restarts the session from: the router keeps no copy of
+//     answered questions, not even their count.
 //   * Jobs against one session run strictly in submission order, one at a
 //     time (QuerySession is not thread-safe and the learning protocol is
 //     inherently sequential per user); jobs of different sessions run in
@@ -37,14 +37,14 @@
 // park and a resume are each one register-only stack switch, no syscall.
 // The parked cache logs the answered bits when the frame returns.
 //
-// A correction is the one reason a session restarts, and the router owns
-// the whole restart. A parked stack built over the old answer cannot be
-// resumed, so the runner unwinds it (cancel + one last resume, which
-// throws JobSuspended from the parked wait-site, src/util/suspend.h),
-// takes the session's log, truncates it at the corrected entry and flips
-// that answer. It then destroys the session and builds a fresh one over a
-// ReplayOracle that serves that prefix directly above the backend, and
-// re-runs the job log on a fresh fiber. Learners are deterministic
+// A correction is the one reason a session restarts, and the session owns
+// the restart (QuerySession::Restart, which a CorrectAndRelearn job runs
+// too). A parked stack built over the old answer cannot be resumed, so
+// the runner unwinds it (cancel + one last resume, which throws
+// JobSuspended from the parked wait-site, src/util/suspend.h), restarts
+// the session at the corrected entry — its answered prefix, truncated
+// there and flipped, served by a replay stage directly above the backend
+// — and re-runs the job log on a fresh fiber. Learners are deterministic
 // functions of the transcript, so the restart reaches the next live round
 // without asking anything twice.
 //
@@ -91,7 +91,6 @@
 #include <vector>
 
 #include "src/oracle/pending.h"
-#include "src/oracle/transcript.h"
 #include "src/session/session.h"
 #include "src/util/checked_mutex.h"
 #include "src/util/executor.h"
@@ -113,10 +112,11 @@ struct ServiceStats {
   int64_t cache_hits = 0;      ///< per-session question-cache hits
   int64_t suspensions = 0;     ///< pending rounds that yielded a lane
   int64_t awaiting_sessions = 0;  ///< sessions currently blocked on a user
-  /// Questions served by user-boundary replay stages. A resume replays
-  /// nothing (the answers feed the parked frame directly); only a
-  /// correction restart re-serves its surviving prefix. The resume-depth
-  /// stress test gates on this.
+  /// Questions served by user-boundary replay stages
+  /// (QuerySession::replayed_questions). A resume replays nothing (the
+  /// answers feed the parked frame directly); only a correction restart
+  /// re-serves its surviving prefix. The resume-depth stress test gates on
+  /// this.
   int64_t replayed_questions = 0;
   /// Parked-stack bytes across sessions currently awaiting a user — the
   /// memory a parked resume trades for replay compute: each stack's
@@ -269,7 +269,7 @@ class SessionRouter {
 
   /// The §5 correction workflow for pending sessions: the user flips their
   /// recorded answer to `entry_index` (an index into the session's answered
-  /// user-boundary transcript, QuerySession::user_transcript(), in answer
+  /// user-boundary prefix, QuerySession::answered_questions(), in answer
   /// order). Only legal while the
   /// session is awaiting a round (kNotAwaiting otherwise — a running
   /// session's runner owns its state; an idle session has nothing to
@@ -287,11 +287,12 @@ class SessionRouter {
   /// the re-run recounts every re-completed job in ServiceStats.jobs (the
   /// counters count completions, not distinct jobs).
   ///
-  /// The restart is a full-prefix replay into a fresh session on a fresh
-  /// fiber: the parked stack was built over the old answer and is unwound
-  /// first. (A job that calls QuerySession::CorrectAndRelearn is another
-  /// matter: it corrects the session's own history, inside the job, and
-  /// parks and resumes like any other job.)
+  /// The restart is QuerySession::Restart followed by a full-prefix replay
+  /// on a fresh fiber: the parked stack was built over the old answer and
+  /// is unwound first. A job that calls QuerySession::CorrectAndRelearn
+  /// runs the same restart inside the job, and parks and resumes like any
+  /// other job; a later CorrectAnswer indexes the prefix that restart
+  /// left.
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
   /// The round the session is blocked on, if any — nullopt for unknown,
@@ -340,8 +341,7 @@ class SessionRouter {
   /// job is running (e.g. after Drain); the router does not lock it. A
   /// session awaiting answers exposes its partially re-run state — only
   /// after its final job completes do its observables equal the
-  /// synchronous run's. A correction restart replaces the session, so a
-  /// reference taken before a CorrectAnswer must not be used after it.
+  /// synchronous run's.
   QuerySession& session(SessionId id);
 
   /// Aggregate counters, summed over the shards. Requires no runnable job
@@ -361,13 +361,14 @@ class SessionRouter {
 
   // Locking protocol: the job log, the awaiting/running/closed flags and
   // the announcement slot are guarded by the mutex of the session's
-  // shard, and so is the backend's parked round while the session awaits.
-  // The resume-state fields (correction, replay, session, fiber*) follow
-  // an ownership handoff instead: while `running` is true they belong
-  // exclusively to the runner task and are read/written without the
-  // lock — a protocol thread-safety analysis cannot express (TSA has no
-  // "guarded by the shard mutex OR owned by the runner"), and a session
-  // cannot name its shard's mutex in a QHORN_GUARDED_BY anyway.
+  // shard, and so are the backend's parked round and the session's
+  // answered prefix while the session awaits. The resume-state fields
+  // (correction, session, fiber*) follow an ownership handoff instead:
+  // while `running` is true they belong exclusively to the runner task
+  // and are read/written without the lock — a protocol thread-safety
+  // analysis cannot express (TSA has no "guarded by the shard mutex OR
+  // owned by the runner"), and a session cannot name its shard's mutex in
+  // a QHORN_GUARDED_BY anyway.
   // The per-field comments say which regime each field is under; the
   // cross-thread edges are TSan-covered by the continuation stress suites.
   struct SessionState {
@@ -378,28 +379,19 @@ class SessionRouter {
     // Declared before the session, whose chain points at it. While the
     // session awaits, its parked_questions() are the pending round.
     PendingOracle backend;
-    // The last correction restart's replay stage, between the backend and
-    // the session (null before the first correction); declared before the
-    // session, which is built over it. `retired_replayed` sums the
-    // questions served by the stages earlier restarts replaced
-    // (ServiceStats.replayed_questions).
-    std::unique_ptr<ReplayOracle> replay;
-    int64_t retired_replayed = 0;
     std::unique_ptr<QuerySession> session;
     // The full job log (a correction restart re-runs it from the start)
     // plus the completed count.
     std::vector<JobRecord> job_log;
     size_t jobs_completed = 0;
-    // The answered user-boundary questions live once, in the session's
-    // cache log (QuerySession::user_transcript); the router keeps their
-    // count, for CorrectAnswer's range check, and the count of answered
-    // rounds, the id of the round the session parks on next (or awaits).
-    size_t answered_questions = 0;
+    // The answered user-boundary questions live once, in the session
+    // (CorrectAnswer range-checks QuerySession::answered_questions()); the
+    // router keeps the count of answered rounds, the id of the round the
+    // session parks on next (or awaits).
     int64_t answered_rounds = 0;
-    // Set by CorrectAnswer: the runner rebuilds the session over the log
-    // truncated after this entry, with the entry's answer flipped, and
-    // re-runs the job log from job 0. Without it a fresh attempt runs the
-    // uncompleted jobs on the live session.
+    // Set by CorrectAnswer: the runner restarts the session at this entry
+    // (QuerySession::Restart) and re-runs the job log from job 0. Without
+    // it a fresh attempt runs the uncompleted jobs on the live session.
     std::optional<size_t> correction;
     // Fiber state. `fiber` is the parked continuation — the suspended
     // job's live call stack; a pending `correction` makes the runner
@@ -498,12 +490,6 @@ class SessionRouter {
   /// abandoned: unwinds the stack, then releases ownership and the
   /// runnable count Close took for it.
   void UnwindClosedSession(SessionState* state);
-  /// Applies a pending correction before a fresh attempt: takes the
-  /// session's answered prefix, truncates it at the corrected entry and
-  /// flips that answer, then replaces the session with a fresh one built
-  /// over a new replay stage that serves the prefix above the backend.
-  /// Runner-side, with no lock held.
-  void RestartCorrected(SessionState* state);
 
   Options options_;
   std::vector<std::unique_ptr<Shard>> shards_;

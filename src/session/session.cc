@@ -1,5 +1,8 @@
 #include "src/session/session.h"
 
+#include <algorithm>
+#include <utility>
+
 #include "src/util/check.h"
 
 namespace qhorn {
@@ -11,26 +14,18 @@ QuerySession::QuerySession(int n, MembershipOracle* user, Options options)
     : n_(n), user_(user), options_(options) {
   QHORN_CHECK(user != nullptr);
   QHORN_CHECK(n >= 1 && n <= kMaxVars);
-  BuildPipeline({});
+  BuildPipeline(user_);
 }
 
-void QuerySession::BuildPipeline(std::vector<TranscriptEntry> replay_prefix) {
-  replay_.reset();
+void QuerySession::BuildPipeline(MembershipOracle* backend) {
   history_.clear();
-  corrected_prefix_ = std::move(replay_prefix);
-  counting_.emplace(user_);
+  counting_.emplace(backend);
   cache_.emplace(&*counting_);
-  cache_->RecordHistory(&history_, corrected_prefix_.empty());
-  top_ = &*cache_;
-  if (!corrected_prefix_.empty()) {
-    top_ = &replay_.emplace(
-        &*cache_, std::span<const TranscriptEntry>(corrected_prefix_),
-        &history_);
-  }
+  cache_->RecordHistory(&history_);
 }
 
 HistoryView QuerySession::history() const {
-  return HistoryView(history_, cache_->log(), corrected_prefix_);
+  return HistoryView(history_, cache_->log());
 }
 
 std::vector<TranscriptEntry> QuerySession::TakeUserTranscript() {
@@ -38,47 +33,56 @@ std::vector<TranscriptEntry> QuerySession::TakeUserTranscript() {
   return cache_->TakeLog();
 }
 
+size_t QuerySession::answered_questions() const {
+  const size_t held = replay_.has_value() ? replay_->held() : 0;
+  return std::max(cache_->log().size(), held);
+}
+
+void QuerySession::Restart(size_t log_index) {
+  std::vector<TranscriptEntry> prefix = cache_->TakeLog();
+  if (replay_.has_value()) {
+    // A round that the replay stage began serving and that then suspended
+    // was rolled back out of the cache's log, but the stage still holds
+    // it: the longer of the two is the answered prefix. (Once a run gets
+    // past that round, the head the stage served joins the log together
+    // with the rest.)
+    std::vector<TranscriptEntry> held = replay_->TakeTranscript();
+    if (held.size() > prefix.size()) prefix = std::move(held);
+    replayed_before_ += replay_->replayed();
+  }
+  QHORN_CHECK_MSG(log_index < prefix.size(),
+                  "correction " << log_index << " past the user transcript");
+  prefix.resize(log_index + 1);
+  prefix[log_index].response = !prefix[log_index].response;
+  BuildPipeline(&replay_.emplace(std::move(prefix), user_));
+  current_.reset();
+}
+
 const Query& QuerySession::Learn() {
-  RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
+  RpLearnerResult result = LearnRolePreserving(n_, &*cache_, options_.learner);
   current_ = std::move(result.query);
   return *current_;
 }
 
 VerificationReport QuerySession::Verify(const Query& candidate) {
   QHORN_CHECK_MSG(candidate.n() == n_, "candidate arity mismatch");
-  VerificationReport report = VerifyQuery(candidate, top_);
+  VerificationReport report = VerifyQuery(candidate, &*cache_);
   if (report.accepted) current_ = candidate;
   return report;
 }
 
 RevisionResult QuerySession::Revise(const Query& candidate) {
   QHORN_CHECK_MSG(candidate.n() == n_, "candidate arity mismatch");
-  RevisionResult result = ReviseQuery(candidate, top_, options_.learner);
+  RevisionResult result = ReviseQuery(candidate, &*cache_, options_.learner);
   current_ = result.query;
   return result;
 }
 
 const Query& QuerySession::CorrectAndRelearn(size_t index) {
-  // The corrected prefix: the history up to `index`, resolved, with that
-  // answer flipped. Later entries were computed from the bad answer and
-  // must be re-asked.
-  HistoryView history = this->history();
-  QHORN_CHECK_MSG(index < history.size(), "no history entry " << index);
-  std::vector<TranscriptEntry> prefix;
-  prefix.reserve(index + 1);
-  for (HistoryEntry e : history) {
-    if (prefix.size() == index + 1) break;
-    prefix.push_back(TranscriptEntry{e.question, e.response, e.round});
-  }
-  prefix.back().response = !prefix.back().response;
-  // Rebuild the chain with the corrected prefix behind a replay stage;
-  // fresh questions flow to the user through a fresh cache (the old cache
-  // holds the wrong answer) and the new history re-records the whole
-  // corrected run.
-  BuildPipeline(std::move(prefix));
-  RpLearnerResult result = LearnRolePreserving(n_, top_, options_.learner);
-  current_ = std::move(result.query);
-  return *current_;
+  QHORN_CHECK_MSG(index < history_.positions.size(),
+                  "no history entry " << index);
+  Restart(history_.positions[index]);
+  return Learn();
 }
 
 }  // namespace qhorn

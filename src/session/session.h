@@ -9,10 +9,11 @@
 //
 // The question cache's log doubles as the *user-boundary transcript*:
 // every question that reached the user, once, with its answer, in ask
-// order. The service layer restarts a corrected session from it (see
-// TakeUserTranscript) rather than keeping a copy of its own. The
-// learner-facing history indexes the same log: a position per learner
-// question and a start per learner round, resolved on read (history()).
+// order. The §5 correction restarts from it (Restart), for the library's
+// CorrectAndRelearn and the service layer's CorrectAnswer alike, rather
+// than from a copy of its own. The learner-facing history indexes the same
+// log: a position per learner question and a start per learner round,
+// resolved on read (history()).
 
 #ifndef QHORN_SESSION_SESSION_H_
 #define QHORN_SESSION_SESSION_H_
@@ -61,11 +62,11 @@ class QuerySession {
   /// The session's current query, if any phase has produced one.
   const std::optional<Query>& current_query() const { return current_; }
 
-  /// Full question/answer history: every question the learners asked,
-  /// cache hits included, in order, each with its response and round id.
-  /// A view that resolves positions into the question cache's log (and,
-  /// after CorrectAndRelearn, into the corrected prefix it replays); valid
-  /// until the session is next used.
+  /// Full question/answer history since the session began or last
+  /// restarted: every question the learners asked, cache hits included, in
+  /// order, each with its response and round id. A view that resolves
+  /// positions into the question cache's log; valid until the session is
+  /// next used.
   HistoryView history() const;
 
   /// The user-boundary transcript: the questions that reached the user
@@ -76,18 +77,41 @@ class QuerySession {
   }
 
   /// Moves the user-boundary transcript out (the cache's log) and empties
-  /// the history, which indexes it. What the service layer restarts a
-  /// corrected session from; the session is fit only to be destroyed
-  /// after.
+  /// the history, which indexes it. For a caller that rebuilds a session
+  /// over a replay stage of its own; the session is fit only to be
+  /// destroyed after.
   std::vector<TranscriptEntry> TakeUserTranscript();
 
-  /// The §5 workflow: the user flips their answer to history entry
-  /// `index`; learning restarts from that point, replaying the unchanged
-  /// prefix so the user only answers genuinely new questions.
+  /// Length of the answered user-boundary prefix that Restart indexes: the
+  /// cache's log, or the longer prefix the replay stage still holds while
+  /// a round it began serving awaits the user.
+  size_t answered_questions() const;
+
+  /// The §5 restart "from the point of error": the user flips their answer
+  /// to entry `log_index` of the answered prefix. The entries after it are
+  /// dropped (they answered questions computed from the bad answer); the
+  /// chain is rebuilt as cache → counting → replay → user, where the
+  /// replay stage serves the corrected prefix; the history and the current
+  /// query are cleared. Re-running the session's phases then re-asks the
+  /// user nothing the prefix answered: learners are deterministic, so the
+  /// prefix re-aligns question for question up to the flip, and every
+  /// replayed question passes cache and counting as when first asked.
+  void Restart(size_t log_index);
+
+  /// The library's §5 workflow: Restart at history entry `index`'s log
+  /// position (for a cache hit, where the question was first asked), then
+  /// Learn.
   const Query& CorrectAndRelearn(size_t index);
 
-  /// Questions that actually reached the user (cache misses).
+  /// Questions that reached the user backend (cache misses) since the
+  /// session began or last restarted, replayed ones included.
   int64_t questions_asked() const { return counting_->stats().questions; }
+
+  /// Questions the replay stages of every Restart so far served in the
+  /// user's place.
+  int64_t replayed_questions() const {
+    return replayed_before_ + (replay_.has_value() ? replay_->replayed() : 0);
+  }
 
   /// Full per-question statistics at the user boundary, including how many
   /// questions arrived inside batched rounds.
@@ -105,31 +129,25 @@ class QuerySession {
   int64_t cache_hits() const { return cache_->hits(); }
 
  private:
-  /// (Re)builds the middleware chain over the user backend, outermost
-  /// first: [replay] → cache → counting → user, and empties the history.
-  /// The cache records the history: each learner question's log position
-  /// and each round's start. A non-empty `replay_prefix` becomes
-  /// corrected_prefix_ and puts a ReplayOracle over it above the cache
-  /// for the §5 correction workflow (served questions are not
-  /// re-counted); that stage records the served questions and the round
-  /// starts.
-  void BuildPipeline(std::vector<TranscriptEntry> replay_prefix);
+  /// (Re)builds cache → counting → `backend` (the user, or the replay stage
+  /// above it) and empties the history, which the cache records: each
+  /// learner question's log position and each round's start.
+  void BuildPipeline(MembershipOracle* backend);
 
   int n_;
   MembershipOracle* user_;
   Options options_;
   // The middleware chain, innermost first; each stage points at the one
-  // below it, so a rebuild replaces them all.
+  // below it, so a restart replaces them all. The replay stage exists
+  // from the first Restart on; `replayed_before_` counts the questions
+  // served by the stages that later restarts replaced.
+  std::optional<ReplayOracle> replay_;
+  int64_t replayed_before_ = 0;
   std::optional<CountingOracle> counting_;
   std::optional<CachingOracle> cache_;
-  std::optional<ReplayOracle> replay_;
-  MembershipOracle* top_ = nullptr;
   std::optional<Query> current_;
-  // The learner-facing history, by position: into cache_'s log, or with
-  // QuestionHistory::kPrefixTag into corrected_prefix_ (the input of the
-  // correction replay stage, kept for the stage's life).
+  // The learner-facing history, by position into cache_'s log.
   QuestionHistory history_;
-  std::vector<TranscriptEntry> corrected_prefix_;
 };
 
 }  // namespace qhorn

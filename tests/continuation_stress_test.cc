@@ -367,8 +367,8 @@ TEST(ContinuationStressTest, ResumeDepthReplaysNothingUnderFiberResume) {
   }
 
   // Control: a correction restart is the one path that still replays —
-  // the runner rebuilds the session over the corrected prefix served at
-  // the user boundary — so a session that answers its first round with a
+  // the session restarts over the corrected prefix served at the user
+  // boundary — so a session that answers its first round with a
   // lie and then corrects it must report replayed questions, through the
   // same counter the gate above reads.
   SessionRouter::Options opts;

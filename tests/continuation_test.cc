@@ -1183,6 +1183,58 @@ TEST(ContinuationEdgeTest, CorrectAndRelearnJobParksAndResumesLikeAnyOther) {
   }
 }
 
+TEST(ContinuationEdgeTest, CorrectAnswerDuringACorrectAndRelearnJob) {
+  // A CorrectAnswer while a CorrectAndRelearn job awaits its first fresh
+  // round. The router's range check and the restart must index one
+  // answered prefix: the one the job's restart left, its replayed head
+  // included — not the count of answers the user gave, which also holds
+  // the Learn answers after the job's flip. Walking down from that count,
+  // every index past the prefix is refused, and the first one accepted is
+  // the prefix's last entry: the job's own flip, now flipped back. The
+  // re-run Learn then matches a truthful one, and the re-run job ends as
+  // a bare session that learns and then corrects.
+  Query target = SmallTarget(5, 51);
+  QueryOracle sync_truth(target);
+  QuerySession sync(5, &sync_truth);
+  sync.Learn();
+  const size_t k = sync.history().size() / 2;
+  sync.CorrectAndRelearn(k);
+  for (int lanes : {1, 4}) {
+    SessionRouter::Options opts;
+    opts.threads = lanes;
+    SessionRouter router(opts);
+    const SessionRouter::SessionId id = router.OpenPending(5);
+    ASSERT_TRUE(router.SubmitLearn(id));
+    ASSERT_TRUE(router.Submit(
+        id, [k](QuerySession& session) { session.CorrectAndRelearn(k); }));
+    QueryOracle truth(target);
+    size_t given = 0;  // answers the user gave
+    for (;;) {
+      router.Drain();
+      std::optional<PendingRound> round = router.pending_round(id);
+      ASSERT_TRUE(round.has_value()) << "the relearn asked the user nothing";
+      if (router.stats().jobs == 1) break;  // the relearn awaits
+      given += round->questions.size();
+      AnswerRound(router, truth, *round);
+    }
+    size_t index = given;
+    ProvideOutcome outcome = ProvideOutcome::kAnswerCountMismatch;
+    while ((outcome = router.CorrectAnswer(id, index)) ==
+           ProvideOutcome::kAnswerCountMismatch) {
+      ASSERT_GT(index, 0u);
+      --index;
+    }
+    ASSERT_EQ(outcome, ProvideOutcome::kResumed) << "at " << lanes << " lanes";
+    EXPECT_LT(index, given) << "at " << lanes << " lanes";
+    AnswerAllPending(router, {{id, &truth}});
+    EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+    EXPECT_EQ(router.stats().corrections, 1);
+    EXPECT_EQ(router.stats().jobs, 3);  // Learn, then both jobs again
+    EXPECT_EQ(SessionFingerprint(router.session(id)), SessionFingerprint(sync))
+        << "at " << lanes << " lanes";
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Open racing Drain: opening and submitting from one thread while another
 // drains must neither crash nor lose jobs (run under the tsan preset).

@@ -1,16 +1,16 @@
 // The session history against a standalone recorder: QuerySession keeps its
-// history as positions into the question cache's log (and into the
-// corrected prefix after a library correction) and resolves them on read.
-// Every test here runs the same learners over a reference stack that
+// history as positions into the question cache's log and resolves them on
+// read. Every test here runs the same learners over a reference stack that
 // records full entries — TranscriptOracle → CachingOracle → CountingOracle
-// → user, with a ReplayOracle where the session would have one — and
-// asserts the two histories agree entry for entry: question, response and
-// round id.
+// → user, with a ReplayOracle above the user where a corrected session has
+// one — and asserts the two histories agree entry for entry: question,
+// response and round id.
 
 #include <gtest/gtest.h>
 
 #include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -27,12 +27,10 @@ namespace qhorn {
 namespace {
 
 /// The recording stack the session's history must equal. `user_prefix`,
-/// when non-empty, is served at the user boundary first (a router
-/// correction's restart); `replay_prefix` above the cache (a library
-/// correction's restart).
+/// when non-empty, is served at the user boundary first (a correction's
+/// restart).
 struct Reference {
-  Reference(MembershipOracle* user, std::vector<TranscriptEntry> user_prefix,
-            std::vector<TranscriptEntry> replay_prefix = {}) {
+  Reference(MembershipOracle* user, std::vector<TranscriptEntry> user_prefix) {
     MembershipOracle* below_counting = user;
     if (!user_prefix.empty()) {
       user_replay =
@@ -41,13 +39,7 @@ struct Reference {
     }
     counting = std::make_unique<CountingOracle>(below_counting);
     cache = std::make_unique<CachingOracle>(counting.get());
-    MembershipOracle* below_transcript = cache.get();
-    if (!replay_prefix.empty()) {
-      replay =
-          std::make_unique<ReplayOracle>(std::move(replay_prefix), cache.get());
-      below_transcript = replay.get();
-    }
-    transcript = std::make_unique<TranscriptOracle>(below_transcript);
+    transcript = std::make_unique<TranscriptOracle>(cache.get());
   }
 
   MembershipOracle* top() const { return transcript.get(); }
@@ -55,9 +47,22 @@ struct Reference {
   std::unique_ptr<ReplayOracle> user_replay;
   std::unique_ptr<CountingOracle> counting;
   std::unique_ptr<CachingOracle> cache;
-  std::unique_ptr<ReplayOracle> replay;
   std::unique_ptr<TranscriptOracle> transcript;
 };
+
+/// The user-boundary prefix a correction at history entry `index` restarts
+/// `ref` from: its cache log up to where that entry's question was first
+/// asked, with that answer flipped.
+std::vector<TranscriptEntry> CorrectedPrefix(const Reference& ref,
+                                             size_t index) {
+  const TupleSet& question = ref.transcript->entries()[index].question;
+  const std::span<const TranscriptEntry> log = ref.cache->log();
+  size_t pos = 0;
+  while (log[pos].question != question) ++pos;
+  std::vector<TranscriptEntry> prefix(log.begin(), log.begin() + pos + 1);
+  prefix[pos].response = !prefix[pos].response;
+  return prefix;
+}
 
 /// `session.history()` equals `expected` entry for entry — or, with
 /// `prefix_only`, is a prefix of it (a session awaiting its user has
@@ -145,12 +150,13 @@ TEST(HistoryDifferentialTest, LearnVerifyReviseMatchTheRecorder) {
 }
 
 TEST(HistoryDifferentialTest, LibraryCorrectionMatchesTheRecorder) {
-  // CorrectAndRelearn replays the corrected history above a fresh cache:
-  // the reference is today's recorder with Correct() applied, behind the
-  // same replay stage. Corrections at entry 0 and mid-Learn make the replay
-  // diverge inside a round (a replayed head, a forwarded tail); one at the
-  // last entry replays all of Learn. A second correction resolves the
-  // first one's replayed entries again.
+  // CorrectAndRelearn restarts at the log position of the corrected entry:
+  // the reference is a fresh recorder over the old one's cache log, cut
+  // and flipped there, served at the user boundary. Corrections at entry 0
+  // and mid-Learn make the replay run out inside a round (a replayed head,
+  // a forwarded tail); one at the last entry replays all of Learn and
+  // keeps the rest of the prefix. A second correction lands inside the
+  // first one's replayed prefix.
   for (bool speculative : {false, true}) {
     const QuerySession::Options options = LearnerOptions(speculative);
     for (const Case& c : kCases) {
@@ -181,18 +187,20 @@ TEST(HistoryDifferentialTest, LibraryCorrectionMatchesTheRecorder) {
         VerifyQuery(mutant, ref->top());
         ExpectSameHistory(session, *ref, where + " before");
 
+        int64_t replayed_before = 0;
         for (size_t fix : {index, index / 2}) {
           session.CorrectAndRelearn(fix);
-          ref->transcript->Correct(fix);
-          std::vector<TranscriptEntry> prefix = ref->transcript->entries();
-          auto next = std::make_unique<Reference>(
-              &ref_user, std::vector<TranscriptEntry>(), std::move(prefix));
+          auto next =
+              std::make_unique<Reference>(&ref_user, CorrectedPrefix(*ref, fix));
           LearnRolePreserving(c.n, next->top(), options.learner);
+          if (ref->user_replay != nullptr) {
+            replayed_before += ref->user_replay->replayed();
+          }
           ref = std::move(next);
-          ExpectSameHistory(session, ref->transcript->entries(),
+          ExpectSameHistory(session, *ref,
                             where + " after correcting " + std::to_string(fix));
-          EXPECT_EQ(session.rounds(), ref->transcript->rounds()) << where;
-          EXPECT_EQ(session.questions_asked(), ref->counting->stats().questions)
+          EXPECT_EQ(session.replayed_questions(),
+                    replayed_before + ref->user_replay->replayed())
               << where;
         }
       }
@@ -246,7 +254,7 @@ TEST(HistoryDifferentialTest, SuspendedRoundLeavesTheHistoryUnchanged) {
 
   // After a library correction the replay stage serves the head of the
   // round where the replay ends from the corrected prefix, then forwards
-  // the tail; a tail that suspends must take the recorded head back out.
+  // the tail; a tail that suspends leaves the whole round out.
   for (int at : {1, 2}) {
     const std::string where =
         "suspend after a correction at user round " + std::to_string(at);
@@ -260,8 +268,7 @@ TEST(HistoryDifferentialTest, SuspendedRoundLeavesTheHistoryUnchanged) {
     user.Arm(at);
     ref_user.Arm(at);
     EXPECT_THROW(session.CorrectAndRelearn(index), JobSuspended) << where;
-    ref.transcript->Correct(index);
-    Reference next(&ref_user, {}, ref.transcript->entries());
+    Reference next(&ref_user, CorrectedPrefix(ref, index));
     EXPECT_THROW(LearnRolePreserving(5, next.top()), JobSuspended) << where;
     ExpectSameHistory(session, next, where);
     EXPECT_FALSE(session.history().empty()) << where;

@@ -5,6 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
+#include <utility>
+#include <vector>
+
 #include "src/core/normalize.h"
 #include "src/core/random_query.h"
 
@@ -115,6 +120,77 @@ TEST(SessionTest, AnInconsistentCorrectionYieldsAQueryNotAnAbort) {
   for (const ExistentialConj& conj : relearned.existential()) {
     EXPECT_NE(conj.vars, 0u);
   }
+}
+
+/// A truthful user that records the questions reaching it. Once armed with
+/// a replayed prefix, it counts each of that prefix's questions that
+/// reaches it again.
+class RecordingUser : public MembershipOracle {
+ public:
+  explicit RecordingUser(const Query& target) : truth_(target) {}
+
+  bool IsAnswer(const TupleSet& question) override {
+    Record(question);
+    return truth_.IsAnswer(question);
+  }
+  void IsAnswerBatch(std::span<const TupleSet> questions,
+                     BitSpan answers) override {
+    for (const TupleSet& q : questions) Record(q);
+    truth_.IsAnswerBatch(questions, answers);
+  }
+
+  const std::vector<TupleSet>& asked() const { return asked_; }
+  void Arm(std::vector<TupleSet> replayed) { replayed_ = std::move(replayed); }
+  int64_t reasked() const { return reasked_; }
+
+ private:
+  void Record(const TupleSet& question) {
+    asked_.push_back(question);
+    if (std::find(replayed_.begin(), replayed_.end(), question) !=
+        replayed_.end()) {
+      ++reasked_;
+    }
+  }
+
+  QueryOracle truth_;
+  std::vector<TupleSet> asked_;
+  std::vector<TupleSet> replayed_;
+  int64_t reasked_ = 0;
+};
+
+TEST(SessionTest, CorrectAndRelearnNeverReasksTheReplayedPrefix) {
+  // The §5 sweep: a truthful user, Learn, then a correction of the middle
+  // history entry. The restart replays what the user answered up to where
+  // that entry's question was first asked, with that answer flipped; none
+  // of those questions may reach the user again, and no learner may abort
+  // on two answers to one question.
+  int reasking_sessions = 0;
+  int64_t reasked = 0;
+  for (uint64_t seed = 0; seed < 100; ++seed) {
+    Rng rng(seed);
+    const int n = 4 + static_cast<int>(seed % 5);
+    RpOptions opts;
+    opts.num_heads = static_cast<int>(rng.Range(0, 2));
+    opts.theta = static_cast<int>(rng.Range(1, 2));
+    opts.num_conjunctions = static_cast<int>(rng.Range(1, 3));
+    const Query target = RandomRolePreserving(n, rng, opts);
+    RecordingUser user(target);
+    QuerySession session(n, &user);
+    session.Learn();
+    const size_t index = session.history().size() / 2;
+    HistoryView::Iterator entry = session.history().begin();
+    for (size_t i = 0; i < index; ++i) ++entry;
+    const std::vector<TupleSet>& asked = user.asked();
+    const auto first_ask = std::find(asked.begin(), asked.end(), (*entry).question);
+    ASSERT_NE(first_ask, asked.end()) << "seed " << seed;
+    user.Arm(std::vector<TupleSet>(asked.begin(), first_ask + 1));
+    session.CorrectAndRelearn(index);
+    EXPECT_TRUE(session.current_query().has_value()) << "seed " << seed;
+    reasking_sessions += user.reasked() > 0;
+    reasked += user.reasked();
+  }
+  EXPECT_EQ(reasking_sessions, 0);
+  EXPECT_EQ(reasked, 0);
 }
 
 TEST(SessionTest, RandomizedEndToEnd) {
