@@ -2,29 +2,41 @@
 
 #include <algorithm>
 #include <bit>
+#include <new>
 
 #include "src/util/check.h"
 
 namespace qhorn {
 
 TupleSet::TupleSet(std::span<const Tuple> tuples) {
-  AssignRaw(tuples.data(), tuples.size());
+  if (tuples.size() > kInlineTuples) {
+    block_ = Allocate(tuples.size());
+    on_heap_ = true;
+  }
+  std::copy(tuples.begin(), tuples.end(), data());
+  size_ = static_cast<uint32_t>(tuples.size());
   Canonicalize();
 }
 
 TupleSet::TupleSet(const TupleSet& other)
-    : hash_valid_(other.hash_valid_), hash_(other.hash_) {
-  AssignRaw(other.data(), other.size_);
+    : size_(other.size_),
+      on_heap_(other.on_heap_),
+      hash_valid_(other.hash_valid_),
+      hash_(other.hash_) {
+  if (on_heap_) {
+    // The source's reference keeps the block alive meanwhile, so taking
+    // one more needs no ordering.
+    block_ = other.block_;
+    block_->refs.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    std::copy_n(other.inline_, size_, inline_);
+  }
 }
 
 TupleSet::TupleSet(TupleSet&& other) noexcept { StealFrom(other); }
 
 TupleSet& TupleSet::operator=(const TupleSet& other) {
-  if (this != &other) {
-    AssignRaw(other.data(), other.size_);
-    hash_valid_ = other.hash_valid_;
-    hash_ = other.hash_;
-  }
+  if (this != &other) *this = TupleSet(other);
   return *this;
 }
 
@@ -42,7 +54,7 @@ void TupleSet::StealFrom(TupleSet& other) noexcept {
   hash_valid_ = other.hash_valid_;
   hash_ = other.hash_;
   if (on_heap_) {
-    heap_ = other.heap_;
+    block_ = other.block_;
     other.on_heap_ = false;
   } else {
     std::copy_n(other.inline_, size_, inline_);
@@ -52,27 +64,34 @@ void TupleSet::StealFrom(TupleSet& other) noexcept {
   other.hash_ = kEmptyHash;
 }
 
-void TupleSet::Reserve(size_t count) {
-  if (count <= capacity()) return;
-  QHORN_CHECK(count <= UINT32_MAX);
-  const size_t grown = std::max(count, 2 * capacity());
-  Tuple* block = new Tuple[grown];
-  std::copy_n(data(), size_, block);
-  Release();
-  heap_.data = block;
-  heap_.capacity = grown;
-  on_heap_ = true;
+TupleSet::Block* TupleSet::Allocate(size_t capacity) {
+  QHORN_CHECK(capacity <= UINT32_MAX);
+  void* raw = ::operator new(sizeof(Block) + capacity * sizeof(Tuple));
+  return new (raw) Block(static_cast<uint32_t>(capacity));
 }
 
-void TupleSet::AssignRaw(const Tuple* src, size_t count) {
-  if (count > capacity()) {
-    // No need to keep the old contents: free first, then allocate exactly.
-    size_ = 0;
+void TupleSet::Reserve(size_t count) {
+  if (!shared()) {
+    if (count <= capacity()) return;
+    // This object's own storage grows geometrically.
+    Block* block = Allocate(std::max(count, 2 * capacity()));
+    std::copy_n(data(), size_, Tuples(block));
     Release();
-    Reserve(count);
+    block_ = block;
+    on_heap_ = true;
+    return;
   }
-  std::copy_n(src, count, data());
-  size_ = static_cast<uint32_t>(count);
+  // A shared block is copied out at exactly the size asked for, inline
+  // when that fits; the other sharers keep it.
+  Block* source = block_;
+  if (count <= kInlineTuples) {
+    std::copy_n(Tuples(source), size_, inline_);
+    on_heap_ = false;
+  } else {
+    block_ = Allocate(count);
+    std::copy_n(Tuples(source), size_, Tuples(block_));
+  }
+  Unref(source);
 }
 
 TupleSet TupleSet::Parse(const std::vector<std::string>& literals) {
@@ -104,6 +123,7 @@ void TupleSet::Rehash() const {
 
 void TupleSet::AssignPair(Tuple a, Tuple b) {
   // Inline capacity is at least two, so this never allocates.
+  if (shared()) Release();
   Tuple* out = data();
   if (a == b) {
     out[0] = a;
@@ -131,8 +151,9 @@ void TupleSet::Add(Tuple t) {
 void TupleSet::Remove(Tuple t) {
   const Tuple* it = std::lower_bound(begin(), end(), t);
   if (it == end() || *it != t) return;
-  Tuple* first = data();
   const size_t pos = static_cast<size_t>(it - begin());
+  Reserve(size_);
+  Tuple* first = data();
   std::copy(first + pos + 1, first + size_, first + pos);
   --size_;
   hash_valid_ = false;

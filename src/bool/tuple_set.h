@@ -12,16 +12,27 @@
 //
 // Storage is inline for up to kInlineTuples tuples and on the heap beyond
 // that, in 40 bytes (no larger than a std::vector plus the hash): a 24-byte
-// union of Tuple[3] and {pointer, capacity}, the size, the on-heap and
-// hash-valid flags, and the cached hash. Most questions crossing the user
-// boundary at small n hold at most three tuples, so copying one — into a
-// pending round, an announcement, the answered transcript or a cache key —
-// allocates nothing; a larger object pays one allocation per copy.
+// union of Tuple[3] and a block pointer, the size, the on-heap and
+// hash-valid flags, and the cached hash. A heap block is a reference count
+// and a capacity followed by the tuples, and copies share it: copying a heap
+// object is one relaxed count increment, and the first mutation of a shared
+// block copies it out, at exactly the size it needs, before it writes. So a
+// question copied across the user boundary — into a pending round, an
+// announcement, the answered transcript or a cache key — allocates nothing,
+// and dropping the copy frees nothing unless it was the last sharer, whether
+// the question lives inline (most questions at small n hold at most three
+// tuples) or on the heap.
+//
+// Thread safety: distinct objects that share a block may be copied, read,
+// mutated and destroyed on different threads; the count and copy-on-write
+// keep the block consistent. One object still may not be used from two
+// threads at once without synchronization.
 
 #ifndef QHORN_BOOL_TUPLE_SET_H_
 #define QHORN_BOOL_TUPLE_SET_H_
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <initializer_list>
@@ -48,8 +59,7 @@ class TupleSet {
 
   TupleSet(const TupleSet& other);
   TupleSet(TupleSet&& other) noexcept;
-  /// Reuses this object's storage when it is large enough, so a question
-  /// slot assigned in a loop allocates once.
+  /// Shares a heap source's block; lets go of this object's own.
   TupleSet& operator=(const TupleSet& other);
   TupleSet& operator=(TupleSet&& other) noexcept;
   ~TupleSet() { Release(); }
@@ -61,9 +71,9 @@ class TupleSet {
   void Add(Tuple t);
 
   /// Replaces the contents with the two-tuple object {a, b} in place,
-  /// reusing the existing storage. The learners' probe questions are
-  /// almost all two-tuple objects built in tight loops; this keeps their
-  /// construction allocation-free.
+  /// reusing the existing storage unless it is shared. The learners' probe
+  /// questions are almost all two-tuple objects built in tight loops; this
+  /// keeps their construction allocation-free.
   void AssignPair(Tuple a, Tuple b);
 
   /// Removes a tuple if present.
@@ -79,9 +89,10 @@ class TupleSet {
   const Tuple* begin() const { return data(); }
   const Tuple* end() const { return data() + size_; }
 
-  /// Bytes this object owns on the heap (0 while stored inline).
+  /// Bytes of the heap block this object refers to (0 while stored
+  /// inline). Every object sharing a block counts all of it.
   size_t heap_bytes() const {
-    return on_heap_ ? heap_.capacity * sizeof(Tuple) : 0;
+    return on_heap_ ? sizeof(Block) + block_->capacity * sizeof(Tuple) : 0;
   }
 
   /// Set union.
@@ -115,31 +126,55 @@ class TupleSet {
   std::string ToString(int n) const;
 
  private:
-  Tuple* data() { return on_heap_ ? heap_.data : inline_; }
-  const Tuple* data() const { return on_heap_ ? heap_.data : inline_; }
-  size_t capacity() const { return on_heap_ ? heap_.capacity : kInlineTuples; }
-  /// Makes room for `count` tuples, keeping the first size_ of them.
+  /// A heap block's header; `capacity` tuples follow it.
+  struct Block {
+    explicit Block(uint32_t cap) : refs(1), capacity(cap) {}
+    std::atomic<uint32_t> refs;
+    uint32_t capacity;
+  };
+  static_assert(sizeof(Block) % alignof(Tuple) == 0);
+
+  static Tuple* Tuples(Block* block) {
+    return reinterpret_cast<Tuple*>(block + 1);
+  }
+  /// A block of `capacity` tuples with one reference.
+  static Block* Allocate(size_t capacity);
+  /// Drops one reference to `block`, freeing it with the last.
+  static void Unref(Block* block) {
+    if (block->refs.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      ::operator delete(block);
+    }
+  }
+
+  Tuple* data() { return on_heap_ ? Tuples(block_) : inline_; }
+  const Tuple* data() const { return on_heap_ ? Tuples(block_) : inline_; }
+  size_t capacity() const {
+    return on_heap_ ? block_->capacity : kInlineTuples;
+  }
+  /// True iff another object refers to this object's heap block. The
+  /// acquire pairs with the other sharers' releases, so once it reads
+  /// false their reads of the block happen before this object's writes.
+  bool shared() const {
+    return on_heap_ && block_->refs.load(std::memory_order_acquire) != 1;
+  }
+  /// Makes this object the only owner of room for `count` tuples, keeping
+  /// the first size_ of them.
   void Reserve(size_t count);
-  /// Frees the heap block, if any; leaves the storage fields dangling.
+  /// Drops the heap block, if any; leaves the storage fields dangling.
   void Release() {
     if (on_heap_) {
-      delete[] heap_.data;
+      Unref(block_);
       on_heap_ = false;
     }
   }
   /// Takes `other`'s contents and storage; leaves it empty and inline.
   void StealFrom(TupleSet& other) noexcept;
-  /// Replaces the contents with `count` tuples copied from `src`.
-  void AssignRaw(const Tuple* src, size_t count);
   void Canonicalize();
   void Rehash() const;
 
   union {
     Tuple inline_[kInlineTuples] = {};
-    struct {
-      Tuple* data;
-      size_t capacity;
-    } heap_;
+    Block* block_;
   };
   uint32_t size_ = 0;
   bool on_heap_ = false;

@@ -19,7 +19,8 @@
 //
 // The backend knows no session or round ids: the router names a parked
 // round by its session and by its count of answered rounds, and builds the
-// by-value PendingRound its poll hands out from parked_questions(). Round
+// by-value PendingRound its poll hands out from parked_questions(): a
+// share of each question's storage, not a copy of its tuples. Round
 // ids count *user-boundary* rounds (each suspension is one round); they
 // are the resumption protocol's sequence numbers, distinct from the
 // learner round ids of the session's history (QuerySession::history() and
@@ -40,7 +41,9 @@
 namespace qhorn {
 
 /// One round of membership questions awaiting a real user's answers, by
-/// value: what SessionRouter's poll and pending_round(id) hand out.
+/// value: what SessionRouter's poll and pending_round(id) hand out. Its
+/// questions share their heap blocks with the parked frame's (TupleSet
+/// copies on write), so building one copies no tuple.
 struct PendingRound {
   int64_t session_id = 0;  ///< the SessionRouter session that suspended
   int64_t round_id = 0;    ///< user-boundary round sequence number

@@ -276,9 +276,10 @@ void SessionRouter::RunPendingSession(SessionState* state) {
       continue;  // jobs arrived while the body was finishing
     }
     // Parked on a user round: publish it and free the lane. The parked
-    // stack is the session's resume state. The announced copy of the
-    // round's questions is made here, outside the lock: this runner still
-    // owns the session and nothing else touches a parked fiber.
+    // stack is the session's resume state. The announced round shares the
+    // questions' storage with the frame and is built here, outside the
+    // lock: this runner still owns the session and nothing else touches a
+    // parked fiber.
     const std::span<const TupleSet> questions =
         state->backend.parked_questions();
     PendingRound round{state->id, 0, {questions.begin(), questions.end()}};

@@ -16,26 +16,26 @@
 //     inherently sequential per user); jobs of different sessions run in
 //     parallel on the executor's workers.
 //
-// Every session is a pending session: a user answers with
-// seconds-to-minutes latency, so a session blocked on one must not pin a
-// lane. Each session's jobs run on a Fiber (src/util/fiber.h) over a
-// PendingOracle backend: the first round that needs the user *parks* the
-// fiber on that round — the whole call stack stays alive on its own
-// mmap'd stack and the lane is released by a context switch, so 256
-// sessions all blocked on users occupy zero threads. The parked
-// frame is the one place a parked round lives: its questions and its
-// answer storage stay in the frame that asked, and the router keeps only
-// the session's count of answered rounds, which is the round's id. The
-// runner copies the questions once, on the lane, into the PendingRound
-// it announces. The embedding server polls PendingRounds() for the rounds
-// announced since its last poll, collects the user's labels, and calls
-// ProvideAnswers(id, round_id, answers); the router writes the bits into
-// the parked frame and switches back into it: O(1) compute per resume,
-// O(rounds) per session, nothing re-run and nothing replayed. The memory
-// traded for that compute is the parked stack: its resident pages, which
-// stats() measures as the session's snapshot_bytes while it awaits. A
-// park and a resume are each one register-only stack switch, no syscall.
-// The parked cache logs the answered bits when the frame returns.
+// Every session is a pending session: a user answers with seconds-to-minutes
+// latency, so a session blocked on one must not pin a lane. Each session's jobs
+// run on a Fiber (src/util/fiber.h) over a PendingOracle backend: the first
+// round that needs the user *parks* the fiber on that round — the whole call
+// stack stays alive on its own mmap'd stack and the lane is released by a
+// context switch, so 256 sessions all blocked on users occupy zero threads. The
+// parked frame is the one place a parked round lives: its questions and its
+// answer storage stay in the frame that asked, and the router keeps only the
+// session's count of answered rounds, which is the round's id. The PendingRound
+// the runner announces shares the questions' storage with the frame (a TupleSet
+// copy is a count increment, src/bool/tuple_set.h), so announcing a round and
+// dropping it after the poll allocate and free nothing per question. The
+// embedding server polls PendingRounds() for the rounds announced since its
+// last poll, collects the user's labels, and calls ProvideAnswers(id, round_id,
+// answers); the router writes the bits into the parked frame and switches back
+// into it: O(1) compute per resume, O(rounds) per session, nothing re-run and
+// nothing replayed. The memory traded for that compute is the parked stack: its
+// resident pages, which stats() measures as the session's snapshot_bytes while
+// it awaits. A park and a resume are each one register-only stack switch, no
+// syscall. The parked cache logs the answered bits when the frame returns.
 //
 // A correction is the one reason a session restarts, and the session owns
 // the restart (QuerySession::Restart, which a CorrectAndRelearn job runs
@@ -225,8 +225,8 @@ class SessionRouter {
   /// Edge-triggered (like epoll's EPOLLET): each announced round is
   /// delivered by exactly one poll, and a round answered, corrected or
   /// closed before that poll is never delivered. A suspending runner
-  /// copies its round's questions out of the parked frame on its lane,
-  /// outside every lock, and appends the copy to a plain vector under the
+  /// shares its round's questions out of the parked frame on its lane,
+  /// outside every lock, and appends the round to a plain vector under the
   /// shard mutex it takes anyway; the poll swaps each shard's vector out
   /// in one short critical section per shard, then concatenates and sorts
   /// the batches once outside every lock — O(new rounds) per poll,
@@ -296,9 +296,9 @@ class SessionRouter {
   ProvideOutcome CorrectAnswer(SessionId id, size_t entry_index);
 
   /// The round the session is blocked on, if any — nullopt for unknown,
-  /// closed, or not-awaiting sessions. A copy of the parked frame's
-  /// questions, made under the shard lock: the one way to re-read a round
-  /// PendingRounds() already delivered.
+  /// closed, or not-awaiting sessions. Its questions share the parked
+  /// frame's storage, taken under the shard lock: the one way to re-read a
+  /// round PendingRounds() already delivered.
   std::optional<PendingRound> pending_round(SessionId id);
 
   /// Marks a session closed: subsequent Submit/ProvideAnswers are

@@ -1136,6 +1136,71 @@ TEST(UserTranscriptTest, CorrectionsTruncateTheOneTranscript) {
       << "corrected session diverged from the truthful run";
 }
 
+TEST(ContinuationTest, PolledRoundsShareTheParkedFramesQuestions) {
+  // A polled round's heap questions share their blocks with the parked
+  // frame: the announcement copies no tuple, and pending_round(id) reads
+  // the same storage. The poller's copies must stay byte-identical while
+  // the resumed frame, on another lane, goes on to mutate and destroy its
+  // own (the tsan preset checks the reads against those writes).
+  const int n = 10;
+  Rng rng(29);
+  const Query target = RandomRolePreserving(n, rng);
+  SessionRouter::Options opts;
+  opts.threads = 4;
+  SessionRouter router(opts);
+  const SessionRouter::SessionId id = router.OpenPending(n);
+  QueryOracle truth(target);
+  ASSERT_TRUE(router.SubmitLearn(id));
+
+  struct Kept {
+    PendingRound round;
+    std::vector<std::vector<Tuple>> tuples;
+    std::vector<size_t> hashes;
+  };
+  std::vector<Kept> kept;
+  const auto expect_intact = [&kept] {
+    for (const Kept& k : kept) {
+      for (size_t i = 0; i < k.tuples.size(); ++i) {
+        const TupleSet& q = k.round.questions[i];
+        ASSERT_TRUE(std::equal(q.begin(), q.end(), k.tuples[i].begin(),
+                               k.tuples[i].end()))
+            << "round " << k.round.round_id << " question " << i;
+        ASSERT_EQ(q.Hash(), k.hashes[i]);
+      }
+    }
+  };
+  size_t shared = 0;
+  for (;;) {
+    router.Drain();
+    std::vector<PendingRound> rounds = router.PendingRounds();
+    if (rounds.empty()) break;
+    ASSERT_EQ(rounds.size(), 1u);
+    const std::optional<PendingRound> reread = router.pending_round(id);
+    ASSERT_TRUE(reread.has_value());
+    Kept k{std::move(rounds[0]), {}, {}};
+    ASSERT_EQ(reread->questions.size(), k.round.questions.size());
+    for (size_t i = 0; i < k.round.questions.size(); ++i) {
+      const TupleSet& q = k.round.questions[i];
+      ASSERT_EQ(reread->questions[i], q);
+      if (q.heap_bytes() > 0) {
+        EXPECT_EQ(reread->questions[i].tuples().data(), q.tuples().data());
+        ++shared;
+      }
+      k.tuples.emplace_back(q.begin(), q.end());
+      k.hashes.push_back(TupleSet(q.tuples()).Hash());
+    }
+    AnswerRound(router, truth, k.round);
+    kept.push_back(std::move(k));
+    // The session now runs on a lane; read every copy kept so far.
+    expect_intact();
+  }
+  EXPECT_EQ(router.status(id), SessionStatus::kIdle);
+  ASSERT_TRUE(router.session(id).current_query().has_value());
+  EXPECT_TRUE(Equivalent(*router.session(id).current_query(), target));
+  EXPECT_GT(shared, 0u) << "the target must ask some heap questions";
+  expect_intact();
+}
+
 TEST(ContinuationTest, AwaitingSessionReportsItsSnapshotBytes) {
   // The service surfaces each parked session's resume residency
   // (ServiceStats.snapshot_bytes) so operators can budget memory: a

@@ -1,10 +1,15 @@
-// Objects (tuple sets): canonical form, set algebra, hashing.
+// Objects (tuple sets): canonical form, set algebra, hashing, and the
+// shared copy-on-write heap blocks.
 
 #include "src/bool/tuple_set.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <functional>
 #include <set>
+#include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -24,6 +29,145 @@ TupleSet HeapSet(Tuple count) {
   TupleSet s;
   for (Tuple t = 1; t <= count; ++t) s.Add(t);
   return s;
+}
+
+const Tuple* Storage(const TupleSet& s) { return s.tuples().data(); }
+
+/// `count` distinct tuples 1..count, built from a span (allocated exactly).
+TupleSet ExactSet(Tuple count) {
+  std::vector<Tuple> tuples;
+  for (Tuple t = 1; t <= count; ++t) tuples.push_back(t);
+  return TupleSet(tuples);
+}
+
+TEST(TupleSetShareTest, HeapCopiesShareTheBlockAndInlineCopiesDoNot) {
+  const TupleSet big = HeapSet(9);
+  const TupleSet copy(big);
+  EXPECT_EQ(Storage(copy), Storage(big));
+  TupleSet assigned{7};
+  assigned = big;
+  EXPECT_EQ(Storage(assigned), Storage(big));
+  EXPECT_EQ(assigned.Hash(), big.Hash());
+
+  const TupleSet small{3, 1, 2};
+  const TupleSet small_copy(small);
+  EXPECT_NE(Storage(small_copy), Storage(small));
+  TupleSet small_assigned = HeapSet(6);
+  small_assigned = small;
+  EXPECT_NE(Storage(small_assigned), Storage(small));
+  EXPECT_EQ(small_assigned, small);
+}
+
+TEST(TupleSetShareTest, HeapBytesCountsTheWholeSharedBlockForEverySharer) {
+  // heap_bytes() is the size of the block an object refers to: a fixed
+  // header plus one slot per tuple of capacity, counted in full by every
+  // object sharing it.
+  const size_t per_tuple = ExactSet(6).heap_bytes() - ExactSet(5).heap_bytes();
+  EXPECT_EQ(per_tuple, sizeof(Tuple));
+  const size_t header = ExactSet(5).heap_bytes() - 5 * sizeof(Tuple);
+  EXPECT_GT(header, 0u);
+  EXPECT_EQ(ExactSet(20).heap_bytes(), header + 20 * sizeof(Tuple));
+
+  TupleSet owner = ExactSet(8);
+  const size_t block = owner.heap_bytes();
+  std::vector<TupleSet> sharers(3, owner);
+  for (const TupleSet& s : sharers) EXPECT_EQ(s.heap_bytes(), block);
+  owner = TupleSet();
+  for (const TupleSet& s : sharers) EXPECT_EQ(s.heap_bytes(), block);
+
+  // Copying a shared block out allocates exactly the tuples it needs,
+  // however much room the source had grown.
+  TupleSet grown = HeapSet(17);  // grown by doubling: capacity 24
+  ASSERT_GT(grown.heap_bytes(), header + 17 * sizeof(Tuple));
+  TupleSet added(grown);
+  added.Add(100);
+  EXPECT_EQ(added.heap_bytes(), header + 18 * sizeof(Tuple));
+  TupleSet removed(grown);
+  removed.Remove(5);
+  EXPECT_EQ(removed.heap_bytes(), header + 17 * sizeof(Tuple));
+}
+
+TEST(TupleSetShareTest, EveryMutatorLeavesTheOtherSharerUntouched) {
+  const TupleSet inline_source{40, 41};
+  struct Mutator {
+    std::string name;
+    std::function<void(TupleSet&)> apply;
+  };
+  const std::vector<Mutator> mutators = {
+      {"Add", [](TupleSet& s) { s.Add(50); }},
+      {"Remove", [](TupleSet& s) { s.Remove(3); }},
+      {"AssignPair", [](TupleSet& s) { s.AssignPair(9, 2); }},
+      {"copy-assign from inline",
+       [&inline_source](TupleSet& s) { s = inline_source; }},
+      {"move-from", [](TupleSet& s) { TupleSet taken(std::move(s)); }},
+  };
+  for (const Mutator& m : mutators) {
+    for (bool mutate_copy : {false, true}) {
+      TupleSet source = HeapSet(12);
+      source.Hash();
+      TupleSet copy(source);
+      ASSERT_EQ(Storage(copy), Storage(source));
+      TupleSet& mutated = mutate_copy ? copy : source;
+      const TupleSet& other = mutate_copy ? source : copy;
+      const std::vector<Tuple> want = Tuples(other);
+      const size_t want_hash = TupleSet(other.tuples()).Hash();
+      m.apply(mutated);
+      EXPECT_NE(Storage(mutated), Storage(other))
+          << m.name << (mutate_copy ? " on the copy" : " on the source");
+      EXPECT_EQ(Tuples(other), want) << m.name;
+      EXPECT_EQ(other.Hash(), want_hash) << m.name;
+      EXPECT_EQ(mutated.Hash(), TupleSet(mutated.tuples()).Hash()) << m.name;
+    }
+  }
+}
+
+TEST(TupleSetShareTest, CopiesReadAndDestroyedOnAnotherThread) {
+  // The owner hands a second thread one copy of each heap original, and
+  // that thread reads and destroys the copies while the owner mutates the
+  // originals. In even rounds the owner mutates an original only once its
+  // copy is gone, so it usually finds itself the only sharer and writes
+  // the block in place; in odd rounds it mutates at once, copying the
+  // block out while the other thread still reads it, and that thread
+  // frees it. The progress counter is relaxed and orders nothing: the
+  // block count's own orders must order every read before the write or
+  // free that follows it (the tsan preset checks them).
+  Rng rng(23);
+  std::vector<TupleSet> originals;
+  for (Tuple k = 0; k < 16; ++k) originals.push_back(HeapSet(4 + k));
+  bool all_intact = true;
+  for (int round = 0; round < 60; ++round) {
+    std::vector<TupleSet> copies(originals);
+    std::vector<std::vector<Tuple>> want;
+    for (const TupleSet& c : copies) want.push_back(Tuples(c));
+    std::atomic<size_t> destroyed{0};
+    std::thread reader([&copies, &want, &destroyed, &all_intact] {
+      for (size_t i = 0; i < copies.size(); ++i) {
+        if (Tuples(copies[i]) != want[i] ||
+            copies[i].Hash() != TupleSet(want[i]).Hash()) {
+          all_intact = false;
+        }
+        copies[i] = TupleSet();
+        destroyed.store(i + 1, std::memory_order_relaxed);
+      }
+    });
+    for (size_t i = 0; i < originals.size(); ++i) {
+      while (round % 2 == 0 && destroyed.load(std::memory_order_relaxed) <= i) {
+        std::this_thread::yield();
+      }
+      TupleSet& original = originals[i];
+      const Tuple t = 1 + rng.Below(24);
+      if (rng.Chance(0.5)) {
+        original.Add(t);
+      } else {
+        original.Remove(t);
+      }
+      if (original.size() <= TupleSet::kInlineTuples) {
+        original = HeapSet(4 + rng.Below(12));
+      }
+    }
+    reader.join();
+  }
+  EXPECT_TRUE(all_intact);
 }
 
 TEST(TupleSetTest, DeduplicatesAndSorts) {
